@@ -20,7 +20,7 @@ import numpy as np
 
 from .ccop import MCertificate, certify_m
 from .numkern import Tolerances
-from .regmpoc import AssumptionError, RegularizedProblem, TCertificate, certify_t
+from .regmpoc import AssumptionError, RegularizedProblem, TCertificate, certify_t, companion_y
 
 __all__ = [
     "LiftSet",
@@ -124,10 +124,7 @@ def lift(rp: RegularizedProblem, x, tol: Tolerances = Tolerances()) -> LiftSet:
     subsets = tuple(itertools.combinations(rest, n - s - 1))
     companions: list[tuple[np.ndarray, TCertificate]] = []
     for ebar in subsets:
-        y = np.zeros(n)
-        for i in ebar:
-            y[i - 1] = 1.0 + rp.eps
-        y[ibar - 1] = 1.0 - (n - s - 1) * rp.eps
+        y = companion_y(rp, ibar, ebar)
         tcert = certify_t(rp, x, y, tol)
         if not tcert.stationary or tcert.residual > _CROSS_TOL:
             raise BridgeError(

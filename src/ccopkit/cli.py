@@ -31,7 +31,9 @@ double quoted.  The human format shows the same rows grouped per section.
 
 Exit codes: 0 stationary and fully nondegenerate (for certify) or all
 checks passed; 1 stationary but degenerate / some check failed; 2 not
-stationary; 3 input error; 4 quadratic census requested on a non-quadratic
+stationary; 3 input error, including a file value of the wrong type and a
+point at which an expression is undefined (log of a nonpositive value,
+division by zero); 4 quadratic census requested on a non-quadratic
 instance.
 """
 
@@ -45,7 +47,7 @@ import numpy as np
 
 from .bridge import BridgeError, NotStationaryError, lift, project, verify_counts
 from .ccop import MCertificate, Problem, certify_m, check_cc_licq
-from .exprcore import ExprSyntaxError, parse
+from .exprcore import ExprDomainError, ExprSyntaxError, parse
 from .numkern import Tolerances
 from .oracle import (
     CensusReport,
@@ -124,8 +126,9 @@ def _parse_value(raw: str, where: str):
     return [_parse_scalar(item, where) for item in items]
 
 
-def _read_sections(text: str, origin: str) -> dict[str, list[tuple[str, object, str]]]:
-    sections: dict[str, list[tuple[str, object, str]]] = {}
+def _read_sections(text: str, origin: str) -> dict[str, dict[str, tuple[object, str]]]:
+    """Section -> key -> (value, "file:line"); a repeated key is an error."""
+    sections: dict[str, dict[str, tuple[object, str]]] = {}
     current = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -138,19 +141,55 @@ def _read_sections(text: str, origin: str) -> dict[str, list[tuple[str, object, 
             current = stripped[1:-1].strip()
             if current not in _SECTIONS:
                 raise LoadError(f"{where}: unknown section [{current}]")
-            sections.setdefault(current, [])
+            sections.setdefault(current, {})
             continue
         if current is None:
             raise LoadError(f"{where}: key outside any section")
         if "=" not in stripped:
             raise LoadError(f"{where}: expected 'key = value'")
         key, _, raw = stripped.partition("=")
-        sections[current].append((key.strip(), _parse_value(raw, where), where))
+        key = key.strip()
+        if key in sections[current]:
+            raise LoadError(f"{where}: duplicate key '{key}' in [{current}]")
+        sections[current][key] = (_parse_value(raw, where), where)
     return sections
 
 
+def _number(key: str, entry: tuple[object, str]) -> float:
+    value, where = entry
+    if not isinstance(value, float) or not np.isfinite(value):
+        raise LoadError(f"{where}: {key} must be a finite number, got {value!r}")
+    return value
+
+
+def _integer(key: str, entry: tuple[object, str]) -> int:
+    value = _number(key, entry)
+    if not value.is_integer():
+        raise LoadError(f"{entry[1]}: {key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _vector(key: str, entry: tuple[object, str]) -> np.ndarray:
+    value, where = entry
+    if not isinstance(value, list):
+        raise LoadError(f"{where}: {key} must be a list of numbers, got {value!r}")
+    return np.asarray([_number(key, (v, where)) for v in value], dtype=float)
+
+
+def _expressions(key: str, entry: tuple[object, str]) -> list[str]:
+    value, where = entry
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise LoadError(f"{where}: {key} must be a list of quoted expressions, got {value!r}")
+    return value
+
+
 def load_problem_file(path: str) -> ProblemFile:
-    """Load and validate a problem file."""
+    """Load and validate a problem file.
+
+    Values must have their documented type: n and s integers, f a quoted
+    expression, h and g lists of them, override a bare true/false, and every
+    other value a finite number or a list of finite numbers.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -160,16 +199,19 @@ def load_problem_file(path: str) -> ProblemFile:
 
     if "problem" not in sections:
         raise LoadError(f"{path}: missing [problem] section")
-    prob = {k: v for k, v, _ in sections["problem"]}
+    prob = sections["problem"]
     for key in ("n", "s", "f"):
         if key not in prob:
             raise LoadError(f"{path}: [problem] requires {key}")
-    n = int(prob["n"])
-    s = int(prob["s"])
+    n = _integer("n", prob["n"])
+    s = _integer("s", prob["s"])
+    f_src, where = prob["f"]
+    if not isinstance(f_src, str):
+        raise LoadError(f"{where}: f must be a quoted expression, got {f_src!r}")
     try:
-        f = parse(str(prob["f"]), n)
-        h = tuple(parse(str(src), n) for src in prob.get("h", []))
-        g = tuple(parse(str(src), n) for src in prob.get("g", []))
+        f = parse(f_src, n)
+        h = tuple(parse(src, n) for src in _expressions("h", prob.get("h", ([], path))))
+        g = tuple(parse(src, n) for src in _expressions("g", prob.get("g", ([], path))))
     except ExprSyntaxError as exc:
         raise LoadError(f"{path}: {exc}") from None
     try:
@@ -180,27 +222,29 @@ def load_problem_file(path: str) -> ProblemFile:
     c = eps = None
     override = False
     if "regularization" in sections:
-        reg = {k: v for k, v, _ in sections["regularization"]}
+        reg = sections["regularization"]
         if "c" not in reg or "eps" not in reg:
             raise LoadError(f"{path}: [regularization] requires c and eps")
-        c = np.asarray([float(v) for v in reg["c"]], dtype=float)
+        c = _vector("c", reg["c"])
         if c.shape != (n,):
             raise LoadError(f"{path}: c has length {c.size}, expected {n}")
-        eps = float(reg["eps"])
-        override = bool(reg.get("override", False))
+        eps = _number("eps", reg["eps"])
+        override, where = reg.get("override", (False, path))
+        if not isinstance(override, bool):
+            raise LoadError(f"{where}: override must be true or false, got {override!r}")
 
     points: dict[str, np.ndarray] = {}
-    for key, value, where in sections.get("points", []):
-        vec = np.asarray([float(v) for v in value], dtype=float)
+    for key, entry in sections.get("points", {}).items():
+        vec = _vector(f"point '{key}'", entry)
         if vec.size not in (n, 2 * n):
-            raise LoadError(f"{where}: point '{key}' has length {vec.size}, expected {n} or {2 * n}")
+            raise LoadError(f"{entry[1]}: point '{key}' has length {vec.size}, expected {n} or {2 * n}")
         points[key] = vec
 
     tol_overrides: dict[str, float] = {}
-    for key, value, where in sections.get("tolerances", []):
+    for key, entry in sections.get("tolerances", {}).items():
         if key not in _TOL_KEYS:
-            raise LoadError(f"{where}: unknown tolerance '{key}'")
-        tol_overrides[key] = float(value)
+            raise LoadError(f"{entry[1]}: unknown tolerance '{key}'")
+        tol_overrides[key] = _number(key, entry)
 
     return ProblemFile(problem, c, eps, override, points, tol_overrides)
 
@@ -689,7 +733,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (LoadError, AssumptionError, ExprSyntaxError, ValueError) as exc:
+    except (LoadError, AssumptionError, ExprSyntaxError, ExprDomainError, ValueError) as exc:
         sys.stderr.write(f"ccopkit: {exc}\n")
         return 3
 

@@ -41,6 +41,16 @@ __all__ = [
 
 _FUNCS = ("sin", "cos", "exp", "log")
 
+# Nesting limits of parse().  The parser holds one frame per open unary
+# minus, four per open parenthesis and five per open function call;
+# _jet, to_source and polynomial_degree recurse once per tree level.  Both
+# limits keep parsing and every tree walk below Python's default recursion
+# limit of 1000 frames with room for about 100 of the caller's.  to_source
+# nests one parenthesis per term of a sum, so printed sums of up to about
+# _MAX_PARSE_FRAMES // 4 terms parse back.
+_MAX_PARSE_FRAMES = 880
+_MAX_DEPTH = 800  # tree levels; a sum of k terms is k levels deep
+
 
 class ExprSyntaxError(ValueError):
     """Source string violates the grammar; carries the offending position."""
@@ -134,6 +144,7 @@ class _Parser:
         self.src = source
         self.n = n
         self.pos = 0
+        self.frames = 0  # parser frames held by the groups open at self.pos
 
     def _skip_ws(self):
         while self.pos < len(self.src) and self.src[self.pos].isspace():
@@ -149,34 +160,43 @@ class _Parser:
         self.pos += 1
 
     def parse(self) -> Node:
-        node = self.expr()
+        node, _ = self.expr()
         self._skip_ws()
         if self.pos != len(self.src):
             raise ExprSyntaxError("unexpected trailing input", self.pos)
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
+    # The parsing methods return (node, depth of the node's tree).
+
+    def _level(self, depth: int) -> int:
+        if depth > _MAX_DEPTH:
+            raise ExprSyntaxError(f"expression tree deeper than {_MAX_DEPTH} levels", self.pos)
+        return depth
+
+    def expr(self) -> tuple[Node, int]:
+        node, depth = self.term()
         while self._peek() in ("+", "-"):
             op = self.src[self.pos]
             self.pos += 1
-            node = BinOp(op, node, self.term())
-        return node
+            right, rdepth = self.term()
+            node, depth = BinOp(op, node, right), self._level(max(depth, rdepth) + 1)
+        return node, depth
 
-    def term(self) -> Node:
-        node = self.factor()
+    def term(self) -> tuple[Node, int]:
+        node, depth = self.factor()
         while self._peek() in ("*", "/"):
             op = self.src[self.pos]
             self.pos += 1
-            node = BinOp(op, node, self.factor())
-        return node
+            right, rdepth = self.factor()
+            node, depth = BinOp(op, node, right), self._level(max(depth, rdepth) + 1)
+        return node, depth
 
-    def factor(self) -> Node:
-        node = self.base()
+    def factor(self) -> tuple[Node, int]:
+        node, depth = self.base()
         if self._peek() == "^":
             self.pos += 1
-            node = Pow(node, self._integer())
-        return node
+            node, depth = Pow(node, self._integer()), self._level(depth + 1)
+        return node, depth
 
     def _integer(self) -> int:
         self._skip_ws()
@@ -198,34 +218,46 @@ class _Parser:
         self.pos = end
         return sign * int(m.group())
 
-    def base(self) -> Node:
+    def _open_group(self, frames: int):
+        self.frames += frames
+        if self.frames > _MAX_PARSE_FRAMES:
+            raise ExprSyntaxError("expression nested too deeply", self.pos)
+
+    def base(self) -> tuple[Node, int]:
         ch = self._peek()
         if ch == "":
             raise ExprSyntaxError("unexpected end of input", self.pos)
         if ch == "(":
+            self._open_group(4)
             self.pos += 1
-            node = self.expr()
+            node, depth = self.expr()
             self._expect(")")
-            return node
+            self.frames -= 4
+            return node, depth
         if ch == "-":
+            self._open_group(1)
             self.pos += 1
-            return Neg(self.base())
+            node, depth = self.base()
+            self.frames -= 1
+            return Neg(node), self._level(depth + 1)
         m = _NUM_RE.match(self.src, self.pos)
         if m:
             self.pos = m.end()
-            return Num(float(m.group()))
+            return Num(float(m.group())), 1
         m = _NAME_RE.match(self.src, self.pos)
         if m:
             return self._name(m.group(), m.start())
         raise ExprSyntaxError(f"unexpected character '{ch}'", self.pos)
 
-    def _name(self, name: str, start: int) -> Node:
+    def _name(self, name: str, start: int) -> tuple[Node, int]:
         if name in _FUNCS:
             self.pos = start + len(name)
             self._expect("(")
-            node = self.expr()
+            self._open_group(5)
+            node, depth = self.expr()
             self._expect(")")
-            return Call(name, node)
+            self.frames -= 5
+            return Call(name, node), self._level(depth + 1)
         m = re.fullmatch(r"x(\d+)", name)
         if m is None:
             raise ExprSyntaxError(f"unknown identifier '{name}'", start)
@@ -235,18 +267,25 @@ class _Parser:
                 f"variable x{index} out of range for n={self.n}", start
             )
         self.pos = start + len(name)
-        return Var(index)
+        return Var(index), 1
 
 
 def parse(source: str, n: int) -> Expr:
-    """Parse `source` into an expression over x1..xn."""
+    """Parse `source` into an expression over x1..xn.
+
+    Nesting that would hold more than _MAX_PARSE_FRAMES parser frames (more
+    than 220 parentheses or 176 function calls), or a tree deeper than
+    _MAX_DEPTH levels (such as a sum of more than _MAX_DEPTH terms), is
+    rejected with ExprSyntaxError.
+    """
     if n < 1:
         raise ValueError(f"dimension must be at least 1, got {n}")
     return Expr(_Parser(source, n).parse(), n)
 
 
 # ---------------------------------------------------------------------------
-# Printing (fully parenthesized; parse(to_source(parse(s))) == parse(s))
+# Printing (fully parenthesized; parse(to_source(parse(s))) == parse(s) while
+# the parenthesized form stays within _MAX_PARSE_FRAMES)
 
 
 def to_source(node: Node | Expr) -> str:

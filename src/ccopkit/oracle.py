@@ -1,16 +1,19 @@
 """Brute-force enumeration of stationary points on desk-scale instances.
 
-For quadratic objectives with affine constraints the multiplier systems are
-linear, so enumerating every support pattern and active set is exhaustive:
-that census is the trust anchor against which the certification and
-lift/project machinery is validated.  A multistart damped-Newton census
-covers non-quadratic fixtures (never exhaustive), and a seeded sampler
-covers the unregularized reformulation, whose stationary points can form
-continua that no pattern enumeration captures.
+Every census runs roots -> certify -> report.  A root finder yields
+(support, x) per support/active-set pattern: one linear solve per pattern on
+quadratic-affine instances, which makes the census exhaustive and the trust
+anchor for certification and lift/project, or a multistart damped Newton on
+any smooth instance (never exhaustive).  Roots are certified with certify_m,
+or expanded into candidate y and certified with certify_t: the y of every
+(n-s)-subset of the zero pattern, or seeded samples of the y-polytope for
+the unregularized reformulation, whose stationary points can form continua.
+Stationary points are then deduplicated and counted by index.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import itertools
 from dataclasses import dataclass, field
@@ -20,7 +23,7 @@ import numpy as np
 from .ccop import MCertificate, Problem, certify_m
 from .exprcore import ExprDomainError, eval2, polynomial_degree, to_source
 from .numkern import Tolerances
-from .regmpoc import AssumptionError, RegularizedProblem, TCertificate, certify_t
+from .regmpoc import AssumptionError, RegularizedProblem, TCertificate, certify_t, companion_y
 
 __all__ = [
     "CensusReport",
@@ -82,8 +85,13 @@ def is_quadratic_affine(pr: Problem) -> bool:
     return True
 
 
+def _require_quadratic(pr: Problem, what: str) -> None:
+    if not is_quadratic_affine(pr):
+        raise ValueError(f"{what} requires a quadratic objective and affine constraints")
+
+
 # ---------------------------------------------------------------------------
-# Pattern spaces
+# Pattern systems
 
 
 def _supports(n: int, s: int):
@@ -96,268 +104,47 @@ def _active_sets(m: int):
         yield from itertools.combinations(range(1, m + 1), k)
 
 
-# ---------------------------------------------------------------------------
-# Linear pattern systems (quadratic-affine instances)
+def _kkt_matrix(H, hgrads, ggrads, jc0) -> np.ndarray:
+    """KKT matrix of one pattern: the linear system of a quadratic-affine
+    instance and the Newton Jacobian of a general one.  Unknowns are x and one
+    multiplier per equality, active inequality and off-support coordinate
+    (0-based jc0); H is the Hessian of the Lagrangian."""
+    n = H.shape[0]
+    grads = [*hgrads, *ggrads]
+    size = n + len(grads) + len(jc0)
+    M = np.zeros((size, size))
+    M[:n, :n] = H
+    for k, a in enumerate(grads, start=n):
+        M[:n, k] = -a
+        M[k, :n] = a
+    for k, i0 in enumerate(jc0, start=n + len(grads)):
+        M[i0, k] = -1.0
+        M[k, i0] = 1.0
+    return M
 
 
 def _quadratic_data(pr: Problem):
+    """Jets of f and of every constraint at the origin."""
     x0 = np.zeros(pr.n)
-    jf = eval2(pr.f, x0)
-    hdata = [(eval2(e, x0).gradient, eval2(e, x0).value) for e in pr.h]
-    gdata = [(eval2(e, x0).gradient, eval2(e, x0).value) for e in pr.g]
-    return jf.hessian, jf.gradient, hdata, gdata
+    return eval2(pr.f, x0), [eval2(e, x0) for e in pr.h], [eval2(e, x0) for e in pr.g]
 
 
-def _solve_support_pattern(n, A, b, hdata, gdata, J, act, tol: Tolerances):
-    """Solve the linear multiplier system pinned to support J and active set.
-
-    Unknowns are x, equality multipliers, active-inequality multipliers and
-    one coordinate multiplier per off-support index.  Returns None when the
-    square system is numerically singular (no stationary point carries that
-    exact pattern under a constraint qualification).
-    """
-    jc = [i for i in range(1, n + 1) if i not in J]
-    mh, ma, mz = len(hdata), len(act), len(jc)
-    size = n + mh + ma + mz
-    M = np.zeros((size, size))
-    rhs = np.zeros(size)
-    M[:n, :n] = A
-    rhs[:n] = -b
-    col = n
-    for a, _ in hdata:
-        M[:n, col] = -a
-        col += 1
-    for q in act:
-        M[:n, col] = -gdata[q - 1][0]
-        col += 1
-    for i in jc:
-        M[i - 1, col] = -1.0
-        col += 1
-    row = n
-    for a, d in hdata:
-        M[row, :n] = a
-        rhs[row] = -d
-        row += 1
-    for q in act:
-        a, d = gdata[q - 1]
-        M[row, :n] = a
-        rhs[row] = -d
-        row += 1
-    for i in jc:
-        M[row, i - 1] = 1.0
-        row += 1
-    sing = np.linalg.svd(M, compute_uv=False)
-    if sing[0] == 0.0 or sing[-1] <= tol.tol_rank * sing[0]:
-        return None
-    return np.linalg.solve(M, rhs)
-
-
-# ---------------------------------------------------------------------------
-# Deduplication
-
-
-def _index_label(cert) -> object:
-    idx = cert.m_index if isinstance(cert, MCertificate) else cert.t_index
-    return idx if idx is not None else "degenerate"
-
-
-def _dedupe(entries, radius: float, notes: list[str], what: str):
-    """Merge points closer than `radius` (inf-norm) with equal index; keep and
-    flag close points whose indices differ."""
-    out = []
-    for key, payload in sorted(entries, key=lambda e: tuple(e[0])):
-        label = _index_label(payload[-1])
-        keep = True
-        for kkey, kpayload in out:
-            if np.max(np.abs(key - kkey)) <= radius:
-                if _index_label(kpayload[-1]) == label:
-                    keep = False
-                    break
-                notes.append(
-                    f"manual review: nearby {what} points with differing index at "
-                    f"{np.round(key, 6).tolist()}"
-                )
-        if keep:
-            out.append((key, payload))
-    return [payload for _, payload in out]
-
-
-def _count_by_index(certs) -> dict:
-    counts: dict = {}
-    for cert in certs:
-        counts[_index_label(cert)] = counts.get(_index_label(cert), 0) + 1
-    ints = sorted(k for k in counts if isinstance(k, int))
-    ordered = {k: counts[k] for k in ints}
-    if "degenerate" in counts:
-        ordered["degenerate"] = counts["degenerate"]
-    return ordered
-
-
-# ---------------------------------------------------------------------------
-# Censuses on the sparse side
-
-
-def census_quadratic(pr: Problem, tol: Tolerances = Tolerances()) -> CensusReport:
-    """Exhaustive census of M-stationary points of a quadratic-affine instance."""
-    if not is_quadratic_affine(pr):
-        raise ValueError(
-            "census_quadratic requires a quadratic objective and affine constraints"
-        )
-    A, b, hdata, gdata = _quadratic_data(pr)
-    notes: list[str] = []
-    raw = []
-    for J in _supports(pr.n, pr.s):
-        for act in _active_sets(len(pr.g)):
-            z = _solve_support_pattern(pr.n, A, b, hdata, gdata, J, act, tol)
-            if z is None:
-                notes.append(f"skipped singular pattern support={list(J)} active={list(act)}")
-                continue
-            x = z[: pr.n]
-            if not np.all(np.isfinite(x)):
-                continue
-            cert = certify_m(pr, x, tol)
-            if cert.feasible and cert.stationary:
-                raw.append((x, (x, cert)))
-    m_points = _dedupe(raw, 10.0 * tol.tol_act, notes, "M")
-    return CensusReport(
-        instance_id=instance_id(pr),
-        m_points=m_points,
-        by_index_m=_count_by_index([c for _, c in m_points]),
-        complete=True,
-        notes=notes,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Censuses on the lifted side
-
-
-def _lemma_y(n: int, s: int, eps: float, a01set: tuple[int, ...], ibar: int) -> np.ndarray:
-    y = np.zeros(n)
-    for i in a01set:
-        y[i - 1] = 1.0 + eps
-    y[ibar - 1] = 1.0 - (n - s - 1) * eps
-    return y
-
-
-def census_t_quadratic(rp: RegularizedProblem, tol: Tolerances = Tolerances()) -> CensusReport:
-    """Census of T-stationary points of a quadratic-affine regularization.
-
-    Under the parameter assumption the y-structure of stationary points makes
-    the pattern space finite and the census exhaustive.  Under override (the
-    unregularized reformulation) stationary points may form continua; the
-    census then samples the y-polytope per support pattern and reports
-    complete=False.
-    """
-    pr = rp.base
-    if not is_quadratic_affine(pr):
-        raise ValueError(
-            "census_t_quadratic requires a quadratic objective and affine constraints"
-        )
-    if not rp.assumption1_ok:
-        if not rp.override:
-            raise AssumptionError(
-                "regularization parameters violate the assumption; construct with "
-                "override=True for the sampling census"
-            )
-        return _census_t_sampled(rp, tol)
-
-    n, s = rp.n, rp.s
-    A, b, hdata, gdata = _quadratic_data(pr)
-    notes: list[str] = []
-    raw = []
-    for J in _supports(n, s):
-        jc = [i for i in range(1, n + 1) if i not in J]
-        for act in _active_sets(len(pr.g)):
-            z = _solve_support_pattern(n, A, b, hdata, gdata, J, act, tol)
-            if z is None:
-                notes.append(f"skipped singular pattern support={list(J)} active={list(act)}")
-                continue
-            x = z[:n]
-            if not np.all(np.isfinite(x)):
-                continue
-            # one candidate y per (n-s)-subset of the zero pattern; the mid
-            # component must carry the largest c or the sign conditions on the
-            # upper-bound multipliers are violated
-            for a01set in itertools.combinations(jc, n - s):
-                ibar = max(a01set, key=lambda i: rp.c[i - 1])
-                y = _lemma_y(n, s, rp.eps, tuple(i for i in a01set if i != ibar), ibar)
-                tcert = certify_t(rp, x, y, tol)
-                if tcert.feasible and tcert.stationary:
-                    raw.append((np.concatenate([x, y]), (x, y, tcert)))
-    t_points = _dedupe(raw, 10.0 * tol.tol_act, notes, "T")
-    return CensusReport(
-        instance_id=instance_id(pr, rp),
-        t_points=t_points,
-        by_index_t=_count_by_index([c for *_, c in t_points]),
-        complete=True,
-        notes=notes,
-    )
-
-
-def _census_t_sampled(rp: RegularizedProblem, tol: Tolerances) -> CensusReport:
-    pr = rp.base
-    n, s = rp.n, rp.s
-    A, b, hdata, gdata = _quadratic_data(pr)
-    notes = ["override sampler: y-space sampled per support pattern, census not exhaustive"]
-    rng = np.random.default_rng(int(instance_id(pr, rp), 16) % 2**32)
-    upper = 1.0 + rp.eps
-    raw = []
-    for J in _supports(n, s):
-        for act in _active_sets(len(pr.g)):
-            z = _solve_support_pattern(n, A, b, hdata, gdata, J, act, tol)
-            if z is None:
-                continue
-            x = z[:n]
-            if not np.all(np.isfinite(x)):
-                continue
-            zeros = [i for i in range(1, n + 1) if abs(x[i - 1]) <= tol.tol_act]
-            if len(zeros) > 14 or len(zeros) * upper < (n - s) - tol.tol_feas:
-                continue
-            candidates = []
-            for k in range(len(zeros) + 1):
-                if k * upper < (n - s) - tol.tol_feas:
-                    continue
-                for sub in itertools.combinations(zeros, k):
-                    y = np.zeros(n)
-                    for i in sub:
-                        y[i - 1] = upper
-                    candidates.append(y)
-            for _ in range(3):
-                y = np.zeros(n)
-                draw = rng.uniform(0.0, upper, size=len(zeros))
-                deficit = (n - s) - draw.sum()
-                if deficit > 0:
-                    draw = np.clip(draw + deficit / len(zeros), 0.0, upper)
-                if draw.sum() < (n - s) - tol.tol_feas:
-                    continue
-                for i, v in zip(zeros, draw):
-                    y[i - 1] = v
-                candidates.append(y)
-            for y in candidates:
-                tcert = certify_t(rp, x, y, tol)
-                if tcert.feasible and tcert.stationary:
-                    raw.append((np.concatenate([x, y]), (x, y, tcert)))
-    t_points = _dedupe(raw, 10.0 * tol.tol_act, notes, "T")
-    return CensusReport(
-        instance_id=instance_id(pr, rp),
-        t_points=t_points,
-        by_index_t=_count_by_index([c for *_, c in t_points]),
-        complete=False,
-        notes=notes,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Multistart Newton census (independent of the linear path)
+def _linear_system(data, J, act):
+    """Matrix and right-hand side of the linear system of one pattern."""
+    jf, hj, gj = data
+    gj = [gj[q - 1] for q in act]
+    jc0 = [i - 1 for i in range(1, jf.gradient.size + 1) if i not in J]
+    M = _kkt_matrix(jf.hessian, [j.gradient for j in hj], [j.gradient for j in gj], jc0)
+    rhs = np.concatenate([-jf.gradient, [-j.value for j in hj + gj], np.zeros(len(jc0))])
+    return M, rhs
 
 
 def _m_pattern_system(pr: Problem, J, act):
+    """Residual and Jacobian of the KKT system of one pattern, as a function."""
     n = pr.n
-    jc = [i for i in range(1, n + 1) if i not in J]
-    mh, ma, mz = len(pr.h), len(act), len(jc)
-    size = n + mh + ma + mz
-    jc0 = np.array([i - 1 for i in jc], dtype=int)
+    mh, ma = len(pr.h), len(act)
+    jc0 = [i - 1 for i in range(1, n + 1) if i not in J]
+    size = n + mh + ma + len(jc0)
 
     def eval_f(z):
         x = z[:n]
@@ -376,34 +163,35 @@ def _m_pattern_system(pr: Problem, J, act):
             r1 -= mu[k] * j.gradient
             hess -= mu[k] * j.hessian
         r1[jc0] -= gam
-        F = np.concatenate(
-            [r1, [j.value for j in hj], [j.value for j in gj], x[jc0]]
-        )
-        JF = np.zeros((size, size))
-        JF[:n, :n] = hess
-        col = n
-        for j in hj:
-            JF[:n, col] = -j.gradient
-            col += 1
-        for j in gj:
-            JF[:n, col] = -j.gradient
-            col += 1
-        for i0 in jc0:
-            JF[i0, col] = -1.0
-            col += 1
-        row = n
-        for j in hj:
-            JF[row, :n] = j.gradient
-            row += 1
-        for j in gj:
-            JF[row, :n] = j.gradient
-            row += 1
-        for i0 in jc0:
-            JF[row, i0] = 1.0
-            row += 1
+        F = np.concatenate([r1, [j.value for j in hj], [j.value for j in gj], x[jc0]])
+        JF = _kkt_matrix(hess, [j.gradient for j in hj], [j.gradient for j in gj], jc0)
         return F, JF
 
     return eval_f, size
+
+
+# ---------------------------------------------------------------------------
+# Root finders: (support, x) per pattern
+
+
+def _linear_roots(pr: Problem, tol: Tolerances, notes: list[str]):
+    """One solve per pattern of a quadratic-affine instance.
+
+    A numerically singular pattern system is skipped with a note: no
+    stationary point carries that exact pattern under a constraint
+    qualification.
+    """
+    data = _quadratic_data(pr)
+    for J in _supports(pr.n, pr.s):
+        for act in _active_sets(len(pr.g)):
+            M, rhs = _linear_system(data, J, act)
+            sing = np.linalg.svd(M, compute_uv=False)
+            if sing[0] == 0.0 or sing[-1] <= tol.tol_rank * sing[0]:
+                notes.append(f"skipped singular pattern support={list(J)} active={list(act)}")
+                continue
+            x = np.linalg.solve(M, rhs)[: pr.n]
+            if np.all(np.isfinite(x)):
+                yield J, x
 
 
 def _damped_newton(eval_f, z0, tol: Tolerances, max_iter=100, max_halvings=30):
@@ -440,23 +228,11 @@ def _damped_newton(eval_f, z0, tol: Tolerances, max_iter=100, max_halvings=30):
     return z, bool(np.max(np.abs(F)) <= tol.tol_feas)
 
 
-def census_newton(target, grid: GridSpec, tol: Tolerances = Tolerances()) -> CensusReport:
-    """Multistart damped-Newton census; works on any smooth instance.
-
-    Each support/active-set pattern gets one Newton run per grid start over
-    its free axes; converged roots are clustered and certified.  Never
-    exhaustive: complete is always False.
-    """
-    if isinstance(target, RegularizedProblem):
-        return _census_newton_t(target, grid, tol)
-    return _census_newton_m(target, grid, tol)
-
-
-def _newton_roots(pr: Problem, grid: GridSpec, tol: Tolerances):
-    """Converged x per support/active-set pattern, plus a failed-start count."""
+def _newton_roots(pr: Problem, grid: GridSpec, tol: Tolerances, notes: list[str]):
+    """One damped-Newton run per pattern and grid start over its free axes;
+    roots of one pattern closer than 10*tol_act are yielded once."""
     axis = np.linspace(grid.lo, grid.hi, grid.points_per_axis)
     failures = 0
-    per_pattern = []
     for J in _supports(pr.n, pr.s):
         for act in _active_sets(len(pr.g)):
             eval_f, size = _m_pattern_system(pr, J, act)
@@ -473,65 +249,198 @@ def _newton_roots(pr: Problem, grid: GridSpec, tol: Tolerances):
                 if any(np.max(np.abs(x - r)) <= 10.0 * tol.tol_act for r in roots):
                     continue
                 roots.append(x)
-            per_pattern.append((J, act, roots))
-    return per_pattern, failures
-
-
-def _census_newton_m(pr: Problem, grid: GridSpec, tol: Tolerances) -> CensusReport:
-    notes: list[str] = []
-    if grid.points_per_axis <= 0:
-        return CensusReport(instance_id(pr), notes=["empty grid"], complete=False)
-    per_pattern, failures = _newton_roots(pr, grid, tol)
-    raw = []
-    for _, _, roots in per_pattern:
-        for x in roots:
-            cert = certify_m(pr, x, tol)
-            if cert.feasible and cert.stationary:
-                raw.append((x, (x, cert)))
+                yield J, x
     if failures:
         notes.append(f"{failures} Newton starts did not converge")
-    m_points = _dedupe(raw, 10.0 * tol.tol_act, notes, "M")
-    return CensusReport(
-        instance_id=instance_id(pr),
-        m_points=m_points,
-        by_index_m=_count_by_index([c for _, c in m_points]),
-        complete=False,
-        notes=notes,
-    )
 
 
-def _census_newton_t(rp: RegularizedProblem, grid: GridSpec, tol: Tolerances) -> CensusReport:
-    if not rp.assumption1_ok:
-        raise AssumptionError(
-            "the Newton census on the lifted side requires the (c, eps) assumption; "
-            "use census_t_quadratic with override for the unregularized reformulation"
-        )
-    pr = rp.base
+# ---------------------------------------------------------------------------
+# Certification of roots
+
+
+def _m_points(pr: Problem, roots, tol: Tolerances):
+    for _, x in roots:
+        cert = certify_m(pr, x, tol)
+        if cert.feasible and cert.stationary:
+            yield x, (x, cert)
+
+
+def _t_points(rp: RegularizedProblem, roots, candidates, tol: Tolerances):
+    for J, x in roots:
+        for y in candidates(J, x):
+            tcert = certify_t(rp, x, y, tol)
+            if tcert.feasible and tcert.stationary:
+                yield np.concatenate([x, y]), (x, y, tcert)
+
+
+def _subset_ys(rp: RegularizedProblem):
+    """One y per (n-s)-subset of the zero pattern of support J.
+
+    The mid component must carry the largest c of the subset or the sign
+    conditions on the upper-bound multipliers are violated.
+    """
     n, s = rp.n, rp.s
-    notes: list[str] = []
-    if grid.points_per_axis <= 0:
-        return CensusReport(instance_id(pr, rp), notes=["empty grid"], complete=False)
-    per_pattern, failures = _newton_roots(pr, grid, tol)
-    raw = []
-    for J, _, roots in per_pattern:
+
+    def candidates(J, x):
         jc = [i for i in range(1, n + 1) if i not in J]
-        for x in roots:
-            for a01set in itertools.combinations(jc, n - s):
-                ibar = max(a01set, key=lambda i: rp.c[i - 1])
-                y = _lemma_y(n, s, rp.eps, tuple(i for i in a01set if i != ibar), ibar)
-                tcert = certify_t(rp, x, y, tol)
-                if tcert.feasible and tcert.stationary:
-                    raw.append((np.concatenate([x, y]), (x, y, tcert)))
-    if failures:
-        notes.append(f"{failures} Newton starts did not converge")
-    t_points = _dedupe(raw, 10.0 * tol.tol_act, notes, "T")
-    return CensusReport(
-        instance_id=instance_id(pr, rp),
-        t_points=t_points,
-        by_index_t=_count_by_index([c for *_, c in t_points]),
-        complete=False,
-        notes=notes,
-    )
+        for a01set in itertools.combinations(jc, n - s):
+            ibar = max(a01set, key=lambda i: rp.c[i - 1])
+            yield companion_y(rp, ibar, tuple(i for i in a01set if i != ibar))
+
+    return candidates
+
+
+def _sampled_ys(rp: RegularizedProblem, tol: Tolerances):
+    """Vertices of the y-polytope over the zeros of x, plus three seeded draws."""
+    n, s = rp.n, rp.s
+    rng = np.random.default_rng(int(instance_id(rp.base, rp), 16) % 2**32)
+    upper = 1.0 + rp.eps
+
+    def candidates(J, x):
+        zeros = [i for i in range(1, n + 1) if abs(x[i - 1]) <= tol.tol_act]
+        if len(zeros) > 14 or len(zeros) * upper < (n - s) - tol.tol_feas:
+            return
+        for k in range(len(zeros) + 1):
+            if k * upper < (n - s) - tol.tol_feas:
+                continue
+            for sub in itertools.combinations(zeros, k):
+                y = np.zeros(n)
+                y[[i - 1 for i in sub]] = upper
+                yield y
+        for _ in range(3):
+            draw = rng.uniform(0.0, upper, size=len(zeros))
+            deficit = (n - s) - draw.sum()
+            if deficit > 0:
+                draw = np.clip(draw + deficit / len(zeros), 0.0, upper)
+            if draw.sum() < (n - s) - tol.tol_feas:
+                continue
+            y = np.zeros(n)
+            y[[i - 1 for i in zeros]] = draw
+            yield y
+
+    return candidates
+
+
+# ---------------------------------------------------------------------------
+# Report
+
+
+def _index_label(cert) -> object:
+    idx = cert.m_index if isinstance(cert, MCertificate) else cert.t_index
+    return idx if idx is not None else "degenerate"
+
+
+def _dedupe(entries, radius: float, notes: list[str], what: str):
+    """Merge points closer than `radius` (inf-norm) with equal index; keep and
+    flag close points whose indices differ.
+
+    Entries are swept in lexicographic order, so the kept first coordinates
+    ascend and only the kept points whose first coordinate lies within
+    radius of the current one can be close to it.
+    """
+    out = []
+    firsts: list[float] = []
+    for key, payload in sorted(entries, key=lambda e: tuple(e[0])):
+        label = _index_label(payload[-1])
+        keep = True
+        # 2*radius: a margin for rounding; the inf-norm test below decides
+        for kkey, kpayload in out[bisect.bisect_left(firsts, key[0] - 2.0 * radius) :]:
+            if np.max(np.abs(key - kkey)) <= radius:
+                if _index_label(kpayload[-1]) == label:
+                    keep = False
+                    break
+                notes.append(
+                    f"manual review: nearby {what} points with differing index at "
+                    f"{np.round(key, 6).tolist()}"
+                )
+        if keep:
+            out.append((key, payload))
+            firsts.append(key[0])
+    return [payload for _, payload in out]
+
+
+def _count_by_index(certs) -> dict:
+    counts: dict = {}
+    for cert in certs:
+        counts[_index_label(cert)] = counts.get(_index_label(cert), 0) + 1
+    ints = sorted(k for k in counts if isinstance(k, int))
+    ordered = {k: counts[k] for k in ints}
+    if "degenerate" in counts:
+        ordered["degenerate"] = counts["degenerate"]
+    return ordered
+
+
+def _report(iid: str, side: str, found, complete: bool, notes: list[str], tol: Tolerances):
+    """Deduplicate the (key, point) pairs found on one side and count them."""
+    found = list(found)  # runs the root finder, which may still add notes
+    points = _dedupe(found, 10.0 * tol.tol_act, notes, side.upper())
+    counts = _count_by_index([p[-1] for p in points])
+    if side == "m":
+        return CensusReport(iid, m_points=points, by_index_m=counts, complete=complete, notes=notes)
+    return CensusReport(iid, t_points=points, by_index_t=counts, complete=complete, notes=notes)
+
+
+# ---------------------------------------------------------------------------
+# Censuses
+
+
+def census_quadratic(pr: Problem, tol: Tolerances = Tolerances()) -> CensusReport:
+    """Exhaustive census of M-stationary points of a quadratic-affine instance."""
+    _require_quadratic(pr, "census_quadratic")
+    notes: list[str] = []
+    found = _m_points(pr, _linear_roots(pr, tol, notes), tol)
+    return _report(instance_id(pr), "m", found, True, notes, tol)
+
+
+def census_t_quadratic(rp: RegularizedProblem, tol: Tolerances = Tolerances()) -> CensusReport:
+    """Census of T-stationary points of a quadratic-affine regularization.
+
+    Under the parameter assumption the y-structure of stationary points makes
+    the pattern space finite and the census exhaustive.  Under override (the
+    unregularized reformulation) stationary points may form continua; the
+    census then samples the y-polytope per support pattern and reports
+    complete=False.
+    """
+    _require_quadratic(rp.base, "census_t_quadratic")
+    iid = instance_id(rp.base, rp)
+    if rp.assumption1_ok:
+        notes: list[str] = []
+        roots = _linear_roots(rp.base, tol, notes)
+        found = _t_points(rp, roots, _subset_ys(rp), tol)
+        return _report(iid, "t", found, True, notes, tol)
+    if not rp.override:
+        raise AssumptionError(
+            "regularization parameters violate the assumption; construct with "
+            "override=True for the sampling census"
+        )
+    notes = ["override sampler: y-space sampled per support pattern, census not exhaustive"]
+    found = _t_points(rp, _linear_roots(rp.base, tol, []), _sampled_ys(rp, tol), tol)
+    return _report(iid, "t", found, False, notes, tol)
+
+
+def census_newton(target, grid: GridSpec, tol: Tolerances = Tolerances()) -> CensusReport:
+    """Multistart damped-Newton census; works on any smooth instance.
+
+    Each support/active-set pattern gets one Newton run per grid start over
+    its free axes; converged roots are clustered and certified.  Never
+    exhaustive: complete is always False.
+    """
+    if isinstance(target, RegularizedProblem):
+        if not target.assumption1_ok:
+            raise AssumptionError(
+                "the Newton census on the lifted side requires the (c, eps) assumption; "
+                "use census_t_quadratic with override for the unregularized reformulation"
+            )
+        rp, pr, side = target, target.base, "t"
+    else:
+        rp, pr, side = None, target, "m"
+    iid = instance_id(pr, rp)
+    if grid.points_per_axis <= 0:
+        return CensusReport(iid, notes=["empty grid"], complete=False)
+    notes: list[str] = []
+    roots = _newton_roots(pr, grid, tol, notes)
+    found = _m_points(pr, roots, tol) if rp is None else _t_points(rp, roots, _subset_ys(rp), tol)
+    return _report(iid, side, found, False, notes, tol)
 
 
 def merge_censuses(m_census: CensusReport, t_census: CensusReport) -> CensusReport:

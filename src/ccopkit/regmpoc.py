@@ -37,6 +37,7 @@ __all__ = [
     "check_mpoc_licq",
     "certify_t",
     "check_y_structure",
+    "companion_y",
 ]
 
 
@@ -351,19 +352,26 @@ def certify_t(rp: RegularizedProblem, x, y, tol: Tolerances = Tolerances()) -> T
     )
 
 
+def companion_y(rp: RegularizedProblem, ibar: int, ebar) -> np.ndarray:
+    """y of a T-companion: 1+eps on Ebar, 1-(n-s-1)*eps at ibar, zeros elsewhere."""
+    y = np.zeros(rp.n)
+    for i in ebar:
+        y[i - 1] = 1.0 + rp.eps
+    y[ibar - 1] = 1.0 - (rp.n - rp.s - 1) * rp.eps
+    return y
+
+
 def check_y_structure(rp: RegularizedProblem, y, tol: Tolerances = Tolerances()) -> bool:
     """Structure every T-stationary y must have under the parameter assumption:
 
-    n-s-1 components at 1+eps, one component at 1-(n-s-1)*eps, s components
-    at zero, and the component sum exactly n-s.
+    the components of a companion_y (n-s-1 at 1+eps, one at 1-(n-s-1)*eps, s
+    at zero) in some order, and the component sum exactly n-s.
     """
     y = np.asarray(y, dtype=float)
     n, s = rp.n, rp.s
     if y.shape != (n,):
         raise ValueError(f"point has shape {y.shape}, expected ({n},)")
-    expected = np.sort(
-        np.array([0.0] * s + [1.0 - (n - s - 1) * rp.eps] + [1.0 + rp.eps] * (n - s - 1))
-    )
+    expected = np.sort(companion_y(rp, n - s, range(1, n - s)))
     got = np.sort(y)
     return bool(np.all(np.abs(got - expected) <= tol.tol_act)) and abs(
         float(np.sum(y)) - (n - s)

@@ -47,6 +47,28 @@ def test_load_rejects_malformed_input(tmp_path):
     bad.write_text("[problem]\nn = 2\ns = 1\nf = \"x1\"\n[points]\np = [1, 2, 3]\n")
     with pytest.raises(LoadError, match="length 3"):
         load_problem_file(str(bad))
+    # values of the wrong type are refused, naming the line, never coerced
+    head = '[problem]\nn = 2\ns = 1\nf = "x1^2 + x2^2"\n'
+    reg = '[regularization]\nc = [0.3, 0.7]\neps = 0.5\n'
+    for text, line, what in [
+        (head + reg + 'override = "false"\n', 8, "override must be true or false"),
+        (head.replace("n = 2", "n = 2.7"), 2, "n must be an integer"),
+        (head.replace("n = 2", "n = 1e400"), 2, "n must be a finite number"),
+        (head.replace("s = 1", 's = "1"'), 3, "s must be a finite number"),
+        (head + 'g = "x1"\n', 5, "g must be a list"),
+        (head + 'h = ["x1", 2]\n', 5, "h must be a list"),
+        (head.replace('f = "x1^2 + x2^2"', "f = 3"), 4, "f must be a quoted expression"),
+        (head + "[points]\no = [true, 0]\n", 6, "point 'o' must be a finite number"),
+        (head + "[points]\no = 0\n", 6, "point 'o' must be a list of numbers"),
+        (head + reg.replace("0.3, 0.7", '"0.3", 0.7'), 6, "c must be a finite number"),
+        (head + reg.replace("eps = 0.5", "eps = true"), 7, "eps must be a finite number"),
+        (head + "[tolerances]\ntol_act = [1e-8]\n", 6, "tol_act must be a finite number"),
+        (head + "s = 0\n", 5, "duplicate key 's' in \\[problem\\]"),
+        (head + reg + "[points]\no = [0, 0]\n[points]\no = [1, 0]\n", 11, "duplicate key 'o'"),
+    ]:
+        bad.write_text(text)
+        with pytest.raises(LoadError, match=f"bad.prob:{line}: {what}"):
+            load_problem_file(str(bad))
 
 
 def test_certify_exit_codes(capsys):
@@ -59,6 +81,44 @@ def test_certify_exit_codes(capsys):
     code = main(["certify", path("well_ones.prob"), "missing", "--side", "m"])
     capsys.readouterr()
     assert code == 3
+
+
+def test_undefined_expression_at_point_is_an_input_error(tmp_path, capsys):
+    log_file = tmp_path / "log.prob"
+    log_file.write_text(
+        '[problem]\nn = 2\ns = 1\nf = "log(x1) + (x2-1)^2"\n'
+        "[regularization]\nc = [0.3, 0.7]\neps = 0.5\n"
+        "[points]\nzero = [0, 0]\nlifted_zero = [0, 0, 0, 1]\n"
+    )
+    for argv in (
+        ["certify", str(log_file), "zero", "--side", "m"],
+        ["certify", str(log_file), "lifted_zero", "--side", "t"],
+        ["lift", str(log_file), "zero"],
+        ["project", str(log_file), "lifted_zero"],
+    ):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == "ccopkit: log of a nonpositive value in subterm 'log(x1)'\n"
+
+
+def test_dense_quadratic_with_400_terms_loads_and_certifies(tmp_path, capsys):
+    from ccopkit import eval2, parse
+
+    from helpers import random_quadratic_source
+
+    n, s = 27, 3
+    f = random_quadratic_source(np.random.default_rng(3), n)  # n(n+3)/2 = 405 terms
+    jet = eval2(parse(f, n), np.zeros(n))
+    x = np.zeros(n)  # stationary on the support {1, 2, 3}
+    x[:s] = np.linalg.solve(jet.hessian[:s, :s], -jet.gradient[:s])
+    big = tmp_path / "dense.prob"
+    big.write_text(
+        f'[problem]\nn = {n}\ns = {s}\nf = "{f}"\n'
+        f"[points]\np = [{', '.join(repr(float(v)) for v in x)}]\n"
+    )
+    code, out = run(capsys, "certify", str(big), "p", "--side", "m", "--format", "machine")
+    assert code == 0
+    assert "certificate.stationary = true" in out
 
 
 def test_certify_t_side_regression(capsys):

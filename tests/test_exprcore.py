@@ -49,6 +49,51 @@ def test_parse_rejects_fractional_exponent():
         parse("x1^(2)", 1)
 
 
+def test_parse_rejects_deep_nesting():
+    from ccopkit.exprcore import _MAX_DEPTH, _MAX_PARSE_FRAMES
+
+    calls = _MAX_PARSE_FRAMES // 5
+    parens = _MAX_PARSE_FRAMES // 4
+    for deep in (
+        "-" * 3000 + "x1",
+        "(" * 3000 + "x1" + ")" * 3000,
+        "sin(" * 3000 + "x1" + ")" * 3000,
+        "-" * (_MAX_PARSE_FRAMES + 1) + "x1",
+        "(" * (parens + 1) + "x1" + ")" * (parens + 1),
+        "sin(" * (calls + 1) + "x1" + ")" * (calls + 1),
+    ):
+        with pytest.raises(ExprSyntaxError, match="nested too deeply"):
+            parse(deep, 1)
+    with pytest.raises(ExprSyntaxError, match="deeper than"):
+        parse(" + ".join(["x1"] * (_MAX_DEPTH + 1)), 1)
+    # the deepest accepted trees are in reach of every recursive tree walk
+    logs, minus = _MAX_PARSE_FRAMES // 10, _MAX_PARSE_FRAMES // 2
+    widest = " + ".join(["x1"] * (_MAX_DEPTH - logs - minus))
+    for src, value in (
+        (" + ".join(["x1"] * _MAX_DEPTH), 2.0 * _MAX_DEPTH),
+        ("-" * (_MAX_DEPTH - 1) + "x1", -2.0 if _MAX_DEPTH % 2 == 0 else 2.0),
+        ("(" * parens + "x1" + ")" * parens, 2.0),
+        ("sin(" * calls + "x1" + ")" * calls, None),
+        ("log(" * logs + "-" * minus + widest + ")" * logs, ExprDomainError),
+    ):
+        e = parse(src, 1)
+        if value is ExprDomainError:
+            with pytest.raises(ExprDomainError):
+                eval2(e, [2.0])  # nested logs turn negative; the message prints a subterm
+        else:
+            jet = eval2(e, [2.0])
+            assert value is None or jet.value == value
+        to_source(e)
+        polynomial_degree(e)
+
+
+def test_printed_long_sum_parses_back():
+    from ccopkit.exprcore import _MAX_PARSE_FRAMES
+
+    e = parse(" - ".join(f"x{i % 3 + 1}" for i in range(_MAX_PARSE_FRAMES // 4)), 3)
+    assert parse(to_source(e), 3) == e
+
+
 def test_negative_exponent_and_unary_minus_binding():
     # base := '-' base, so the exponent applies to the negated base
     e = parse("-x1^2", 1)

@@ -2,15 +2,27 @@ import numpy as np
 import pytest
 
 from ccopkit import (
+    CcopActivity,
     GridSpec,
+    MCertificate,
+    Tolerances,
     census_newton,
     census_quadratic,
     census_t_quadratic,
+    certify_m,
     lift,
     make_regularized,
     merge_censuses,
     project,
     verify_counts,
+)
+from ccopkit.oracle import (
+    _active_sets,
+    _dedupe,
+    _linear_system,
+    _m_pattern_system,
+    _quadratic_data,
+    _supports,
 )
 
 from helpers import make_problem, random_quadratic_instance, well_e1, well_ones, well_ones_reg
@@ -201,3 +213,96 @@ def test_census_reports_are_deterministic():
     assert a.instance_id == b.instance_id
     assert [tuple(y) for _, y, _ in a.t_points] == [tuple(y) for _, y, _ in b.t_points]
     assert a.notes == b.notes
+
+
+def test_shared_kkt_matrix_is_pinned_by_certify_m_multipliers():
+    # both root finders take their KKT matrix from _kkt_matrix; the pin is the
+    # comparison with certify_m, which solves for the multipliers on its own
+    rng = np.random.default_rng(7)
+    tol = Tolerances()
+    patterns = pinned = with_lam = with_mu = 0
+    for _ in range(20):
+        pr = random_quadratic_instance(rng, n_max=5).base
+        n, mh = pr.n, len(pr.h)
+        data = _quadratic_data(pr)
+        for J in _supports(n, pr.s):
+            for act in _active_sets(len(pr.g)):
+                M, rhs = _linear_system(data, J, act)
+                sing = np.linalg.svd(M, compute_uv=False)
+                if sing[-1] <= tol.tol_rank * sing[0]:
+                    continue
+                z = np.linalg.solve(M, rhs)
+                F, JF = _m_pattern_system(pr, J, act)[0](z)
+                np.testing.assert_array_equal(JF, M)  # wiring only: both are _kkt_matrix
+                assert np.max(np.abs(F)) <= 1e-8
+                patterns += 1
+                cert = certify_m(pr, z[:n], tol)
+                jc = tuple(i for i in range(1, n + 1) if i not in J)
+                if not (cert.stationary and cert.ndm[0]):
+                    continue
+                if cert.activity.I0 != jc or cert.activity.Q0 != act:
+                    continue
+                solved = [*cert.lam.values(), *(cert.mu[q] for q in act), *(cert.gamma[i] for i in jc)]
+                np.testing.assert_allclose(z[n:], solved, rtol=0.0, atol=1e-8)
+                pinned += 1
+                with_lam += mh > 0
+                with_mu += len(act) > 0
+    assert patterns >= 250 and pinned >= 200 and with_lam >= 10 and with_mu >= 10
+
+
+def _entry(x, index):
+    x = np.array(x, dtype=float)
+    cert = MCertificate(True, True, CcopActivity((), (), 0), m_index=index)
+    return x, (x, cert)
+
+
+def test_dedupe_merges_equal_index_and_flags_differing_index():
+    r = 0.25
+    entries = [
+        _entry([0.0, 0.0], 0),
+        _entry([0.0, 0.2], 0),  # near, same index: merged
+        _entry([1.0, 0.0], 0),
+        _entry([1.0, 0.1], 1),  # near, other index: kept and flagged
+        _entry([2.0, 3.0], 2),
+        _entry([2.25, 3.0], 2),  # exactly radius apart: merged
+        _entry([3.0, 5.0], 2),
+        _entry([3.3, 5.0], 2),  # beyond radius in the first coordinate only
+        _entry([4.0, 5.0], 2),  # far beyond
+    ]
+    notes = []
+    kept = _dedupe(list(reversed(entries)), r, notes, "M")
+    assert [x.tolist() for x, _ in kept] == [
+        [0.0, 0.0], [1.0, 0.0], [1.0, 0.1], [2.0, 3.0], [3.0, 5.0], [3.3, 5.0], [4.0, 5.0]
+    ]
+    assert notes == ["manual review: nearby M points with differing index at [1.0, 0.1]"]
+
+
+def test_dedupe_sweep_matches_pairwise_comparison():
+    def pairwise(entries, radius, notes):
+        out = []
+        for key, payload in sorted(entries, key=lambda e: tuple(e[0])):
+            label = payload[-1].m_index
+            for kkey, kpayload in out:
+                if np.max(np.abs(key - kkey)) <= radius:
+                    if kpayload[-1].m_index == label:
+                        break
+                    notes.append(np.round(key, 6).tolist())
+            else:
+                out.append((key, payload))
+        return [payload for _, payload in out]
+
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        # a coarse lattice, so that first coordinates repeat and neighbours
+        # sit at, inside and just beyond the radius
+        entries = [
+            _entry(rng.integers(0, 4, size=3) * 0.125, int(rng.integers(0, 2)))
+            for _ in range(60)
+        ]
+        notes, want_notes = [], []
+        got = _dedupe(entries, 0.125, notes, "M")
+        want = pairwise(entries, 0.125, want_notes)
+        assert [p[0].tolist() for p in got] == [p[0].tolist() for p in want]
+        assert notes == [
+            f"manual review: nearby M points with differing index at {k}" for k in want_notes
+        ]
