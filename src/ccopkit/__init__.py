@@ -16,7 +16,16 @@ from .bridge import (
     project,
     verify_counts,
 )
-from .ccop import CcopActivity, MCertificate, Problem, certify_m, check_cc_licq, check_feasible
+from .ccop import (
+    CcopActivity,
+    MCertificate,
+    PointEval,
+    Problem,
+    certify_m,
+    check_cc_licq,
+    check_feasible,
+    evaluate,
+)
 from .exprcore import (
     Expr,
     ExprDomainError,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ccop import MCertificate, certify_m
+from .ccop import MCertificate, certify_m, evaluate
 from .numkern import Tolerances
 from .regmpoc import AssumptionError, RegularizedProblem, TCertificate, certify_t, companion_y
 
@@ -91,7 +91,8 @@ def _match(label: str, expected, got, context: str):
 
 
 def lift(rp: RegularizedProblem, x, tol: Tolerances = Tolerances()) -> LiftSet:
-    """Enumerate every T-stationary companion of an M-stationary x.
+    """Enumerate every T-stationary companion of an M-stationary x (an array
+    or a PointEval of the base problem).
 
     Requires the (c, eps) assumption: the maximizing index ibar is then
     unique, the construction is deterministic (subsets in lexicographic
@@ -103,9 +104,9 @@ def lift(rp: RegularizedProblem, x, tol: Tolerances = Tolerances()) -> LiftSet:
             "lift requires positive pairwise-distinct c and 0 < eps <= 1/(n-s); "
             "the maximizing index would otherwise be ill-defined"
         )
-    x = np.asarray(x, dtype=float)
+    pe = evaluate(rp.base, x)
     n, s = rp.n, rp.s
-    mcert = certify_m(rp.base, x, tol)
+    mcert = certify_m(rp.base, pe, tol)
     if not mcert.stationary:
         raise NotStationaryError(
             f"point is not M-stationary ({mcert.degenerate_reason})"
@@ -125,7 +126,7 @@ def lift(rp: RegularizedProblem, x, tol: Tolerances = Tolerances()) -> LiftSet:
     companions: list[tuple[np.ndarray, TCertificate]] = []
     for ebar in subsets:
         y = companion_y(rp, ibar, ebar)
-        tcert = certify_t(rp, x, y, tol)
+        tcert = certify_t(rp, pe, y, tol)
         if not tcert.stationary or tcert.residual > _CROSS_TOL:
             raise BridgeError(
                 f"constructed companion failed to certify (Ebar={ebar}, "
@@ -145,7 +146,7 @@ def lift(rp: RegularizedProblem, x, tol: Tolerances = Tolerances()) -> LiftSet:
         companions.append((y, tcert))
 
     return LiftSet(
-        base_point=x,
+        base_point=pe.x,
         base_certificate=mcert,
         ibar=ibar,
         subsets=subsets,
@@ -156,23 +157,23 @@ def lift(rp: RegularizedProblem, x, tol: Tolerances = Tolerances()) -> LiftSet:
 
 
 def project(rp: RegularizedProblem, x, y, tol: Tolerances = Tolerances()) -> MCertificate:
-    """Project a T-stationary (x, y) down to an M-certificate for x.
+    """Project a T-stationary (x, y) down to an M-certificate for x (an
+    array or a PointEval of the base problem).
 
     Under qualification on both sides the mapped multipliers (gamma read off
     sigma1 on a01 and rho1 on a00) must equal the independently solved ones;
     when the input is nondegenerate and satisfies NDT5, the projected point
     must be nondegenerate with matching index.  Violations raise BridgeError.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    tcert = certify_t(rp, x, y, tol)
+    pe = evaluate(rp.base, x)
+    tcert = certify_t(rp, pe, y, tol)
     if not tcert.stationary:
         raise NotStationaryError(
             f"point is not T-stationary ({tcert.degenerate_reason})"
         )
     mapped_gamma = {**tcert.sigma1, **tcert.rho1}
 
-    mcert = certify_m(rp.base, x, tol)
+    mcert = certify_m(rp.base, pe, tol)
     if not mcert.stationary:
         raise BridgeError("projection of a T-stationary point failed to be M-stationary")
 

@@ -13,11 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exprcore import Expr, eval2
+from .exprcore import Expr, ExprDomainError, Jet2, eval2, to_source
 from .numkern import Tolerances, rank_and_nullbasis, restricted_inertia, solve_multipliers
 
 __all__ = [
     "Problem",
+    "PointEval",
+    "evaluate",
     "CcopActivity",
     "MCertificate",
     "check_feasible",
@@ -59,6 +61,9 @@ class MCertificate:
 
     Multiplier dicts are keyed by 1-based constraint/coordinate indices.
     m_index is set only when the point is stationary and NDM1..NDM4 all hold.
+    Reports follow the declaration order: multiplier groups between activity
+    and residual, the nondegeneracy flags right after residual, and index
+    fields named *_index.
     """
 
     feasible: bool
@@ -80,122 +85,175 @@ class MCertificate:
         return self.stationary and all(self.ndm)
 
 
-def _activity(pr: Problem, x: np.ndarray, tol: Tolerances, gvals: list[float]) -> CcopActivity:
-    Q0 = tuple(q + 1 for q, v in enumerate(gvals) if abs(v) <= tol.tol_act)
-    I0 = tuple(i + 1 for i in range(pr.n) if abs(x[i]) <= tol.tol_act)
+@dataclass(frozen=True, eq=False)
+class PointEval:
+    """Jets of f, of every h and of every g of one problem at one point x.
+
+    Built once per point by `evaluate` and passed to every check and
+    certificate at that point, so no consumer walks the expression trees
+    again.  x is a read-only copy.
+    """
+
+    problem: Problem
+    x: np.ndarray
+    f: Jet2
+    h: tuple[Jet2, ...]
+    g: tuple[Jet2, ...]
+
+
+def evaluate(pr: Problem, x) -> PointEval:
+    """Evaluate f, h and g of `pr` at x, or pass through a PointEval of `pr`.
+
+    Raises ValueError for a point of the wrong shape or a PointEval built for
+    another problem, and ExprDomainError, naming the expression, when a value,
+    gradient or Hessian is undefined or not finite: such a point is an input
+    error, never a verdict.
+    """
+    if isinstance(x, PointEval):
+        if x.problem is not pr:
+            raise ValueError("PointEval was built for another problem")
+        return x
+    x = np.array(x, dtype=float)
+    if x.shape != (pr.n,):
+        raise ValueError(f"point has shape {x.shape}, expected ({pr.n},)")
+    x.flags.writeable = False
+    exprs = (pr.f, *pr.h, *pr.g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        jets = [eval2(e, x) for e in exprs]
+    for e, j in zip(exprs, jets):
+        if not (np.isfinite(j.value) and np.isfinite(j.gradient).all() and np.isfinite(j.hessian).all()):
+            raise ExprDomainError("value or derivative not finite at the point", to_source(e))
+    nh = len(pr.h)
+    return PointEval(pr, x, jets[0], tuple(jets[1 : 1 + nh]), tuple(jets[1 + nh :]))
+
+
+def _activity(pr: Problem, pe: PointEval, tol: Tolerances) -> CcopActivity:
+    Q0 = tuple(q + 1 for q, j in enumerate(pe.g) if abs(j.value) <= tol.tol_act)
+    I0 = tuple(i + 1 for i in range(pr.n) if abs(pe.x[i]) <= tol.tol_act)
     return CcopActivity(Q0, I0, pr.n - len(I0))
 
 
 def check_feasible(pr: Problem, x, tol: Tolerances = Tolerances()) -> tuple[bool, CcopActivity]:
-    """Feasibility of x for the sparse problem, plus its activity sets."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (pr.n,):
-        raise ValueError(f"point has shape {x.shape}, expected ({pr.n},)")
-    hvals = [eval2(e, x).value for e in pr.h]
-    gvals = [eval2(e, x).value for e in pr.g]
-    act = _activity(pr, x, tol, gvals)
+    """Feasibility of x (an array or a PointEval) for the sparse problem,
+    plus its activity sets."""
+    pe = evaluate(pr, x)
+    act = _activity(pr, pe, tol)
     ok = (
-        all(abs(v) <= tol.tol_feas for v in hvals)
-        and all(v >= -tol.tol_feas for v in gvals)
+        all(abs(j.value) <= tol.tol_feas for j in pe.h)
+        and all(j.value >= -tol.tol_feas for j in pe.g)
         and act.x_norm0 <= pr.s
     )
     return ok, act
 
 
-def _active_rows(pr: Problem, act: CcopActivity, hjets, gjets) -> np.ndarray:
-    """Rows of the CC-LICQ matrix: grad h_p, grad g_q (q in Q0), e_i (i in I0)."""
-    rows = [j.gradient for j in hjets]
-    rows += [gjets[q - 1].gradient for q in act.Q0]
-    for i in act.I0:
-        e = np.zeros(pr.n)
-        e[i - 1] = 1.0
-        rows.append(e)
-    return np.array(rows, dtype=float).reshape(len(rows), pr.n)
+# ---------------------------------------------------------------------------
+# Certification skeleton, shared with the T-side in regmpoc
+
+
+def _independent(rows: np.ndarray, tol: Tolerances) -> tuple[bool, np.ndarray]:
+    """Whether the rows are linearly independent, and a basis of their null space."""
+    rank, nullbasis = rank_and_nullbasis(rows, tol)
+    return rank == rows.shape[0], nullbasis
+
+
+def _stack(family, d: int) -> np.ndarray:
+    return np.array([col for _, _, col in family], dtype=float).reshape(len(family), d)
+
+
+def _solve(pe: PointEval, family, kinds, ineq: str, target, tol: Tolerances):
+    """Solve the multiplier system of one certificate and read off its inertia.
+
+    family lists the constraint directions (length d >= n) as (kind, index,
+    direction), and kinds names every multiplier group in report order.  The
+    Lagrangian Hessian subtracts the "lam" group over h and the `ineq` group
+    over the active g from the Hessian of f, in that order; every other term
+    of the Lagrangian is linear, so it is the leading n x n block of a d x d
+    matrix, restricted to the null space of the directions.
+
+    Returns (groups, residual, residual_ok, licq, neg, zero).
+    """
+    rows = _stack(family, target.size)
+    coeffs, residual = solve_multipliers(rows.T, target, tol)
+    groups: dict[str, dict[int, float]] = {kind: {} for kind in kinds}
+    for (kind, idx, _), val in zip(family, coeffs):
+        groups[kind][idx] = float(val)
+    licq, nullbasis = _independent(rows, tol)
+
+    n = pe.x.size
+    hess = np.zeros((target.size, target.size))
+    hess[:n, :n] = pe.f.hessian
+    for p, j in enumerate(pe.h, start=1):
+        hess[:n, :n] -= groups["lam"][p] * j.hessian
+    for q, v in groups[ineq].items():
+        hess[:n, :n] -= v * pe.g[q - 1].hessian
+    neg, zero, _ = restricted_inertia(hess, nullbasis, tol)
+
+    residual_ok = residual <= tol.tol_feas * (1.0 + float(np.linalg.norm(target)))
+    return groups, residual, residual_ok, licq, neg, zero
+
+
+def _first_failed(feasible: bool, stationary: bool, residual: float, flags, prefix: str):
+    """degenerate_reason: the first failed of feasibility, stationarity and
+    the nondegeneracy flags, named prefix1, prefix2, ..."""
+    if not feasible:
+        return "infeasible"
+    if not stationary:
+        return f"not stationary (residual={residual:.3e})"
+    return next((f"{prefix}{k}" for k, flag in enumerate(flags, start=1) if not flag), None)
+
+
+# ---------------------------------------------------------------------------
+# M-side
+
+
+def _active_family(pr: Problem, act: CcopActivity, pe: PointEval):
+    """The CC-LICQ directions with their multipliers: grad h_p (lam), grad g_q
+    for q in Q0 (mu), e_i for i in I0 (gamma)."""
+    eye = np.eye(pr.n)
+    family = [("lam", p, j.gradient) for p, j in enumerate(pe.h, start=1)]
+    family += [("mu", q, pe.g[q - 1].gradient) for q in act.Q0]
+    return family + [("gamma", i, eye[i - 1]) for i in act.I0]
 
 
 def check_cc_licq(pr: Problem, x, tol: Tolerances = Tolerances()) -> bool:
     """Linear independence of active gradients and vanishing-coordinate directions."""
-    x = np.asarray(x, dtype=float)
-    gvals = [eval2(e, x).value for e in pr.g]
-    act = _activity(pr, x, tol, gvals)
-    hjets = [eval2(e, x) for e in pr.h]
-    gjets = [eval2(e, x) for e in pr.g]
-    rows = _active_rows(pr, act, hjets, gjets)
-    rank, _ = rank_and_nullbasis(rows, tol)
-    return rank == rows.shape[0]
+    pe = evaluate(pr, x)
+    return _independent(_stack(_active_family(pr, _activity(pr, pe, tol), pe), pr.n), tol)[0]
 
 
 def certify_m(pr: Problem, x, tol: Tolerances = Tolerances()) -> MCertificate:
-    """Certify M-stationarity, nondegeneracy NDM1..NDM4 and the M-index at x.
+    """Certify M-stationarity, nondegeneracy NDM1..NDM4 and the M-index at x
+    (an array or a PointEval).
 
     Infeasible or non-stationary points yield a full diagnostic certificate
     rather than an error; degenerate_reason names the first failed condition.
     """
-    x = np.asarray(x, dtype=float)
-    feasible, act = check_feasible(pr, x, tol)
-
-    jf = eval2(pr.f, x)
-    hjets = [eval2(e, x) for e in pr.h]
-    gjets = [eval2(e, x) for e in pr.g]
-
-    rows = _active_rows(pr, act, hjets, gjets)
-    coeffs, residual = solve_multipliers(rows.T, jf.gradient, tol)
-
-    nh = len(pr.h)
-    nq = len(act.Q0)
-    lam = {p + 1: float(coeffs[p]) for p in range(nh)}
-    mu = {q: float(coeffs[nh + j]) for j, q in enumerate(act.Q0)}
-    gamma = {i: float(coeffs[nh + nq + j]) for j, i in enumerate(act.I0)}
-
-    rank, nullbasis = rank_and_nullbasis(rows, tol)
-    licq = rank == rows.shape[0]
-
-    grad_scale = 1.0 + float(np.linalg.norm(jf.gradient))
-    stationary = (
-        feasible
-        and residual <= tol.tol_feas * grad_scale
-        and all(v >= -tol.tol_strict for v in mu.values())
+    pe = evaluate(pr, x)
+    feasible, act = check_feasible(pr, pe, tol)
+    groups, residual, residual_ok, licq, neg, zero = _solve(
+        pe, _active_family(pr, act, pe), ("lam", "mu", "gamma"), "mu", pe.f.gradient, tol
     )
+    mu, gamma = groups["mu"], groups["gamma"]
 
-    hess_L = jf.hessian.copy()
-    for p in range(nh):
-        hess_L -= lam[p + 1] * hjets[p].hessian
-    for q in act.Q0:
-        hess_L -= mu[q] * gjets[q - 1].hessian
-    neg, zero, _ = restricted_inertia(hess_L, nullbasis, tol)
-
-    ndm1 = licq
-    ndm2 = all(v > tol.tol_strict for v in mu.values())
-    ndm3 = act.x_norm0 == pr.s or all(abs(v) > tol.tol_strict for v in gamma.values())
-    ndm4 = zero == 0
-    ndm = (ndm1, ndm2, ndm3, ndm4)
-
-    qi = neg
+    stationary = feasible and residual_ok and all(v >= -tol.tol_strict for v in mu.values())
+    ndm = (
+        licq,
+        all(v > tol.tol_strict for v in mu.values()),
+        act.x_norm0 == pr.s or all(abs(v) > tol.tol_strict for v in gamma.values()),
+        zero == 0,
+    )
     si = pr.s - act.x_norm0
-
-    reason = None
-    if not feasible:
-        reason = "infeasible"
-    elif not stationary:
-        reason = f"not stationary (residual={residual:.3e})"
-    else:
-        for flag, name in zip(ndm, ("NDM1", "NDM2", "NDM3", "NDM4")):
-            if not flag:
-                reason = name
-                break
 
     return MCertificate(
         feasible=feasible,
         stationary=stationary,
         activity=act,
-        lam=lam,
-        mu=mu,
-        gamma=gamma,
+        **groups,
         residual=residual,
         ndm=ndm,
-        quadratic_index=qi,
+        quadratic_index=neg,
         sparsity_index=si,
-        m_index=qi + si if (stationary and all(ndm)) else None,
-        degenerate_reason=reason,
+        m_index=neg + si if (stationary and all(ndm)) else None,
+        degenerate_reason=_first_failed(feasible, stationary, residual, ndm, "NDM"),
         non_unique=not licq,
     )

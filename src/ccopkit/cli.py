@@ -31,10 +31,10 @@ double quoted.  The human format shows the same rows grouped per section.
 
 Exit codes: 0 stationary and fully nondegenerate (for certify) or all
 checks passed; 1 stationary but degenerate / some check failed; 2 not
-stationary; 3 input error, including a file value of the wrong type and a
-point at which an expression is undefined (log of a nonpositive value,
-division by zero); 4 quadratic census requested on a non-quadratic
-instance.
+stationary; 3 input error, including a file value of the wrong type, an
+unknown key, and a point at which an expression is undefined (log of a
+nonpositive value, division by zero) or has a non-finite value or
+derivative; 4 quadratic census requested on a non-quadratic instance.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import sys
 import numpy as np
 
 from .bridge import BridgeError, NotStationaryError, lift, project, verify_counts
-from .ccop import MCertificate, Problem, certify_m, check_cc_licq
+from .ccop import MCertificate, Problem, certify_m, check_cc_licq, evaluate
 from .exprcore import ExprDomainError, ExprSyntaxError, parse
 from .numkern import Tolerances
 from .oracle import (
@@ -88,8 +88,14 @@ class ProblemFile:
 # ---------------------------------------------------------------------------
 # Problem file parsing
 
-_SECTIONS = ("problem", "regularization", "points", "tolerances")
 _TOL_KEYS = ("tol_feas", "tol_act", "tol_rank", "tol_strict")
+# section -> the keys it may hold; any name is a key in [points]
+_SECTIONS = {
+    "problem": ("n", "s", "f", "h", "g"),
+    "regularization": ("c", "eps", "override"),
+    "points": None,
+    "tolerances": _TOL_KEYS,
+}
 
 
 def _parse_scalar(raw: str, where: str):
@@ -149,6 +155,8 @@ def _read_sections(text: str, origin: str) -> dict[str, dict[str, tuple[object, 
             raise LoadError(f"{where}: expected 'key = value'")
         key, _, raw = stripped.partition("=")
         key = key.strip()
+        if _SECTIONS[current] is not None and key not in _SECTIONS[current]:
+            raise LoadError(f"{where}: unknown key '{key}' in [{current}]")
         if key in sections[current]:
             raise LoadError(f"{where}: duplicate key '{key}' in [{current}]")
         sections[current][key] = (_parse_value(raw, where), where)
@@ -188,7 +196,8 @@ def load_problem_file(path: str) -> ProblemFile:
 
     Values must have their documented type: n and s integers, f a quoted
     expression, h and g lists of them, override a bare true/false, and every
-    other value a finite number or a list of finite numbers.
+    other value a finite number or a list of finite numbers.  A key that its
+    section does not define is refused, naming the line.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -242,8 +251,6 @@ def load_problem_file(path: str) -> ProblemFile:
 
     tol_overrides: dict[str, float] = {}
     for key, entry in sections.get("tolerances", {}).items():
-        if key not in _TOL_KEYS:
-            raise LoadError(f"{entry[1]}: unknown tolerance '{key}'")
         tol_overrides[key] = _number(key, entry)
 
     return ProblemFile(problem, c, eps, override, points, tol_overrides)
@@ -295,62 +302,32 @@ class Report:
         return "\n".join(out) + "\n"
 
 
-def _add_m_certificate(rep: Report, prefix: str, cert: MCertificate):
+def _add_certificate(rep: Report, prefix: str, cert: MCertificate | TCertificate):
+    """Rows of an M- or a T-certificate, walked in the order its fields are
+    declared (see MCertificate): activity, multiplier groups, flags, indices."""
+    names = [f.name for f in dataclasses.fields(cert)]
     rep.add(f"{prefix}.feasible", cert.feasible)
     rep.add(f"{prefix}.stationary", cert.stationary)
     rep.add(f"{prefix}.residual", cert.residual)
-    rep.add(f"{prefix}.activity.Q0", cert.activity.Q0)
-    rep.add(f"{prefix}.activity.I0", cert.activity.I0)
-    rep.add(f"{prefix}.activity.x_norm0", cert.activity.x_norm0)
-    for p, v in cert.lam.items():
-        rep.add(f"{prefix}.multipliers.lam.{p}", v)
-    for q, v in cert.mu.items():
-        rep.add(f"{prefix}.multipliers.mu.{q}", v)
-    for i, v in cert.gamma.items():
-        rep.add(f"{prefix}.multipliers.gamma.{i}", v)
+    for f in dataclasses.fields(cert.activity):
+        key = "E" if f.name == "Ecal" else f.name
+        rep.add(f"{prefix}.activity.{key}", getattr(cert.activity, f.name))
+    for name in names[names.index("activity") + 1 : names.index("residual")]:
+        group = getattr(cert, name)
+        if isinstance(group, dict):
+            for i, v in group.items():
+                rep.add(f"{prefix}.multipliers.{name}.{i}", v)
+        else:
+            rep.add(f"{prefix}.multipliers.{name}", group)
     rep.add(f"{prefix}.multipliers.unique", not cert.non_unique)
-    for k, flag in enumerate(cert.ndm, start=1):
-        rep.add(f"{prefix}.ndm.{k}", flag)
-    rep.add(f"{prefix}.index.quadratic", cert.quadratic_index)
-    rep.add(f"{prefix}.index.sparsity", cert.sparsity_index)
-    rep.add(f"{prefix}.index.m", cert.m_index)
-    rep.add(f"{prefix}.reason", cert.degenerate_reason)
-
-
-def _add_t_certificate(rep: Report, prefix: str, cert: TCertificate):
-    rep.add(f"{prefix}.feasible", cert.feasible)
-    rep.add(f"{prefix}.stationary", cert.stationary)
-    rep.add(f"{prefix}.residual", cert.residual)
-    act = cert.activity
-    rep.add(f"{prefix}.activity.a00", act.a00)
-    rep.add(f"{prefix}.activity.a01", act.a01)
-    rep.add(f"{prefix}.activity.a10", act.a10)
-    rep.add(f"{prefix}.activity.E", act.Ecal)
-    rep.add(f"{prefix}.activity.sum_active", act.sum_active)
-    rep.add(f"{prefix}.activity.Q0", act.Q0)
-    for p, v in cert.lam.items():
-        rep.add(f"{prefix}.multipliers.lam.{p}", v)
-    for q, v in cert.mu1.items():
-        rep.add(f"{prefix}.multipliers.mu1.{q}", v)
-    for i, v in cert.mu2.items():
-        rep.add(f"{prefix}.multipliers.mu2.{i}", v)
-    rep.add(f"{prefix}.multipliers.mu3", cert.mu3)
-    for i, v in cert.sigma1.items():
-        rep.add(f"{prefix}.multipliers.sigma1.{i}", v)
-    for i, v in cert.sigma2.items():
-        rep.add(f"{prefix}.multipliers.sigma2.{i}", v)
-    for i, v in cert.rho1.items():
-        rep.add(f"{prefix}.multipliers.rho1.{i}", v)
-    for i, v in cert.rho2.items():
-        rep.add(f"{prefix}.multipliers.rho2.{i}", v)
-    rep.add(f"{prefix}.multipliers.unique", not cert.non_unique)
-    for k, flag in enumerate(cert.ndt, start=1):
-        rep.add(f"{prefix}.ndt.{k}", flag)
-    for i, (b1, b2) in cert.eq8_branches.items():
-        rep.add(f"{prefix}.disjunction.{i}", [b1, b2])
-    rep.add(f"{prefix}.index.quadratic", cert.quadratic_index)
-    rep.add(f"{prefix}.index.biactive", cert.biactive_index)
-    rep.add(f"{prefix}.index.t", cert.t_index)
+    flags = names[names.index("residual") + 1]
+    for k, flag in enumerate(getattr(cert, flags), start=1):
+        rep.add(f"{prefix}.{flags}.{k}", flag)
+    for i, branches in getattr(cert, "eq8_branches", {}).items():
+        rep.add(f"{prefix}.disjunction.{i}", list(branches))
+    for name in names:
+        if name.endswith("_index"):
+            rep.add(f"{prefix}.index.{name.removesuffix('_index')}", getattr(cert, name))
     rep.add(f"{prefix}.reason", cert.degenerate_reason)
 
 
@@ -409,7 +386,7 @@ def cmd_certify(args) -> int:
             raise LoadError(f"point '{args.point}' has length {vec.size}; side m needs {pf.problem.n}")
         cert = certify_m(pf.problem, vec, tol)
         rep.add("x", vec)
-        _add_m_certificate(rep, "certificate", cert)
+        _add_certificate(rep, "certificate", cert)
         clean = cert.nondegenerate
     else:
         rp = _regularized(pf, args, tol)
@@ -417,7 +394,7 @@ def cmd_certify(args) -> int:
         cert = certify_t(rp, x, y, tol)
         rep.add("x", x)
         rep.add("y", y)
-        _add_t_certificate(rep, "certificate", cert)
+        _add_certificate(rep, "certificate", cert)
         clean = cert.nondegenerate and cert.ndt[4]
 
     if not cert.stationary:
@@ -447,7 +424,7 @@ def cmd_lift(args) -> int:
         rep.add("reason", str(exc))
         _emit(rep, args)
         return 2
-    _add_m_certificate(rep, "base", ls.base_certificate)
+    _add_certificate(rep, "base", ls.base_certificate)
     rep.add("ibar", ls.ibar)
     rep.add("expected_count", ls.expected_count)
     rep.add("count_asserted", ls.count_applicable)
@@ -455,7 +432,7 @@ def cmd_lift(args) -> int:
     for k, ((y, tcert), ebar) in enumerate(zip(ls.companions, ls.subsets)):
         rep.add(f"companion.{k}.Ebar", ebar)
         rep.add(f"companion.{k}.y", y)
-        _add_t_certificate(rep, f"companion.{k}", tcert)
+        _add_certificate(rep, f"companion.{k}", tcert)
     rep.add("verdict", "ok")
     _emit(rep, args)
     return 0
@@ -472,10 +449,11 @@ def cmd_project(args) -> int:
     rep.add("point", args.point)
     rep.add("x", x)
     rep.add("y", y)
-    tcert = certify_t(rp, x, y, tol)
-    _add_t_certificate(rep, "lifted", tcert)
+    pe = evaluate(rp.base, x)
+    tcert = certify_t(rp, pe, y, tol)
+    _add_certificate(rep, "lifted", tcert)
     try:
-        mcert = project(rp, x, y, tol)
+        mcert = project(rp, pe, y, tol)
     except NotStationaryError as exc:
         rep.add("verdict", "not-stationary")
         rep.add("reason", str(exc))
@@ -486,7 +464,7 @@ def cmd_project(args) -> int:
         rep.add("reason", str(exc))
         _emit(rep, args)
         return 1
-    _add_m_certificate(rep, "projected", mcert)
+    _add_certificate(rep, "projected", mcert)
     rep.add("verdict", "ok")
     _emit(rep, args)
     return 0
@@ -626,8 +604,9 @@ def cmd_verify(args) -> int:
             if not mcert.nondegenerate:
                 continue
             label = f"x={np.round(x, 6).tolist()}"
+            pe = evaluate(rp.base, x)
             try:
-                ls = lift(rp, x, tol)
+                ls = lift(rp, pe, tol)
                 ok = all(
                     t.nondegenerate and t.ndt[4] and t.t_index == mcert.m_index
                     for _, t in ls.companions
@@ -638,7 +617,7 @@ def cmd_verify(args) -> int:
                 )
                 failures += not ok
                 for y, _ in ls.companions:
-                    back = project(rp, x, y, tol)
+                    back = project(rp, pe, y, tol)
                     ok2 = back.m_index == mcert.m_index
                     rows.append(
                         ("project-roundtrip", "pass" if ok2 else "fail", label)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ccop import MCertificate, Problem, certify_m
+from .ccop import MCertificate, Problem, certify_m, evaluate
 from .exprcore import ExprDomainError, eval2, polynomial_degree, to_source
 from .numkern import Tolerances
 from .regmpoc import AssumptionError, RegularizedProblem, TCertificate, certify_t, companion_y
@@ -267,8 +267,9 @@ def _m_points(pr: Problem, roots, tol: Tolerances):
 
 def _t_points(rp: RegularizedProblem, roots, candidates, tol: Tolerances):
     for J, x in roots:
+        pe = evaluate(rp.base, x)
         for y in candidates(J, x):
-            tcert = certify_t(rp, x, y, tol)
+            tcert = certify_t(rp, pe, y, tol)
             if tcert.feasible and tcert.stationary:
                 yield np.concatenate([x, y]), (x, y, tcert)
 

@@ -23,9 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ccop import Problem
-from .exprcore import eval2
-from .numkern import Tolerances, rank_and_nullbasis, restricted_inertia, solve_multipliers
+from .ccop import PointEval, Problem, _first_failed, _independent, _solve, _stack, evaluate
+from .numkern import Tolerances
 
 __all__ = [
     "RegularizedProblem",
@@ -113,6 +112,7 @@ class TCertificate:
     eq8_branches records, per biactive index, which branch of the
     disjunction (rho1 = 0 | rho2 <= 0) holds.  t_index is set only when the
     point is stationary and NDT1..NDT4 all hold; NDT5 is reported separately.
+    Fields are declared in report order, as in MCertificate.
     """
 
     feasible: bool
@@ -141,9 +141,9 @@ class TCertificate:
         return self.stationary and all(self.ndt[:4])
 
 
-def _activity_r(rp: RegularizedProblem, x, y, tol: Tolerances, gvals) -> MpocActivity:
+def _activity_r(rp: RegularizedProblem, pe: PointEval, y, tol: Tolerances) -> MpocActivity:
     n = rp.n
-    x0 = np.abs(x) <= tol.tol_act
+    x0 = np.abs(pe.x) <= tol.tol_act
     y0 = np.abs(y) <= tol.tol_act
     yup = np.abs(y - (1.0 + rp.eps)) <= tol.tol_act
     a00 = tuple(i + 1 for i in range(n) if x0[i] and y0[i])
@@ -151,44 +151,34 @@ def _activity_r(rp: RegularizedProblem, x, y, tol: Tolerances, gvals) -> MpocAct
     a10 = tuple(i + 1 for i in range(n) if not x0[i] and y0[i])
     ecal = tuple(i + 1 for i in range(n) if x0[i] and yup[i])
     sum_active = abs(float(np.sum(y)) - (n - rp.s)) <= tol.tol_act
-    q0 = tuple(q + 1 for q, v in enumerate(gvals) if abs(v) <= tol.tol_act)
+    q0 = tuple(q + 1 for q, j in enumerate(pe.g) if abs(j.value) <= tol.tol_act)
     return MpocActivity(a00, a01, a10, ecal, sum_active, q0)
 
 
 def check_feasible_r(
     rp: RegularizedProblem, x, y, tol: Tolerances = Tolerances()
 ) -> tuple[bool, MpocActivity]:
-    """Feasibility of (x, y) for the lifted problem, plus its activity pattern."""
-    x = np.asarray(x, dtype=float)
+    """Feasibility of (x, y) for the lifted problem, plus its activity pattern;
+    x is an array or a PointEval of the base problem."""
+    pe = evaluate(rp.base, x)
     y = np.asarray(y, dtype=float)
-    n = rp.n
-    if x.shape != (n,) or y.shape != (n,):
-        raise ValueError(f"points have shapes {x.shape}/{y.shape}, expected ({n},)")
-    hvals = [eval2(e, x).value for e in rp.base.h]
-    gvals = [eval2(e, x).value for e in rp.base.g]
-    act = _activity_r(rp, x, y, tol, gvals)
+    if y.shape != (rp.n,):
+        raise ValueError(f"y has shape {y.shape}, expected ({rp.n},)")
+    act = _activity_r(rp, pe, y, tol)
     ok = (
-        all(abs(v) <= tol.tol_feas for v in hvals)
-        and all(v >= -tol.tol_feas for v in gvals)
-        and float(np.sum(y)) >= (n - rp.s) - tol.tol_feas
-        and bool(np.all(np.abs(x * y) <= tol.tol_feas))
+        all(abs(j.value) <= tol.tol_feas for j in pe.h)
+        and all(j.value >= -tol.tol_feas for j in pe.g)
+        and float(np.sum(y)) >= (rp.n - rp.s) - tol.tol_feas
+        and bool(np.all(np.abs(pe.x * y) <= tol.tol_feas))
         and bool(np.all(y >= -tol.tol_feas))
         and bool(np.all(y <= 1.0 + rp.eps + tol.tol_feas))
     )
     return ok, act
 
 
-def _e2n(n: int, i: int, block: int) -> np.ndarray:
-    """Coordinate vector in R^(2n): block 0 is the x-part, block 1 the y-part."""
-    v = np.zeros(2 * n)
-    v[block * n + i - 1] = 1.0
-    return v
-
-
-def _stationarity_columns(
-    rp: RegularizedProblem, act: MpocActivity, hjets, gjets
-) -> tuple[np.ndarray, list[tuple[str, int]]]:
-    """Multiplier columns of the T-stationarity system, with labels.
+def _stationarity_family(rp: RegularizedProblem, act: MpocActivity, pe: PointEval):
+    """Directions of the T-stationarity system in R^(2n), x-part first, with
+    their multipliers.
 
     The same vectors (up to the sign of the mu2 block, which is irrelevant
     for rank and null space) constitute the MPOC-LICQ family and cut out the
@@ -196,51 +186,27 @@ def _stationarity_columns(
     restricted Hessian.
     """
     n = rp.n
-    cols: list[np.ndarray] = []
-    labels: list[tuple[str, int]] = []
-    for p, j in enumerate(hjets, start=1):
-        cols.append(np.concatenate([j.gradient, np.zeros(n)]))
-        labels.append(("lam", p))
-    for q in act.Q0:
-        cols.append(np.concatenate([gjets[q - 1].gradient, np.zeros(n)]))
-        labels.append(("mu1", q))
-    for i in act.Ecal:
-        cols.append(-_e2n(n, i, 1))
-        labels.append(("mu2", i))
-    if act.sum_active:
-        cols.append(np.concatenate([np.zeros(n), np.ones(n)]))
-        labels.append(("mu3", 0))
-    for i in act.a01:
-        cols.append(_e2n(n, i, 0))
-        labels.append(("sigma1", i))
-    for i in act.a10:
-        cols.append(_e2n(n, i, 1))
-        labels.append(("sigma2", i))
-    for i in act.a00:
-        cols.append(_e2n(n, i, 0))
-        labels.append(("rho1", i))
-    for i in act.a00:
-        cols.append(_e2n(n, i, 1))
-        labels.append(("rho2", i))
-    V = np.array(cols, dtype=float).reshape(len(cols), 2 * n).T
-    return V, labels
+    eye, zero = np.eye(2 * n), np.zeros(n)
+    family = [("lam", p, np.concatenate([j.gradient, zero])) for p, j in enumerate(pe.h, start=1)]
+    family += [("mu1", q, np.concatenate([pe.g[q - 1].gradient, zero])) for q in act.Q0]
+    family += [("mu2", i, -eye[n + i - 1]) for i in act.Ecal]
+    family += [("mu3", 0, np.concatenate([zero, np.ones(n)]))] if act.sum_active else []
+    family += [("sigma1", i, eye[i - 1]) for i in act.a01]
+    family += [("sigma2", i, eye[n + i - 1]) for i in act.a10]
+    family += [("rho1", i, eye[i - 1]) for i in act.a00]
+    return family + [("rho2", i, eye[n + i - 1]) for i in act.a00]
 
 
 def check_mpoc_licq(rp: RegularizedProblem, x, y, tol: Tolerances = Tolerances()) -> bool:
     """Linear independence of the MPOC constraint directions at (x, y)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    gvals = [eval2(e, x).value for e in rp.base.g]
-    act = _activity_r(rp, x, y, tol, gvals)
-    hjets = [eval2(e, x) for e in rp.base.h]
-    gjets = [eval2(e, x) for e in rp.base.g]
-    V, _ = _stationarity_columns(rp, act, hjets, gjets)
-    rank, _ = rank_and_nullbasis(V.T, tol)
-    return rank == V.shape[1]
+    pe = evaluate(rp.base, x)
+    act = _activity_r(rp, pe, np.asarray(y, dtype=float), tol)
+    return _independent(_stack(_stationarity_family(rp, act, pe), 2 * rp.n), tol)[0]
 
 
 def certify_t(rp: RegularizedProblem, x, y, tol: Tolerances = Tolerances()) -> TCertificate:
-    """Certify T-stationarity, NDT1..NDT5 and the T-index at the lifted point.
+    """Certify T-stationarity, NDT1..NDT5 and the T-index at the lifted point;
+    x is an array or a PointEval of the base problem.
 
     Raises AssumptionError when the (c, eps) assumption fails and the
     problem was not constructed with override.  When the constraint
@@ -252,31 +218,14 @@ def certify_t(rp: RegularizedProblem, x, y, tol: Tolerances = Tolerances()) -> T
             "regularization parameters violate the positivity/distinctness/eps bound "
             "assumption; construct with override=True to certify anyway"
         )
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = rp.n
-    feasible, act = check_feasible_r(rp, x, y, tol)
-
-    jf = eval2(rp.base.f, x)
-    hjets = [eval2(e, x) for e in rp.base.h]
-    gjets = [eval2(e, x) for e in rp.base.g]
-
-    V, labels = _stationarity_columns(rp, act, hjets, gjets)
-    target = np.concatenate([jf.gradient, rp.c])
-    coeffs, residual = solve_multipliers(V, target, tol)
-
-    groups: dict[str, dict[int, float]] = {
-        "lam": {}, "mu1": {}, "mu2": {}, "sigma1": {}, "sigma2": {}, "rho1": {}, "rho2": {}
-    }
-    mu3 = 0.0
-    for (kind, idx), val in zip(labels, coeffs):
-        if kind == "mu3":
-            mu3 = float(val)
-        else:
-            groups[kind][idx] = float(val)
-
-    rank, nullbasis = rank_and_nullbasis(V.T, tol)
-    licq = rank == V.shape[1]
+    pe = evaluate(rp.base, x)
+    feasible, act = check_feasible_r(rp, pe, y, tol)
+    target = np.concatenate([pe.f.gradient, rp.c])
+    kinds = ("lam", "mu1", "mu2", "mu3", "sigma1", "sigma2", "rho1", "rho2")
+    groups, residual, residual_ok, licq, neg, zero = _solve(
+        pe, _stationarity_family(rp, act, pe), kinds, "mu1", target, tol
+    )
+    mu3 = groups.pop("mu3").get(0, 0.0)
 
     ts = tol.tol_strict
     eq7 = (
@@ -288,66 +237,32 @@ def certify_t(rp: RegularizedProblem, x, y, tol: Tolerances = Tolerances()) -> T
         i: (abs(groups["rho1"][i]) <= ts, groups["rho2"][i] <= ts) for i in act.a00
     }
     eq8 = all(b1 or b2 for b1, b2 in eq8_branches.values())
+    stationary = feasible and residual_ok and eq7 and eq8
 
-    scale = 1.0 + float(np.linalg.norm(target))
-    stationary = feasible and residual <= tol.tol_feas * scale and eq7 and eq8
-
-    # Hessian of the working Lagrangian: every y-term and every orthogonality
-    # branch term is linear, so only the x-block survives.
-    hess = np.zeros((2 * n, 2 * n))
-    hess[:n, :n] = jf.hessian
-    for p, j in enumerate(hjets, start=1):
-        hess[:n, :n] -= groups["lam"][p] * j.hessian
-    for q in act.Q0:
-        hess[:n, :n] -= groups["mu1"][q] * gjets[q - 1].hessian
-    neg, zero, _ = restricted_inertia(hess, nullbasis, tol)
-
-    ndt1 = licq
-    ndt2 = (
+    ndt = (
+        licq,
         all(v > ts for v in groups["mu1"].values())
         and all(v > ts for v in groups["mu2"].values())
-        and (mu3 > ts if act.sum_active else True)
+        and (mu3 > ts if act.sum_active else True),
+        all(abs(groups["rho1"][i]) > ts and groups["rho2"][i] < -ts for i in act.a00),
+        zero == 0,
+        len(act.a00) == 0 or all(abs(v) > ts for v in groups["sigma1"].values()),
     )
-    ndt3 = all(
-        abs(groups["rho1"][i]) > ts and groups["rho2"][i] < -ts for i in act.a00
-    )
-    ndt4 = zero == 0
-    ndt5 = len(act.a00) == 0 or all(abs(v) > ts for v in groups["sigma1"].values())
-    ndt = (ndt1, ndt2, ndt3, ndt4, ndt5)
-
-    qi = neg
     bi = len(act.a00)
-
-    reason = None
-    if not feasible:
-        reason = "infeasible"
-    elif not stationary:
-        reason = f"not stationary (residual={residual:.3e})"
-    else:
-        for flag, name in zip(ndt, ("NDT1", "NDT2", "NDT3", "NDT4", "NDT5")):
-            if not flag:
-                reason = name
-                break
 
     return TCertificate(
         feasible=feasible,
         stationary=stationary,
         activity=act,
-        lam=groups["lam"],
-        mu1=groups["mu1"],
-        mu2=groups["mu2"],
         mu3=mu3,
-        sigma1=groups["sigma1"],
-        sigma2=groups["sigma2"],
-        rho1=groups["rho1"],
-        rho2=groups["rho2"],
+        **groups,
         residual=residual,
         ndt=ndt,
         eq8_branches=eq8_branches,
-        quadratic_index=qi,
+        quadratic_index=neg,
         biactive_index=bi,
-        t_index=qi + bi if (stationary and all(ndt[:4])) else None,
-        degenerate_reason=reason,
+        t_index=neg + bi if (stationary and all(ndt[:4])) else None,
+        degenerate_reason=_first_failed(feasible, stationary, residual, ndt, "NDT"),
         non_unique=not licq,
     )
 

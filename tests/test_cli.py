@@ -65,6 +65,9 @@ def test_load_rejects_malformed_input(tmp_path):
         (head + "[tolerances]\ntol_act = [1e-8]\n", 6, "tol_act must be a finite number"),
         (head + "s = 0\n", 5, "duplicate key 's' in \\[problem\\]"),
         (head + reg + "[points]\no = [0, 0]\n[points]\no = [1, 0]\n", 11, "duplicate key 'o'"),
+        (head + reg.replace("eps = 0.5", "eps = 0.5\novveride = true"), 8,
+         "unknown key 'ovveride' in \\[regularization\\]"),
+        (head + "hh = []\n", 5, "unknown key 'hh' in \\[problem\\]"),
     ]:
         bad.write_text(text)
         with pytest.raises(LoadError, match=f"bad.prob:{line}: {what}"):
@@ -99,6 +102,32 @@ def test_undefined_expression_at_point_is_an_input_error(tmp_path, capsys):
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err == "ccopkit: log of a nonpositive value in subterm 'log(x1)'\n"
+
+
+def test_non_finite_jets_are_an_input_error(tmp_path, capfd):
+    """Overflowing values or derivatives exit 3 naming the expression; they
+    once gave a "nondegenerate" verdict with residual inf, a nan residual, or
+    LAPACK's DLASCL complaint on the process's own stderr."""
+    well = open(path("well_ones.prob")).read()
+    overflow = tmp_path / "overflow.prob"
+    overflow.write_text(well + "far = [1e200, 0]\nfarther = [1e308, 0]\n"
+                        "lifted_far = [1e200, 0, 0, 1]\nlifted_farther = [1e308, 0, 0, 1]\n")
+    nan = tmp_path / "nan.prob"
+    nan.write_text(well.replace("[regularization]", 'h = ["exp(x1)*x2"]\n[regularization]')
+                   + "far = [1e200, 0]\nlifted_far = [1e200, 0, 0, 1]\n")
+    for file, points in ((overflow, ("far", "farther")), (nan, ("far",))):
+        for point in points:
+            for argv in (
+                ["certify", str(file), point, "--side", "m"],
+                ["certify", str(file), f"lifted_{point}", "--side", "t"],
+                ["check-licq", str(file), point],
+                ["check-licq", str(file), f"lifted_{point}"],
+            ):
+                assert main(argv) == 3, argv
+                captured = capfd.readouterr()
+                assert captured.out == ""
+                assert "DLASCL" not in captured.err
+                assert captured.err.startswith("ccopkit: value or derivative not finite at the point")
 
 
 def test_dense_quadratic_with_400_terms_loads_and_certifies(tmp_path, capsys):
