@@ -231,16 +231,13 @@ def verify_counts(rp: RegularizedProblem, census, tol: Tolerances = Tolerances()
         return report
 
     if census.complete:
+        xts = np.array([xt for xt, _, _ in census.t_points])
         for xm, mcert in census.m_points:
             if not mcert.nondegenerate:
                 continue
             k = mcert.activity.x_norm0
             want = math.comb(n - k - 1, n - s - 1)
-            got = sum(
-                1
-                for xt, _, _ in census.t_points
-                if np.max(np.abs(xt - xm)) <= radius
-            )
+            got = int(np.count_nonzero(np.max(np.abs(xts - xm), axis=1) <= radius))
             status = "pass" if got == want else "fail"
             report.checks.append(
                 CountCheck(

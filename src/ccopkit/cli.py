@@ -424,6 +424,11 @@ def cmd_lift(args) -> int:
         rep.add("reason", str(exc))
         _emit(rep, args)
         return 2
+    except BridgeError as exc:
+        rep.add("verdict", "correspondence-violated")
+        rep.add("reason", str(exc))
+        _emit(rep, args)
+        return 1
     _add_certificate(rep, "base", ls.base_certificate)
     rep.add("ibar", ls.ibar)
     rep.add("expected_count", ls.expected_count)

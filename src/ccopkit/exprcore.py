@@ -18,12 +18,23 @@ Values, gradients and Hessians are propagated exactly through the tree
 (second-order forward mode).  No finite differences here: the rank tests and
 inertia counts downstream are tolerance sensitive and cannot absorb
 derivative noise.  Finite differences appear only in the test oracles.
+
+Each Expr is compiled once, on its first eval2, and keeps the result: every
+maximal subtree of structural degree at most 2 (other than a bare number or
+variable) is folded into one leaf holding its value c0, gradient b and
+Hessian A at the origin, read off by the same forward-mode walk.  The walk
+then evaluates such a leaf as c0 + b.x + x.(A x)/2, b + A x and A, so a
+quadratic expression costs two matrix-vector products, and only the
+non-polynomial parts of an expression (sin, cos, exp, log and division by
+non-constants) are walked node by node.  The unfolded tree, Expr.root, under
+the same walk is the reference the folded one is tested against.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -43,9 +54,9 @@ _FUNCS = ("sin", "cos", "exp", "log")
 
 # Nesting limits of parse().  The parser holds one frame per open unary
 # minus, four per open parenthesis and five per open function call;
-# _jet, to_source and polynomial_degree recurse once per tree level.  Both
-# limits keep parsing and every tree walk below Python's default recursion
-# limit of 1000 frames with room for about 100 of the caller's.  to_source
+# _jet, _compile, to_source and polynomial_degree recurse once per tree
+# level.  Both limits keep parsing and every tree walk below Python's default
+# recursion limit of 1000 frames with room for about 100 of the caller's.  to_source
 # nests one parenthesis per term of a sum, so printed sums of up to about
 # _MAX_PARSE_FRAMES // 4 terms parse back.
 _MAX_PARSE_FRAMES = 880
@@ -106,7 +117,18 @@ class Call:
     arg: "Node"
 
 
-Node = Union[Num, Var, Neg, BinOp, Pow, Call]
+@dataclass(frozen=True, eq=False)
+class _Quadratic:
+    """A folded subtree of degree at most 2: value c0, gradient b and Hessian
+    A at the origin, and the subtree itself for printing."""
+
+    c0: float
+    b: np.ndarray
+    A: np.ndarray
+    source: "Node"
+
+
+Node = Union[Num, Var, Neg, BinOp, Pow, Call, _Quadratic]
 
 
 @dataclass(frozen=True)
@@ -115,6 +137,13 @@ class Expr:
 
     root: Node
     n: int
+
+    @cached_property
+    def _folded(self) -> Node:
+        """root with its quadratic subtrees folded (see _compile); computed on
+        first use and kept in the instance, not in a field, so equality, hash
+        and repr see root and n only."""
+        return _fold(*_compile(self.root, self.n), self.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,6 +333,8 @@ def to_source(node: Node | Expr) -> str:
         return f"{to_source(node.base)}^{node.exponent}"
     if isinstance(node, Call):
         return f"{node.func}({to_source(node.arg)})"
+    if isinstance(node, _Quadratic):
+        return to_source(node.source)
     raise TypeError(f"not an AST node: {node!r}")
 
 
@@ -314,14 +345,18 @@ def to_source(node: Node | Expr) -> str:
 def eval2(expr: Expr, x) -> Jet2:
     """Evaluate value, gradient and Hessian of `expr` at the point `x`.
 
-    Exact to machine precision for polynomial input; raises ExprDomainError
-    on log of a nonpositive argument, division by zero, or 0 raised to a
-    negative power.
+    Walks the folded tree (see the module docstring), compiling it on the
+    first call.  The jets are exact for polynomial input up to rounding: a
+    folded quadratic is evaluated from its coefficients at the origin, so
+    its value and gradient may differ from the node-by-node walk in the last
+    bits, while its Hessian is the constant A.  Raises ExprDomainError on log
+    of a nonpositive argument, division by zero, or 0 raised to a negative
+    power, naming the subterm as written in the source.
     """
     xv = np.asarray(x, dtype=float)
     if xv.shape != (expr.n,):
         raise ValueError(f"point has shape {xv.shape}, expected ({expr.n},)")
-    v, g, h = _jet(expr.root, xv, expr.n)
+    v, g, h = _jet(expr._folded, xv, expr.n)
     g = g.copy()
     h = h.copy()
     g.flags.writeable = False
@@ -330,6 +365,9 @@ def eval2(expr: Expr, x) -> Jet2:
 
 
 def _jet(node: Node, x: np.ndarray, n: int):
+    if isinstance(node, _Quadratic):
+        Ax = node.A @ x
+        return node.c0 + node.b @ x + 0.5 * (x @ Ax), node.b + Ax, node.A
     if isinstance(node, Num):
         return node.value, np.zeros(n), np.zeros((n, n))
     if isinstance(node, Var):
@@ -390,35 +428,93 @@ def _jet(node: Node, x: np.ndarray, n: int):
 
 # ---------------------------------------------------------------------------
 # Structural degree analysis (no simplification: x1^3 - x1^3 has degree 3)
+# and compilation
 
 
-def polynomial_degree(node: Node | Expr) -> int | None:
-    """Total degree of a polynomial AST, or None if not polynomial."""
-    if isinstance(node, Expr):
-        node = node.root
+def _children(node: Node) -> tuple:
+    if isinstance(node, Neg):
+        return (node.operand,)
+    if isinstance(node, BinOp):
+        return (node.left, node.right)
+    if isinstance(node, Pow):
+        return (node.base,)
+    if isinstance(node, Call):
+        return (node.arg,)
+    return ()
+
+
+def _degree(node: Node, child_degrees: tuple) -> int | None:
+    """Total degree of `node` from its children's degrees (None: not a
+    polynomial).  The one degree rule of polynomial_degree and _compile."""
     if isinstance(node, Num):
         return 0
     if isinstance(node, Var):
         return 1
+    if isinstance(node, Call) or None in child_degrees:
+        return None
     if isinstance(node, Neg):
-        return polynomial_degree(node.operand)
+        return child_degrees[0]
     if isinstance(node, BinOp):
-        da = polynomial_degree(node.left)
-        db = polynomial_degree(node.right)
-        if da is None or db is None:
-            return None
+        da, db = child_degrees
         if node.op in "+-":
             return max(da, db)
         if node.op == "*":
             return da + db
         return da if db == 0 else None  # division only by a constant subtree
     if isinstance(node, Pow):
-        d = polynomial_degree(node.base)
-        if d is None:
-            return None
+        d = child_degrees[0]
         if node.exponent < 0:
             return 0 if d == 0 else None
         return d * node.exponent
-    if isinstance(node, Call):
-        return None
     raise TypeError(f"not an AST node: {node!r}")
+
+
+def polynomial_degree(node: Node | Expr) -> int | None:
+    """Total degree of a polynomial AST, or None if not polynomial."""
+    if isinstance(node, Expr):
+        node = node.root
+    degrees = ()
+    for child in _children(node):
+        degrees += (polynomial_degree(child),)
+    return _degree(node, degrees)
+
+
+def _compile(node: Node, n: int) -> tuple[Node, int | None]:
+    """One post-order walk: `node` with every maximal quadratic subtree below
+    it folded, and the degree of `node`.  A subtree of degree at most 2 is
+    returned as it is, to be folded whole by the first ancestor of higher or
+    no degree, or by Expr._folded at the root."""
+    compiled, degrees = (), ()
+    for child in _children(node):
+        c, d = _compile(child, n)
+        compiled += (c,)
+        degrees += (d,)
+    degree = _degree(node, degrees)
+    if not compiled or (degree is not None and degree <= 2):
+        return node, degree
+    folded = ()
+    for c, d in zip(compiled, degrees):
+        folded += (_fold(c, d, n),)
+    if isinstance(node, Neg):
+        return Neg(*folded), degree
+    if isinstance(node, BinOp):
+        return BinOp(node.op, *folded), degree
+    if isinstance(node, Pow):
+        return Pow(*folded, node.exponent), degree
+    return Call(node.func, *folded), degree
+
+
+def _fold(node: Node, degree: int | None, n: int) -> Node:
+    """The leaf of a subtree of degree at most 2, or the subtree itself when
+    it is a bare number or variable, of higher or no degree, or without a
+    finite jet at the origin (e.g. x1/(2-2), which then raises as before)."""
+    if degree is None or degree > 2 or isinstance(node, (Num, Var)):
+        return node
+    try:
+        c0, b, A = _jet(node, np.zeros(n), n)
+    except ExprDomainError:
+        return node
+    if not (np.isfinite(c0) and np.isfinite(b).all() and np.isfinite(A).all()):
+        return node
+    b.flags.writeable = A.flags.writeable = False  # _jet hands A out uncopied
+    return _Quadratic(float(c0), b, A, node)

@@ -339,25 +339,31 @@ def _dedupe(entries, radius: float, notes: list[str], what: str):
     ascend and only the kept points whose first coordinate lies within
     radius of the current one can be close to it.
     """
+    entries = sorted(entries, key=lambda e: tuple(e[0]))
+    if not entries:
+        return []
+    kept = np.empty((len(entries), entries[0][0].size))  # keys of out, in order
     out = []
     firsts: list[float] = []
-    for key, payload in sorted(entries, key=lambda e: tuple(e[0])):
+    for key, payload in entries:
         label = _index_label(payload[-1])
         keep = True
         # 2*radius: a margin for rounding; the inf-norm test below decides
-        for kkey, kpayload in out[bisect.bisect_left(firsts, key[0] - 2.0 * radius) :]:
-            if np.max(np.abs(key - kkey)) <= radius:
-                if _index_label(kpayload[-1]) == label:
-                    keep = False
-                    break
-                notes.append(
-                    f"manual review: nearby {what} points with differing index at "
-                    f"{np.round(key, 6).tolist()}"
-                )
+        lo = bisect.bisect_left(firsts, key[0] - 2.0 * radius)
+        near = np.max(np.abs(kept[lo : len(out)] - key), axis=1) <= radius
+        for j in np.flatnonzero(near):
+            if _index_label(out[lo + j][-1]) == label:
+                keep = False
+                break
+            notes.append(
+                f"manual review: nearby {what} points with differing index at "
+                f"{np.round(key, 6).tolist()}"
+            )
         if keep:
-            out.append((key, payload))
+            kept[len(out)] = key
+            out.append(payload)
             firsts.append(key[0])
-    return [payload for _, payload in out]
+    return out
 
 
 def _count_by_index(certs) -> dict:

@@ -191,6 +191,39 @@ def test_lift_and_project_commands(capsys):
     assert "projected.index.m = 0" in out
 
 
+def test_lift_reports_a_failed_cross_check_as_a_verdict(tmp_path, capsys):
+    """A constraint coefficient of 1e-3 puts an M-point at x1 = 400 with
+    multipliers near 1e6, where lift's multiplier cross-check fails; the
+    command reports that as a verdict, not a traceback."""
+    from ccopkit import census_quadratic
+
+    from helpers import affine_source, random_c, random_quadratic_source
+
+    n, s = 4, 1
+    rng = np.random.default_rng(0)
+    f = random_quadratic_source(rng, n)
+    h = affine_source(np.array([1e-3, 0.8, -0.6, 0.9]), -0.4)
+    c = ", ".join(repr(float(v)) for v in random_c(rng, n))
+    prob = tmp_path / "tiny_coefficient.prob"
+    prob.write_text(
+        f'[problem]\nn = {n}\ns = {s}\nf = "{f}"\nh = ["{h}"]\n'
+        f"[regularization]\nc = [{c}]\neps = {0.5 / (n - s)!r}\n"
+    )
+    points = [x for x, cert in census_quadratic(load_problem_file(str(prob)).problem).m_points
+              if cert.nondegenerate]
+    with prob.open("a") as out:
+        out.write("[points]\n")
+        for k, x in enumerate(points):
+            out.write(f"p{k} = [{', '.join(repr(float(v)) for v in x)}]\n")
+    verdicts = []
+    for k in range(len(points)):
+        code, out = run(capsys, "lift", str(prob), f"p{k}", "--format", "machine")
+        verdicts.append((code, 'verdict = "correspondence-violated"' in out))
+        if code == 1:
+            assert 'reason = "lift Ebar=' in out
+    assert (1, True) in verdicts and set(verdicts) <= {(0, False), (1, True)}
+
+
 def test_census_command_and_verdict(capsys):
     code, out = run(capsys, "census", path("well_ones.prob"), "--format", "machine")
     assert code == 0

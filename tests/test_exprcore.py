@@ -1,10 +1,15 @@
+import glob
+import os
+import weakref
+
 import numpy as np
 import pytest
 
 from ccopkit import ExprDomainError, ExprSyntaxError, eval2, parse, polynomial_degree, to_source
-from ccopkit.exprcore import BinOp, Pow, Var
+from ccopkit.cli import load_problem_file
+from ccopkit.exprcore import BinOp, Num, Pow, Var, _Quadratic, _children, _compile, _jet
 
-from helpers import fd_gradient, fd_hessian, random_polynomial_source
+from helpers import fd_gradient, fd_hessian, random_polynomial_source, random_quadratic_source
 
 
 def test_parse_two_summands():
@@ -83,7 +88,14 @@ def test_parse_rejects_deep_nesting():
         else:
             jet = eval2(e, [2.0])
             assert value is None or jet.value == value
+        _compile(e.root, 1)
+        for tree in (e.root, e._folded):
+            try:
+                _jet(tree, np.array([2.0]), 1)
+            except ExprDomainError:
+                assert value is ExprDomainError
         to_source(e)
+        to_source(e._folded)
         polynomial_degree(e)
 
 
@@ -216,3 +228,98 @@ def test_polynomial_degree():
 def test_parse_requires_positive_dimension():
     with pytest.raises(ValueError):
         parse("x1", 0)
+
+
+# ---------------------------------------------------------------------------
+# The folded evaluator against the node-by-node walk of the unfolded tree
+
+_SMOOTH_TERMS = ("sin(x{i})", "cos(x{j})", "exp(x{i} - x{j})", "log(1 + x{j}^2)", "x{i}*sin(x{j})")
+
+
+def _folded_leaves(node) -> int:
+    if isinstance(node, _Quadratic):
+        return 1
+    return sum(_folded_leaves(child) for child in _children(node))
+
+
+def _agreement_cases():
+    """(expression, points): criterion 7's random polynomials of degree 0-4,
+    dense quadratics, quadratics plus smooth terms, and the fixtures'
+    expressions at their points and at random points."""
+    rng = np.random.default_rng(17)
+    cases = []
+    for k in range(150):
+        n = int(rng.integers(1, 6))
+        if k % 3 == 0:
+            src = random_polynomial_source(rng, n)
+        elif k % 3 == 1:
+            src = random_quadratic_source(rng, n)
+        else:
+            picks = rng.choice(len(_SMOOTH_TERMS), size=int(rng.integers(1, 4)), replace=False)
+            i, j = rng.integers(1, n + 1, size=2)
+            src = " + ".join(
+                [random_quadratic_source(rng, n)]
+                + [_SMOOTH_TERMS[p].format(i=i, j=j) for p in picks]
+            )
+        cases.append((parse(src, n), rng.uniform(-1.5, 1.5, size=(4, n))))
+    data = os.path.join(os.path.dirname(__file__), "data")
+    for file in sorted(glob.glob(os.path.join(data, "*.prob"))):
+        pf = load_problem_file(file)
+        n = pf.problem.n
+        points = [p[:n] for p in pf.points.values()] + list(rng.uniform(-2, 2, size=(4, n)))
+        for e in (pf.problem.f, *pf.problem.h, *pf.problem.g):
+            cases.append((e, np.array(points)))
+    return cases
+
+
+def test_folded_jets_agree_with_the_unfolded_walk():
+    cases = _agreement_cases()
+    quadratics = folded = 0
+    for e, points in cases:
+        degree = polynomial_degree(e)
+        quadratic = degree is not None and degree <= 2
+        if quadratic and not isinstance(e.root, (Num, Var)):
+            assert isinstance(e._folded, _Quadratic)
+        quadratics += quadratic
+        folded += _folded_leaves(e._folded) > 0
+        for x in points:
+            jet = eval2(e, x)
+            v, g, h = _jet(e.root, x, e.n)
+            assert abs(jet.value - v) <= 1e-12 * (1 + abs(v))
+            assert np.all(np.abs(jet.gradient - g) <= 1e-12 * (1 + np.abs(g)))
+            assert np.array_equal(jet.hessian, jet.hessian.T)
+            if quadratic:
+                assert np.array_equal(jet.hessian, h)
+            else:
+                assert np.allclose(jet.hessian, h, rtol=1e-12, atol=1e-12)
+    assert quadratics >= 55 and folded >= len(cases) - 10
+
+
+def test_folded_domain_errors_match_the_unfolded_walk():
+    for src, x in (
+        ("log(x1^2 - 1)", [0.0]),
+        ("x1/(2-2)", [1.0]),
+        ("(1-1)^-1*x1", [1.0]),
+        ("sin(x1) + x1/(2-2)", [1.0]),
+        ("x2*log(x1^2 - 1) + x1^2", [0.5, 2.0]),
+    ):
+        e = parse(src, len(x))
+        with pytest.raises(ExprDomainError) as ref:
+            _jet(e.root, np.array(x), e.n)
+        with pytest.raises(ExprDomainError) as got:
+            eval2(e, x)
+        assert type(got.value) is type(ref.value)
+        assert got.value.subterm == ref.value.subterm and str(got.value) == str(ref.value)
+
+
+def test_compiled_form_lives_and_dies_with_its_expression():
+    src = random_quadratic_source(np.random.default_rng(5), 4) + " + sin(x1)"
+    e = parse(src, 4)
+    eval2(e, np.ones(4))
+    assert "_folded" in vars(e)
+    fresh = parse(src, 4)
+    assert "_folded" not in vars(fresh)
+    assert e == fresh and hash(e) == hash(fresh) and repr(e) == repr(fresh)
+    alive = weakref.ref(e)
+    del e
+    assert alive() is None  # no cache outside the expression holds it
