@@ -19,15 +19,23 @@ Values, gradients and Hessians are propagated exactly through the tree
 inertia counts downstream are tolerance sensitive and cannot absorb
 derivative noise.  Finite differences appear only in the test oracles.
 
-Each Expr is compiled once, on its first eval2, and keeps the result: every
-maximal subtree of structural degree at most 2 (other than a bare number or
-variable) is folded into one leaf holding its value c0, gradient b and
-Hessian A at the origin, read off by the same forward-mode walk.  The walk
-then evaluates such a leaf as c0 + b.x + x.(A x)/2, b + A x and A, so a
-quadratic expression costs two matrix-vector products, and only the
-non-polynomial parts of an expression (sin, cos, exp, log and division by
-non-constants) are walked node by node.  The unfolded tree, Expr.root, under
-the same walk is the reference the folded one is tested against.
+Each Expr is compiled once, on its first eval2, and keeps the result.
+First, every maximal subtree of structural degree at most 2 (other than a
+bare number or variable) is folded into one leaf holding its value c0,
+gradient b and Hessian A at the origin, read off by the forward-mode walk.
+Then the folded tree is flattened into a tape (module tape): a post-order
+list of instructions run by one loop.  Each slot of the tape records, at
+compile time, the variables it depends on.  A slot over at most one
+variable x_k (a number, a variable, a leaf over x_k, or e.g. 0.3*sin(x4)
+and log(1 + x2^2)) holds three floats, the value and the first and second
+derivative in x_k.  Only a slot over several variables holds a gradient
+vector and a Hessian matrix, into which a one-variable slot is added at
+entry k where the two meet.  A leaf is evaluated as c0 + b.x + x.(A x)/2,
+b + A x and A, so a quadratic expression costs two matrix-vector products.
+The tape applies the rules of the node-by-node walk in the same order, so a
+float slot holds the floats those rules compute at its variable's entries.
+That walk of the unfolded tree, _jet(Expr.root), is the reference the tape
+is tested against.
 """
 
 from __future__ import annotations
@@ -144,6 +152,15 @@ class Expr:
         first use and kept in the instance, not in a field, so equality, hash
         and repr see root and n only."""
         return _fold(*_compile(self.root, self.n), self.n)
+
+    @cached_property
+    def _tape(self):
+        """The compiled evaluator of _folded, kept in the instance likewise.
+        Its module is imported on first use: without bytecode caching every
+        import compiles the source, and parsing alone does not need it."""
+        from .tape import Tape
+
+        return Tape(self._folded, self.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,9 +362,9 @@ def to_source(node: Node | Expr) -> str:
 def eval2(expr: Expr, x) -> Jet2:
     """Evaluate value, gradient and Hessian of `expr` at the point `x`.
 
-    Walks the folded tree (see the module docstring), compiling it on the
-    first call.  The jets are exact for polynomial input up to rounding: a
-    folded quadratic is evaluated from its coefficients at the origin, so
+    Runs the expression's tape (see the module docstring), compiling it on
+    the first call.  The jets are exact for polynomial input up to rounding:
+    a folded quadratic is evaluated from its coefficients at the origin, so
     its value and gradient may differ from the node-by-node walk in the last
     bits, while its Hessian is the constant A.  Raises ExprDomainError on log
     of a nonpositive argument, division by zero, or 0 raised to a negative
@@ -356,18 +373,16 @@ def eval2(expr: Expr, x) -> Jet2:
     xv = np.asarray(x, dtype=float)
     if xv.shape != (expr.n,):
         raise ValueError(f"point has shape {xv.shape}, expected ({expr.n},)")
-    v, g, h = _jet(expr._folded, xv, expr.n)
-    g = g.copy()
-    h = h.copy()
-    g.flags.writeable = False
+    v, g, h = expr._tape.run(xv)
+    g.flags.writeable = False  # fresh arrays, owned by this jet
     h.flags.writeable = False
     return Jet2(float(v), g, h)
 
 
 def _jet(node: Node, x: np.ndarray, n: int):
-    if isinstance(node, _Quadratic):
-        Ax = node.A @ x
-        return node.c0 + node.b @ x + 0.5 * (x @ Ax), node.b + Ax, node.A
+    """Value, gradient and Hessian of an unfolded tree, node by node: the
+    reference the tape is tested against, and the walk that folds a subtree
+    at compile time."""
     if isinstance(node, Num):
         return node.value, np.zeros(n), np.zeros((n, n))
     if isinstance(node, Var):
@@ -516,5 +531,5 @@ def _fold(node: Node, degree: int | None, n: int) -> Node:
         return node
     if not (np.isfinite(c0) and np.isfinite(b).all() and np.isfinite(A).all()):
         return node
-    b.flags.writeable = A.flags.writeable = False  # _jet hands A out uncopied
+    b.flags.writeable = A.flags.writeable = False  # shared by every run of the tape
     return _Quadratic(float(c0), b, A, node)

@@ -335,21 +335,27 @@ def _dedupe(entries, radius: float, notes: list[str], what: str):
     """Merge points closer than `radius` (inf-norm) with equal index; keep and
     flag close points whose indices differ.
 
-    Entries are swept in lexicographic order, so the kept first coordinates
-    ascend and only the kept points whose first coordinate lies within
-    radius of the current one can be close to it.
+    Entries are swept in lexicographic order of their coordinates, with each
+    coordinate within radius/10 (the activity tolerance) of 0 read as 0, so
+    rounding noise in a zero coordinate does not decide where a point is
+    listed.  The snapped first coordinates of the kept points ascend, and
+    only the kept points whose snapped first coordinate lies within
+    2*radius of the current one can be within radius of it.
     """
-    entries = sorted(entries, key=lambda e: tuple(e[0]))
     if not entries:
         return []
-    kept = np.empty((len(entries), entries[0][0].size))  # keys of out, in order
+    keys = np.array([key for key, _ in entries])
+    snapped = np.where(np.abs(keys) <= radius / 10.0, 0.0, keys).tolist()
+    kept = np.empty_like(keys)  # keys of out, in order
     out = []
-    firsts: list[float] = []
-    for key, payload in entries:
+    firsts: list[float] = []  # snapped first coordinates of out
+    for i in sorted(range(len(entries)), key=snapped.__getitem__):
+        key, payload = entries[i]
         label = _index_label(payload[-1])
         keep = True
-        # 2*radius: a margin for rounding; the inf-norm test below decides
-        lo = bisect.bisect_left(firsts, key[0] - 2.0 * radius)
+        # 2*radius: radius plus the snapping of both points, with a margin
+        # for rounding; the inf-norm test below decides
+        lo = bisect.bisect_left(firsts, snapped[i][0] - 2.0 * radius)
         near = np.max(np.abs(kept[lo : len(out)] - key), axis=1) <= radius
         for j in np.flatnonzero(near):
             if _index_label(out[lo + j][-1]) == label:
@@ -362,7 +368,7 @@ def _dedupe(entries, radius: float, notes: list[str], what: str):
         if keep:
             kept[len(out)] = key
             out.append(payload)
-            firsts.append(key[0])
+            firsts.append(snapped[i][0])
     return out
 
 

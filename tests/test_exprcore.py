@@ -89,9 +89,9 @@ def test_parse_rejects_deep_nesting():
             jet = eval2(e, [2.0])
             assert value is None or jet.value == value
         _compile(e.root, 1)
-        for tree in (e.root, e._folded):
+        for run in (lambda x: _jet(e.root, x, 1), e._tape.run):
             try:
-                _jet(tree, np.array([2.0]), 1)
+                run(np.array([2.0]))
             except ExprDomainError:
                 assert value is ExprDomainError
         to_source(e)
@@ -233,7 +233,14 @@ def test_parse_requires_positive_dimension():
 # ---------------------------------------------------------------------------
 # The folded evaluator against the node-by-node walk of the unfolded tree
 
-_SMOOTH_TERMS = ("sin(x{i})", "cos(x{j})", "exp(x{i} - x{j})", "log(1 + x{j}^2)", "x{i}*sin(x{j})")
+_SMOOTH_TERMS = (
+    "sin(x{i})", "cos(x{j})", "exp(x{i} - x{j})", "log(1 + x{j}^2)", "x{i}*sin(x{j})",
+    # one-variable subtrees, which the tape runs on floats
+    "({a})*exp(0.3*x{i})", "({a})*log(1+x{i}^2)", "1/(2+x{i}^2)", "sin(cos(x{i}))",
+    "x{i}^3*exp(x{i})",
+    # products and quotients of such subtrees over two variables (one when i == j)
+    "exp(x{i})*exp(x{j})", "sin(x{i})/(2+x{j}^2)",
+)
 
 
 def _folded_leaves(node) -> int:
@@ -257,9 +264,10 @@ def _agreement_cases():
         else:
             picks = rng.choice(len(_SMOOTH_TERMS), size=int(rng.integers(1, 4)), replace=False)
             i, j = rng.integers(1, n + 1, size=2)
+            a = repr(float(rng.uniform(0.1, 0.3)))
             src = " + ".join(
                 [random_quadratic_source(rng, n)]
-                + [_SMOOTH_TERMS[p].format(i=i, j=j) for p in picks]
+                + [_SMOOTH_TERMS[p].format(i=i, j=j, a=a) for p in picks]
             )
         cases.append((parse(src, n), rng.uniform(-1.5, 1.5, size=(4, n))))
     data = os.path.join(os.path.dirname(__file__), "data")
@@ -295,6 +303,24 @@ def test_folded_jets_agree_with_the_unfolded_walk():
     assert quadratics >= 55 and folded >= len(cases) - 10
 
 
+def test_one_variable_subtrees_run_on_floats():
+    def rules(src, n):
+        return {op.func.__name__ for op in parse(src, n)._tape.ops}
+
+    # every slot over one variable: floats throughout, one n-vector at the end
+    assert rules("(0.3)*sin(x4) + log(1 + x4^2) - 1/(2+x4^2)", 5) == {
+        "_load_var", "_load_quadratic1", "_scalar_chain", "_scalar_mul", "_scalar_div",
+        "_scalar_pm", "_promote",
+    }
+    # two variables meet in a product, then one-variable terms are added in
+    assert rules("x1*sin(x2) + (0.3)*exp(0.3*x3)", 3) == {
+        "_load_var", "_load_quadratic1", "_scalar_chain", "_scalar_mul", "_cross_mul",
+        "_scatter",
+    }
+    # a quadratic over several variables is one dense leaf
+    assert rules("x1*x2 + x3^2", 3) == {"_load_quadratic"}
+
+
 def test_folded_domain_errors_match_the_unfolded_walk():
     for src, x in (
         ("log(x1^2 - 1)", [0.0]),
@@ -302,6 +328,9 @@ def test_folded_domain_errors_match_the_unfolded_walk():
         ("(1-1)^-1*x1", [1.0]),
         ("sin(x1) + x1/(2-2)", [1.0]),
         ("x2*log(x1^2 - 1) + x1^2", [0.5, 2.0]),
+        # raised inside a slot over one variable
+        ("log(x1^2-1)+x2^2", [0.0, 1.0]),
+        ("x2^2 + 1/(x1-x1)", [1.0, 2.0]),
     ):
         e = parse(src, len(x))
         with pytest.raises(ExprDomainError) as ref:
@@ -312,13 +341,30 @@ def test_folded_domain_errors_match_the_unfolded_walk():
         assert got.value.subterm == ref.value.subterm and str(got.value) == str(ref.value)
 
 
+def test_float_slots_overflow_and_underflow_as_the_unfolded_walk():
+    # Python's float power raises on overflow, and 1/x^2 underflows to 1/0.
+    # Where the walk multiplies an infinite derivative by the zero entries of
+    # a one-variable gradient it gets nan, which a float slot never stores;
+    # every other entry agrees, and both jets are non-finite.
+    for src, x in (("x1^5*sin(x1)", [1e70]), ("x1^-3*cos(x1)", [1e-120]), ("log(x1)*x2", [1e-170, 2.0])):
+        e = parse(src, len(x))
+        with np.errstate(all="ignore"):
+            jet = eval2(e, x)
+            ref = _jet(e.root, np.array(x), e.n)
+        for got, want in zip((jet.value, jet.gradient, jet.hessian), ref):
+            number = ~np.isnan(want)
+            assert np.array_equal(np.asarray(got)[number], np.asarray(want)[number])
+        assert not np.isfinite(jet.hessian).all() and not np.isfinite(ref[2]).all()
+
+
 def test_compiled_form_lives_and_dies_with_its_expression():
     src = random_quadratic_source(np.random.default_rng(5), 4) + " + sin(x1)"
     e = parse(src, 4)
+    assert "_folded" not in vars(e) and "_tape" not in vars(e)
     eval2(e, np.ones(4))
-    assert "_folded" in vars(e)
+    assert "_folded" in vars(e) and "_tape" in vars(e)
     fresh = parse(src, 4)
-    assert "_folded" not in vars(fresh)
+    assert "_folded" not in vars(fresh) and "_tape" not in vars(fresh)
     assert e == fresh and hash(e) == hash(fresh) and repr(e) == repr(fresh)
     alive = weakref.ref(e)
     del e

@@ -277,6 +277,23 @@ def test_dedupe_merges_equal_index_and_flags_differing_index():
     assert notes == ["manual review: nearby M points with differing index at [1.0, 0.1]"]
 
 
+def test_dedupe_order_ignores_the_sign_of_rounding_noise():
+    # the same census points, once with each zero coordinate's rounding
+    # noise of one sign and once of the other, in either input order
+    def listed(sign, reverse):
+        entries = [
+            _entry([sign * 2.5e-17, 1.0], 0),
+            _entry([-sign * 4.1e-17, 2.0], 1),
+            _entry([0.5, sign * 1e-17], 0),
+        ]
+        kept = _dedupe(entries[::-1] if reverse else entries, 1e-7, [], "M")
+        return [np.round(x, 12).tolist() for x, _ in kept]
+
+    for sign in (1.0, -1.0):
+        for reverse in (False, True):
+            assert listed(sign, reverse) == [[0.0, 1.0], [0.0, 2.0], [0.5, 0.0]]
+
+
 def test_dedupe_sweep_matches_pairwise_comparison():
     def pairwise(entries, radius, notes):
         out = []

@@ -3,6 +3,7 @@ import pytest
 
 from ccopkit import (
     AssumptionError,
+    Problem,
     Tolerances,
     certify_m,
     certify_t,
@@ -10,13 +11,17 @@ from ccopkit import (
     check_feasible_r,
     check_mpoc_licq,
     check_y_structure,
+    census_t_quadratic,
     lift,
     make_regularized,
+    parse,
+    to_source,
 )
 
 from helpers import (
     make_problem,
     random_instance_with_feasible_pair,
+    random_quadratic_instance,
     well_e1,
     well_ones,
     well_ones_reg,
@@ -177,3 +182,36 @@ def test_restricted_hessians_share_inertia_after_lifting():
             assert check_y_structure(rp, y)
             checked += 1
     assert checked >= 1
+
+
+def test_scaling_objective_scales_t_multipliers_and_keeps_indices():
+    # The T-side of test_ccop.py::test_scaling_objective_scales_multipliers_only.
+    # The lifted objective is f(x) + c'y and every stationarity direction lies
+    # in the x- or the y-block, so scaling f alone scales the x-block
+    # multipliers only, while scaling f and c together scales all of them.
+    x_block, y_block = ("lam", "mu1", "sigma1", "rho1"), ("mu2", "sigma2", "rho2")
+    rng = np.random.default_rng(61)
+    checked = 0
+    for k in range(8):
+        rp = random_quadratic_instance(rng, n_max=6)
+        t = (0.5, 1.3, 2.0)[k % 3]
+        pr = rp.base
+        scaled = Problem(pr.n, pr.s, parse(f"({t!r})*({to_source(pr.f)})", pr.n), pr.h, pr.g)
+        for rq, y_factor in (
+            (make_regularized(scaled, rp.c, rp.eps), 1.0),
+            (make_regularized(scaled, t * rp.c, rp.eps), t),
+        ):
+            for x, y, tcert in census_t_quadratic(rp).t_points:
+                got = certify_t(rq, x, y)
+                for name in ("feasible", "stationary", "ndt", "t_index", "quadratic_index",
+                             "biactive_index", "degenerate_reason"):
+                    assert getattr(got, name) == getattr(tcert, name)
+                assert got.mu3 == pytest.approx(y_factor * tcert.mu3, rel=1e-9, abs=1e-12)
+                for names, factor in ((x_block, t), (y_block, y_factor)):
+                    for name in names:
+                        want = getattr(tcert, name)
+                        assert set(getattr(got, name)) == set(want)
+                        for i, v in want.items():
+                            assert getattr(got, name)[i] == pytest.approx(factor * v, rel=1e-9, abs=1e-12)
+                checked += 1
+    assert checked >= 600
