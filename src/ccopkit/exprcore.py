@@ -62,8 +62,8 @@ _FUNCS = ("sin", "cos", "exp", "log")
 
 # Nesting limits of parse().  The parser holds one frame per open unary
 # minus, four per open parenthesis and five per open function call;
-# _jet, _compile, to_source and polynomial_degree recurse once per tree
-# level.  Both limits keep parsing and every tree walk below Python's default
+# _jet, _compile, Tape._emit, to_source and polynomial_degree recurse once
+# per tree level.  Both limits keep parsing and every tree walk below Python's default
 # recursion limit of 1000 frames with room for about 100 of the caller's.  to_source
 # nests one parenthesis per term of a sum, so printed sums of up to about
 # _MAX_PARSE_FRAMES // 4 terms parse back.

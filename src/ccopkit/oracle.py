@@ -331,21 +331,21 @@ def _index_label(cert) -> object:
     return idx if idx is not None else "degenerate"
 
 
-def _dedupe(entries, radius: float, notes: list[str], what: str):
+def _dedupe(entries, radius: float, snap: float, notes: list[str], what: str):
     """Merge points closer than `radius` (inf-norm) with equal index; keep and
     flag close points whose indices differ.
 
     Entries are swept in lexicographic order of their coordinates, with each
-    coordinate within radius/10 (the activity tolerance) of 0 read as 0, so
-    rounding noise in a zero coordinate does not decide where a point is
-    listed.  The snapped first coordinates of the kept points ascend, and
-    only the kept points whose snapped first coordinate lies within
-    2*radius of the current one can be within radius of it.
+    coordinate within `snap` of 0 read as 0, so rounding noise in a zero
+    coordinate does not decide where a point is listed.  The snapped first
+    coordinates of the kept points ascend, and only the kept points whose
+    snapped first coordinate lies within radius + 2*snap of the current one
+    can be within radius of it.
     """
     if not entries:
         return []
     keys = np.array([key for key, _ in entries])
-    snapped = np.where(np.abs(keys) <= radius / 10.0, 0.0, keys).tolist()
+    snapped = np.where(np.abs(keys) <= snap, 0.0, keys).tolist()
     kept = np.empty_like(keys)  # keys of out, in order
     out = []
     firsts: list[float] = []  # snapped first coordinates of out
@@ -353,9 +353,9 @@ def _dedupe(entries, radius: float, notes: list[str], what: str):
         key, payload = entries[i]
         label = _index_label(payload[-1])
         keep = True
-        # 2*radius: radius plus the snapping of both points, with a margin
-        # for rounding; the inf-norm test below decides
-        lo = bisect.bisect_left(firsts, snapped[i][0] - 2.0 * radius)
+        # radius plus the snapping of both points, doubled as a margin for
+        # rounding; the inf-norm test below decides
+        lo = bisect.bisect_left(firsts, snapped[i][0] - 2.0 * (radius + snap))
         near = np.max(np.abs(kept[lo : len(out)] - key), axis=1) <= radius
         for j in np.flatnonzero(near):
             if _index_label(out[lo + j][-1]) == label:
@@ -386,7 +386,8 @@ def _count_by_index(certs) -> dict:
 def _report(iid: str, side: str, found, complete: bool, notes: list[str], tol: Tolerances):
     """Deduplicate the (key, point) pairs found on one side and count them."""
     found = list(found)  # runs the root finder, which may still add notes
-    points = _dedupe(found, 10.0 * tol.tol_act, notes, side.upper())
+    # merge within ten activity tolerances; snap the sort key at one
+    points = _dedupe(found, 10.0 * tol.tol_act, tol.tol_act, notes, side.upper())
     counts = _count_by_index([p[-1] for p in points])
     if side == "m":
         return CensusReport(iid, m_points=points, by_index_m=counts, complete=complete, notes=notes)

@@ -58,7 +58,9 @@ class Tape:
             return self._op(_load_var, node.index - 1), node.index - 1
         if isinstance(node, _Quadratic):
             return self._leaf(node)
-        args = [self._emit(child) for child in _children(node)]
+        args = []  # a loop, not a comprehension: one frame per tree level
+        for child in _children(node):
+            args.append(self._emit(child))
         if isinstance(node, BinOp):
             return self._binop(node, *args[0], *args[1])
         ((a, k),) = args

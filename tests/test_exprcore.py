@@ -79,6 +79,7 @@ def test_parse_rejects_deep_nesting():
         ("-" * (_MAX_DEPTH - 1) + "x1", -2.0 if _MAX_DEPTH % 2 == 0 else 2.0),
         ("(" * parens + "x1" + ")" * parens, 2.0),
         ("sin(" * calls + "x1" + ")" * calls, None),
+        (" + ".join(["sin(x1)"] * (_MAX_DEPTH - 1)), None),  # a deep sum that does not fold
         ("log(" * logs + "-" * minus + widest + ")" * logs, ExprDomainError),
     ):
         e = parse(src, 1)

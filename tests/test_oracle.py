@@ -270,7 +270,7 @@ def test_dedupe_merges_equal_index_and_flags_differing_index():
         _entry([4.0, 5.0], 2),  # far beyond
     ]
     notes = []
-    kept = _dedupe(list(reversed(entries)), r, notes, "M")
+    kept = _dedupe(list(reversed(entries)), r, r / 10, notes, "M")
     assert [x.tolist() for x, _ in kept] == [
         [0.0, 0.0], [1.0, 0.0], [1.0, 0.1], [2.0, 3.0], [3.0, 5.0], [3.3, 5.0], [4.0, 5.0]
     ]
@@ -286,7 +286,7 @@ def test_dedupe_order_ignores_the_sign_of_rounding_noise():
             _entry([-sign * 4.1e-17, 2.0], 1),
             _entry([0.5, sign * 1e-17], 0),
         ]
-        kept = _dedupe(entries[::-1] if reverse else entries, 1e-7, [], "M")
+        kept = _dedupe(entries[::-1] if reverse else entries, 1e-7, 1e-8, [], "M")
         return [np.round(x, 12).tolist() for x, _ in kept]
 
     for sign in (1.0, -1.0):
@@ -317,7 +317,7 @@ def test_dedupe_sweep_matches_pairwise_comparison():
             for _ in range(60)
         ]
         notes, want_notes = [], []
-        got = _dedupe(entries, 0.125, notes, "M")
+        got = _dedupe(entries, 0.125, 0.0125, notes, "M")
         want = pairwise(entries, 0.125, want_notes)
         assert [p[0].tolist() for p in got] == [p[0].tolist() for p in want]
         assert notes == [
