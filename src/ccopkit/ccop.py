@@ -10,6 +10,7 @@ NDM1..NDM4 and reports the M-index as quadratic index + sparsity index.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +45,13 @@ class Problem:
         for e in (self.f, *self.h, *self.g):
             if e.n != self.n:
                 raise ValueError("expression dimension does not match problem dimension")
+
+    @cached_property
+    def _roots(self) -> dict:
+        """Pattern roots and their notes per (method, grid, tol), filled by
+        oracle._shared_roots; kept in the instance, not in a field, like
+        Expr._tape, so equality, hash and repr do not see it."""
+        return {}
 
 
 @dataclass(frozen=True)

@@ -372,6 +372,15 @@ def _emit(rep: Report, args) -> None:
 # Subcommands
 
 
+def _bridge_failure(rep: Report, args, exc: Exception) -> int:
+    """Verdict, reason and exit code of a lift or project that raised."""
+    stationary = not isinstance(exc, NotStationaryError)
+    rep.add("verdict", "correspondence-violated" if stationary else "not-stationary")
+    rep.add("reason", str(exc))
+    _emit(rep, args)
+    return 1 if stationary else 2
+
+
 def cmd_certify(args) -> int:
     pf = load_problem_file(args.file)
     tol = _tolerances(pf, args)
@@ -419,16 +428,8 @@ def cmd_lift(args) -> int:
     rep.add("x", vec)
     try:
         ls = lift(rp, vec, tol)
-    except NotStationaryError as exc:
-        rep.add("verdict", "not-stationary")
-        rep.add("reason", str(exc))
-        _emit(rep, args)
-        return 2
-    except BridgeError as exc:
-        rep.add("verdict", "correspondence-violated")
-        rep.add("reason", str(exc))
-        _emit(rep, args)
-        return 1
+    except (NotStationaryError, BridgeError) as exc:
+        return _bridge_failure(rep, args, exc)
     _add_certificate(rep, "base", ls.base_certificate)
     rep.add("ibar", ls.ibar)
     rep.add("expected_count", ls.expected_count)
@@ -459,16 +460,8 @@ def cmd_project(args) -> int:
     _add_certificate(rep, "lifted", tcert)
     try:
         mcert = project(rp, pe, y, tol)
-    except NotStationaryError as exc:
-        rep.add("verdict", "not-stationary")
-        rep.add("reason", str(exc))
-        _emit(rep, args)
-        return 2
-    except BridgeError as exc:
-        rep.add("verdict", "correspondence-violated")
-        rep.add("reason", str(exc))
-        _emit(rep, args)
-        return 1
+    except (NotStationaryError, BridgeError) as exc:
+        return _bridge_failure(rep, args, exc)
     _add_certificate(rep, "projected", mcert)
     rep.add("verdict", "ok")
     _emit(rep, args)
@@ -499,6 +492,26 @@ def _add_census(rep: Report, census: CensusReport, sides: str):
         rep.add(f"note.{k}", note)
 
 
+def _census(pr: Problem, rp, method: str, sides: str, args, tol: Tolerances) -> CensusReport:
+    """Census of one instance by one method on `sides` ("m", "t" or "mt").
+    The T census reuses the roots that the M census found on pr."""
+    grid = GridSpec(args.grid_points, args.grid_lo, args.grid_hi)
+    quadratic = method == "quadratic"
+    found = []
+    if "m" in sides:
+        found.append(census_quadratic(pr, tol) if quadratic else census_newton(pr, grid, tol))
+    if "t" in sides:
+        found.append(census_t_quadratic(rp, tol) if quadratic else census_newton(rp, grid, tol))
+    return merge_censuses(*found) if len(found) == 2 else found[0]
+
+
+def _add_checks(rep: Report, rows) -> None:
+    for k, (name, status, detail) in enumerate(rows):
+        rep.add(f"check.{k}.name", name)
+        rep.add(f"check.{k}.status", status)
+        rep.add(f"check.{k}.detail", detail)
+
+
 def cmd_census(args) -> int:
     pf = load_problem_file(args.file)
     tol = _tolerances(pf, args)
@@ -512,42 +525,18 @@ def cmd_census(args) -> int:
         sys.stderr.write("census: quadratic method on a non-quadratic instance\n")
         return 4
 
-    grid = GridSpec(args.grid_points, args.grid_lo, args.grid_hi)
-    m_census = t_census = None
-    if args.side in ("m", "both"):
-        if args.method == "quadratic":
-            m_census = census_quadratic(pf.problem, tol)
-        else:
-            m_census = census_newton(pf.problem, grid, tol)
-    if args.side in ("t", "both"):
-        rp = _regularized(pf, args, tol)
-        if args.method == "quadratic":
-            t_census = census_t_quadratic(rp, tol)
-        else:
-            t_census = census_newton(rp, grid, tol)
-
-    if args.side == "m":
-        _add_census(rep, m_census, "m")
-        rep.add("verdict", "ok")
-        _emit(rep, args)
-        return 0
-    if args.side == "t":
-        _add_census(rep, t_census, "t")
-        rep.add("verdict", "ok")
-        _emit(rep, args)
-        return 0
-
-    merged = merge_censuses(m_census, t_census)
-    _add_census(rep, merged, "mt")
-    rp = _regularized(pf, args, tol)
-    counts = verify_counts(rp, merged, tol)
-    for k, check in enumerate(counts.checks):
-        rep.add(f"check.{k}.name", check.name)
-        rep.add(f"check.{k}.status", check.status)
-        rep.add(f"check.{k}.detail", check.detail)
-    rep.add("verdict", "ok" if counts.ok else "failed")
+    sides = {"m": "m", "t": "t", "both": "mt"}[args.side]
+    rp = _regularized(pf, args, tol) if "t" in sides else None
+    census = _census(pf.problem, rp, args.method, sides, args, tol)
+    _add_census(rep, census, sides)
+    ok = True
+    if sides == "mt":
+        counts = verify_counts(rp, census, tol)
+        _add_checks(rep, [(c.name, c.status, c.detail) for c in counts.checks])
+        ok = counts.ok
+    rep.add("verdict", "ok" if ok else "failed")
     _emit(rep, args)
-    return 0 if counts.ok else 1
+    return 0 if ok else 1
 
 
 def cmd_check_licq(args) -> int:
@@ -584,26 +573,13 @@ def cmd_verify(args) -> int:
     rep = Report("verify", tol)
     rep.add("file", args.file)
 
-    quadratic = is_quadratic_affine(pf.problem)
-    grid = GridSpec(args.grid_points, args.grid_lo, args.grid_hi)
-    if quadratic:
-        m_census = census_quadratic(pf.problem, tol)
-        t_census = census_t_quadratic(rp, tol) if (rp.assumption1_ok or rp.override) else None
-    else:
-        m_census = census_newton(pf.problem, grid, tol)
-        t_census = census_newton(rp, grid, tol) if rp.assumption1_ok else None
-    if t_census is None:
+    method = "quadratic" if is_quadratic_affine(pf.problem) else "newton"
+    if not (rp.assumption1_ok or (rp.override and method == "quadratic")):
         raise LoadError("verify needs certifiable regularization parameters")
-    merged = merge_censuses(m_census, t_census)
+    merged = _census(pf.problem, rp, method, "mt", args, tol)
     _add_census(rep, merged, "mt")
 
-    failures = 0
-    rows = []
-    counts = verify_counts(rp, merged, tol)
-    for check in counts.checks:
-        rows.append((check.name, check.status, check.detail))
-        failures += check.status == "fail"
-
+    rows = [(c.name, c.status, c.detail) for c in verify_counts(rp, merged, tol).checks]
     if rp.assumption1_ok:
         for x, mcert in merged.m_points:
             if not mcert.nondegenerate:
@@ -620,31 +596,19 @@ def cmd_verify(args) -> int:
                     ("lift-roundtrip", "pass" if ok else "fail",
                      f"{label}: {len(ls.companions)} companions, index preserved={ok}")
                 )
-                failures += not ok
                 for y, _ in ls.companions:
-                    back = project(rp, pe, y, tol)
-                    ok2 = back.m_index == mcert.m_index
-                    rows.append(
-                        ("project-roundtrip", "pass" if ok2 else "fail", label)
-                    )
-                    failures += not ok2
+                    ok = project(rp, pe, y, tol).m_index == mcert.m_index
+                    rows.append(("project-roundtrip", "pass" if ok else "fail", label))
             except (BridgeError, NotStationaryError) as exc:
                 rows.append(("lift-roundtrip", "fail", f"{label}: {exc}"))
-                failures += 1
         for x, y, tcert in merged.t_points:
-            if not tcert.stationary:
-                continue
-            ok = check_y_structure(rp, y, tol)
-            rows.append(
-                ("y-structure", "pass" if ok else "fail",
-                 f"y={np.round(y, 6).tolist()}")
-            )
-            failures += not ok
+            if tcert.stationary:
+                ok = check_y_structure(rp, y, tol)
+                label = f"y={np.round(y, 6).tolist()}"
+                rows.append(("y-structure", "pass" if ok else "fail", label))
 
-    for k, (name, status, detail) in enumerate(rows):
-        rep.add(f"check.{k}.name", name)
-        rep.add(f"check.{k}.status", status)
-        rep.add(f"check.{k}.detail", detail)
+    failures = sum(status == "fail" for _, status, _ in rows)
+    _add_checks(rep, rows)
     rep.add("checks", len(rows))
     rep.add("failures", failures)
     rep.add("verdict", "ok" if failures == 0 else "failed")

@@ -9,6 +9,11 @@ or expanded into candidate y and certified with certify_t: the y of every
 (n-s)-subset of the zero pattern, or seeded samples of the y-polytope for
 the unregularized reformulation, whose stationary points can form continua.
 Stationary points are then deduplicated and counted by index.
+
+Every T-point lies over an M-point with the same x, so both sides use the
+same roots.  They are found once per Problem and (method, grid, tol) and kept
+on the Problem (see _shared_roots): an M and a T census of one instance, as
+`verify` and `census --side both` run, share one root search.
 """
 
 from __future__ import annotations
@@ -254,6 +259,28 @@ def _newton_roots(pr: Problem, grid: GridSpec, tol: Tolerances, notes: list[str]
         notes.append(f"{failures} Newton starts did not converge")
 
 
+def _shared_roots(pr: Problem, tol: Tolerances, notes: list[str], grid: GridSpec | None = None):
+    """The roots of _linear_roots, or of _newton_roots when a grid is given,
+    found once per Problem and (method, grid, tol) and kept on the Problem.
+
+    Both sides of a census share them.  Each call yields copies of the kept
+    read-only arrays, then appends the kept notes, as the finder did.
+    """
+    key = ("linear" if grid is None else "newton", grid, tol)
+    if key not in pr._roots:
+        found: list[str] = []
+        roots = tuple(
+            _linear_roots(pr, tol, found) if grid is None else _newton_roots(pr, grid, tol, found)
+        )
+        for _, x in roots:
+            x.flags.writeable = False
+        pr._roots[key] = roots, tuple(found)
+    roots, kept = pr._roots[key]
+    for J, x in roots:
+        yield J, x.copy()
+    notes.extend(kept)
+
+
 # ---------------------------------------------------------------------------
 # Certification of roots
 
@@ -402,7 +429,7 @@ def census_quadratic(pr: Problem, tol: Tolerances = Tolerances()) -> CensusRepor
     """Exhaustive census of M-stationary points of a quadratic-affine instance."""
     _require_quadratic(pr, "census_quadratic")
     notes: list[str] = []
-    found = _m_points(pr, _linear_roots(pr, tol, notes), tol)
+    found = _m_points(pr, _shared_roots(pr, tol, notes), tol)
     return _report(instance_id(pr), "m", found, True, notes, tol)
 
 
@@ -419,7 +446,7 @@ def census_t_quadratic(rp: RegularizedProblem, tol: Tolerances = Tolerances()) -
     iid = instance_id(rp.base, rp)
     if rp.assumption1_ok:
         notes: list[str] = []
-        roots = _linear_roots(rp.base, tol, notes)
+        roots = _shared_roots(rp.base, tol, notes)
         found = _t_points(rp, roots, _subset_ys(rp), tol)
         return _report(iid, "t", found, True, notes, tol)
     if not rp.override:
@@ -428,7 +455,7 @@ def census_t_quadratic(rp: RegularizedProblem, tol: Tolerances = Tolerances()) -
             "override=True for the sampling census"
         )
     notes = ["override sampler: y-space sampled per support pattern, census not exhaustive"]
-    found = _t_points(rp, _linear_roots(rp.base, tol, []), _sampled_ys(rp, tol), tol)
+    found = _t_points(rp, _shared_roots(rp.base, tol, []), _sampled_ys(rp, tol), tol)
     return _report(iid, "t", found, False, notes, tol)
 
 
@@ -452,7 +479,7 @@ def census_newton(target, grid: GridSpec, tol: Tolerances = Tolerances()) -> Cen
     if grid.points_per_axis <= 0:
         return CensusReport(iid, notes=["empty grid"], complete=False)
     notes: list[str] = []
-    roots = _newton_roots(pr, grid, tol, notes)
+    roots = _shared_roots(pr, tol, notes, grid)
     found = _m_points(pr, roots, tol) if rp is None else _t_points(rp, roots, _subset_ys(rp), tol)
     return _report(iid, side, found, False, notes, tol)
 

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from ccopkit import (
     project,
     verify_counts,
 )
+from ccopkit import oracle
 from ccopkit.oracle import (
     _active_sets,
     _dedupe,
@@ -207,12 +210,102 @@ def test_minimizer_counts_agree_on_complete_censuses():
 
 
 def test_census_reports_are_deterministic():
-    rp = well_ones_reg()
-    a = census_t_quadratic(rp)
-    b = census_t_quadratic(rp)
+    # two instances built from the same sources, so the roots are found twice
+    a = census_t_quadratic(well_ones_reg())
+    b = census_t_quadratic(well_ones_reg())
     assert a.instance_id == b.instance_id
     assert [tuple(y) for _, y, _ in a.t_points] == [tuple(y) for _, y, _ in b.t_points]
     assert a.notes == b.notes
+
+
+def _exp_well_reg():
+    """exp(x1) + x1 has no stationary point, so every Newton start on the
+    support {1} fails and the Newton census notes that."""
+    return make_regularized(make_problem(2, 1, "exp(x1) + x1 + (x2-1)^2"), (0.3, 0.7), 0.5)
+
+
+def _rows(census):
+    """Everything a census reports, in its order."""
+    return (
+        [(x.tolist(), c.m_index, c.degenerate_reason) for x, c in census.m_points],
+        [(x.tolist(), y.tolist(), c.t_index, c.degenerate_reason) for x, y, c in census.t_points],
+        census.by_index_m,
+        census.by_index_t,
+        census.notes,
+    )
+
+
+def test_census_on_kept_roots_equals_one_that_finds_them():
+    # warm: roots kept on the instance by a first census; cold: an equal
+    # instance built afresh, which runs the root search itself
+    grid = GridSpec(3)
+    warm = _exp_well_reg()
+    census_newton(warm.base, grid)
+    for side in (lambda rp: rp.base, lambda rp: rp):
+        got = census_newton(side(warm), grid)
+        assert _rows(got) == _rows(census_newton(side(_exp_well_reg()), grid))
+        assert got.notes == ["3 Newton starts did not converge"]
+    warm = well_ones_reg()
+    census_quadratic(warm.base)
+    assert _rows(census_t_quadratic(warm)) == _rows(census_t_quadratic(well_ones_reg()))
+
+
+def test_roots_live_and_die_with_their_problem():
+    pr = well_ones()
+    assert "_roots" not in vars(pr)
+    census_quadratic(pr)
+    assert "_roots" in vars(pr)
+    fresh = well_ones()
+    assert "_roots" not in vars(fresh)
+    assert pr == fresh and hash(pr) == hash(fresh) and repr(pr) == repr(fresh)
+    alive = weakref.ref(pr)
+    del pr
+    assert alive() is None  # no cache outside the problem holds it
+
+
+def test_root_search_is_shared_by_both_sides_and_keyed(monkeypatch):
+    calls = {"_damped_newton": 0, "_linear_system": 0}
+
+    def counted(name):
+        inner = getattr(oracle, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, wrapper)
+
+    counted("_damped_newton")
+    counted("_linear_system")
+    rp = _exp_well_reg()
+    grid = GridSpec(3)
+    m_census = census_newton(rp.base, grid)
+    runs = calls["_damped_newton"]
+    assert runs > 0
+    t_census = census_newton(rp, grid)
+    census_newton(rp, GridSpec(3, -2.0, 2.0), Tolerances())  # equal keys
+    assert calls["_damped_newton"] == runs
+    census_newton(rp, GridSpec(2))
+    assert calls["_damped_newton"] > runs
+    runs = calls["_damped_newton"]
+    census_newton(rp, grid, Tolerances(tol_act=1e-7))
+    assert calls["_damped_newton"] > runs
+
+    quad = well_ones_reg()
+    census_quadratic(quad.base)
+    solves = calls["_linear_system"]
+    assert solves > 0
+    census_t_quadratic(quad)
+    assert calls["_linear_system"] == solves
+    census_t_quadratic(quad, Tolerances(tol_rank=1e-9))
+    assert calls["_linear_system"] > solves
+
+    want = _rows(m_census), _rows(t_census)
+    for x, _ in m_census.m_points:
+        x[:] = 99.0
+    for x, y, _ in t_census.t_points:
+        x[:] = 99.0
+    assert (_rows(census_newton(rp.base, grid)), _rows(census_newton(rp, grid))) == want
 
 
 def test_shared_kkt_matrix_is_pinned_by_certify_m_multipliers():
