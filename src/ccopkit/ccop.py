@@ -5,10 +5,14 @@ zero "norm" counts nonzero entries.  Certification at a point solves the
 multiplier system over the active gradients plus the coordinate directions
 of vanishing entries, then checks the four nondegeneracy conditions
 NDM1..NDM4 and reports the M-index as quadratic index + sparsity index.
+Certificates are kept per point and tolerances for as long as a caller holds
+them (see _certified), so a repeated request costs no evaluation or solve.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -27,6 +31,14 @@ __all__ = [
     "check_cc_licq",
     "certify_m",
 ]
+
+
+def _without_certs(problem) -> dict:
+    """Pickled state of a Problem or RegularizedProblem: its instance dict
+    without the certificate memo, whose weak references do not pickle."""
+    state = dict(vars(problem))
+    state.pop("_certs", None)
+    return state
 
 
 @dataclass(frozen=True)
@@ -53,6 +65,13 @@ class Problem:
         Expr._tape, so equality, hash and repr do not see it."""
         return {}
 
+    @cached_property
+    def _certs(self) -> weakref.WeakValueDictionary:
+        """M-certificates per (point bits, tol), filled by _certified."""
+        return weakref.WeakValueDictionary()
+
+    __getstate__ = _without_certs
+
 
 @dataclass(frozen=True)
 class CcopActivity:
@@ -72,6 +91,9 @@ class MCertificate:
     Reports follow the declaration order: multiplier groups between activity
     and residual, the nondegeneracy flags right after residual, and index
     fields named *_index.
+
+    Certificates are results: the library never mutates one, and a repeated
+    request for the same point and tolerances returns an equal copy.
     """
 
     feasible: bool
@@ -109,14 +131,9 @@ class PointEval:
     g: tuple[Jet2, ...]
 
 
-def evaluate(pr: Problem, x) -> PointEval:
-    """Evaluate f, h and g of `pr` at x, or pass through a PointEval of `pr`.
-
-    Raises ValueError for a point of the wrong shape or a PointEval built for
-    another problem, and ExprDomainError, naming the expression, when a value,
-    gradient or Hessian is undefined or not finite: such a point is an input
-    error, never a verdict.
-    """
+def _point(pr: Problem, x) -> PointEval | np.ndarray:
+    """x itself if it is a PointEval of `pr`, else a read-only float copy of
+    shape (n,); raises ValueError for another problem or another shape."""
     if isinstance(x, PointEval):
         if x.problem is not pr:
             raise ValueError("PointEval was built for another problem")
@@ -125,6 +142,20 @@ def evaluate(pr: Problem, x) -> PointEval:
     if x.shape != (pr.n,):
         raise ValueError(f"point has shape {x.shape}, expected ({pr.n},)")
     x.flags.writeable = False
+    return x
+
+
+def evaluate(pr: Problem, x) -> PointEval:
+    """Evaluate f, h and g of `pr` at x, or pass through a PointEval of `pr`.
+
+    Raises ValueError for a point of the wrong shape or a PointEval built for
+    another problem, and ExprDomainError, naming the expression, when a value,
+    gradient or Hessian is undefined or not finite: such a point is an input
+    error, never a verdict.
+    """
+    x = _point(pr, x)
+    if isinstance(x, PointEval):
+        return x
     exprs = (pr.f, *pr.h, *pr.g)
     with np.errstate(over="ignore", invalid="ignore"):
         jets = [eval2(e, x) for e in exprs]
@@ -200,6 +231,30 @@ def _solve(pe: PointEval, family, kinds, ineq: str, target, tol: Tolerances):
     return groups, residual, residual_ok, licq, neg, zero
 
 
+def _key(x: PointEval | np.ndarray, *rest) -> tuple:
+    """Memo key of a checked point (see _point): the shape and exact bits of
+    x, then `rest` (the bits of y, the tolerances)."""
+    x = x.x if isinstance(x, PointEval) else x
+    return (x.shape, x.tobytes(), *rest)
+
+
+def _certified(memo: weakref.WeakValueDictionary, key: tuple, certify, *args):
+    """The certificate under `key`, or certify(*args)'s, which is then stored.
+
+    Callers check their inputs before they look up, so whatever raises
+    raises on every call, and a raise stores nothing.  An entry is the
+    certificate returned to its first caller and lives as long as some caller
+    holds it; a hit returns a copy with its own multiplier dicts.  Two threads
+    that miss on one key both certify, and either entry is correct.
+    """
+    cert = memo.get(key)
+    if cert is not None:
+        fresh = {name: dict(v) for name, v in vars(cert).items() if isinstance(v, dict)}
+        return dataclasses.replace(cert, **fresh)
+    cert = memo[key] = certify(*args)
+    return cert
+
+
 def _first_failed(feasible: bool, stationary: bool, residual: float, flags, prefix: str):
     """degenerate_reason: the first failed of feasibility, stationarity and
     the nondegeneracy flags, named prefix1, prefix2, ..."""
@@ -236,6 +291,11 @@ def certify_m(pr: Problem, x, tol: Tolerances = Tolerances()) -> MCertificate:
     Infeasible or non-stationary points yield a full diagnostic certificate
     rather than an error; degenerate_reason names the first failed condition.
     """
+    x = _point(pr, x)
+    return _certified(pr._certs, _key(x, tol), _certify_m, pr, x, tol)
+
+
+def _certify_m(pr: Problem, x, tol: Tolerances) -> MCertificate:
     pe = evaluate(pr, x)
     feasible, act = check_feasible(pr, pe, tol)
     groups, residual, residual_ok, licq, neg, zero = _solve(

@@ -494,9 +494,22 @@ def _add_census(rep: Report, census: CensusReport, sides: str):
 
 def _census(pr: Problem, rp, method: str, sides: str, args, tol: Tolerances) -> CensusReport:
     """Census of one instance by one method on `sides` ("m", "t" or "mt").
-    The T census reuses the roots that the M census found on pr."""
+    The T census reuses the roots that the M census found on pr.  Parameters
+    that break the assumption are refused up front, in the CLI's spellings."""
     grid = GridSpec(args.grid_points, args.grid_lo, args.grid_hi)
     quadratic = method == "quadratic"
+    if "t" in sides and not rp.assumption1_ok:
+        if not quadratic:
+            raise AssumptionError(
+                "the Newton census on the lifted side requires the (c, eps) assumption; "
+                "use --method quadratic with override = true or --override-assumption1 "
+                "for the unregularized reformulation"
+            )
+        if not rp.override:
+            raise AssumptionError(
+                "regularization parameters violate the assumption; set override = true "
+                "or pass --override-assumption1 for the sampling census"
+            )
     found = []
     if "m" in sides:
         found.append(census_quadratic(pr, tol) if quadratic else census_newton(pr, grid, tol))

@@ -19,11 +19,25 @@ index + biactive index.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .ccop import PointEval, Problem, _first_failed, _independent, _solve, _stack, evaluate
+from .ccop import (
+    PointEval,
+    Problem,
+    _certified,
+    _first_failed,
+    _independent,
+    _key,
+    _point,
+    _solve,
+    _stack,
+    _without_certs,
+    evaluate,
+)
 from .numkern import Tolerances
 
 __all__ = [
@@ -59,6 +73,13 @@ class RegularizedProblem:
     @property
     def s(self) -> int:
         return self.base.s
+
+    @cached_property
+    def _certs(self) -> weakref.WeakValueDictionary:
+        """T-certificates per (point bits, tol), filled by ccop._certified."""
+        return weakref.WeakValueDictionary()
+
+    __getstate__ = _without_certs
 
 
 def make_regularized(
@@ -113,6 +134,9 @@ class TCertificate:
     disjunction (rho1 = 0 | rho2 <= 0) holds.  t_index is set only when the
     point is stationary and NDT1..NDT4 all hold; NDT5 is reported separately.
     Fields are declared in report order, as in MCertificate.
+
+    Certificates are results: the library never mutates one, and a repeated
+    request for the same point and tolerances returns an equal copy.
     """
 
     feasible: bool
@@ -155,15 +179,20 @@ def _activity_r(rp: RegularizedProblem, pe: PointEval, y, tol: Tolerances) -> Mp
     return MpocActivity(a00, a01, a10, ecal, sum_active, q0)
 
 
+def _y(rp: RegularizedProblem, y) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    if y.shape != (rp.n,):
+        raise ValueError(f"y has shape {y.shape}, expected ({rp.n},)")
+    return y
+
+
 def check_feasible_r(
     rp: RegularizedProblem, x, y, tol: Tolerances = Tolerances()
 ) -> tuple[bool, MpocActivity]:
     """Feasibility of (x, y) for the lifted problem, plus its activity pattern;
     x is an array or a PointEval of the base problem."""
     pe = evaluate(rp.base, x)
-    y = np.asarray(y, dtype=float)
-    if y.shape != (rp.n,):
-        raise ValueError(f"y has shape {y.shape}, expected ({rp.n},)")
+    y = _y(rp, y)
     act = _activity_r(rp, pe, y, tol)
     ok = (
         all(abs(j.value) <= tol.tol_feas for j in pe.h)
@@ -218,6 +247,12 @@ def certify_t(rp: RegularizedProblem, x, y, tol: Tolerances = Tolerances()) -> T
             "regularization parameters violate the positivity/distinctness/eps bound "
             "assumption; construct with override=True to certify anyway"
         )
+    x, y = _point(rp.base, x), _y(rp, y)
+    key = _key(x, y.shape, y.tobytes(), tol)
+    return _certified(rp._certs, key, _certify_t, rp, x, y, tol)
+
+
+def _certify_t(rp: RegularizedProblem, x, y: np.ndarray, tol: Tolerances) -> TCertificate:
     pe = evaluate(rp.base, x)
     feasible, act = check_feasible_r(rp, pe, y, tol)
     target = np.concatenate([pe.f.gradient, rp.c])

@@ -252,6 +252,23 @@ def test_census_override_fixture(capsys):
     assert out.count('.reason = "NDT') >= 3
 
 
+def test_census_refusals_name_cli_spellings(tmp_path, capsys):
+    """A T census the parameters rule out is refused with exit 3, naming the
+    option or file key to use, not a library call."""
+    relaxed = path("well_ones_relaxed.prob")
+    plain = tmp_path / "plain.prob"
+    with open(relaxed, encoding="utf-8") as src:
+        plain.write_text(src.read().replace("override = true", "override = false"))
+    cases = [(relaxed, side, "newton", "--method quadratic") for side in ("t", "both")]
+    cases += [(str(plain), side, "quadratic", "--override-assumption1") for side in ("t", "both")]
+    for file, side, method, hint in cases:
+        code = main(["census", file, "--side", side, "--method", method])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert hint in captured.err and "override = true" in captured.err
+        assert "census_t_quadratic" not in captured.err and "override=True" not in captured.err
+
+
 def test_check_licq_both_sides(capsys):
     code, out = run(capsys, "check-licq", path("well_ones.prob"), "origin")
     assert code == 0 and "holds = true" in out

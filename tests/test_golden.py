@@ -27,31 +27,39 @@ DATA = Path("tests") / "data"
 GOLDEN = ROOT / DATA / "golden"
 
 
+def file_cases(path: Path, rel: str) -> dict[str, list[str]]:
+    """Case name -> argv for every subcommand that applies to the problem
+    file at `path`, named `rel` on the command line: by point length, and on
+    the T-side only with regularization."""
+    out: dict[str, list[str]] = {}
+    stem = path.stem
+    pf = load_problem_file(str(path))
+    regularized = pf.c is not None
+    for name, vec in pf.points.items():
+        if vec.size == pf.problem.n:
+            out[f"{stem}.certify-m.{name}"] = ["certify", rel, name, "--side", "m"]
+            if regularized:
+                out[f"{stem}.lift.{name}"] = ["lift", rel, name]
+            out[f"{stem}.check-licq.{name}"] = ["check-licq", rel, name]
+        elif regularized:
+            out[f"{stem}.certify-t.{name}"] = ["certify", rel, name, "--side", "t"]
+            out[f"{stem}.project.{name}"] = ["project", rel, name]
+            out[f"{stem}.check-licq.{name}"] = ["check-licq", rel, name]
+    for method in ("quadratic", "newton"):
+        for side in ("m", "t", "both") if regularized else ("m",):
+            out[f"{stem}.census-{side}-{method}"] = [
+                "census", rel, "--side", side, "--method", method
+            ]
+    if regularized:
+        out[f"{stem}.verify"] = ["verify", rel]
+    return out
+
+
 def cases() -> dict[str, list[str]]:
-    """Golden file name -> argv, for every subcommand that applies to each
-    fixture: by point length, and on the T-side only with regularization."""
+    """Golden file name -> argv, over every fixture."""
     out: dict[str, list[str]] = {}
     for fixture in sorted((ROOT / DATA).glob("*.prob")):
-        rel = str(DATA / fixture.name)
-        pf = load_problem_file(str(fixture))
-        regularized = pf.c is not None
-        for name, vec in pf.points.items():
-            if vec.size == pf.problem.n:
-                out[f"{fixture.stem}.certify-m.{name}"] = ["certify", rel, name, "--side", "m"]
-                if regularized:
-                    out[f"{fixture.stem}.lift.{name}"] = ["lift", rel, name]
-                out[f"{fixture.stem}.check-licq.{name}"] = ["check-licq", rel, name]
-            elif regularized:
-                out[f"{fixture.stem}.certify-t.{name}"] = ["certify", rel, name, "--side", "t"]
-                out[f"{fixture.stem}.project.{name}"] = ["project", rel, name]
-                out[f"{fixture.stem}.check-licq.{name}"] = ["check-licq", rel, name]
-        for method in ("quadratic", "newton"):
-            for side in ("m", "t", "both") if regularized else ("m",):
-                out[f"{fixture.stem}.census-{side}-{method}"] = [
-                    "census", rel, "--side", side, "--method", method
-                ]
-        if regularized:
-            out[f"{fixture.stem}.verify"] = ["verify", rel]
+        out.update(file_cases(fixture, str(DATA / fixture.name)))
     return out
 
 

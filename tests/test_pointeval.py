@@ -1,14 +1,25 @@
-"""One PointEval per point feeds every check and certificate at that point."""
+"""One PointEval per point feeds every check and certificate at that point,
+and each (problem, point, tolerances) is certified once while its
+certificate is held."""
 
+import copy
+import dataclasses
+import gc
+import pickle
 import re
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
 import ccopkit
 from ccopkit import (
+    AssumptionError,
+    ExprDomainError,
+    PointEval,
     Problem,
+    Tolerances,
     census_quadratic,
     census_t_quadratic,
     certify_m,
@@ -20,7 +31,7 @@ from ccopkit import (
     project,
     to_source,
 )
-from ccopkit import oracle
+from ccopkit import ccop, oracle, regmpoc
 
 from helpers import (
     affine_source,
@@ -176,3 +187,212 @@ def test_permuting_coordinates_with_c_permutes_multipliers_and_keeps_indices():
                 _assert_permuted(getattr(got, name), getattr(tcert, name), perm, True)
             checked_t += 1
     assert checked_m >= 50 and checked_t >= 50
+
+
+# ---------------------------------------------------------------------------
+# Certificate memo
+
+
+def _sources(rp):
+    pr = rp.base
+    return (pr.n, pr.s, to_source(pr.f), [to_source(e) for e in pr.h],
+            [to_source(e) for e in pr.g], rp.c, rp.eps)
+
+
+def _fresh(rp):
+    """A new Problem and RegularizedProblem from the sources of rp."""
+    n, s, f, h, g, c, eps = _sources(rp)
+    return make_regularized(make_problem(n, s, f, h, g), c, eps)
+
+
+def _memo_instance():
+    rng = np.random.default_rng(61)
+    n, s = 5, 2
+    g = [affine_source(rng.uniform(-1.0, 1.0, size=n), 0.6)]
+    pr = make_problem(n, s, random_quadratic_source(rng, n), g=g)
+    return make_regularized(pr, random_c(rng, n), 0.5 / (n - s))
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """_solve calls, and the (side, point, tolerances) of every certificate
+    that ran one, counted on both sides."""
+    calls = {"solve": 0, "keys": []}
+    solve = ccop._solve
+
+    def counted(*args):
+        calls["solve"] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(ccop, "_solve", counted)
+    monkeypatch.setattr(regmpoc, "_solve", counted)
+    certify_m_, certify_t_ = ccop._certify_m, regmpoc._certify_t
+
+    def bits(x):
+        return np.asarray(x.x if isinstance(x, PointEval) else x).tobytes()
+
+    def m(pr, x, tol):
+        calls["keys"].append(("m", id(pr), bits(x), tol))
+        return certify_m_(pr, x, tol)
+
+    def t(rp, x, y, tol):
+        calls["keys"].append(("t", id(rp), bits(x), y.tobytes(), tol))
+        return certify_t_(rp, x, y, tol)
+
+    monkeypatch.setattr(ccop, "_certify_m", m)
+    monkeypatch.setattr(regmpoc, "_certify_t", t)
+    return calls
+
+
+def test_census_lift_and_project_certify_each_point_once(solves):
+    rp = _memo_instance()
+    m_census, t_census = census_quadratic(rp.base), census_t_quadratic(rp)
+    after_censuses = solves["solve"]
+    trips = 0
+    for x, mcert in m_census.m_points:
+        if mcert.nondegenerate:
+            ls = lift(rp, x)
+            for y, tcert in ls.companions:
+                assert project(rp, x, y).m_index == tcert.t_index == mcert.m_index
+                trips += 1
+    assert trips >= 5 and len(t_census.t_points) >= trips
+    assert solves["solve"] == after_censuses == len(solves["keys"])
+    assert len(set(solves["keys"])) == len(solves["keys"])
+
+
+def _fields(cert):
+    return {f.name: getattr(cert, f.name) for f in dataclasses.fields(cert)}
+
+
+def test_warm_and_cold_certificates_are_equal():
+    rp = _memo_instance()
+    held = census_quadratic(rp.base), census_t_quadratic(rp)
+    lifts = [lift(rp, x) for x, c in held[0].m_points if c.nondegenerate]
+    cold = _fresh(rp)
+    compared = 0
+    for ls in lifts:
+        x = ls.base_point
+        warm = certify_m(rp.base, x)
+        assert _fields(warm) == _fields(certify_m(cold.base, x)) == _fields(ls.base_certificate)
+        for y, tcert in ls.companions:
+            warm = certify_t(rp, x, y)
+            assert warm is not tcert
+            assert _fields(warm) == _fields(certify_t(cold, x, y)) == _fields(tcert)
+            compared += 1
+    assert compared >= 5
+
+
+def test_memo_key_is_the_point_bits_the_tolerances_and_the_problem(solves):
+    rp = _memo_instance()
+    x = np.array([0.0, 0.0, 0.0, 0.0, 0.0])
+    y = np.array([0.0, 0.0, rp.eps + 1.0, rp.eps + 1.0, 1.0 - 2.0 * rp.eps])
+    held = [certify_m(rp.base, x), certify_t(rp, x, y)]
+    assert solves["solve"] == 2
+    certify_m(rp.base, evaluate(rp.base, x))
+    certify_m(rp.base, [0, 0, 0, 0, 0])
+    certify_t(rp, x, y.tolist(), Tolerances())
+    assert solves["solve"] == 2
+    x_bit = x.copy()
+    x_bit[4] = -0.0
+    y_bit = np.nextafter(y, 2.0)
+    other = make_regularized(rp.base, rp.c[::-1], rp.eps)
+    assert not np.array_equal(other.c, rp.c)
+    for side, call in [
+        ("m", lambda: certify_m(rp.base, x, Tolerances(tol_act=1e-7))),
+        ("m", lambda: certify_m(rp.base, x_bit)),
+        ("t", lambda: certify_t(rp, x, y, Tolerances(tol_strict=1e-9))),
+        ("t", lambda: certify_t(rp, x_bit, y)),
+        ("t", lambda: certify_t(rp, x, y_bit)),
+        ("t", lambda: certify_t(other, x, y)),
+    ]:
+        before = solves["solve"]
+        held.append(call())
+        assert solves["solve"] == before + 1, side
+    assert certify_m(rp.base, x) == held[0] and certify_t(rp, x, y) == held[1]
+
+
+def test_would_be_hits_still_raise():
+    rp = _memo_instance()
+    x = np.zeros(rp.n)
+    y = np.array([0.0, 0.0, rp.eps + 1.0, rp.eps + 1.0, 1.0 - 2.0 * rp.eps])
+    held = certify_m(rp.base, x), certify_t(rp, x, y)
+    twin = _fresh(rp)
+    for call in (lambda: certify_m(rp.base, evaluate(twin.base, x)),
+                 lambda: certify_t(rp, evaluate(twin.base, x), y)):
+        with pytest.raises(ValueError, match="another problem"):
+            call()
+    for call in (lambda: certify_m(rp.base, x.reshape(-1, 1)),
+                 lambda: certify_t(rp, x.reshape(-1, 1), y),
+                 lambda: certify_t(rp, x, y.reshape(-1, 1))):
+        with pytest.raises(ValueError, match="shape"):
+            call()
+    # parameters that break the assumption, certified under override; the
+    # flag is frozen, so switch it off in place to leave a stored entry
+    relaxed = make_regularized(rp.base, np.zeros(rp.n), 0.0, override=True)
+    held += (certify_t(relaxed, x, y),)
+    assert len(relaxed._certs) == 1
+    object.__setattr__(relaxed, "override", False)
+    with pytest.raises(AssumptionError):
+        certify_t(relaxed, x, y)
+
+
+def test_domain_errors_raise_on_every_call():
+    pr = make_problem(2, 1, "log(x1) + (x2-1)^2")
+    rp = make_regularized(pr, [0.3, 0.7], 0.5)
+    for _ in range(3):
+        with pytest.raises(ExprDomainError):
+            certify_m(pr, [0.0, 1.0])
+        with pytest.raises(ExprDomainError):
+            certify_t(rp, [0.0, 1.0], [1.0, 0.0])
+    assert len(pr._certs) == 0 and len(rp._certs) == 0
+
+
+def test_mutating_a_certificate_changes_no_later_hit():
+    rp = _memo_instance()
+    census = census_t_quadratic(rp)
+    x, y, tcert = next(p for p in census.t_points if p[2].activity.a00)
+    mcert = certify_m(rp.base, x)
+    want_m, want_t = copy.deepcopy(_fields(mcert)), copy.deepcopy(_fields(tcert))
+    for cert in (certify_m(rp.base, x), certify_t(rp, x, y)):
+        for name, value in _fields(cert).items():
+            if isinstance(value, dict):
+                for k in list(value):
+                    value[k] = (99.0, 99.0) if name == "eq8_branches" else 99.0
+                value[99] = 99.0
+    assert _fields(certify_m(rp.base, x)) == want_m == _fields(mcert)
+    assert _fields(certify_t(rp, x, y)) == want_t == _fields(tcert)
+
+
+def test_an_entry_lives_as_long_as_its_certificate_is_held():
+    rp = _memo_instance()
+    census = census_quadratic(rp.base)
+    assert len(rp.base._certs) == len(census.m_points) > 0  # rejected roots are gone
+    x, mcert = census.m_points[0]
+    ls = lift(rp, x)
+    assert len(rp._certs) == len(ls.companions) > 0
+    copy_ = certify_m(rp.base, x)
+    assert copy_ is not mcert
+    stored = weakref.ref(mcert)
+    del census, mcert
+    gc.collect()
+    assert stored() is None and len(rp.base._certs) == 0
+    del ls
+    gc.collect()
+    assert len(rp._certs) == 0
+    assert _fields(certify_m(rp.base, x)) == _fields(copy_)
+
+
+def test_problems_pickle_and_deepcopy_after_a_census():
+    rp = _memo_instance()
+    census = census_quadratic(rp.base), census_t_quadratic(rp)
+    x = next(x for x, c in census[0].m_points if c.nondegenerate)
+    ls = lift(rp, x)
+    y = ls.companions[0][0]
+    assert len(rp.base._certs) and len(rp._certs)
+    clones = [pickle.loads(pickle.dumps(rp)), copy.deepcopy(rp)]
+    clones += [make_regularized(pickle.loads(pickle.dumps(rp.base)), rp.c, rp.eps),
+               make_regularized(copy.deepcopy(rp.base), rp.c, rp.eps)]
+    for clone in clones:
+        assert clone.base == rp.base and np.array_equal(clone.c, rp.c)
+        assert _fields(certify_m(clone.base, x)) == _fields(ls.base_certificate)
+        assert _fields(certify_t(clone, x, y)) == _fields(ls.companions[0][1])
