@@ -351,6 +351,15 @@ def _regularized(pf: ProblemFile, args, tol: Tolerances) -> RegularizedProblem:
     return make_regularized(pf.problem, pf.c, pf.eps, override=override, tol=tol)
 
 
+def _refuse_uncertifiable(rp: RegularizedProblem, purpose: str) -> None:
+    """Refuse parameters that break the (c, eps) assumption, in CLI spellings."""
+    if not (rp.assumption1_ok or rp.override):
+        raise AssumptionError(
+            "regularization parameters violate the assumption; set override = true "
+            f"or pass --override-assumption1 {purpose}"
+        )
+
+
 def _named_point(pf: ProblemFile, name: str) -> np.ndarray:
     if name not in pf.points:
         raise LoadError(f"no point named '{name}' in file (have: {sorted(pf.points)})")
@@ -400,6 +409,7 @@ def cmd_certify(args) -> int:
     else:
         rp = _regularized(pf, args, tol)
         x, y = _split_xy(pf, vec, args.point)
+        _refuse_uncertifiable(rp, "to certify anyway")
         cert = certify_t(rp, x, y, tol)
         rep.add("x", x)
         rep.add("y", y)
@@ -456,6 +466,7 @@ def cmd_project(args) -> int:
     rep.add("x", x)
     rep.add("y", y)
     pe = evaluate(rp.base, x)
+    _refuse_uncertifiable(rp, "to certify anyway")
     tcert = certify_t(rp, pe, y, tol)
     _add_certificate(rep, "lifted", tcert)
     try:
@@ -505,11 +516,7 @@ def _census(pr: Problem, rp, method: str, sides: str, args, tol: Tolerances) -> 
                 "use --method quadratic with override = true or --override-assumption1 "
                 "for the unregularized reformulation"
             )
-        if not rp.override:
-            raise AssumptionError(
-                "regularization parameters violate the assumption; set override = true "
-                "or pass --override-assumption1 for the sampling census"
-            )
+        _refuse_uncertifiable(rp, "for the sampling census")
     found = []
     if "m" in sides:
         found.append(census_quadratic(pr, tol) if quadratic else census_newton(pr, grid, tol))

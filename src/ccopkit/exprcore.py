@@ -22,20 +22,20 @@ derivative noise.  Finite differences appear only in the test oracles.
 Each Expr is compiled once, on its first eval2, and keeps the result.
 First, every maximal subtree of structural degree at most 2 (other than a
 bare number or variable) is folded into one leaf holding its value c0,
-gradient b and Hessian A at the origin, read off by the forward-mode walk.
-Then the folded tree is flattened into a tape (module tape): a post-order
-list of instructions run by one loop.  Each slot of the tape records, at
-compile time, the variables it depends on.  A slot over at most one
-variable x_k (a number, a variable, a leaf over x_k, or e.g. 0.3*sin(x4)
-and log(1 + x2^2)) holds three floats, the value and the first and second
-derivative in x_k.  Only a slot over several variables holds a gradient
-vector and a Hessian matrix, into which a one-variable slot is added at
-entry k where the two meet.  A leaf is evaluated as c0 + b.x + x.(A x)/2,
-b + A x and A, so a quadratic expression costs two matrix-vector products.
-The tape applies the rules of the node-by-node walk in the same order, so a
-float slot holds the floats those rules compute at its variable's entries.
-That walk of the unfolded tree, _jet(Expr.root), is the reference the tape
-is tested against.
+gradient b and Hessian A at the origin, read off by running the subtree's
+own tape there.  Then the folded tree is flattened into a tape (module
+tape): a post-order list of instructions run by one loop.  Each slot of the
+tape records, at compile time, the variables it depends on.  A slot over at
+most one variable x_k (a number, a variable, a leaf over x_k, or e.g.
+0.3*sin(x4) and log(1 + x2^2)) holds three floats, the value and the first
+and second derivative in x_k.  Only a slot over several variables holds a
+gradient vector and a Hessian matrix, into which a one-variable slot is
+added at entry k where the two meet.  A leaf is evaluated as
+c0 + b.x + x.(A x)/2, b + A x and A, so a quadratic expression costs two
+matrix-vector products.  The tape applies the rules of a node-by-node walk
+of the unfolded tree in the same order, so a float slot holds the floats
+those rules compute at its variable's entries.  That walk, _jet in
+tests/test_exprcore.py, is the reference the tape is tested against.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ _FUNCS = ("sin", "cos", "exp", "log")
 
 # Nesting limits of parse().  The parser holds one frame per open unary
 # minus, four per open parenthesis and five per open function call;
-# _jet, _compile, Tape._emit, to_source and polynomial_degree recurse once
-# per tree level.  Both limits keep parsing and every tree walk below Python's default
+# _compile, Tape._emit, to_source and polynomial_degree recurse once per
+# tree level.  Both limits keep parsing and every tree walk below Python's default
 # recursion limit of 1000 frames with room for about 100 of the caller's.  to_source
 # nests one parenthesis per term of a sum, so printed sums of up to about
 # _MAX_PARSE_FRAMES // 4 terms parse back.
@@ -167,10 +167,11 @@ class Expr:
 class Jet2:
     """Value, gradient and Hessian of an expression at one point.
 
-    The Hessian is exactly symmetric: every propagation rule adds the two
-    transposed outer products with commutative float additions, so symmetry
-    is preserved bit for bit.
-    """
+    The Hessian is exactly symmetric unless a product has two factors over
+    several variables each, or a quotient a denominator over several
+    variables: that rule adds its two transposed outer products one at a
+    time, so entries (i, j) and (j, i) are (S + p) + q and (S + q) + p.
+    Every other rule keeps symmetry bit for bit."""
 
     value: float
     gradient: np.ndarray
@@ -379,68 +380,6 @@ def eval2(expr: Expr, x) -> Jet2:
     return Jet2(float(v), g, h)
 
 
-def _jet(node: Node, x: np.ndarray, n: int):
-    """Value, gradient and Hessian of an unfolded tree, node by node: the
-    reference the tape is tested against, and the walk that folds a subtree
-    at compile time."""
-    if isinstance(node, Num):
-        return node.value, np.zeros(n), np.zeros((n, n))
-    if isinstance(node, Var):
-        g = np.zeros(n)
-        g[node.index - 1] = 1.0
-        return x[node.index - 1], g, np.zeros((n, n))
-    if isinstance(node, Neg):
-        v, g, h = _jet(node.operand, x, n)
-        return -v, -g, -h
-    if isinstance(node, BinOp):
-        va, ga, ha = _jet(node.left, x, n)
-        vb, gb, hb = _jet(node.right, x, n)
-        if node.op == "+":
-            return va + vb, ga + gb, ha + hb
-        if node.op == "-":
-            return va - vb, ga - gb, ha - hb
-        if node.op == "*":
-            return (
-                va * vb,
-                va * gb + vb * ga,
-                va * hb + vb * ha + np.outer(ga, gb) + np.outer(gb, ga),
-            )
-        # division: q = a/b, grad q = (ga - q gb)/b,
-        # hess q = (ha - q hb - grad q gb' - gb grad q')/b
-        if vb == 0.0:
-            raise ExprDomainError("division by zero", to_source(node))
-        v = va / vb
-        g = (ga - v * gb) / vb
-        h = (ha - v * hb - np.outer(g, gb) - np.outer(gb, g)) / vb
-        return v, g, h
-    if isinstance(node, Pow):
-        vu, gu, hu = _jet(node.base, x, n)
-        k = node.exponent
-        if k == 0:
-            return 1.0, np.zeros(n), np.zeros((n, n))
-        if k < 0 and vu == 0.0:
-            raise ExprDomainError("zero raised to a negative power", to_source(node))
-        v = vu**k
-        d1 = k * vu ** (k - 1)
-        # k == 1 would hit u^(-1) at u = 0 despite the zero prefactor
-        d2 = 0.0 if k == 1 else k * (k - 1) * vu ** (k - 2)
-        return v, d1 * gu, d1 * hu + d2 * np.outer(gu, gu)
-    if isinstance(node, Call):
-        vu, gu, hu = _jet(node.arg, x, n)
-        if node.func == "sin":
-            d0, d1, d2 = np.sin(vu), np.cos(vu), -np.sin(vu)
-        elif node.func == "cos":
-            d0, d1, d2 = np.cos(vu), -np.sin(vu), -np.cos(vu)
-        elif node.func == "exp":
-            d0 = d1 = d2 = np.exp(vu)
-        else:  # log
-            if vu <= 0.0:
-                raise ExprDomainError("log of a nonpositive value", to_source(node))
-            d0, d1, d2 = np.log(vu), 1.0 / vu, -1.0 / (vu * vu)
-        return d0, d1 * gu, d1 * hu + d2 * np.outer(gu, gu)
-    raise TypeError(f"not an AST node: {node!r}")
-
-
 # ---------------------------------------------------------------------------
 # Structural degree analysis (no simplification: x1^3 - x1^3 has degree 3)
 # and compilation
@@ -525,8 +464,10 @@ def _fold(node: Node, degree: int | None, n: int) -> Node:
     finite jet at the origin (e.g. x1/(2-2), which then raises as before)."""
     if degree is None or degree > 2 or isinstance(node, (Num, Var)):
         return node
+    from .tape import Tape  # see Expr._tape
+
     try:
-        c0, b, A = _jet(node, np.zeros(n), n)
+        c0, b, A = Tape(node, n).run(np.zeros(n))
     except ExprDomainError:
         return node
     if not (np.isfinite(c0) and np.isfinite(b).all() and np.isfinite(A).all()):

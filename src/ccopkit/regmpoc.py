@@ -229,7 +229,7 @@ def _stationarity_family(rp: RegularizedProblem, act: MpocActivity, pe: PointEva
 def check_mpoc_licq(rp: RegularizedProblem, x, y, tol: Tolerances = Tolerances()) -> bool:
     """Linear independence of the MPOC constraint directions at (x, y)."""
     pe = evaluate(rp.base, x)
-    act = _activity_r(rp, pe, np.asarray(y, dtype=float), tol)
+    act = _activity_r(rp, pe, _y(rp, y), tol)
     return _independent(_stack(_stationarity_family(rp, act, pe), 2 * rp.n), tol)[0]
 
 

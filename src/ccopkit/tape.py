@@ -7,7 +7,7 @@ or _DENSE for several variables.  A scalar slot (k or None) holds floats
 (value, d/dx_k, d^2/dx_k^2).  A dense slot holds (value, gradient, Hessian)
 arrays that it owns: every rule either allocates them or updates its
 operands' arrays in place, and each slot is read by one instruction.  Each
-rule repeats the operation order of the matching case of exprcore._jet.
+rule repeats the operation order of its case of the test reference _jet.
 """
 
 from __future__ import annotations

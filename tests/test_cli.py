@@ -269,6 +269,24 @@ def test_census_refusals_name_cli_spellings(tmp_path, capsys):
         assert "census_t_quadratic" not in captured.err and "override=True" not in captured.err
 
 
+def test_certify_and_project_refusals_name_cli_spellings(tmp_path, capsys):
+    """Certifying a lifted point on parameters that break the assumption is
+    refused with exit 3 in the CLI's spellings; either spelling of override
+    lets it through."""
+    plain = tmp_path / "plain.prob"
+    with open(path("well_ones_relaxed.prob"), encoding="utf-8") as src:
+        plain.write_text(src.read().replace("override = true", "override = false"))
+    for argv in (["certify", str(plain), "lifted_e1", "--side", "t"], ["project", str(plain), "lifted_e1"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "override = true" in captured.err and "--override-assumption1" in captured.err
+        assert "override=True" not in captured.err
+        assert main(argv + ["--override-assumption1"]) != 3
+        capsys.readouterr()
+    assert main(["certify", path("well_ones_relaxed.prob"), "lifted_e1", "--side", "t"]) != 3
+
+
 def test_check_licq_both_sides(capsys):
     code, out = run(capsys, "check-licq", path("well_ones.prob"), "origin")
     assert code == 0 and "holds = true" in out

@@ -5,9 +5,18 @@ import weakref
 import numpy as np
 import pytest
 
-from ccopkit import ExprDomainError, ExprSyntaxError, eval2, parse, polynomial_degree, to_source
+from ccopkit import (
+    ExprDomainError,
+    ExprSyntaxError,
+    Problem,
+    eval2,
+    evaluate,
+    parse,
+    polynomial_degree,
+    to_source,
+)
 from ccopkit.cli import load_problem_file
-from ccopkit.exprcore import BinOp, Num, Pow, Var, _Quadratic, _children, _compile, _jet
+from ccopkit.exprcore import BinOp, Call, Neg, Node, Num, Pow, Var, _Quadratic, _children, _compile
 
 from helpers import fd_gradient, fd_hessian, random_polynomial_source, random_quadratic_source
 
@@ -234,6 +243,68 @@ def test_parse_requires_positive_dimension():
 # ---------------------------------------------------------------------------
 # The folded evaluator against the node-by-node walk of the unfolded tree
 
+
+def _jet(node: Node, x: np.ndarray, n: int):
+    """Value, gradient and Hessian of an unfolded tree, node by node: the
+    reference the tape is tested against, independent of its rules."""
+    if isinstance(node, Num):
+        return node.value, np.zeros(n), np.zeros((n, n))
+    if isinstance(node, Var):
+        g = np.zeros(n)
+        g[node.index - 1] = 1.0
+        return x[node.index - 1], g, np.zeros((n, n))
+    if isinstance(node, Neg):
+        v, g, h = _jet(node.operand, x, n)
+        return -v, -g, -h
+    if isinstance(node, BinOp):
+        va, ga, ha = _jet(node.left, x, n)
+        vb, gb, hb = _jet(node.right, x, n)
+        if node.op == "+":
+            return va + vb, ga + gb, ha + hb
+        if node.op == "-":
+            return va - vb, ga - gb, ha - hb
+        if node.op == "*":
+            return (
+                va * vb,
+                va * gb + vb * ga,
+                va * hb + vb * ha + np.outer(ga, gb) + np.outer(gb, ga),
+            )
+        # division: q = a/b, grad q = (ga - q gb)/b,
+        # hess q = (ha - q hb - grad q gb' - gb grad q')/b
+        if vb == 0.0:
+            raise ExprDomainError("division by zero", to_source(node))
+        v = va / vb
+        g = (ga - v * gb) / vb
+        h = (ha - v * hb - np.outer(g, gb) - np.outer(gb, g)) / vb
+        return v, g, h
+    if isinstance(node, Pow):
+        vu, gu, hu = _jet(node.base, x, n)
+        k = node.exponent
+        if k == 0:
+            return 1.0, np.zeros(n), np.zeros((n, n))
+        if k < 0 and vu == 0.0:
+            raise ExprDomainError("zero raised to a negative power", to_source(node))
+        v = vu**k
+        d1 = k * vu ** (k - 1)
+        # k == 1 would hit u^(-1) at u = 0 despite the zero prefactor
+        d2 = 0.0 if k == 1 else k * (k - 1) * vu ** (k - 2)
+        return v, d1 * gu, d1 * hu + d2 * np.outer(gu, gu)
+    if isinstance(node, Call):
+        vu, gu, hu = _jet(node.arg, x, n)
+        if node.func == "sin":
+            d0, d1, d2 = np.sin(vu), np.cos(vu), -np.sin(vu)
+        elif node.func == "cos":
+            d0, d1, d2 = np.cos(vu), -np.sin(vu), -np.cos(vu)
+        elif node.func == "exp":
+            d0 = d1 = d2 = np.exp(vu)
+        else:  # log
+            if vu <= 0.0:
+                raise ExprDomainError("log of a nonpositive value", to_source(node))
+            d0, d1, d2 = np.log(vu), 1.0 / vu, -1.0 / (vu * vu)
+        return d0, d1 * gu, d1 * hu + d2 * np.outer(gu, gu)
+    raise TypeError(f"not an AST node: {node!r}")
+
+
 _SMOOTH_TERMS = (
     "sin(x{i})", "cos(x{j})", "exp(x{i} - x{j})", "log(1 + x{j}^2)", "x{i}*sin(x{j})",
     # one-variable subtrees, which the tape runs on floats
@@ -244,10 +315,10 @@ _SMOOTH_TERMS = (
 )
 
 
-def _folded_leaves(node) -> int:
+def _leaves(node) -> list:
     if isinstance(node, _Quadratic):
-        return 1
-    return sum(_folded_leaves(child) for child in _children(node))
+        return [node]
+    return [leaf for child in _children(node) for leaf in _leaves(child)]
 
 
 def _agreement_cases():
@@ -290,7 +361,7 @@ def test_folded_jets_agree_with_the_unfolded_walk():
         if quadratic and not isinstance(e.root, (Num, Var)):
             assert isinstance(e._folded, _Quadratic)
         quadratics += quadratic
-        folded += _folded_leaves(e._folded) > 0
+        folded += bool(_leaves(e._folded))
         for x in points:
             jet = eval2(e, x)
             v, g, h = _jet(e.root, x, e.n)
@@ -302,6 +373,37 @@ def test_folded_jets_agree_with_the_unfolded_walk():
             else:
                 assert np.allclose(jet.hessian, h, rtol=1e-12, atol=1e-12)
     assert quadratics >= 55 and folded >= len(cases) - 10
+
+
+def test_folded_leaves_hold_the_unfolded_walk_at_the_origin():
+    # by value: where the walk's products give -0.0 the tape may hold 0.0
+    leaves = 0
+    for e, _ in _agreement_cases():
+        for leaf in _leaves(e._folded):
+            c0, b, A = _jet(leaf.source, np.zeros(e.n), e.n)
+            assert leaf.c0 == c0 and np.array_equal(leaf.b, b) and np.array_equal(leaf.A, A)
+            leaves += 1
+    assert leaves >= 250
+
+
+def test_a_subtree_without_a_finite_jet_at_the_origin_stays_unfolded():
+    e = parse("1e999*x1 + sin(x1)", 1)
+    assert isinstance(e._folded, BinOp) and isinstance(e._folded.left, BinOp)
+    assert not _leaves(e._folded)
+    with pytest.raises(ExprDomainError, match="not finite"):
+        evaluate(Problem(1, 0, e), [0.5])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 4: a product of factors over several variables adds its "
+    "two outer products one at a time, (S+p)+q against (S+q)+p",
+)
+def test_multivariable_product_hessians_are_exactly_symmetric():
+    e = parse("exp(x1*x2)*sin(x1*x3+x2)", 3)
+    for x in np.random.default_rng(23).uniform(-1.5, 1.5, size=(1000, 3)):
+        h = eval2(e, x).hessian
+        assert np.array_equal(h, h.T)
 
 
 def test_one_variable_subtrees_run_on_floats():

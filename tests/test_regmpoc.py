@@ -89,6 +89,13 @@ def test_mpoc_licq_matches_cc_licq_at_any_feasible_lift():
         assert check_mpoc_licq(rp, [0.0, 0.0], y) == check_cc_licq(well_ones(), [0.0, 0.0])
 
 
+def test_mpoc_licq_refuses_a_y_of_the_wrong_shape():
+    rp = well_ones_reg()
+    for y in ([0.0, 1.0, 0.0], [[0.0], [1.0]], [1.0]):
+        with pytest.raises(ValueError, match="y has shape"):
+            check_mpoc_licq(rp, [0.0, 0.0], y)
+
+
 def test_mpoc_licq_fails_on_duplicated_equality_gradient():
     pr = make_problem(2, 1, "x1^2 + x2^2", h=["x1 + x2", "x1 + x2"])
     rp = make_regularized(pr, [0.3, 0.7], 0.5)
