@@ -53,6 +53,7 @@ from .regmpoc import (
     RegularizedProblem,
     TCertificate,
     certify_t,
+    certify_t_many,
     check_feasible_r,
     check_mpoc_licq,
     check_y_structure,

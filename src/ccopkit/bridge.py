@@ -20,7 +20,14 @@ import numpy as np
 
 from .ccop import MCertificate, certify_m, evaluate
 from .numkern import Tolerances
-from .regmpoc import AssumptionError, RegularizedProblem, TCertificate, certify_t, companion_y
+from .regmpoc import (
+    AssumptionError,
+    RegularizedProblem,
+    TCertificate,
+    certify_t,
+    certify_t_many,
+    companion_y,
+)
 
 __all__ = [
     "LiftSet",
@@ -123,10 +130,9 @@ def lift(rp: RegularizedProblem, x, tol: Tolerances = Tolerances()) -> LiftSet:
     ibar = max(i0, key=lambda i: rp.c[i - 1])
     rest = sorted(set(i0) - {ibar})
     subsets = tuple(itertools.combinations(rest, n - s - 1))
+    ys = [companion_y(rp, ibar, ebar) for ebar in subsets]
     companions: list[tuple[np.ndarray, TCertificate]] = []
-    for ebar in subsets:
-        y = companion_y(rp, ibar, ebar)
-        tcert = certify_t(rp, pe, y, tol)
+    for ebar, y, tcert in zip(subsets, ys, certify_t_many(rp, pe, ys, tol)):
         if not tcert.stationary or tcert.residual > _CROSS_TOL:
             raise BridgeError(
                 f"constructed companion failed to certify (Ebar={ebar}, "

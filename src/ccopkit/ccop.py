@@ -195,40 +195,63 @@ def _independent(rows: np.ndarray, tol: Tolerances) -> tuple[bool, np.ndarray]:
     return rank == rows.shape[0], nullbasis
 
 
-def _stack(family, d: int) -> np.ndarray:
-    return np.array([col for _, _, col in family], dtype=float).reshape(len(family), d)
+def _stacked(kernel, tol: Tolerances, *columns) -> list:
+    """kernel's result per item of the equally long lists `columns`, in item
+    order.  Items whose arrays have the same shapes share one call of kernel
+    on their stacks, which returns a list; a single item's arrays are passed
+    as they are, and kernel returns its result (see numkern)."""
+    if len(columns[0]) == 1:  # nothing to share: the kernel's call on one item
+        return [kernel(*[column[0] for column in columns], tol)]
+    groups: dict[tuple, list[int]] = {}
+    for k, item in enumerate(zip(*columns)):
+        groups.setdefault(tuple(a.shape for a in item), []).append(k)
+    out: list = [None] * len(columns[0])
+    for members in groups.values():
+        stacks = [np.array([column[k] for k in members]) for column in columns]
+        for k, result in zip(members, kernel(*stacks, tol)):
+            out[k] = result
+    return out
 
 
-def _solve(pe: PointEval, family, kinds, ineq: str, target, tol: Tolerances):
-    """Solve the multiplier system of one certificate and read off its inertia.
+def _solve(pe: PointEval, families, kinds, ineq: str, target, tol: Tolerances) -> list:
+    """Solve the multiplier systems of certificates at one point and read off
+    their inertia.
 
-    family lists the constraint directions (length d >= n) as (kind, index,
-    direction), and kinds names every multiplier group in report order.  The
-    Lagrangian Hessian subtracts the "lam" group over h and the `ineq` group
-    over the active g from the Hessian of f, in that order; every other term
-    of the Lagrangian is linear, so it is the leading n x n block of a d x d
-    matrix, restricted to the null space of the directions.
+    Each family is (labels, rows): the constraint directions as the rows of
+    a k x d array (d >= n), and their multipliers as (kind, index) labels;
+    kinds names every multiplier group in report order.  The Lagrangian
+    Hessian subtracts the "lam" group over h and the `ineq` group over the
+    active g from the Hessian of f, in that order; every other term of the
+    Lagrangian is linear, so it is the leading n x n block of a d x d matrix,
+    restricted to the null space of the directions.
 
-    Returns (groups, residual, residual_ok, licq, neg, zero).
+    Families of one shape share one stacked SVD for rank and null space, and
+    one stacked eigensolve for the inertia; each family's multipliers come
+    from its own least-squares solve, so a family solved alone gives the
+    same bits.
+
+    Returns one (groups, residual, residual_ok, licq, neg, zero) per family.
     """
-    rows = _stack(family, target.size)
-    coeffs, residual = solve_multipliers(rows.T, target, tol)
-    groups: dict[str, dict[int, float]] = {kind: {} for kind in kinds}
-    for (kind, idx, _), val in zip(family, coeffs):
-        groups[kind][idx] = float(val)
-    licq, nullbasis = _independent(rows, tol)
-
-    n = pe.x.size
-    hess = np.zeros((target.size, target.size))
-    hess[:n, :n] = pe.f.hessian
-    for p, j in enumerate(pe.h, start=1):
-        hess[:n, :n] -= groups["lam"][p] * j.hessian
-    for q, v in groups[ineq].items():
-        hess[:n, :n] -= v * pe.g[q - 1].hessian
-    neg, zero, _ = restricted_inertia(hess, nullbasis, tol)
-
-    residual_ok = residual <= tol.tol_feas * (1.0 + float(np.linalg.norm(target)))
-    return groups, residual, residual_ok, licq, neg, zero
+    ranked = _stacked(rank_and_nullbasis, tol, [rows for _, rows in families])
+    n, d = pe.x.size, target.size
+    hess_f = np.zeros((d, d))
+    hess_f[:n, :n] = pe.f.hessian
+    bound = tol.tol_feas * (1.0 + float(np.linalg.norm(target)))
+    solved, hessians = [], []
+    for (labels, rows), (rank, _) in zip(families, ranked):
+        coeffs, residual = solve_multipliers(rows.T, target, tol)
+        groups: dict[str, dict[int, float]] = {kind: {} for kind in kinds}
+        for (kind, idx), val in zip(labels, coeffs.tolist()):
+            groups[kind][idx] = val
+        hess = hess_f.copy()
+        for p, j in enumerate(pe.h, start=1):
+            hess[:n, :n] -= groups["lam"][p] * j.hessian
+        for q, v in groups[ineq].items():
+            hess[:n, :n] -= v * pe.g[q - 1].hessian
+        solved.append((groups, residual, residual <= bound, rank == rows.shape[0]))
+        hessians.append(hess)
+    inertias = _stacked(restricted_inertia, tol, hessians, [nullbasis for _, nullbasis in ranked])
+    return [(*head, neg, zero) for head, (neg, zero, _) in zip(solved, inertias)]
 
 
 def _key(x: PointEval | np.ndarray, *rest) -> tuple:
@@ -238,8 +261,10 @@ def _key(x: PointEval | np.ndarray, *rest) -> tuple:
     return (x.shape, x.tobytes(), *rest)
 
 
-def _certified(memo: weakref.WeakValueDictionary, key: tuple, certify, *args):
-    """The certificate under `key`, or certify(*args)'s, which is then stored.
+def _certified(memo: weakref.WeakValueDictionary, keys: list, certify, *args) -> list:
+    """The certificates under `keys`, in order; the misses are certified by
+    one call certify(misses, *args), misses listing their positions in keys,
+    which returns one certificate per miss, and stored.
 
     Callers check their inputs before they look up, so whatever raises
     raises on every call, and a raise stores nothing.  An entry is the
@@ -247,12 +272,18 @@ def _certified(memo: weakref.WeakValueDictionary, key: tuple, certify, *args):
     holds it; a hit returns a copy with its own multiplier dicts.  Two threads
     that miss on one key both certify, and either entry is correct.
     """
-    cert = memo.get(key)
-    if cert is not None:
-        fresh = {name: dict(v) for name, v in vars(cert).items() if isinstance(v, dict)}
-        return dataclasses.replace(cert, **fresh)
-    cert = memo[key] = certify(*args)
-    return cert
+    certs = [memo.get(key) for key in keys]
+    misses = []
+    for k, cert in enumerate(certs):
+        if cert is None:
+            misses.append(k)
+        else:
+            fresh = {name: dict(v) for name, v in vars(cert).items() if isinstance(v, dict)}
+            certs[k] = dataclasses.replace(cert, **fresh)
+    if misses:
+        for k, cert in zip(misses, certify(misses, *args)):
+            certs[k] = memo[keys[k]] = cert
+    return certs
 
 
 def _first_failed(feasible: bool, stationary: bool, residual: float, flags, prefix: str):
@@ -270,18 +301,20 @@ def _first_failed(feasible: bool, stationary: bool, residual: float, flags, pref
 
 
 def _active_family(pr: Problem, act: CcopActivity, pe: PointEval):
-    """The CC-LICQ directions with their multipliers: grad h_p (lam), grad g_q
-    for q in Q0 (mu), e_i for i in I0 (gamma)."""
+    """The CC-LICQ directions with their multipliers, as (labels, rows):
+    grad h_p (lam), grad g_q for q in Q0 (mu), e_i for i in I0 (gamma)."""
     eye = np.eye(pr.n)
-    family = [("lam", p, j.gradient) for p, j in enumerate(pe.h, start=1)]
-    family += [("mu", q, pe.g[q - 1].gradient) for q in act.Q0]
-    return family + [("gamma", i, eye[i - 1]) for i in act.I0]
+    labels = [("lam", p) for p in range(1, len(pe.h) + 1)]
+    labels += [("mu", q) for q in act.Q0] + [("gamma", i) for i in act.I0]
+    rows = [j.gradient for j in pe.h] + [pe.g[q - 1].gradient for q in act.Q0]
+    rows += [eye[i - 1] for i in act.I0]
+    return labels, np.array(rows, dtype=float).reshape(len(labels), pr.n)
 
 
 def check_cc_licq(pr: Problem, x, tol: Tolerances = Tolerances()) -> bool:
     """Linear independence of active gradients and vanishing-coordinate directions."""
     pe = evaluate(pr, x)
-    return _independent(_stack(_active_family(pr, _activity(pr, pe, tol), pe), pr.n), tol)[0]
+    return _independent(_active_family(pr, _activity(pr, pe, tol), pe)[1], tol)[0]
 
 
 def certify_m(pr: Problem, x, tol: Tolerances = Tolerances()) -> MCertificate:
@@ -292,14 +325,15 @@ def certify_m(pr: Problem, x, tol: Tolerances = Tolerances()) -> MCertificate:
     rather than an error; degenerate_reason names the first failed condition.
     """
     x = _point(pr, x)
-    return _certified(pr._certs, _key(x, tol), _certify_m, pr, x, tol)
+    return _certified(pr._certs, [_key(x, tol)], _certify_m, pr, x, tol)[0]
 
 
-def _certify_m(pr: Problem, x, tol: Tolerances) -> MCertificate:
+def _certify_m(_misses, pr: Problem, x, tol: Tolerances) -> list[MCertificate]:
+    """The certificate at x, as the one-element list _certified expects."""
     pe = evaluate(pr, x)
     feasible, act = check_feasible(pr, pe, tol)
-    groups, residual, residual_ok, licq, neg, zero = _solve(
-        pe, _active_family(pr, act, pe), ("lam", "mu", "gamma"), "mu", pe.f.gradient, tol
+    ((groups, residual, residual_ok, licq, neg, zero),) = _solve(
+        pe, [_active_family(pr, act, pe)], ("lam", "mu", "gamma"), "mu", pe.f.gradient, tol
     )
     mu, gamma = groups["mu"], groups["gamma"]
 
@@ -312,7 +346,7 @@ def _certify_m(pr: Problem, x, tol: Tolerances) -> MCertificate:
     )
     si = pr.s - act.x_norm0
 
-    return MCertificate(
+    cert = MCertificate(
         feasible=feasible,
         stationary=stationary,
         activity=act,
@@ -325,3 +359,4 @@ def _certify_m(pr: Problem, x, tol: Tolerances) -> MCertificate:
         degenerate_reason=_first_failed(feasible, stationary, residual, ndm, "NDM"),
         non_unique=not licq,
     )
+    return [cert]

@@ -45,21 +45,31 @@ class Tolerances:
             raise ValueError("tol_rank must be smaller than tol_strict")
 
 
-def rank_and_nullbasis(A, tol: Tolerances) -> tuple[int, np.ndarray]:
+def rank_and_nullbasis(A, tol: Tolerances):
     """Numerical rank of A (m x k) and an orthonormal basis of its null space.
 
     Rank counts singular values above tol_rank * sigma_max (zero or empty
     matrices have rank 0).  The returned N is k x (k - rank) with exactly
     orthonormal columns from the SVD.
+
+    A stack of matrices (K x m x k) goes through one stacked SVD and gives a
+    list of K (rank, N) pairs by the same rule; numpy runs a single matrix
+    and a stack through one LAPACK routine, so each pair equals the pair of
+    its matrix alone, bit for bit.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    m, k = A.shape
+    A = np.asarray(A, dtype=float)
+    if A.ndim < 2:
+        A = np.atleast_2d(A)
+    m, k = A.shape[-2:]
     if m == 0 or k == 0:
-        return 0, np.eye(k)
+        return (0, np.eye(k)) if A.ndim == 2 else [(0, np.eye(k)) for _ in A]
     _, sing, vt = np.linalg.svd(A, full_matrices=True)
-    smax = sing[0] if sing.size else 0.0
-    rank = 0 if smax == 0.0 else int(np.sum(sing > tol.tol_rank * smax))
-    return rank, vt[rank:].T.copy()
+    # an all-zero matrix has no singular value above 0 = tol_rank * sigma_max
+    ranks = (sing > tol.tol_rank * sing[..., :1]).sum(axis=-1)
+    if A.ndim == 2:
+        rank = int(ranks)
+        return rank, vt[rank:].T.copy()
+    return [(rank, v[rank:].T.copy()) for rank, v in zip(ranks.tolist(), vt)]
 
 
 def solve_multipliers(G, target, tol: Tolerances) -> tuple[np.ndarray, float]:
@@ -80,21 +90,29 @@ def solve_multipliers(G, target, tol: Tolerances) -> tuple[np.ndarray, float]:
     return coeffs, residual
 
 
-def restricted_inertia(H, N, tol: Tolerances) -> tuple[int, int, int]:
+def restricted_inertia(H, N, tol: Tolerances):
     """Eigenvalue signs of N' H N for symmetric H and orthonormal columns N.
 
     Returns (neg, zero, pos) with the zero band [-tol_strict, tol_strict];
     eigenvalues inside the band count as zero, never as pos or neg, so
     near-singular restrictions surface as degeneracy instead of being
     silently classified.
+
+    Stacks of matrices (K x d x d and K x d x r) give a list of K triples
+    from stacked products and one stacked eigensolve, each equal to the
+    triple of its pair alone.
     """
-    N = np.atleast_2d(np.asarray(N, dtype=float))
-    if N.ndim == 2 and N.shape[1] == 0:
-        return 0, 0, 0
-    H = np.asarray(H, dtype=float)
-    M = N.T @ H @ N
-    M = 0.5 * (M + M.T)
+    H, N = np.asarray(H, dtype=float), np.asarray(N, dtype=float)
+    if N.ndim < 2:
+        N = np.atleast_2d(N)
+    r = N.shape[-1]
+    if r == 0:
+        return (0, 0, 0) if N.ndim == 2 else [(0, 0, 0)] * len(N)
+    M = np.swapaxes(N, -1, -2) @ H @ N
+    M = 0.5 * (M + np.swapaxes(M, -1, -2))
     eig = np.linalg.eigvalsh(M)
-    neg = int(np.sum(eig < -tol.tol_strict))
-    pos = int(np.sum(eig > tol.tol_strict))
-    return neg, len(eig) - neg - pos, pos
+    neg = (eig < -tol.tol_strict).sum(axis=-1)
+    pos = (eig > tol.tol_strict).sum(axis=-1)
+    if N.ndim == 2:
+        return int(neg), r - int(neg) - int(pos), int(pos)
+    return [(a, r - a - b, b) for a, b in zip(neg.tolist(), pos.tolist())]

@@ -5,10 +5,11 @@ Every census runs roots -> certify -> report.  A root finder yields
 quadratic-affine instances, which makes the census exhaustive and the trust
 anchor for certification and lift/project, or a multistart damped Newton on
 any smooth instance (never exhaustive).  Roots are certified with certify_m,
-or expanded into candidate y and certified with certify_t: the y of every
-(n-s)-subset of the zero pattern, or seeded samples of the y-polytope for
-the unregularized reformulation, whose stationary points can form continua.
-Stationary points are then deduplicated and counted by index.
+or expanded into candidate y and certified with one certify_t_many call per
+root: the y of every (n-s)-subset of the zero pattern, or seeded samples of
+the y-polytope for the unregularized reformulation, whose stationary points
+can form continua.  Stationary points are then deduplicated and counted by
+index.
 
 Every T-point lies over an M-point with the same x, so both sides use the
 same roots.  They are found once per Problem and (method, grid, tol) and kept
@@ -18,7 +19,6 @@ on the Problem (see _shared_roots): an M and a T census of one instance, as
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import itertools
 from dataclasses import dataclass, field
@@ -28,7 +28,7 @@ import numpy as np
 from .ccop import MCertificate, Problem, certify_m, evaluate
 from .exprcore import ExprDomainError, eval2, polynomial_degree, to_source
 from .numkern import Tolerances
-from .regmpoc import AssumptionError, RegularizedProblem, TCertificate, certify_t, companion_y
+from .regmpoc import AssumptionError, RegularizedProblem, TCertificate, certify_t_many, companion_y
 
 __all__ = [
     "CensusReport",
@@ -295,8 +295,8 @@ def _m_points(pr: Problem, roots, tol: Tolerances):
 def _t_points(rp: RegularizedProblem, roots, candidates, tol: Tolerances):
     for J, x in roots:
         pe = evaluate(rp.base, x)
-        for y in candidates(J, x):
-            tcert = certify_t(rp, pe, y, tol)
+        ys = list(candidates(J, x))
+        for y, tcert in zip(ys, certify_t_many(rp, pe, ys, tol)):
             if tcert.feasible and tcert.stationary:
                 yield np.concatenate([x, y]), (x, y, tcert)
 
@@ -358,34 +358,57 @@ def _index_label(cert) -> object:
     return idx if idx is not None else "degenerate"
 
 
+# Width of a _dedupe grid cell, in merge radii: a query box of half-width
+# 2 * radius crosses a cell boundary in a given coordinate with probability
+# about 1/256, so a query visits one cell in most cases.
+_CELL_RADII = 1024.0
+
+
 def _dedupe(entries, radius: float, snap: float, notes: list[str], what: str):
     """Merge points closer than `radius` (inf-norm) with equal index; keep and
     flag close points whose indices differ.
 
-    Entries are swept in lexicographic order of their coordinates, with each
-    coordinate within `snap` of 0 read as 0, so rounding noise in a zero
-    coordinate does not decide where a point is listed.  The snapped first
-    coordinates of the kept points ascend, and only the kept points whose
-    snapped first coordinate lies within radius + 2*snap of the current one
-    can be within radius of it.
+    Entries are visited in lexicographic order of their coordinates, with
+    each coordinate within `snap` of 0 read as 0, so rounding noise in a zero
+    coordinate does not decide where a point is listed.  Each point meets the
+    kept points within radius of it in the order they were kept.  Those are
+    found by hashing the kept points on a grid of cells _CELL_RADII * radius
+    wide, centred on 0 so that a coordinate within snap of 0 lies well inside
+    one: a point within radius of p lies in a cell that p's box of half-width
+    2 * radius (radius doubled as a margin for rounding) meets, which is one
+    cell per coordinate except where the box crosses a cell boundary.
     """
     if not entries:
         return []
     keys = np.array([key for key, _ in entries])
-    snapped = np.where(np.abs(keys) <= snap, 0.0, keys).tolist()
+    snapped = np.where(np.abs(keys) <= snap, 0.0, keys)
+    order = np.lexsort(snapped.T[::-1]).tolist()  # stable, first coordinate first
+    width = _CELL_RADII * radius
+    cells = np.floor(keys / width + 0.5).tolist()
+    # the cells a key's box meets run from lows to highs, at most two per coordinate
+    lows = np.floor((keys - 2.0 * radius) / width + 0.5)
+    highs = np.floor((keys + 2.0 * radius) / width + 0.5)
+    crossed = np.count_nonzero(lows != highs, axis=1).tolist()
+    grid: dict[tuple, list[int]] = {}  # cell -> positions in out
     kept = np.empty_like(keys)  # keys of out, in order
     out = []
-    firsts: list[float] = []  # snapped first coordinates of out
-    for i in sorted(range(len(entries)), key=snapped.__getitem__):
+    for i in order:
         key, payload = entries[i]
         label = _index_label(payload[-1])
         keep = True
-        # radius plus the snapping of both points, doubled as a margin for
-        # rounding; the inf-norm test below decides
-        lo = bisect.bisect_left(firsts, snapped[i][0] - 2.0 * (radius + snap))
-        near = np.max(np.abs(kept[lo : len(out)] - key), axis=1) <= radius
-        for j in np.flatnonzero(near):
-            if _index_label(out[lo + j][-1]) == label:
+        if 2 ** crossed[i] > len(out):  # no fewer cells to visit than kept points
+            near = list(range(len(out)))
+        elif not crossed[i]:
+            near = grid.get(tuple(cells[i]), [])
+        else:
+            ends = zip(lows[i].tolist(), highs[i].tolist())
+            box = itertools.product(*[(lo,) if lo == hi else (lo, hi) for lo, hi in ends])
+            near = sorted(j for cell in box for j in grid.get(cell, ()))
+        if near:
+            near = np.array(near)
+            near = near[np.max(np.abs(kept[near] - key), axis=1) <= radius].tolist()
+        for j in near:
+            if _index_label(out[j][-1]) == label:
                 keep = False
                 break
             notes.append(
@@ -393,9 +416,9 @@ def _dedupe(entries, radius: float, snap: float, notes: list[str], what: str):
                 f"{np.round(key, 6).tolist()}"
             )
         if keep:
+            grid.setdefault(tuple(cells[i]), []).append(len(out))
             kept[len(out)] = key
             out.append(payload)
-            firsts.append(snapped[i][0])
     return out
 
 

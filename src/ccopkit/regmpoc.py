@@ -14,7 +14,8 @@ and is reachable only through an explicit override.
 Certification solves the T-stationarity multiplier system over the 2n-dim
 constraint directions, checks the sign and disjunction conditions, the five
 nondegeneracy conditions NDT1..NDT5, and reports the T-index as quadratic
-index + biactive index.
+index + biactive index.  certify_t_many certifies many y over one x in one
+call, sharing the work that depends on x alone; certify_t is its one-y case.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .ccop import (
     _key,
     _point,
     _solve,
-    _stack,
     _without_certs,
     evaluate,
 )
@@ -49,6 +49,7 @@ __all__ = [
     "check_feasible_r",
     "check_mpoc_licq",
     "certify_t",
+    "certify_t_many",
     "check_y_structure",
     "companion_y",
 ]
@@ -165,25 +166,50 @@ class TCertificate:
         return self.stationary and all(self.ndt[:4])
 
 
-def _activity_r(rp: RegularizedProblem, pe: PointEval, y, tol: Tolerances) -> MpocActivity:
-    n = rp.n
-    x0 = np.abs(pe.x) <= tol.tol_act
-    y0 = np.abs(y) <= tol.tol_act
-    yup = np.abs(y - (1.0 + rp.eps)) <= tol.tol_act
-    a00 = tuple(i + 1 for i in range(n) if x0[i] and y0[i])
-    a01 = tuple(i + 1 for i in range(n) if x0[i] and not y0[i])
-    a10 = tuple(i + 1 for i in range(n) if not x0[i] and y0[i])
-    ecal = tuple(i + 1 for i in range(n) if x0[i] and yup[i])
-    sum_active = abs(float(np.sum(y)) - (n - rp.s)) <= tol.tol_act
-    q0 = tuple(q + 1 for q, j in enumerate(pe.g) if abs(j.value) <= tol.tol_act)
-    return MpocActivity(a00, a01, a10, ecal, sum_active, q0)
-
-
 def _y(rp: RegularizedProblem, y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape != (rp.n,):
         raise ValueError(f"y has shape {y.shape}, expected ({rp.n},)")
     return y
+
+
+def _feasible_r(
+    rp: RegularizedProblem, pe: PointEval, ys: list[np.ndarray], tol: Tolerances
+) -> list[tuple[bool, MpocActivity]]:
+    """check_feasible_r at every y of ys (checked by _y) over the point of pe.
+
+    What depends on x alone (its zeros, Q0 and the h/g feasibility) is
+    found once; the y-conditions are evaluated for all ys together.
+    """
+    n, eps = rp.n, rp.eps
+    Y = np.array(ys, dtype=float).reshape(len(ys), n)
+    x0 = (np.abs(pe.x) <= tol.tol_act).tolist()
+    y0 = (np.abs(Y) <= tol.tol_act).tolist()
+    yup = (np.abs(Y - (1.0 + eps)) <= tol.tol_act).tolist()
+    sums = Y.sum(axis=1)
+    sum_active = (np.abs(sums - (n - rp.s)) <= tol.tol_act).tolist()
+    q0 = tuple(q + 1 for q, j in enumerate(pe.g) if abs(j.value) <= tol.tol_act)
+    hg_ok = all(abs(j.value) <= tol.tol_feas for j in pe.h) and all(
+        j.value >= -tol.tol_feas for j in pe.g
+    )
+    in_bounds = (
+        (np.abs(pe.x * Y) <= tol.tol_feas) & (Y >= -tol.tol_feas) & (Y <= 1.0 + eps + tol.tol_feas)
+    )
+    ok = ((sums >= (n - rp.s) - tol.tol_feas) & in_bounds.all(axis=1)).tolist()
+
+    out = []
+    for y_ok, active, zeros, uppers in zip(ok, sum_active, y0, yup):
+        a00, a01, a10, ecal = [], [], [], []
+        for i, x_zero, y_zero, y_up in zip(range(1, n + 1), x0, zeros, uppers):
+            if x_zero:
+                (a00 if y_zero else a01).append(i)
+                if y_up:
+                    ecal.append(i)
+            elif y_zero:
+                a10.append(i)
+        act = MpocActivity(tuple(a00), tuple(a01), tuple(a10), tuple(ecal), active, q0)
+        out.append((hg_ok and y_ok, act))
+    return out
 
 
 def check_feasible_r(
@@ -192,45 +218,47 @@ def check_feasible_r(
     """Feasibility of (x, y) for the lifted problem, plus its activity pattern;
     x is an array or a PointEval of the base problem."""
     pe = evaluate(rp.base, x)
-    y = _y(rp, y)
-    act = _activity_r(rp, pe, y, tol)
-    ok = (
-        all(abs(j.value) <= tol.tol_feas for j in pe.h)
-        and all(j.value >= -tol.tol_feas for j in pe.g)
-        and float(np.sum(y)) >= (rp.n - rp.s) - tol.tol_feas
-        and bool(np.all(np.abs(pe.x * y) <= tol.tol_feas))
-        and bool(np.all(y >= -tol.tol_feas))
-        and bool(np.all(y <= 1.0 + rp.eps + tol.tol_feas))
-    )
-    return ok, act
+    return _feasible_r(rp, pe, [_y(rp, y)], tol)[0]
 
 
-def _stationarity_family(rp: RegularizedProblem, act: MpocActivity, pe: PointEval):
+def _stationarity_families(rp: RegularizedProblem, pe: PointEval, acts) -> list:
     """Directions of the T-stationarity system in R^(2n), x-part first, with
-    their multipliers.
+    their multipliers, as one (labels, rows) per activity pattern over the
+    point of pe (see ccop._solve).
 
     The same vectors (up to the sign of the mu2 block, which is irrelevant
     for rank and null space) constitute the MPOC-LICQ family and cut out the
     tangent space, so one assembly serves the solve, the CQ test and the
-    restricted Hessian.
+    restricted Hessian.  Every row is taken from one bank per point:
+    (grad h_p, 0), (grad g_q, 0), -e_(n+i), (0, 1), e_i and e_(n+i).
     """
-    n = rp.n
-    eye, zero = np.eye(2 * n), np.zeros(n)
-    family = [("lam", p, np.concatenate([j.gradient, zero])) for p, j in enumerate(pe.h, start=1)]
-    family += [("mu1", q, np.concatenate([pe.g[q - 1].gradient, zero])) for q in act.Q0]
-    family += [("mu2", i, -eye[n + i - 1]) for i in act.Ecal]
-    family += [("mu3", 0, np.concatenate([zero, np.ones(n)]))] if act.sum_active else []
-    family += [("sigma1", i, eye[i - 1]) for i in act.a01]
-    family += [("sigma2", i, eye[n + i - 1]) for i in act.a10]
-    family += [("rho1", i, eye[i - 1]) for i in act.a00]
-    return family + [("rho2", i, eye[n + i - 1]) for i in act.a00]
+    n, nh = rp.n, len(pe.h)
+    m = nh + len(pe.g)  # gradient rows, then unit rows
+    eye = np.eye(2 * n)
+    bank = np.zeros((m + 3 * n + 1, 2 * n))
+    for r, j in enumerate((*pe.h, *pe.g)):
+        bank[r, :n] = j.gradient
+    bank[m : m + n] = -eye[n:]
+    bank[m + n, n:] = 1.0
+    bank[m + n + 1 :] = eye
+    # the bank row of label (kind, i) is first[kind] + i
+    first = dict(lam=-1, mu1=nh - 1, mu2=m - 1, mu3=m + n, sigma1=m + n, rho1=m + n)
+    first.update(sigma2=m + 2 * n, rho2=m + 2 * n)
+    families = []
+    for act in acts:
+        labels = [("lam", p) for p in range(1, nh + 1)] + [("mu1", q) for q in act.Q0]
+        labels += [("mu2", i) for i in act.Ecal] + ([("mu3", 0)] if act.sum_active else [])
+        labels += [("sigma1", i) for i in act.a01] + [("sigma2", i) for i in act.a10]
+        labels += [("rho1", i) for i in act.a00] + [("rho2", i) for i in act.a00]
+        families.append((labels, bank[[first[kind] + i for kind, i in labels]]))
+    return families
 
 
 def check_mpoc_licq(rp: RegularizedProblem, x, y, tol: Tolerances = Tolerances()) -> bool:
     """Linear independence of the MPOC constraint directions at (x, y)."""
     pe = evaluate(rp.base, x)
-    act = _activity_r(rp, pe, _y(rp, y), tol)
-    return _independent(_stack(_stationarity_family(rp, act, pe), 2 * rp.n), tol)[0]
+    _, act = _feasible_r(rp, pe, [_y(rp, y)], tol)[0]
+    return _independent(_stationarity_families(rp, pe, [act])[0][1], tol)[0]
 
 
 def certify_t(rp: RegularizedProblem, x, y, tol: Tolerances = Tolerances()) -> TCertificate:
@@ -242,24 +270,49 @@ def certify_t(rp: RegularizedProblem, x, y, tol: Tolerances = Tolerances()) -> T
     directions are dependent (NDT1 false) the reported multipliers are the
     minimum-norm solution, flagged non_unique.
     """
+    return certify_t_many(rp, x, [y], tol)[0]
+
+
+def certify_t_many(
+    rp: RegularizedProblem, x, ys, tol: Tolerances = Tolerances()
+) -> list[TCertificate]:
+    """certify_t at every y of `ys` over one x (an array or a PointEval of
+    the base problem), in one call; equal to
+    [certify_t(rp, x, y, tol) for y in ys].
+
+    The work that depends on x alone is done once, the y-conditions are
+    evaluated for all ys together, and the candidates whose constraint
+    directions have one shape share one stacked SVD and one stacked
+    eigensolve (see ccop._solve).  Raises AssumptionError
+    as certify_t does, and ValueError when x or any y has the wrong shape;
+    either raise happens before any certificate is looked up or stored.
+    """
     if not rp.assumption1_ok and not rp.override:
         raise AssumptionError(
             "regularization parameters violate the positivity/distinctness/eps bound "
             "assumption; construct with override=True to certify anyway"
         )
-    x, y = _point(rp.base, x), _y(rp, y)
-    key = _key(x, y.shape, y.tobytes(), tol)
-    return _certified(rp._certs, key, _certify_t, rp, x, y, tol)
+    x, ys = _point(rp.base, x), [_y(rp, y) for y in ys]
+    keys = [_key(x, y.shape, y.tobytes(), tol) for y in ys]
+    return _certified(rp._certs, keys, _certify_t_many, rp, x, ys, tol)
 
 
-def _certify_t(rp: RegularizedProblem, x, y: np.ndarray, tol: Tolerances) -> TCertificate:
+_KINDS = ("lam", "mu1", "mu2", "mu3", "sigma1", "sigma2", "rho1", "rho2")
+
+
+def _certify_t_many(misses, rp: RegularizedProblem, x, ys, tol: Tolerances) -> list[TCertificate]:
+    """The certificates at the ys listed in misses (see ccop._certified)."""
     pe = evaluate(rp.base, x)
-    feasible, act = check_feasible_r(rp, pe, y, tol)
+    checked = _feasible_r(rp, pe, [ys[k] for k in misses], tol)
+    families = _stationarity_families(rp, pe, [act for _, act in checked])
     target = np.concatenate([pe.f.gradient, rp.c])
-    kinds = ("lam", "mu1", "mu2", "mu3", "sigma1", "sigma2", "rho1", "rho2")
-    groups, residual, residual_ok, licq, neg, zero = _solve(
-        pe, _stationarity_family(rp, act, pe), kinds, "mu1", target, tol
-    )
+    solved = _solve(pe, families, _KINDS, "mu1", target, tol)
+    return [_t_certificate(*pair, *result, tol) for pair, result in zip(checked, solved)]
+
+
+def _t_certificate(
+    feasible, act: MpocActivity, groups, residual, residual_ok, licq, neg, zero, tol: Tolerances
+) -> TCertificate:
     mu3 = groups.pop("mu3").get(0, 0.0)
 
     ts = tol.tol_strict

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ccopkit import Problem, Tolerances, certify_m, check_cc_licq, check_feasible, parse
+from ccopkit import Problem, Tolerances, ccop, certify_m, check_cc_licq, check_feasible, parse
 
 from helpers import make_problem, well_e1, well_ones
 
@@ -133,3 +133,25 @@ def test_problem_validation():
         Problem(2, 2, parse("x1", 2))  # s must stay below n
     with pytest.raises(ValueError):
         Problem(2, 1, parse("x1", 1))  # dimension mismatch
+
+
+def test_stacked_kernel_calls_keep_each_item_with_its_result():
+    # _solve's rank and inertia calls: one kernel call per shape group, on
+    # the stack of its items, and each result returned at its item's place
+    rng = np.random.default_rng(31)
+    first = [rng.standard_normal((m, 3)) for m in (2, 4, 2, 0, 4, 2)]
+    second = [rng.standard_normal((3, k)) for k in (1, 1, 2, 1, 1, 1)]
+    calls = []
+
+    def kernel(a, b, tol):  # one item's arrays, or stacks of them, as in numkern
+        calls.append((a.shape, b.shape))
+        if a.ndim == 2:
+            return a.tobytes(), b.tobytes()
+        return [(x.tobytes(), y.tobytes()) for x, y in zip(a, b)]
+
+    got = ccop._stacked(kernel, TOL, first, second)
+    assert got == [(x.tobytes(), y.tobytes()) for x, y in zip(first, second)]
+    assert sorted(calls) == [((1, 0, 3), (1, 3, 1)), ((1, 2, 3), (1, 3, 2)),
+                             ((2, 2, 3), (2, 3, 1)), ((2, 4, 3), (2, 3, 1))]
+    assert ccop._stacked(kernel, TOL, first[1:2], second[1:2]) == got[1:2]
+    assert calls[-1] == ((4, 3), (3, 1))

@@ -107,3 +107,57 @@ def test_inertia_invariant_under_orthonormal_rebase():
         N = np.linalg.qr(rng.standard_normal((d, r)))[0]
         Q = np.linalg.qr(rng.standard_normal((r, r)))[0]
         assert restricted_inertia(H, N, TOL) == restricted_inertia(H, N @ Q, TOL)
+
+
+def _rank_cases(rng):
+    """Stacks of m x k matrices: full rank, rank-deficient, all-zero and
+    integer-valued, including 0-row and 0-column shapes."""
+    for m, k in [(3, 8), (9, 16), (16, 16), (12, 5), (0, 6), (4, 0)]:
+        stack = rng.standard_normal((8, m, k))
+        if m and k:
+            stack[1] = 0.0
+            stack[2, -1] = stack[2, 0]  # a repeated row
+            stack[3] = np.round(2.0 * stack[3])
+            stack[4, :, -1] = 0.0  # a zero column
+        yield stack
+
+
+def test_stacked_rank_and_nullbasis_equals_the_per_matrix_call():
+    # numpy runs one matrix and a stack through the same LAPACK routine;
+    # certify_t_many relies on this to give certify_t's bits
+    rng = np.random.default_rng(13)
+    deficient = 0
+    for stack in _rank_cases(rng):
+        pairs = rank_and_nullbasis(stack, TOL)
+        assert len(pairs) == len(stack)
+        for A, (rank, basis) in zip(stack, pairs):
+            want_rank, want_basis = rank_and_nullbasis(A, TOL)
+            assert rank == want_rank
+            assert basis.shape == want_basis.shape and basis.tobytes() == want_basis.tobytes()
+            deficient += 0 < rank < min(A.shape)
+        m, k = stack.shape[1:]
+        if m and k:
+            assert pairs[0][0] == min(m, k) and pairs[1][0] == 0
+    assert deficient >= 5
+
+
+def test_stacked_restricted_inertia_equals_the_per_matrix_call():
+    rng = np.random.default_rng(17)
+    ts = TOL.tol_strict
+    for d, r in [(4, 0), (4, 2), (8, 3), (16, 5), (16, 16)]:
+        H = rng.standard_normal((10, d, d))
+        H = H + H.transpose(0, 2, 1)
+        H[1] = 0.0
+        H[2] = np.diag(rng.choice([-ts, ts, 0.0, 1.0, -1.0], size=d))  # on the band edges
+        N = np.linalg.qr(rng.standard_normal((10, d, d)))[0][:, :, :r].copy()
+        N[2] = np.eye(d)[:, :r]
+        triples = restricted_inertia(H, N, TOL)
+        assert triples == [restricted_inertia(h, b, TOL) for h, b in zip(H, N)]
+        if r:
+            # the stacked products and eigensolve give each matrix's own bits
+            M = N.transpose(0, 2, 1) @ H @ N
+            eig = np.linalg.eigvalsh(M)
+            for k in range(len(H)):
+                alone = N[k].T @ H[k] @ N[k]
+                assert M[k].tobytes() == alone.tobytes()
+                assert eig[k].tobytes() == np.linalg.eigvalsh(alone).tobytes()

@@ -388,9 +388,10 @@ def test_dedupe_order_ignores_the_sign_of_rounding_noise():
 
 
 def test_dedupe_sweep_matches_pairwise_comparison():
-    def pairwise(entries, radius, notes):
+    def pairwise(entries, radius, snap, notes):
         out = []
-        for key, payload in sorted(entries, key=lambda e: tuple(e[0])):
+        snapped = lambda e: tuple(np.where(np.abs(e[0]) <= snap, 0.0, e[0]))
+        for key, payload in sorted(entries, key=snapped):
             label = payload[-1].m_index
             for kkey, kpayload in out:
                 if np.max(np.abs(key - kkey)) <= radius:
@@ -401,6 +402,15 @@ def test_dedupe_sweep_matches_pairwise_comparison():
                 out.append((key, payload))
         return [payload for _, payload in out]
 
+    def check(entries, radius, snap):
+        notes, want_notes = [], []
+        got = _dedupe(entries, radius, snap, notes, "M")
+        want = pairwise(entries, radius, snap, want_notes)
+        assert [p[0].tolist() for p in got] == [p[0].tolist() for p in want]
+        assert notes == [
+            f"manual review: nearby M points with differing index at {k}" for k in want_notes
+        ]
+
     rng = np.random.default_rng(5)
     for _ in range(20):
         # a coarse lattice, so that first coordinates repeat and neighbours
@@ -409,10 +419,30 @@ def test_dedupe_sweep_matches_pairwise_comparison():
             _entry(rng.integers(0, 4, size=3) * 0.125, int(rng.integers(0, 2)))
             for _ in range(60)
         ]
-        notes, want_notes = [], []
-        got = _dedupe(entries, 0.125, 0.0125, notes, "M")
-        want = pairwise(entries, 0.125, want_notes)
-        assert [p[0].tolist() for p in got] == [p[0].tolist() for p in want]
-        assert notes == [
-            f"manual review: nearby M points with differing index at {k}" for k in want_notes
-        ]
+        check(entries, 0.125, 0.0125)
+
+    # T-census shape: the companions of one M-point share x, so most points
+    # share a snapped first coordinate (0 up to rounding noise of either
+    # sign); y-coordinates near a boundary of the hash grid put neighbours
+    # within the radius on both sides of it
+    radius = 1e-3
+    boundary = 0.5 * oracle._CELL_RADII * radius  # between the cells 0 and 1
+    straddling = 0
+    for _ in range(20):
+        entries = []
+        for x in ([0.0, 0.0, 1.5], [0.0, 2.0, 0.0], [1.0, 0.0, 0.0]):
+            for _ in range(25):
+                y = rng.choice([0.0, 1.25, boundary], size=3)
+                near = y == boundary
+                y[near] += rng.choice([-1.0, -0.5, 0.5, 1.0], size=int(near.sum())) * radius
+                key = np.concatenate([x, y])
+                zeros = key == 0.0
+                key[zeros] = rng.choice([-1e-17, 1e-17], size=int(zeros.sum()))
+                entries.append(_entry(key, int(rng.integers(0, 2))))
+        keys = np.array([key for key, _ in entries])
+        cells = np.floor(keys / (oracle._CELL_RADII * radius) + 0.5)
+        for a in range(len(keys)):
+            close = np.max(np.abs(keys - keys[a]), axis=1) <= radius
+            straddling += int(np.sum(close & np.any(cells != cells[a], axis=1)))
+        check(entries, radius, radius / 10)
+    assert straddling > 100

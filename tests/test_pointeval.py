@@ -17,6 +17,7 @@ import ccopkit
 from ccopkit import (
     AssumptionError,
     ExprDomainError,
+    GridSpec,
     PointEval,
     Problem,
     Tolerances,
@@ -24,6 +25,7 @@ from ccopkit import (
     census_t_quadratic,
     certify_m,
     certify_t,
+    certify_t_many,
     evaluate,
     lift,
     make_regularized,
@@ -202,7 +204,7 @@ def _sources(rp):
 def _fresh(rp):
     """A new Problem and RegularizedProblem from the sources of rp."""
     n, s, f, h, g, c, eps = _sources(rp)
-    return make_regularized(make_problem(n, s, f, h, g), c, eps)
+    return make_regularized(make_problem(n, s, f, h, g), c, eps, override=rp.override)
 
 
 def _memo_instance():
@@ -215,32 +217,31 @@ def _memo_instance():
 
 @pytest.fixture
 def solves(monkeypatch):
-    """_solve calls, and the (side, point, tolerances) of every certificate
-    that ran one, counted on both sides."""
+    """Multiplier solves, one per certified candidate, and the (side, point,
+    tolerances) of every certificate that ran one, counted on both sides."""
     calls = {"solve": 0, "keys": []}
-    solve = ccop._solve
+    solve = ccop.solve_multipliers
 
     def counted(*args):
         calls["solve"] += 1
         return solve(*args)
 
-    monkeypatch.setattr(ccop, "_solve", counted)
-    monkeypatch.setattr(regmpoc, "_solve", counted)
-    certify_m_, certify_t_ = ccop._certify_m, regmpoc._certify_t
+    monkeypatch.setattr(ccop, "solve_multipliers", counted)
+    certify_m_, certify_t_ = ccop._certify_m, regmpoc._certify_t_many
 
     def bits(x):
         return np.asarray(x.x if isinstance(x, PointEval) else x).tobytes()
 
-    def m(pr, x, tol):
+    def m(misses, pr, x, tol):
         calls["keys"].append(("m", id(pr), bits(x), tol))
-        return certify_m_(pr, x, tol)
+        return certify_m_(misses, pr, x, tol)
 
-    def t(rp, x, y, tol):
-        calls["keys"].append(("t", id(rp), bits(x), y.tobytes(), tol))
-        return certify_t_(rp, x, y, tol)
+    def t(misses, rp, x, ys, tol):
+        calls["keys"].extend(("t", id(rp), bits(x), ys[k].tobytes(), tol) for k in misses)
+        return certify_t_(misses, rp, x, ys, tol)
 
     monkeypatch.setattr(ccop, "_certify_m", m)
-    monkeypatch.setattr(regmpoc, "_certify_t", t)
+    monkeypatch.setattr(regmpoc, "_certify_t_many", t)
     return calls
 
 
@@ -309,6 +310,71 @@ def test_memo_key_is_the_point_bits_the_tolerances_and_the_problem(solves):
         held.append(call())
         assert solves["solve"] == before + 1, side
     assert certify_m(rp.base, x) == held[0] and certify_t(rp, x, y) == held[1]
+
+
+def _batches(rp, candidates, grid=None):
+    """(x, ys) per pattern root of rp's base problem, as the T census forms
+    them."""
+    for J, x in oracle._shared_roots(rp.base, Tolerances(), [], grid):
+        yield x, list(candidates(J, x))
+
+
+def test_certify_t_many_equals_certify_t_per_y_on_cold_memos():
+    rng = np.random.default_rng(73)
+    cases = []
+    for _ in range(3):  # census_n8-shaped: n=8, s=3, one equality
+        row = rng.uniform(0.25, 1.0, size=8) * rng.choice([-1.0, 1.0], size=8)
+        pr = make_problem(8, 3, random_quadratic_source(rng, 8), h=[affine_source(row, 0.3)])
+        rp = make_regularized(pr, random_c(rng, 8), float(rng.uniform(0.3, 1.0)) / 5)
+        cases.append((rp, _batches(rp, oracle._subset_ys(rp)), False))
+    for _ in range(3):  # the override sampler: vertices and draws of the y-polytope
+        rp = random_quadratic_instance(rng, n_max=6)
+        rp = make_regularized(rp.base, np.zeros(rp.n), 0.0, override=True)
+        cases.append((rp, _batches(rp, oracle._sampled_ys(rp, Tolerances())), False))
+    # Newton roots of a smooth instance with curved h and g
+    f = random_quadratic_source(rng, 5) + " + 0.2*sin(x1) + 0.1*x2*x3"
+    h, g = ["x1^2 + x2^2 + x3 + 0.5*x4 - 1"], ["2 - x1^2 - x2^2 - x3^2 - x4*x5"]
+    pr = make_problem(5, 2, f, h, g)
+    rp = make_regularized(pr, random_c(rng, 5), 0.5 / 3)
+    cases.append((rp, _batches(rp, oracle._subset_ys(rp), GridSpec(2)), True))
+
+    compared, shapes_in_one_call, curved = 0, 0, 0
+    for rp, batches, smooth in cases:
+        cold = _fresh(rp)
+        for x, ys in batches:
+            many = certify_t_many(rp, x, ys)
+            one = [certify_t(cold, x, y) for y in ys]
+            assert [pickle.dumps(c) for c in many] == [pickle.dumps(c) for c in one]
+            compared += len(ys)
+            rows = {len(c.lam) + len(c.mu1) + len(c.mu2) + c.activity.sum_active
+                    + len(c.sigma1) + len(c.sigma2) + 2 * len(c.rho1) for c in many}
+            shapes_in_one_call += len(rows) > 1
+            curved += smooth * sum(c.stationary and any(c.lam.values()) for c in many)
+    assert compared >= 1000 and shapes_in_one_call >= 5 and curved >= 10
+
+    stored = len(rp._certs)
+    assert certify_t_many(rp, np.zeros(rp.n), []) == []
+    assert len(rp._certs) == stored
+
+
+def test_a_batch_with_a_wrong_y_raises_and_stores_nothing():
+    rp = _memo_instance()
+    x = np.zeros(rp.n)
+    y = np.array([0.0, 0.0, rp.eps + 1.0, rp.eps + 1.0, 1.0 - 2.0 * rp.eps])
+    for bad in (y[:-1], y.reshape(-1, 1), np.append(y, 0.0)):
+        for ys in ([bad, y], [y, bad], [y, y, bad]):
+            with pytest.raises(ValueError, match="shape"):
+                certify_t_many(rp, x, ys)
+            assert len(rp._certs) == 0
+    held = certify_t_many(rp, x, [y, 2.0 * y])
+    assert len(rp._certs) == 2
+    # the assumption is checked before any lookup: a stored entry is no hit
+    relaxed = make_regularized(rp.base, np.zeros(rp.n), 0.0, override=True)
+    held += certify_t_many(relaxed, x, [y])
+    object.__setattr__(relaxed, "override", False)
+    for ys in ([y], [], [y[:-1]]):
+        with pytest.raises(AssumptionError):
+            certify_t_many(relaxed, x, ys)
 
 
 def test_would_be_hits_still_raise():
