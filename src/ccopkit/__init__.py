@@ -22,6 +22,7 @@ from .ccop import (
     PointEval,
     Problem,
     certify_m,
+    certify_m_many,
     check_cc_licq,
     check_feasible,
     evaluate,
@@ -54,6 +55,7 @@ from .regmpoc import (
     TCertificate,
     certify_t,
     certify_t_many,
+    certify_t_pairs,
     check_feasible_r,
     check_mpoc_licq,
     check_y_structure,

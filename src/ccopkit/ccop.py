@@ -7,6 +7,8 @@ of vanishing entries, then checks the four nondegeneracy conditions
 NDM1..NDM4 and reports the M-index as quadratic index + sparsity index.
 Certificates are kept per point and tolerances for as long as a caller holds
 them (see _certified), so a repeated request costs no evaluation or solve.
+certify_m_many certifies many points in one call, sharing the stacked
+kernel calls between them; certify_m is its one-point case.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "check_feasible",
     "check_cc_licq",
     "certify_m",
+    "certify_m_many",
 ]
 
 
@@ -213,32 +216,38 @@ def _stacked(kernel, tol: Tolerances, *columns) -> list:
     return out
 
 
-def _solve(pe: PointEval, families, kinds, ineq: str, target, tol: Tolerances) -> list:
-    """Solve the multiplier systems of certificates at one point and read off
-    their inertia.
+def _solve(families, kinds, ineq: str, tol: Tolerances) -> list:
+    """Solve the multiplier systems of certificates and read off their inertia.
 
-    Each family is (labels, rows): the constraint directions as the rows of
-    a k x d array (d >= n), and their multipliers as (kind, index) labels;
-    kinds names every multiplier group in report order.  The Lagrangian
-    Hessian subtracts the "lam" group over h and the `ineq` group over the
-    active g from the Hessian of f, in that order; every other term of the
-    Lagrangian is linear, so it is the leading n x n block of a d x d matrix,
-    restricted to the null space of the directions.
+    Each family is (pe, labels, rows, target) at the point of the PointEval
+    pe: the constraint directions as the rows of a k x d array (d >= n),
+    their multipliers as (kind, index) labels, and the d-vector the
+    directions must combine to; kinds names every multiplier group in
+    report order.  The Lagrangian Hessian subtracts the "lam" group over h
+    and the `ineq` group over the active g from the Hessian of f, in that
+    order; every other term of the Lagrangian is linear, so it is the
+    leading n x n block of a d x d matrix, restricted to the null space of
+    the directions.
 
     Families of one shape share one stacked SVD for rank and null space, and
-    one stacked eigensolve for the inertia; each family's multipliers come
-    from its own least-squares solve, so a family solved alone gives the
-    same bits.
+    one stacked eigensolve for the inertia, whatever their points; each
+    family's multipliers come from its own least-squares solve, so a family
+    solved alone gives the same bits.
 
     Returns one (groups, residual, residual_ok, licq, neg, zero) per family.
     """
-    ranked = _stacked(rank_and_nullbasis, tol, [rows for _, rows in families])
-    n, d = pe.x.size, target.size
-    hess_f = np.zeros((d, d))
-    hess_f[:n, :n] = pe.f.hessian
-    bound = tol.tol_feas * (1.0 + float(np.linalg.norm(target)))
+    ranked = _stacked(rank_and_nullbasis, tol, [rows for _, _, rows, _ in families])
+    bases: dict = {}  # (id(pe), id(target)) -> padded Hessian of f, residual bound
     solved, hessians = [], []
-    for (labels, rows), (rank, _) in zip(families, ranked):
+    for (pe, labels, rows, target), (rank, _) in zip(families, ranked):
+        n = pe.x.size
+        base = bases.get((id(pe), id(target)))
+        if base is None:
+            hess_f = np.zeros((target.size, target.size))
+            hess_f[:n, :n] = pe.f.hessian
+            bound = tol.tol_feas * (1.0 + float(np.linalg.norm(target)))
+            base = bases[id(pe), id(target)] = hess_f, bound
+        hess_f, bound = base
         coeffs, residual = solve_multipliers(rows.T, target, tol)
         groups: dict[str, dict[int, float]] = {kind: {} for kind in kinds}
         for (kind, idx), val in zip(labels, coeffs.tolist()):
@@ -264,7 +273,9 @@ def _key(x: PointEval | np.ndarray, *rest) -> tuple:
 def _certified(memo: weakref.WeakValueDictionary, keys: list, certify, *args) -> list:
     """The certificates under `keys`, in order; the misses are certified by
     one call certify(misses, *args), misses listing their positions in keys,
-    which returns one certificate per miss, and stored.
+    which returns one certificate per miss, and stored.  A key repeated in
+    `keys` is certified at its first position and served as a hit at the
+    others.
 
     Callers check their inputs before they look up, so whatever raises
     raises on every call, and a raise stores nothing.  An entry is the
@@ -273,17 +284,23 @@ def _certified(memo: weakref.WeakValueDictionary, keys: list, certify, *args) ->
     that miss on one key both certify, and either entry is correct.
     """
     certs = [memo.get(key) for key in keys]
-    misses = []
+    first: dict = {}  # key of a miss -> its first position
     for k, cert in enumerate(certs):
         if cert is None:
-            misses.append(k)
+            first.setdefault(keys[k], k)
         else:
-            fresh = {name: dict(v) for name, v in vars(cert).items() if isinstance(v, dict)}
-            certs[k] = dataclasses.replace(cert, **fresh)
+            certs[k] = _copy(cert)
+    misses = list(first.values())
     if misses:
         for k, cert in zip(misses, certify(misses, *args)):
             certs[k] = memo[keys[k]] = cert
-    return certs
+    return [_copy(certs[first[key]]) if cert is None else cert for key, cert in zip(keys, certs)]
+
+
+def _copy(cert):
+    """A copy of a certificate with its own multiplier dicts."""
+    fresh = {name: dict(v) for name, v in vars(cert).items() if isinstance(v, dict)}
+    return dataclasses.replace(cert, **fresh)
 
 
 def _first_failed(feasible: bool, stationary: bool, residual: float, flags, prefix: str):
@@ -324,39 +341,54 @@ def certify_m(pr: Problem, x, tol: Tolerances = Tolerances()) -> MCertificate:
     Infeasible or non-stationary points yield a full diagnostic certificate
     rather than an error; degenerate_reason names the first failed condition.
     """
-    x = _point(pr, x)
-    return _certified(pr._certs, [_key(x, tol)], _certify_m, pr, x, tol)[0]
+    return certify_m_many(pr, [x], tol)[0]
 
 
-def _certify_m(_misses, pr: Problem, x, tol: Tolerances) -> list[MCertificate]:
-    """The certificate at x, as the one-element list _certified expects."""
-    pe = evaluate(pr, x)
-    feasible, act = check_feasible(pr, pe, tol)
-    ((groups, residual, residual_ok, licq, neg, zero),) = _solve(
-        pe, [_active_family(pr, act, pe)], ("lam", "mu", "gamma"), "mu", pe.f.gradient, tol
-    )
-    mu, gamma = groups["mu"], groups["gamma"]
+def certify_m_many(pr: Problem, xs, tol: Tolerances = Tolerances()) -> list[MCertificate]:
+    """certify_m at every x of `xs` (arrays or PointEvals), in one call;
+    equal to [certify_m(pr, x, tol) for x in xs].
 
-    stationary = feasible and residual_ok and all(v >= -tol.tol_strict for v in mu.values())
-    ndm = (
-        licq,
-        all(v > tol.tol_strict for v in mu.values()),
-        act.x_norm0 == pr.s or all(abs(v) > tol.tol_strict for v in gamma.values()),
-        zero == 0,
-    )
-    si = pr.s - act.x_norm0
+    Candidates whose constraint directions have one shape share one stacked
+    SVD and one stacked eigensolve (see _solve), and a point repeated in xs
+    is certified once.  Raises ValueError as certify_m does, before any
+    certificate is looked up or stored.
+    """
+    xs = [_point(pr, x) for x in xs]
+    return _certified(pr._certs, [_key(x, tol) for x in xs], _certify_m, pr, xs, tol)
 
-    cert = MCertificate(
-        feasible=feasible,
-        stationary=stationary,
-        activity=act,
-        **groups,
-        residual=residual,
-        ndm=ndm,
-        quadratic_index=neg,
-        sparsity_index=si,
-        m_index=neg + si if (stationary and all(ndm)) else None,
-        degenerate_reason=_first_failed(feasible, stationary, residual, ndm, "NDM"),
-        non_unique=not licq,
-    )
-    return [cert]
+
+def _certify_m(misses, pr: Problem, xs, tol: Tolerances) -> list[MCertificate]:
+    """The certificates at the xs listed in misses (see _certified)."""
+    pes = [evaluate(pr, xs[k]) for k in misses]
+    checked = [check_feasible(pr, pe, tol) for pe in pes]
+    families = [
+        (pe, *_active_family(pr, act, pe), pe.f.gradient) for pe, (_, act) in zip(pes, checked)
+    ]
+    solved = _solve(families, ("lam", "mu", "gamma"), "mu", tol)
+    certs = []
+    for (feasible, act), (groups, residual, residual_ok, licq, neg, zero) in zip(checked, solved):
+        mu, gamma = groups["mu"], groups["gamma"]
+
+        stationary = feasible and residual_ok and all(v >= -tol.tol_strict for v in mu.values())
+        ndm = (
+            licq,
+            all(v > tol.tol_strict for v in mu.values()),
+            act.x_norm0 == pr.s or all(abs(v) > tol.tol_strict for v in gamma.values()),
+            zero == 0,
+        )
+        si = pr.s - act.x_norm0
+
+        certs.append(MCertificate(
+            feasible=feasible,
+            stationary=stationary,
+            activity=act,
+            **groups,
+            residual=residual,
+            ndm=ndm,
+            quadratic_index=neg,
+            sparsity_index=si,
+            m_index=neg + si if (stationary and all(ndm)) else None,
+            degenerate_reason=_first_failed(feasible, stationary, residual, ndm, "NDM"),
+            non_unique=not licq,
+        ))
+    return certs

@@ -10,6 +10,7 @@ projected eigensolve wins over anything cleverer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,10 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("tol_feas", "tol_act", "tol_rank", "tol_strict"):
-            if getattr(self, name) <= 0.0:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            if value <= 0.0:
                 raise ValueError(f"{name} must be strictly positive")
         if self.tol_rank >= self.tol_strict:
             raise ValueError("tol_rank must be smaller than tol_strict")

@@ -321,6 +321,18 @@ def test_machine_format_is_flat_key_value(capsys):
     assert "tolerances.tol_feas = 1e-09" in lines
 
 
+@pytest.mark.parametrize("flag", ["--tol-feas", "--tol-act", "--tol-rank", "--tol-strict"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tolerance_flags_exit_3(flag, value, capsys):
+    # as the same values in [tolerances] do; a NaN tolerance once read every
+    # point as infeasible and reported an empty census with exit 0
+    code = main(["census", path("well_ones.prob"), "--side", "m", flag, value])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    name = flag[2:].replace("-", "_")
+    assert captured.err == f"ccopkit: {name} must be a finite number, got {float(value)!r}\n"
+
+
 def test_tolerance_flag_overrides_file(capsys):
     _, out = run(
         capsys, "certify", path("constrained.prob"), "origin", "--side", "m",

@@ -15,6 +15,13 @@ def test_tolerances_validation():
     assert t.tol_act == 1e-7 and t.tol_feas == 1e-9
 
 
+@pytest.mark.parametrize("name", ["tol_feas", "tol_act", "tol_rank", "tol_strict"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_tolerances_must_be_finite(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
+        Tolerances(**{name: value})
+
+
 def test_rank_identity_has_empty_nullspace():
     rank, basis = rank_and_nullbasis(np.eye(2), TOL)
     assert rank == 2

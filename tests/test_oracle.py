@@ -1,3 +1,4 @@
+import itertools
 import weakref
 
 import numpy as np
@@ -341,6 +342,41 @@ def test_shared_kkt_matrix_is_pinned_by_certify_m_multipliers():
                 with_lam += mh > 0
                 with_mu += len(act) > 0
     assert patterns >= 250 and pinned >= 200 and with_lam >= 10 and with_mu >= 10
+
+
+def _linear_roots_one_by_one(pr, tol, notes):
+    """The reference for oracle._linear_roots: one SVD and one solve per
+    pattern, in pattern order."""
+    data = _quadratic_data(pr)
+    for J in _supports(pr.n, pr.s):
+        for act in _active_sets(len(pr.g)):
+            M, rhs = _linear_system(data, J, act)
+            sing = np.linalg.svd(M, compute_uv=False)
+            if sing[0] == 0.0 or sing[-1] <= tol.tol_rank * sing[0]:
+                notes.append(f"skipped singular pattern support={list(J)} active={list(act)}")
+                continue
+            x = np.linalg.solve(M, rhs)[: pr.n]
+            if np.all(np.isfinite(x)):
+                yield J, x
+
+
+def test_stacked_linear_roots_equal_one_solve_per_pattern():
+    rng = np.random.default_rng(83)
+    tol = Tolerances()
+    # f is linear in x1 and x3 is tied to x1 by the inequality: several
+    # singular patterns of different sizes, among regular ones
+    problems = [make_problem(4, 2, "x1 + (x2-1)^2 + x3^2 - x4^2", g=["x3 - x1 + 1"])]
+    problems += [random_quadratic_instance(rng, n_max=6).base for _ in range(12)]
+    sizes, skipped = set(), 0
+    for pr in problems:
+        got_notes, want_notes = [], []
+        got = [(J, x.tobytes()) for J, x in oracle._linear_roots(pr, tol, got_notes)]
+        want = [(J, x.tobytes()) for J, x in _linear_roots_one_by_one(pr, tol, want_notes)]
+        assert got == want and got_notes == want_notes
+        skipped += len(got_notes)
+        sizes |= {2 * pr.n + len(pr.h) + len(a) - len(J) for J, a in
+                  itertools.product(_supports(pr.n, pr.s), _active_sets(len(pr.g)))}
+    assert skipped >= 3 and len(sizes) >= 8
 
 
 def _entry(x, index):

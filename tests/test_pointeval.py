@@ -21,11 +21,14 @@ from ccopkit import (
     PointEval,
     Problem,
     Tolerances,
+    census_newton,
     census_quadratic,
     census_t_quadratic,
     certify_m,
+    certify_m_many,
     certify_t,
     certify_t_many,
+    certify_t_pairs,
     evaluate,
     lift,
     make_regularized,
@@ -227,21 +230,23 @@ def solves(monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(ccop, "solve_multipliers", counted)
-    certify_m_, certify_t_ = ccop._certify_m, regmpoc._certify_t_many
+    certify_m_, certify_t_ = ccop._certify_m, regmpoc._certify_t_pairs
 
     def bits(x):
         return np.asarray(x.x if isinstance(x, PointEval) else x).tobytes()
 
-    def m(misses, pr, x, tol):
-        calls["keys"].append(("m", id(pr), bits(x), tol))
-        return certify_m_(misses, pr, x, tol)
+    def m(misses, pr, xs, tol):
+        calls["keys"].extend(("m", id(pr), bits(xs[k]), tol) for k in misses)
+        return certify_m_(misses, pr, xs, tol)
 
-    def t(misses, rp, x, ys, tol):
-        calls["keys"].extend(("t", id(rp), bits(x), ys[k].tobytes(), tol) for k in misses)
-        return certify_t_(misses, rp, x, ys, tol)
+    def t(misses, rp, points, owners, ys, tol):
+        calls["keys"].extend(
+            ("t", id(rp), bits(points[owners[k]]), ys[k].tobytes(), tol) for k in misses
+        )
+        return certify_t_(misses, rp, points, owners, ys, tol)
 
     monkeypatch.setattr(ccop, "_certify_m", m)
-    monkeypatch.setattr(regmpoc, "_certify_t_many", t)
+    monkeypatch.setattr(regmpoc, "_certify_t_pairs", t)
     return calls
 
 
@@ -355,6 +360,104 @@ def test_certify_t_many_equals_certify_t_per_y_on_cold_memos():
     stored = len(rp._certs)
     assert certify_t_many(rp, np.zeros(rp.n), []) == []
     assert len(rp._certs) == stored
+
+
+def _batch_cases(rng):
+    """(rp, candidates, grid) of the shapes the censuses certify: n=8 with
+    one equality (census_n8), the override sampler, and Newton roots of a
+    smooth instance with curved h and g.  The first two span several
+    batches."""
+    row = rng.uniform(0.25, 1.0, size=8) * rng.choice([-1.0, 1.0], size=8)
+    pr = make_problem(8, 3, random_quadratic_source(rng, 8), h=[affine_source(row, 0.3)])
+    cases = [(make_regularized(pr, random_c(rng, 8), float(rng.uniform(0.3, 1.0)) / 5),
+              oracle._subset_ys, None)]
+    for pr in (make_problem(6, 4, random_quadratic_source(rng, 6)),
+               random_quadratic_instance(rng, n_max=5).base):
+        rp = make_regularized(pr, np.zeros(pr.n), 0.0, override=True)
+        cases.append((rp, lambda rp: oracle._sampled_ys(rp, Tolerances()), None))
+    f = random_quadratic_source(rng, 5) + " + 0.2*sin(x1) + 0.1*x2*x3"
+    h, g = ["x1^2 + x2^2 + x3 + 0.5*x4 - 1"], ["2 - x1^2 - x2^2 - x3^2 - x4*x5"]
+    rp = make_regularized(make_problem(5, 2, f, h, g), random_c(rng, 5), 0.5 / 3)
+    cases.append((rp, oracle._subset_ys, GridSpec(2)))
+    return cases
+
+
+def _pickles(certs):
+    return [pickle.dumps(c) for c in certs]
+
+
+def test_census_batches_equal_cold_per_point_certificates():
+    rng = np.random.default_rng(79)
+    tol = Tolerances()
+    cases = _batch_cases(rng)
+    batches = crossing = mixed_roots = mixed_shapes = curved = 0
+    for rp, sampler, grid in cases:
+        cold = _fresh(rp)
+        want_m, want_t = {}, {}  # point bits -> pickled cold certificate
+        roots = list(oracle._shared_roots(rp.base, tol, [], grid))
+        for xs in oracle._batches([x] for _, x in roots):
+            want = _pickles([certify_m(cold.base, x) for x in xs])
+            assert _pickles(certify_m_many(rp.base, xs)) == want
+            want_m.update(zip((x.tobytes() for x in xs), want))
+        candidates = sampler(rp)
+        groups = [[(x, y) for y in candidates(J, x)] for J, x in roots]
+        sizes = [len(pairs) for pairs in oracle._batches(groups)]
+        # a batch closes at the first root that fills it, never inside a root
+        assert min(sizes[:-1], default=oracle._BATCH) >= oracle._BATCH
+        assert set(np.cumsum(sizes)) <= set(np.cumsum([len(g) for g in groups]))
+        for pairs in oracle._batches(groups):
+            many = certify_t_pairs(rp, pairs)
+            want = _pickles([certify_t(cold, x, y) for x, y in pairs])
+            assert _pickles(many) == want
+            want_t.update(zip((x.tobytes() + y.tobytes() for x, y in pairs), want))
+            batches += 1
+            crossing += len(pairs) > oracle._BATCH
+            mixed_roots += len({id(x) for x, _ in pairs}) > 1
+            rows = {len(c.lam) + len(c.mu1) + len(c.mu2) + c.activity.sum_active
+                    + len(c.sigma1) + len(c.sigma2) + 2 * len(c.rho1) for c in many}
+            mixed_shapes += len(rows) > 1
+            curved += (grid is not None) * sum(c.stationary and any(c.lam.values()) for c in many)
+
+        # the censuses, on an instance no certificate was memoized on
+        fresh = _fresh(rp)
+        if grid is None:
+            m_census, t_census = census_quadratic(fresh.base), census_t_quadratic(fresh)
+        else:
+            m_census, t_census = census_newton(fresh.base, grid), census_newton(fresh, grid)
+        assert m_census.m_points and t_census.t_points
+        for x, cert in m_census.m_points:
+            assert pickle.dumps(cert) == want_m[x.tobytes()]
+        for x, y, cert in t_census.t_points:
+            assert pickle.dumps(cert) == want_t[x.tobytes() + y.tobytes()]
+    assert batches > len(cases) and crossing >= 2
+    assert mixed_roots >= 5 and mixed_shapes >= 5 and curved >= 10
+
+
+def test_a_key_repeated_in_one_batch_is_certified_once(solves, eval2_calls):
+    rp = _memo_instance()
+    x = np.zeros(rp.n)
+    y = np.array([0.0, 0.0, rp.eps + 1.0, rp.eps + 1.0, 1.0 - 2.0 * rp.eps])
+    x2 = np.array([0.0, 0.5, 0.0, 0.0, 0.0])
+    pairs = [(x, y), (x.copy(), y.copy()), (x2, y), (evaluate(rp.base, x), y.tolist()), (x, 2 * y)]
+    cold = _fresh(rp)
+    plain = [(x, y), (x, y), (x2, y), (x, y), (x, 2 * y)]  # the pairs as arrays of cold's problem
+    want = _pickles([certify_t(cold, v, w) for v, w in plain])
+    eval2_calls.clear()
+    solves["keys"].clear()
+    got = certify_t_pairs(rp, pairs)
+    assert len(solves["keys"]) == len(set(solves["keys"])) == 3
+    assert len(eval2_calls) == 2 * 2 and set(eval2_calls.values()) == {1}  # f, g at x and x2
+    assert _pickles(got) == want  # the pairs interleave two xs
+    assert got[1] is not got[0] and got[3] is not got[0]
+    got[0].sigma1[5] = 99.0
+    assert got[1].sigma1[5] == got[3].sigma1[5] != 99.0
+    xs = [x, x2, x.copy(), x]
+    want = _pickles([certify_m(cold.base, v) for v in xs])
+    solves["keys"].clear()
+    ms = certify_m_many(rp.base, xs)
+    assert len(solves["keys"]) == len(set(solves["keys"])) == 2
+    assert _pickles(ms) == want and ms[2] is not ms[0] and ms[3] is not ms[0]
+    assert certify_t_pairs(rp, []) == [] and certify_m_many(rp.base, []) == []
 
 
 def test_a_batch_with_a_wrong_y_raises_and_stores_nothing():

@@ -96,6 +96,13 @@ def test_mpoc_licq_refuses_a_y_of_the_wrong_shape():
             check_mpoc_licq(rp, [0.0, 0.0], y)
 
 
+def test_check_y_structure_refuses_a_y_of_the_wrong_shape():
+    rp = well_ones_reg()
+    for y in ([0.0, 1.0, 0.0], [[0.0], [1.0]], [1.0]):
+        with pytest.raises(ValueError, match="^y has shape"):
+            check_y_structure(rp, y)
+
+
 def test_mpoc_licq_fails_on_duplicated_equality_gradient():
     pr = make_problem(2, 1, "x1^2 + x2^2", h=["x1 + x2", "x1 + x2"])
     rp = make_regularized(pr, [0.3, 0.7], 0.5)

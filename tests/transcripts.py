@@ -41,6 +41,7 @@ KINDS = {
     "override": (4, 2, 4),
     "plain": (3, 2, 5),  # no [regularization] section
     "uncertifiable": (3, 2, 4),
+    "batch": (2, 8, 8),  # quadratic, s in 3..4: its T census spans several certification batches
 }
 
 
@@ -77,7 +78,7 @@ def seeded_file(kind: str, index: int, rng) -> str:
     """Text of one seeded problem file of `kind`."""
     n_lo, n_hi = KINDS[kind][1:]
     n = int(rng.integers(n_lo, n_hi + 1))
-    s = int(rng.integers(0, n))
+    s = int(rng.integers(3, 5)) if kind == "batch" else int(rng.integers(0, n))
     f = _smooth_source(rng, n) if kind == "smooth" else random_quadratic_source(rng, n)
     g = ""
     if kind == "inequality":
