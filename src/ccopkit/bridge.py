@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ccop import MCertificate, certify_m, evaluate
+from .ccop import MCertificate, _point, certify_m
 from .numkern import Tolerances
 from .regmpoc import (
     AssumptionError,
@@ -111,7 +111,7 @@ def lift(rp: RegularizedProblem, x, tol: Tolerances = Tolerances()) -> LiftSet:
             "lift requires positive pairwise-distinct c and 0 < eps <= 1/(n-s); "
             "the maximizing index would otherwise be ill-defined"
         )
-    pe = evaluate(rp.base, x)
+    pe = _point(rp.base, x)  # evaluated only if a certificate is missing
     n, s = rp.n, rp.s
     mcert = certify_m(rp.base, pe, tol)
     if not mcert.stationary:
@@ -171,7 +171,9 @@ def project(rp: RegularizedProblem, x, y, tol: Tolerances = Tolerances()) -> MCe
     when the input is nondegenerate and satisfies NDT5, the projected point
     must be nondegenerate with matching index.  Violations raise BridgeError.
     """
-    pe = evaluate(rp.base, x)
+    pe = _point(rp.base, x)  # evaluated only if a certificate is missing
+    if not rp.assumption1_ok and not rp.override:
+        pe.f  # an undefined point is reported before the parameters
     tcert = certify_t(rp, pe, y, tol)
     if not tcert.stationary:
         raise NotStationaryError(

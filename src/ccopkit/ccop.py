@@ -13,7 +13,6 @@ kernel calls between them; certify_m is its one-point case.
 
 from __future__ import annotations
 
-import dataclasses
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -122,21 +121,38 @@ class MCertificate:
 class PointEval:
     """Jets of f, of every h and of every g of one problem at one point x.
 
-    Built once per point by `evaluate` and passed to every check and
-    certificate at that point, so no consumer walks the expression trees
-    again.  x is a read-only copy.
+    `evaluate` builds one and evaluates it at once.  The certifiers, `lift`
+    and `project` build one from an array and evaluate it on the first use
+    of f, h or g, which comes only when a certificate they need is missing;
+    that first use raises as `evaluate` does.  Either way the jets are
+    evaluated together once and kept, so no consumer walks the expression
+    trees again.  x is a read-only copy.
     """
 
     problem: Problem
     x: np.ndarray
-    f: Jet2
-    h: tuple[Jet2, ...]
-    g: tuple[Jet2, ...]
+
+    @cached_property
+    def _jets(self) -> tuple[Jet2, tuple[Jet2, ...], tuple[Jet2, ...]]:
+        pr = self.problem
+        exprs = (pr.f, *pr.h, *pr.g)
+        with np.errstate(over="ignore", invalid="ignore"):
+            jets = [eval2(e, self.x) for e in exprs]
+        for e, j in zip(exprs, jets):
+            if not (np.isfinite(j.value) and np.isfinite(j.gradient).all() and np.isfinite(j.hessian).all()):
+                raise ExprDomainError("value or derivative not finite at the point", to_source(e))
+        nh = len(pr.h)
+        return jets[0], tuple(jets[1 : 1 + nh]), tuple(jets[1 + nh :])
+
+    f = property(lambda self: self._jets[0])
+    h = property(lambda self: self._jets[1])
+    g = property(lambda self: self._jets[2])
 
 
-def _point(pr: Problem, x) -> PointEval | np.ndarray:
-    """x itself if it is a PointEval of `pr`, else a read-only float copy of
-    shape (n,); raises ValueError for another problem or another shape."""
+def _point(pr: Problem, x) -> PointEval:
+    """x itself if it is a PointEval of `pr`, else a PointEval of `pr` at a
+    read-only float copy of x, of shape (n,), that evaluates on first use;
+    raises ValueError for another problem or another shape."""
     if isinstance(x, PointEval):
         if x.problem is not pr:
             raise ValueError("PointEval was built for another problem")
@@ -145,7 +161,7 @@ def _point(pr: Problem, x) -> PointEval | np.ndarray:
     if x.shape != (pr.n,):
         raise ValueError(f"point has shape {x.shape}, expected ({pr.n},)")
     x.flags.writeable = False
-    return x
+    return PointEval(pr, x)
 
 
 def evaluate(pr: Problem, x) -> PointEval:
@@ -156,17 +172,9 @@ def evaluate(pr: Problem, x) -> PointEval:
     gradient or Hessian is undefined or not finite: such a point is an input
     error, never a verdict.
     """
-    x = _point(pr, x)
-    if isinstance(x, PointEval):
-        return x
-    exprs = (pr.f, *pr.h, *pr.g)
-    with np.errstate(over="ignore", invalid="ignore"):
-        jets = [eval2(e, x) for e in exprs]
-    for e, j in zip(exprs, jets):
-        if not (np.isfinite(j.value) and np.isfinite(j.gradient).all() and np.isfinite(j.hessian).all()):
-            raise ExprDomainError("value or derivative not finite at the point", to_source(e))
-    nh = len(pr.h)
-    return PointEval(pr, x, jets[0], tuple(jets[1 : 1 + nh]), tuple(jets[1 + nh :]))
+    pe = _point(pr, x)
+    pe.f  # the first use evaluates every jet, and raises here for an undefined point
+    return pe
 
 
 def _activity(pr: Problem, pe: PointEval, tol: Tolerances) -> CcopActivity:
@@ -263,11 +271,10 @@ def _solve(families, kinds, ineq: str, tol: Tolerances) -> list:
     return [(*head, neg, zero) for head, (neg, zero, _) in zip(solved, inertias)]
 
 
-def _key(x: PointEval | np.ndarray, *rest) -> tuple:
+def _key(pe: PointEval, *rest) -> tuple:
     """Memo key of a checked point (see _point): the shape and exact bits of
-    x, then `rest` (the bits of y, the tolerances)."""
-    x = x.x if isinstance(x, PointEval) else x
-    return (x.shape, x.tobytes(), *rest)
+    its x, then `rest` (the bits of y, the tolerances)."""
+    return (pe.x.shape, pe.x.tobytes(), *rest)
 
 
 def _certified(memo: weakref.WeakValueDictionary, keys: list, certify, *args) -> list:
@@ -298,9 +305,14 @@ def _certified(memo: weakref.WeakValueDictionary, keys: list, certify, *args) ->
 
 
 def _copy(cert):
-    """A copy of a certificate with its own multiplier dicts."""
-    fresh = {name: dict(v) for name, v in vars(cert).items() if isinstance(v, dict)}
-    return dataclasses.replace(cert, **fresh)
+    """A copy of a certificate with its own multiplier dicts, built without
+    __init__, which dataclasses.replace would run."""
+    copy = object.__new__(type(cert))
+    copy.__dict__ = fields = cert.__dict__.copy()
+    for name, value in cert.__dict__.items():
+        if type(value) is dict:
+            fields[name] = value.copy()
+    return copy
 
 
 def _first_failed(feasible: bool, stationary: bool, residual: float, flags, prefix: str):

@@ -41,12 +41,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 import numpy as np
 
 from .bridge import BridgeError, NotStationaryError, lift, project, verify_counts
-from .ccop import MCertificate, Problem, certify_m, check_cc_licq, evaluate
+from .ccop import MCertificate, Problem, _point, certify_m, check_cc_licq, evaluate
 from .exprcore import ExprDomainError, ExprSyntaxError, parse
 from .numkern import Tolerances
 from .oracle import (
@@ -605,7 +606,7 @@ def cmd_verify(args) -> int:
             if not mcert.nondegenerate:
                 continue
             label = f"x={np.round(x, 6).tolist()}"
-            pe = evaluate(rp.base, x)
+            pe = _point(rp.base, x)  # evaluated only if a certificate is missing
             try:
                 ls = lift(rp, pe, tol)
                 ok = all(
@@ -640,6 +641,7 @@ def cmd_verify(args) -> int:
 # Entry point
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol-feas", dest="tol_feas", type=float, default=None)

@@ -291,10 +291,10 @@ def certify_t_pairs(
     the base problem, in one call; equal to
     [certify_t(rp, x, y, tol) for x, y in pairs].
 
-    Each distinct x (by its bits) is evaluated once, and the work that
-    depends on it alone (its zeros, the h/g feasibility, the row bank and
-    the target) is done once; the y-conditions over one x are evaluated
-    together.  Candidates whose constraint directions have one shape share
+    Each distinct x (by its bits) is evaluated once if a pair over it is
+    not held, and never otherwise.  The work that depends on x alone (its
+    zeros, the h/g feasibility, the row bank and the target) is done once;
+    the y-conditions over one x are evaluated together.  Candidates whose constraint directions have one shape share
     one stacked SVD and one stacked eigensolve, whatever their x (see
     ccop._solve), and a pair repeated in `pairs` is certified once.  Raises
     AssumptionError as certify_t does, and ValueError when an x or a y has
@@ -309,7 +309,7 @@ def certify_t_pairs(
     # an x shared by several pairs is checked, and so copied, once; a copy per
     # pair left the n=10, s=6 T census with about 1 MB more peak RSS
     seen: dict[int, tuple] = {}  # id(x) -> (x, key of x); x is held, so its id stays its own
-    points: dict[tuple, PointEval | np.ndarray] = {}  # key of x -> the first checked x with it
+    points: dict[tuple, PointEval] = {}  # key of x -> the first checked x with it
     owners, ys, keys = [], [], []
     for x, y in pairs:
         if id(x) not in seen:

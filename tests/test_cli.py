@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from ccopkit.cli import LoadError, load_problem_file, main
+from ccopkit.cli import LoadError, _build_parser, load_problem_file, main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -285,6 +285,26 @@ def test_certify_and_project_refusals_name_cli_spellings(tmp_path, capsys):
         assert main(argv + ["--override-assumption1"]) != 3
         capsys.readouterr()
     assert main(["certify", path("well_ones_relaxed.prob"), "lifted_e1", "--side", "t"]) != 3
+
+
+def test_consecutive_main_calls_carry_no_option_over(tmp_path, capsys):
+    """The parser is built once per process, and a flag of one call is not
+    a default of the next."""
+    plain = tmp_path / "plain.prob"
+    with open(path("well_ones_relaxed.prob"), encoding="utf-8") as src:
+        plain.write_text(src.read().replace("override = true", "override = false"))
+    certify = ["certify", str(plain), "lifted_e1", "--side", "t"]
+    code, out = run(capsys, *certify, "--override-assumption1", "--format", "machine")
+    assert code != 3 and out.startswith('schema = "ccopkit-report/1"')
+    code = main(certify)
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == "" and "--override-assumption1" in captured.err
+    args = ("certify", path("well_ones.prob"), "e1", "--side", "m")
+    _, human = run(capsys, *args, "--format", "human")
+    _, machine = run(capsys, *args, "--format", "machine")
+    _, default = run(capsys, *args)
+    assert default == human != machine
+    assert _build_parser() is _build_parser()
 
 
 def test_check_licq_both_sides(capsys):

@@ -5,6 +5,7 @@ certificate is held."""
 import copy
 import dataclasses
 import gc
+import os
 import pickle
 import re
 import sys
@@ -36,7 +37,7 @@ from ccopkit import (
     project,
     to_source,
 )
-from ccopkit import ccop, oracle, regmpoc
+from ccopkit import ccop, cli, oracle, regmpoc
 
 from helpers import (
     affine_source,
@@ -47,6 +48,8 @@ from helpers import (
     random_sparse_point,
     well_ones,
 )
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 @pytest.fixture
@@ -92,10 +95,58 @@ def test_lift_and_project_evaluate_each_expression_once(eval2_calls):
     ls = lift(rp, x)
     assert len(ls.companions) == 3
     assert len(eval2_calls) == 3 and set(eval2_calls.values()) == {1}  # f, h, g at x
+    eval2_calls.clear()
     for y, _ in ls.companions:
-        eval2_calls.clear()
         assert project(rp, x, y).nondegenerate
-        assert len(eval2_calls) == 3 and set(eval2_calls.values()) == {1}
+    assert eval2_calls == {}  # every certificate project needs is held by ls
+
+
+def test_a_cold_project_evaluates_each_expression_once(eval2_calls):
+    pr = make_problem(
+        5, 3, "(x1-3)^2 + (x2-1)^2 + (x3-1)^2 + (x4-1)^2 + (x5-1)^2",
+        h=["x1 - 3"], g=["x1 + x2 + 1"],
+    )
+    rp = make_regularized(pr, [0.15, 0.3, 0.45, 0.6, 0.75], 0.25)
+    x = [3.0, 0.0, 0.0, 0.0, 0.0]
+    held = [project(rp, x, regmpoc.companion_y(rp, 5, (3,)))]  # T and M miss, one evaluation
+    assert held[0].nondegenerate
+    assert len(eval2_calls) == 3 and set(eval2_calls.values()) == {1}  # f, h, g at x
+    eval2_calls.clear()
+    held.append(project(rp, x, regmpoc.companion_y(rp, 5, (2,))))  # only the T side misses
+    assert len(eval2_calls) == 3 and set(eval2_calls.values()) == {1}
+
+
+def test_verify_round_trips_after_the_censuses_evaluate_nothing(eval2_calls):
+    rng = np.random.default_rng(67)
+    trips = 0
+    for _ in range(4):
+        rp = random_quadratic_instance(rng, n_max=6)
+        held = census_quadratic(rp.base), census_t_quadratic(rp)
+        eval2_calls.clear()
+        for x, mcert in held[0].m_points:  # as cmd_verify walks them
+            if mcert.nondegenerate:
+                pe = ccop._point(rp.base, x)
+                ls = lift(rp, pe)
+                for y, _ in ls.companions:
+                    assert project(rp, pe, y).m_index == mcert.m_index
+                    trips += 1
+        assert eval2_calls == {}
+    assert trips >= 20
+
+
+def test_cli_verify_evaluates_nothing_after_its_censuses(eval2_calls, monkeypatch, capsys):
+    census = cli._census
+
+    def then_clear(*args):
+        report = census(*args)
+        eval2_calls.clear()
+        return report
+
+    monkeypatch.setattr(cli, "_census", then_clear)
+    for name in ("well_ones.prob", "constrained.prob"):
+        assert cli.main(["verify", os.path.join(DATA, name), "--format", "machine"]) == 0
+        assert "lift-roundtrip" in capsys.readouterr().out
+        assert eval2_calls == {}
 
 
 def test_t_census_evaluates_each_expression_once_per_root(eval2_calls):
@@ -503,6 +554,50 @@ def test_would_be_hits_still_raise():
     object.__setattr__(relaxed, "override", False)
     with pytest.raises(AssumptionError):
         certify_t(relaxed, x, y)
+
+
+def test_a_hit_is_an_equal_copy_that_shares_no_dict():
+    rp = _memo_instance()
+    census = census_quadratic(rp.base), census_t_quadratic(rp)
+    x, y, tcert = next(p for p in census[1].t_points if p[2].activity.a00)
+    assert tcert.eq8_branches
+    mcert = next(c for _, c in census[0].m_points if c.gamma)
+    xm = next(x for x, c in census[0].m_points if c is mcert)
+    stored = list(rp.base._certs.values()) + list(rp._certs.values())
+    for entry, hit in ((mcert, certify_m(rp.base, xm)), (tcert, certify_t(rp, x, y))):
+        assert any(entry is kept for kept in stored)
+        assert type(hit) is type(entry) and hit is not entry
+        assert hit == entry and pickle.dumps(hit) == pickle.dumps(entry)
+        dicts = [v for v in vars(entry).values() if isinstance(v, dict)]
+        assert dicts and all(v is not w for v in vars(hit).values() for w in dicts)
+
+
+def test_lift_and_project_raise_input_errors_cold_and_warm():
+    pr = make_problem(2, 1, "log(x1) + (x2-1)^2")
+    rp = make_regularized(pr, [0.3, 0.7], 0.5)
+    undefined, y = [0.0, 1.0], [1.0, 0.0]
+    held = []
+    for _ in range(2):  # cold, then with certificates held at another point
+        for call in (lambda: lift(rp, undefined), lambda: project(rp, undefined, y)):
+            with pytest.raises(ExprDomainError):
+                call()
+        for call in (lambda: lift(rp, [1.0, 0.0, 0.0]), lambda: project(rp, [1.0, 0.0, 0.0], y),
+                     lambda: project(rp, [1.0, 0.0], [1.0, 0.0, 0.0])):
+            with pytest.raises(ValueError, match="shape"):
+                call()
+        held += [certify_m(pr, [1.0, 0.0]), certify_t(rp, [1.0, 0.0], [0.0, 1.0])]
+        assert len(pr._certs) == len(rp._certs) == 1
+
+
+def test_project_reports_an_input_error_before_the_parameters():
+    pr = make_problem(2, 1, "log(x1) + (x2-1)^2")
+    relaxed = make_regularized(pr, [0.0, 0.0], 0.0)
+    with pytest.raises(ExprDomainError):
+        project(relaxed, [0.0, 1.0], [1.0, 0.0])
+    with pytest.raises(ValueError, match="shape"):
+        project(relaxed, [0.0, 1.0, 0.0], [1.0, 0.0])
+    with pytest.raises(AssumptionError):
+        project(relaxed, [1.0, 0.0], [0.0, 1.0])
 
 
 def test_domain_errors_raise_on_every_call():
