@@ -33,6 +33,7 @@ from .exprcore import (
     ExprSyntaxError,
     Jet2,
     eval2,
+    eval2_many,
     parse,
     polynomial_degree,
     to_source,

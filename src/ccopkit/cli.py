@@ -42,6 +42,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import re
 import sys
 
 import numpy as np
@@ -504,11 +505,23 @@ def _add_census(rep: Report, census: CensusReport, sides: str):
         rep.add(f"note.{k}", note)
 
 
+_GRID_FLAGS = {"points_per_axis": "--grid-points", "lo": "--grid-lo", "hi": "--grid-hi"}
+
+
+def _grid(args) -> GridSpec:
+    """The grid of the --grid-* flags; a refused grid names the flags."""
+    try:
+        return GridSpec(args.grid_points, args.grid_lo, args.grid_hi)
+    except ValueError as exc:
+        flags = re.sub(r"\b(points_per_axis|lo|hi)\b", lambda m: _GRID_FLAGS[m.group()], str(exc))
+        raise LoadError(flags) from None
+
+
 def _census(pr: Problem, rp, method: str, sides: str, args, tol: Tolerances) -> CensusReport:
     """Census of one instance by one method on `sides` ("m", "t" or "mt").
     The T census reuses the roots that the M census found on pr.  Parameters
     that break the assumption are refused up front, in the CLI's spellings."""
-    grid = GridSpec(args.grid_points, args.grid_lo, args.grid_hi)
+    grid = _grid(args)
     quadratic = method == "quadratic"
     if "t" in sides and not rp.assumption1_ok:
         if not quadratic:

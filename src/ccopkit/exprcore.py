@@ -19,7 +19,7 @@ Values, gradients and Hessians are propagated exactly through the tree
 inertia counts downstream are tolerance sensitive and cannot absorb
 derivative noise.  Finite differences appear only in the test oracles.
 
-Each Expr is compiled once, on its first eval2, and keeps the result.
+Each Expr is compiled once, on its first evaluation, and keeps the result.
 First, every maximal subtree of structural degree at most 2 (other than a
 bare number or variable) is folded into one leaf holding its value c0,
 gradient b and Hessian A at the origin, read off by running the subtree's
@@ -36,6 +36,8 @@ matrix-vector products.  The tape applies the rules of a node-by-node walk
 of the unfolded tree in the same order, so a float slot holds the floats
 those rules compute at its variable's entries.  That walk, _jet in
 tests/test_exprcore.py, is the reference the tape is tested against.
+eval2_many runs the same tape once over a batch of points, one per row, and
+gives each row the bits eval2 gives it.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ __all__ = [
     "ExprDomainError",
     "parse",
     "eval2",
+    "eval2_many",
     "to_source",
     "polynomial_degree",
 ]
@@ -378,6 +381,26 @@ def eval2(expr: Expr, x) -> Jet2:
     g.flags.writeable = False  # fresh arrays, owned by this jet
     h.flags.writeable = False
     return Jet2(float(v), g, h)
+
+
+def eval2_many(expr: Expr, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values (K,), gradients (K, n) and Hessians (K, n, n) of `expr` at the
+    K rows of X, in one run of its tape over a batch axis.
+
+    Row k equals eval2(expr, X[k]) bit for bit (see the tape module), except
+    that a NaN may carry the other sign bit: scalar and vector instructions
+    make NaNs of either sign.  Raises ExprDomainError if some row's point is
+    outside the domain: the error of the first instruction at which a row
+    fails, which for one failing row is the error eval2 raises at that row.
+    The arrays are fresh and writeable.
+    """
+    Xv = np.asarray(X, dtype=float)
+    if Xv.ndim != 2 or Xv.shape[1] != expr.n:
+        raise ValueError(f"points have shape {Xv.shape}, expected (K, {expr.n})")
+    v, g, h = expr._tape.run(Xv)
+    values = np.empty(len(Xv))
+    values[:] = v  # the value of a constant expression is one float
+    return values, g, h
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,20 @@ Every census runs roots -> certify -> report.  A root finder yields
 (support, x) per support/active-set pattern: one linear solve per pattern on
 quadratic-affine instances, which makes the census exhaustive and the trust
 anchor for certification and lift/project, or a multistart damped Newton on
-any smooth instance (never exhaustive).  Roots are certified with
-certify_m_many, or expanded, in root order, into candidate y: the y of every
-(n-s)-subset of the zero pattern, or seeded samples of the y-polytope for
-the unregularized reformulation, whose stationary points can form continua.
-The (x, y) pairs are certified with certify_t_pairs.  Either side certifies
-in batches across roots, each closing once it holds at least _BATCH
-candidates, so the per-call set-up is shared while a batch's memory stays
-bounded.  Stationary points are then deduplicated and counted by index.
+any smooth instance (never exhaustive).  The Newton runs of all starts of a
+batch advance in lockstep: each round evaluates f and h once over the trial
+points of every run (eval2_many), each g_q only where q is active, and
+solves the KKT systems of one size in one stacked solve, while every run
+takes the steps, and ends with the bits, it would alone.
+
+Roots are certified with certify_m_many, or expanded, in root order, into
+candidate y: the y of every (n-s)-subset of the zero pattern, or seeded
+samples of the y-polytope for the unregularized reformulation, whose
+stationary points can form continua.  The (x, y) pairs are certified with
+certify_t_pairs.  Either side certifies in batches across roots, each
+closing once it holds at least _BATCH candidates, so the per-call set-up is
+shared while a batch's memory stays bounded.  Stationary points are then
+deduplicated and counted by index.
 
 Every T-point lies over an M-point with the same x, so both sides use the
 same roots.  They are found once per Problem and (method, grid, tol) and kept
@@ -23,12 +29,13 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ccop import MCertificate, Problem, certify_m_many
-from .exprcore import ExprDomainError, eval2, polynomial_degree, to_source
+from .exprcore import ExprDomainError, eval2, eval2_many, polynomial_degree, to_source
 from .numkern import Tolerances
 from .regmpoc import AssumptionError, RegularizedProblem, TCertificate, certify_t_pairs, companion_y
 
@@ -64,11 +71,21 @@ class CensusReport:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Multistart grid: points per free axis over the box [lo, hi]."""
+    """Multistart grid: points per free axis over the box [lo, hi].
+
+    Refuses a negative number of points, and bounds or a width hi - lo that
+    are not finite numbers; GridSpec(0) is the empty grid."""
 
     points_per_axis: int
     lo: float = -2.0
     hi: float = 2.0
+
+    def __post_init__(self):
+        if self.points_per_axis < 0:
+            raise ValueError(f"points_per_axis must be nonnegative, got {self.points_per_axis!r}")
+        for name, value in (("lo", self.lo), ("hi", self.hi), ("hi - lo", self.hi - self.lo)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def instance_id(pr: Problem, rp: RegularizedProblem | None = None) -> str:
@@ -111,22 +128,31 @@ def _active_sets(m: int):
         yield from itertools.combinations(range(1, m + 1), k)
 
 
-def _kkt_matrix(H, hgrads, ggrads, jc0) -> np.ndarray:
-    """KKT matrix of one pattern: the linear system of a quadratic-affine
-    instance and the Newton Jacobian of a general one.  Unknowns are x and one
-    multiplier per equality, active inequality and off-support coordinate
-    (0-based jc0); H is the Hessian of the Lagrangian."""
-    n = H.shape[0]
-    grads = [*hgrads, *ggrads]
-    size = n + len(grads) + len(jc0)
-    M = np.zeros((size, size))
-    M[:n, :n] = H
+def _kkt_matrix(H, grads, jc0) -> np.ndarray:
+    """KKT matrix of one pattern, or of each of a batch of patterns of one
+    size: the linear system of a quadratic-affine instance and the Newton
+    Jacobian of a general one.  Unknowns are x and one multiplier per
+    constraint gradient in grads (equalities, then active inequalities) and
+    per off-support coordinate in jc0 (0-based); H is the Hessian of the
+    Lagrangian.  One pattern: H (n, n), gradients (n,), jc0 a list.  A
+    batch: H (K, n, n), gradients (K, n), jc0 an array (K, m)."""
+    n = H.shape[-1]
+    c = n + len(grads)
+    batch = H.ndim == 3
+    size = c + (jc0.shape[1] if batch else len(jc0))
+    M = np.zeros(H.shape[:-2] + (size, size))
+    M[..., :n, :n] = H
     for k, a in enumerate(grads, start=n):
-        M[:n, k] = -a
-        M[k, :n] = a
-    for k, i0 in enumerate(jc0, start=n + len(grads)):
-        M[i0, k] = -1.0
-        M[k, i0] = 1.0
+        M[..., :n, k] = -a
+        M[..., k, :n] = a
+    if batch:  # pattern r's k-th off-support coordinate is jc0[r, k]
+        rows, cols = np.arange(len(M))[:, None], np.arange(c, size)
+        M[rows, jc0, cols] = -1.0
+        M[rows, cols, jc0] = 1.0
+    else:
+        for k, i0 in enumerate(jc0, start=c):
+            M[i0, k] = -1.0
+            M[k, i0] = 1.0
     return M
 
 
@@ -141,40 +167,9 @@ def _linear_system(data, J, act):
     jf, hj, gj = data
     gj = [gj[q - 1] for q in act]
     jc0 = [i - 1 for i in range(1, jf.gradient.size + 1) if i not in J]
-    M = _kkt_matrix(jf.hessian, [j.gradient for j in hj], [j.gradient for j in gj], jc0)
+    M = _kkt_matrix(jf.hessian, [j.gradient for j in hj + gj], jc0)
     rhs = np.concatenate([-jf.gradient, [-j.value for j in hj + gj], np.zeros(len(jc0))])
     return M, rhs
-
-
-def _m_pattern_system(pr: Problem, J, act):
-    """Residual and Jacobian of the KKT system of one pattern, as a function."""
-    n = pr.n
-    mh, ma = len(pr.h), len(act)
-    jc0 = [i - 1 for i in range(1, n + 1) if i not in J]
-    size = n + mh + ma + len(jc0)
-
-    def eval_f(z):
-        x = z[:n]
-        lam = z[n : n + mh]
-        mu = z[n + mh : n + mh + ma]
-        gam = z[n + mh + ma :]
-        jf = eval2(pr.f, x)
-        hj = [eval2(e, x) for e in pr.h]
-        gj = [eval2(pr.g[q - 1], x) for q in act]
-        r1 = jf.gradient.copy()
-        hess = jf.hessian.copy()
-        for k, j in enumerate(hj):
-            r1 -= lam[k] * j.gradient
-            hess -= lam[k] * j.hessian
-        for k, j in enumerate(gj):
-            r1 -= mu[k] * j.gradient
-            hess -= mu[k] * j.hessian
-        r1[jc0] -= gam
-        F = np.concatenate([r1, [j.value for j in hj], [j.value for j in gj], x[jc0]])
-        JF = _kkt_matrix(hess, [j.gradient for j in hj], [j.gradient for j in gj], jc0)
-        return F, JF
-
-    return eval_f, size
 
 
 # ---------------------------------------------------------------------------
@@ -213,64 +208,213 @@ def _linear_roots(pr: Problem, tol: Tolerances, notes: list[str]):
             yield J, x
 
 
-def _damped_newton(eval_f, z0, tol: Tolerances, max_iter=100, max_halvings=30):
-    z = z0.copy()
-    try:
-        F, JF = eval_f(z)
-    except ExprDomainError:
-        return z, False
-    merit = float(np.linalg.norm(F))
-    for _ in range(max_iter):
-        if np.max(np.abs(F)) <= tol.tol_feas:
-            return z, True
-        try:
-            dz = np.linalg.solve(JF, -F)
-        except np.linalg.LinAlgError:
-            dz = np.linalg.lstsq(JF, -F, rcond=None)[0]
-        if not np.all(np.isfinite(dz)):
-            return z, False
-        step = 1.0
-        for _ in range(max_halvings):
-            try:
-                Ft, JFt = eval_f(z + step * dz)
-            except ExprDomainError:
-                step *= 0.5
-                continue
-            mt = float(np.linalg.norm(Ft))
-            if mt < merit:
-                z = z + step * dz
-                F, JF, merit = Ft, JFt, mt
-                break
-            step *= 0.5
-        else:
-            return z, bool(np.max(np.abs(F)) <= tol.tol_feas)
-    return z, bool(np.max(np.abs(F)) <= tol.tol_feas)
-
-
 def _newton_roots(pr: Problem, grid: GridSpec, tol: Tolerances, notes: list[str]):
     """One damped-Newton run per pattern and grid start over its free axes;
-    roots of one pattern closer than 10*tol_act are yielded once."""
+    roots of one pattern closer than 10*tol_act are yielded once.
+
+    The starts run in lockstep (_lockstep_newton), in batches that close at
+    _BATCH starts; a pattern's starts never straddle two batches.  Roots come
+    in pattern and start order, with the bits of one start run alone.
+    """
     axis = np.linspace(grid.lo, grid.hi, grid.points_per_axis)
+    patterns = [(J, act) for J in _supports(pr.n, pr.s) for act in _active_sets(len(pr.g))]
+    groups = (
+        [(J, act, start) for start in itertools.product(axis, repeat=len(J))] for J, act in patterns
+    )
     failures = 0
-    for J in _supports(pr.n, pr.s):
-        for act in _active_sets(len(pr.g)):
-            eval_f, size = _m_pattern_system(pr, J, act)
-            roots = []
-            for start in itertools.product(axis, repeat=len(J)):
-                z0 = np.zeros(size)
-                for slot, i in enumerate(J):
-                    z0[i - 1] = start[slot]
-                z, ok = _damped_newton(eval_f, z0, tol)
-                if not ok:
-                    failures += 1
-                    continue
-                x = z[: pr.n]
-                if any(np.max(np.abs(x - r)) <= 10.0 * tol.tol_act for r in roots):
-                    continue
+    for batch in _batches(groups):
+        roots, pattern = [], None
+        for (J, act, _), x in zip(batch, _lockstep_newton(pr, batch, tol)):
+            if (J, act) != pattern:
+                roots, pattern = [], (J, act)
+            if x is None:
+                failures += 1
+            elif not any(np.max(np.abs(x - r)) <= 10.0 * tol.tol_act for r in roots):
                 roots.append(x)
                 yield J, x
     if failures:
         notes.append(f"{failures} Newton starts did not converge")
+
+
+def _lockstep_newton(pr: Problem, starts, tol: Tolerances, max_iter=100, max_halvings=30):
+    """Damped Newton on the KKT system of each (J, act, start) in `starts`:
+    x of each converged run, None for the others.
+
+    Each run takes the steps it would take alone.  From z, it solves
+    JF dz = -F (least squares if JF is singular) and tries z + step dz with
+    step 1, 1/2, ... for at most max_halvings trials, accepting the first
+    trial at which every expression is defined and the merit |F| falls.  It
+    converges once max|F| <= tol_feas, and fails at an undefined start, a
+    non-finite step, a failed line search or after max_iter steps.  The runs
+    advance together: each round evaluates one trial of every live run, the
+    runs of one system size (_Runs) sharing each stacked solve.
+    """
+    n = pr.n
+    sized: dict[tuple, list[int]] = {}
+    for k, (J, act, _) in enumerate(starts):
+        sized.setdefault((len(J), act), []).append(k)
+    runs = [_Runs(pr, [starts[k] for k in ks]) for ks in sized.values()]
+    with np.errstate(all="ignore"):  # a diverging run is a failure, not a warning
+        first = _kkt_systems(pr, [(r.act, r.jc0, r.z) for r in runs])
+        for r, (F, JF, failed) in zip(runs, first):
+            r.start(F, JF, failed)
+        while True:
+            trials = []
+            for r in runs:
+                r.direct(tol, max_iter)
+                live = r.live.nonzero()[0]
+                if live.size:
+                    trials.append((r, live, r.z[live] + r.step[live, None] * r.dz[live]))
+            if not trials:
+                break
+            systems = _kkt_systems(pr, [(r.act, r.jc0[live], z) for r, live, z in trials])
+            for (r, live, z), system in zip(trials, systems):
+                r.search(live, z, *system, max_halvings)
+    found: list = [None] * len(starts)
+    for r, ks in zip(runs, sized.values()):
+        for k, z, ok in zip(ks, r.z, r.converged.tolist()):
+            if ok:
+                found[k] = z[:n].copy()
+    return found
+
+
+class _Runs:
+    """The lockstep Newton runs of starts with one support size and active
+    set, whose KKT systems have one size: their unknowns z (x, then one
+    multiplier per equality, active inequality and off-support coordinate)
+    and the state of each run's iteration, one row per run."""
+
+    def __init__(self, pr: Problem, starts):
+        n, k = pr.n, len(starts)
+        self.act = starts[0][1]
+        jc0 = [[i for i in range(n) if i + 1 not in J] for J, _, _ in starts]
+        self.jc0 = np.array(jc0, dtype=int).reshape(k, n - len(starts[0][0]))
+        self.z = np.zeros((k, n + len(pr.h) + len(self.act) + self.jc0.shape[1]))
+        for row, (J, _, start) in enumerate(starts):
+            self.z[row, [i - 1 for i in J]] = start
+        self.dz = np.zeros_like(self.z)
+        self.step = np.ones(k)
+        self.halvings = np.zeros(k, dtype=int)
+        self.steps = np.zeros(k, dtype=int)
+        self.converged = np.zeros(k, dtype=bool)
+
+    def start(self, F, JF, failed):
+        """The systems at the starts; a run whose start is undefined fails."""
+        self.F, self.JF, self.merit = F, JF, _norms(F)
+        self.live = ~failed
+        self.due = ~failed  # a Newton step is due at z
+
+    def direct(self, tol: Tolerances, max_iter: int):
+        """A new direction for each live run whose last trial was accepted."""
+        due = (self.due & self.live).nonzero()[0]
+        if not due.size:
+            return
+        done = np.max(np.abs(self.F[due]), axis=1) <= tol.tol_feas
+        self.converged[due[done]] = True
+        self.live[due[done | (self.steps[due] == max_iter)]] = False
+        due = due[~done & (self.steps[due] < max_iter)]
+        if not due.size:
+            return
+        dz = _newton_steps(self.JF[due], self.F[due])
+        finite = np.isfinite(dz).all(axis=1)
+        self.live[due[~finite]] = False
+        due = due[finite]
+        self.dz[due] = dz[finite]
+        self.step[due] = 1.0
+        self.halvings[due] = 0
+        self.due[due] = False
+
+    def search(self, live, z, F, JF, failed, max_halvings: int):
+        """One line-search trial z of each live run: accept it if defined and
+        its merit is lower, else halve the step."""
+        merit = _norms(F)
+        better = ~failed & (merit < self.merit[live])
+        took = live[better]
+        self.z[took], self.F[took], self.JF[took] = z[better], F[better], JF[better]
+        self.merit[took] = merit[better]
+        self.steps[took] += 1
+        self.due[took] = True
+        halved = live[~better]
+        self.step[halved] *= 0.5
+        self.halvings[halved] += 1
+        self.live[halved[self.halvings[halved] == max_halvings]] = False
+
+
+def _norms(F):
+    """np.linalg.norm of each row, as the stacked dot product it takes."""
+    return np.sqrt(np.matmul(F[:, None, :], F[:, :, None])[:, 0, 0])
+
+
+def _newton_steps(JF, F):
+    """solve(JF[k], -F[k]) of each row, in one stacked solve unless a
+    matrix is singular; then row by row, by least squares where singular."""
+    try:
+        return np.linalg.solve(JF, -F[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        pass
+    steps = []
+    for J, f in zip(JF, F):
+        try:
+            steps.append(np.linalg.solve(J, -f))
+        except np.linalg.LinAlgError:
+            steps.append(np.linalg.lstsq(J, -f, rcond=None)[0])
+    return np.array(steps)
+
+
+def _kkt_systems(pr: Problem, parts):
+    """Residuals and Jacobians of pattern KKT systems at many points.
+
+    parts holds (act, jc0, z) per group of patterns with one active set and
+    support size: row k of z holds the unknowns of one point (x, then one
+    multiplier per equality, active inequality and off-support coordinate)
+    and row k of jc0 its off-support coordinates, 0-based.  f and each h are
+    evaluated once over the rows of all parts, and each g_q over the rows of
+    the parts whose active set holds q.  Returns (F, JF, failed) per part;
+    failed marks the rows at which an expression they need is undefined.
+    """
+    n = pr.n
+    X = np.concatenate([z[:, :n] for _, _, z in parts])
+    ends = [0, *itertools.accumulate(len(z) for _, _, z in parts)]
+    f = _jets(pr.f, X)
+    h = [_jets(e, X) for e in pr.h]
+    g = {}
+    spans = list(zip(ends, ends[1:]))
+    for q in sorted(set().union(*(act for act, _, _ in parts))):
+        rows = [np.arange(a, b) for (act, _, _), (a, b) in zip(parts, spans) if q in act]
+        rows = np.concatenate(rows)
+        g[q] = []
+        for t in _jets(pr.g[q - 1], X[rows]):  # scattered back; other rows stay unread
+            g[q].append(np.zeros((len(X), *t.shape[1:]), dtype=t.dtype))
+            g[q][-1][rows] = t
+    out = []
+    for (act, jc0, z), (a, b) in zip(parts, spans):
+        cons = [[t[a:b] for t in jets] for jets in (*h, *(g[q] for q in act))]
+        r1, hess, failed = (t[a:b].copy() for t in f[1:])
+        for k, (_, grad, H, bad) in enumerate(cons, start=n):
+            r1 -= z[:, k, None] * grad
+            hess -= z[:, k, None, None] * H
+            failed |= bad
+        rows = np.arange(len(z))[:, None]  # with jc0: each row's off-support entries
+        r1[rows, jc0] -= z[:, n + len(cons) :]
+        values = [v[:, None] for v, _, _, _ in cons]
+        F = np.concatenate([r1, *values, z[rows, jc0]], axis=1)
+        out.append((F, _kkt_matrix(hess, [grad for _, grad, _, _ in cons], jc0), failed))
+    return out
+
+
+def _jets(expr, X):
+    """eval2_many of expr at the rows of X, and the mask of rows at which it
+    raises ExprDomainError; a batch that raises is split in halves until the
+    failing rows are found, and those hold NaN."""
+    try:
+        return (*eval2_many(expr, X), np.zeros(len(X), dtype=bool))
+    except ExprDomainError:
+        if len(X) == 1:
+            n = X.shape[1]
+            nan = np.full(1, np.nan), np.full((1, n), np.nan), np.full((1, n, n), np.nan)
+            return (*nan, np.ones(1, dtype=bool))
+    half = len(X) // 2
+    return tuple(np.concatenate(t) for t in zip(_jets(expr, X[:half]), _jets(expr, X[half:])))
 
 
 def _shared_roots(pr: Problem, tol: Tolerances, notes: list[str], grid: GridSpec | None = None):

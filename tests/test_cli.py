@@ -353,6 +353,36 @@ def test_non_finite_tolerance_flags_exit_3(flag, value, capsys):
     assert captured.err == f"ccopkit: {name} must be a finite number, got {float(value)!r}\n"
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        # each was once accepted: a NaN bound failed every start with exit 0,
+        # an infinite one printed numpy warnings, the wide box overflowed
+        # linspace and -3 points made an empty grid
+        (["--grid-lo", "nan"], "--grid-lo must be a finite number, got nan"),
+        (["--grid-hi", "inf"], "--grid-hi must be a finite number, got inf"),
+        (["--grid-lo=1e308", "--grid-hi=-1e308"],
+         "--grid-hi - --grid-lo must be a finite number, got -inf"),
+        (["--grid-points", "-3"], "--grid-points must be nonnegative, got -3"),
+    ],
+)
+@pytest.mark.parametrize("command", ["census", "verify"])
+def test_invalid_grid_flags_exit_3(command, flags, message, capsys):
+    argv = [command, path("well_e1.prob"), *flags]
+    if command == "census":
+        argv += ["--method", "newton"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == f"ccopkit: {message}\n"
+
+
+def test_an_empty_grid_is_a_note(capsys):
+    code, out = run(capsys, "census", path("well_e1.prob"), "--method", "newton", "--side", "m",
+                    "--grid-points", "0", "--format", "machine")
+    assert code == 0 and 'note.0 = "empty grid"' in out
+
+
 def test_tolerance_flag_overrides_file(capsys):
     _, out = run(
         capsys, "certify", path("constrained.prob"), "origin", "--side", "m",

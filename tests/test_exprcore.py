@@ -10,6 +10,7 @@ from ccopkit import (
     ExprSyntaxError,
     Problem,
     eval2,
+    eval2_many,
     evaluate,
     parse,
     polynomial_degree,
@@ -472,3 +473,103 @@ def test_compiled_form_lives_and_dies_with_its_expression():
     alive = weakref.ref(e)
     del e
     assert alive() is None  # no cache outside the expression holds it
+
+
+def _random_smooth_source(rng, n, depth=3) -> str:
+    """A random smooth expression: dense quadratic leaves, sums, products
+    over several variables, quotients, negations, integer powers (negative
+    ones and powers of 3 and more among them), sin, cos, exp and log on a
+    positive argument, and one-variable terms that run on float slots."""
+    if depth == 0 or rng.uniform() < 0.2:
+        leaf = rng.uniform()
+        if leaf < 0.6:
+            return f"x{int(rng.integers(1, n + 1))}"
+        if leaf < 0.8:  # a dense quadratic leaf: a sum in every product A x
+            return random_quadratic_source(rng, n)
+        return repr(float(rng.uniform(-2.0, 2.0)))
+    a, b = _random_smooth_source(rng, n, depth - 1), _random_smooth_source(rng, n, depth - 1)
+    i = int(rng.integers(1, n + 1))
+    k = int(rng.choice([-3, -2, -1, 2, 3, 4, 5]))
+    return [
+        f"({a}) + ({b})",
+        f"({a}) - ({b})",
+        f"({a})*({b})",
+        f"({a})/(2 + cos({b}))",
+        f"({a})/({b})",
+        f"({a})^{k}",
+        f"sin({a})",
+        f"cos({a})*({b})",
+        f"exp(0.3*({a}))",
+        f"log(1 + ({a})^2)",
+        f"({float(rng.uniform(0.1, 0.3))!r})*sin(x{i}) + ({a})",
+        f"x{i}*x{int(rng.integers(1, n + 1))}*({a})",
+        f"-({a})",
+        f"sin(x{i}) - ({a})*({b})",
+    ][int(rng.integers(0, 14))]
+
+
+def _same_bits(a, b) -> bool:
+    """Equal bits, with every NaN read as one value: a NaN made by a scalar
+    and by a vector instruction can differ in its sign bit."""
+    a, b = (np.where(np.isnan(v), np.nan, v) for v in (np.asarray(a, float), np.asarray(b, float)))
+    return a.tobytes() == b.tobytes()
+
+
+def test_eval2_many_rows_equal_eval2_bit_for_bit():
+    rng = np.random.default_rng(97)
+    exprs = [parse(_random_smooth_source(rng, n), n) for n in rng.integers(1, 6, size=120)]
+    exprs += [parse(src, 3) for src in ("2.5", "x2", "x1 + 1", "x1*x2 + x3^2", "x1^3*x2^-2*sin(x3)")]
+    rules, rows, overflowed, raised = set(), 0, 0, 0
+    for e in exprs:
+        X = rng.uniform(-2.0, 2.0, size=(7, e.n))
+        X[1] *= 1e3  # exp, powers and products overflow here
+        X[2] = 1e155
+        for K in (7, 1):
+            with np.errstate(all="ignore"):
+                try:
+                    values, grads, hessians = eval2_many(e, X[:K])
+                except ExprDomainError:
+                    raised += 1
+                    continue
+                jets = [eval2(e, x) for x in X[:K]]
+            assert values.shape == (K,) and grads.shape == (K, e.n) and hessians.shape == (K, e.n, e.n)
+            for jet, v, g, h in zip(jets, values, grads, hessians):
+                assert _same_bits(jet.value, v) and _same_bits(jet.gradient, g)
+                assert _same_bits(jet.hessian, h)
+                overflowed += not np.isfinite(h).all()
+            rows += K
+        rules |= {op.func.__name__ for op in e._tape.ops}
+        rules |= {op.args[2].__name__ for op in e._tape.ops if "chain" in op.func.__name__}
+    assert rows >= 700 and overflowed >= 50 and raised <= 20
+    assert rules >= {
+        "_load_var", "_load_quadratic1", "_load_quadratic", "_promote", "_scalar_pm", "_scalar_mul",
+        "_scalar_div", "_scalar_neg", "_scalar_chain", "_scatter", "_cross_mul", "_dense_pm",
+        "_dense_mul", "_dense_div", "_dense_neg", "_dense_chain",
+        "_power", "_sin", "_cos", "_exp", "_log",
+    }
+
+
+def test_eval2_many_raises_the_error_of_its_failing_row():
+    rng = np.random.default_rng(101)
+    for src, bad in (
+        ("log(x1) + x2^2", [0.0, 1.0]),
+        ("sin(x2) + x1/(x2 - 1)", [3.0, 1.0]),
+        ("x1*x2 + (x1 - 2)^-3", [2.0, 0.5]),
+        ("exp(x1)*x2 + x1^2/(x1*x2 - 4)", [2.0, 2.0]),
+        ("x1*x2*log(x1*x2 + 1)", [-1.0, 1.0]),
+    ):
+        e = parse(src, 2)
+        with pytest.raises(ExprDomainError) as want:
+            eval2(e, bad)
+        X = rng.uniform(0.2, 0.4, size=(5, 2))
+        X[3] = bad
+        with pytest.raises(ExprDomainError) as got:
+            eval2_many(e, X)
+        assert str(got.value) == str(want.value) and got.value.subterm == want.value.subterm
+
+
+def test_eval2_many_refuses_a_point_of_the_wrong_shape():
+    e = parse("x1 + x2", 2)
+    for X in (np.zeros(2), np.zeros((3, 3)), np.zeros((1, 2, 2))):
+        with pytest.raises(ValueError, match="expected"):
+            eval2_many(e, X)

@@ -20,16 +20,25 @@ from ccopkit import (
     verify_counts,
 )
 from ccopkit import oracle
+from ccopkit.exprcore import ExprDomainError, eval2
 from ccopkit.oracle import (
     _active_sets,
     _dedupe,
+    _kkt_matrix,
+    _kkt_systems,
     _linear_system,
-    _m_pattern_system,
     _quadratic_data,
     _supports,
 )
 
-from helpers import make_problem, random_quadratic_instance, well_e1, well_ones, well_ones_reg
+from helpers import (
+    make_problem,
+    random_quadratic_instance,
+    random_quadratic_source,
+    well_e1,
+    well_ones,
+    well_ones_reg,
+)
 
 
 def _points(census):
@@ -149,6 +158,20 @@ def test_newton_census_empty_grid():
     assert census.notes == ["empty grid"]
 
 
+def test_grid_spec_refuses_what_spans_no_finite_box():
+    for args, message in (
+        ((-1,), "points_per_axis must be nonnegative, got -1"),
+        ((3, float("nan")), "lo must be a finite number, got nan"),
+        ((3, -2.0, float("inf")), "hi must be a finite number, got inf"),
+        ((3, -float("inf"), 2.0), "lo must be a finite number, got -inf"),
+        ((3, 1e308, -1e308), "hi - lo must be a finite number, got -inf"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            GridSpec(*args)
+        assert str(exc.value) == message
+    assert GridSpec(0).points_per_axis == 0 and GridSpec(2, 1e308, 1e308).hi == 1e308
+
+
 def test_newton_census_lifted_side():
     rp = well_ones_reg()
     newt = census_newton(rp, GridSpec(3, -2.0, 2.0))
@@ -265,7 +288,7 @@ def test_roots_live_and_die_with_their_problem():
 
 
 def test_root_search_is_shared_by_both_sides_and_keyed(monkeypatch):
-    calls = {"_damped_newton": 0, "_linear_system": 0}
+    calls = {"_lockstep_newton": 0, "_linear_system": 0}
 
     def counted(name):
         inner = getattr(oracle, name)
@@ -276,21 +299,21 @@ def test_root_search_is_shared_by_both_sides_and_keyed(monkeypatch):
 
         monkeypatch.setattr(oracle, name, wrapper)
 
-    counted("_damped_newton")
+    counted("_lockstep_newton")
     counted("_linear_system")
     rp = _exp_well_reg()
     grid = GridSpec(3)
     m_census = census_newton(rp.base, grid)
-    runs = calls["_damped_newton"]
+    runs = calls["_lockstep_newton"]
     assert runs > 0
     t_census = census_newton(rp, grid)
     census_newton(rp, GridSpec(3, -2.0, 2.0), Tolerances())  # equal keys
-    assert calls["_damped_newton"] == runs
+    assert calls["_lockstep_newton"] == runs
     census_newton(rp, GridSpec(2))
-    assert calls["_damped_newton"] > runs
-    runs = calls["_damped_newton"]
+    assert calls["_lockstep_newton"] > runs
+    runs = calls["_lockstep_newton"]
     census_newton(rp, grid, Tolerances(tol_act=1e-7))
-    assert calls["_damped_newton"] > runs
+    assert calls["_lockstep_newton"] > runs
 
     quad = well_ones_reg()
     census_quadratic(quad.base)
@@ -310,8 +333,9 @@ def test_root_search_is_shared_by_both_sides_and_keyed(monkeypatch):
 
 
 def test_shared_kkt_matrix_is_pinned_by_certify_m_multipliers():
-    # both root finders take their KKT matrix from _kkt_matrix; the pin is the
-    # comparison with certify_m, which solves for the multipliers on its own
+    # both root finders take their KKT matrix from _kkt_matrix, the Newton
+    # one through _kkt_systems; the pin is the comparison with certify_m,
+    # which solves for the multipliers on its own
     rng = np.random.default_rng(7)
     tol = Tolerances()
     patterns = pinned = with_lam = with_mu = 0
@@ -326,7 +350,10 @@ def test_shared_kkt_matrix_is_pinned_by_certify_m_multipliers():
                 if sing[-1] <= tol.tol_rank * sing[0]:
                     continue
                 z = np.linalg.solve(M, rhs)
-                F, JF = _m_pattern_system(pr, J, act)[0](z)
+                jc0 = [[i - 1 for i in range(1, n + 1) if i not in J]]
+                ((F, JF, failed),) = _kkt_systems(pr, [(act, np.array(jc0), z[None])])
+                assert not failed[0]
+                F, JF = F[0], JF[0]
                 np.testing.assert_array_equal(JF, M)  # wiring only: both are _kkt_matrix
                 assert np.max(np.abs(F)) <= 1e-8
                 patterns += 1
@@ -377,6 +404,205 @@ def test_stacked_linear_roots_equal_one_solve_per_pattern():
         sizes |= {2 * pr.n + len(pr.h) + len(a) - len(J) for J, a in
                   itertools.product(_supports(pr.n, pr.s), _active_sets(len(pr.g)))}
     assert skipped >= 3 and len(sizes) >= 8
+
+
+def _m_pattern_system(pr, J, act):
+    """Residual and Jacobian of the KKT system of one pattern, as a function
+    of its unknowns: the one-point form of oracle._kkt_systems."""
+    n = pr.n
+    mh, ma = len(pr.h), len(act)
+    jc0 = [i - 1 for i in range(1, n + 1) if i not in J]
+    size = n + mh + ma + len(jc0)
+
+    def eval_f(z):
+        x = z[:n]
+        lam = z[n : n + mh]
+        mu = z[n + mh : n + mh + ma]
+        gam = z[n + mh + ma :]
+        jf = eval2(pr.f, x)
+        hj = [eval2(e, x) for e in pr.h]
+        gj = [eval2(pr.g[q - 1], x) for q in act]
+        r1 = jf.gradient.copy()
+        hess = jf.hessian.copy()
+        for k, j in enumerate(hj):
+            r1 -= lam[k] * j.gradient
+            hess -= lam[k] * j.hessian
+        for k, j in enumerate(gj):
+            r1 -= mu[k] * j.gradient
+            hess -= mu[k] * j.hessian
+        r1[jc0] -= gam
+        F = np.concatenate([r1, [j.value for j in hj], [j.value for j in gj], x[jc0]])
+        JF = _kkt_matrix(hess, [j.gradient for j in hj + gj], jc0)
+        return F, JF
+
+    return eval_f, size
+
+
+def _damped_newton(eval_f, z0, tol, max_iter=100, max_halvings=30):
+    z = z0.copy()
+    try:
+        F, JF = eval_f(z)
+    except ExprDomainError:
+        return z, False
+    merit = float(np.linalg.norm(F))
+    for _ in range(max_iter):
+        if np.max(np.abs(F)) <= tol.tol_feas:
+            return z, True
+        try:
+            dz = np.linalg.solve(JF, -F)
+        except np.linalg.LinAlgError:
+            dz = np.linalg.lstsq(JF, -F, rcond=None)[0]
+        if not np.all(np.isfinite(dz)):
+            return z, False
+        step = 1.0
+        for _ in range(max_halvings):
+            try:
+                Ft, JFt = eval_f(z + step * dz)
+            except ExprDomainError:
+                step *= 0.5
+                continue
+            mt = float(np.linalg.norm(Ft))
+            if mt < merit:
+                z = z + step * dz
+                F, JF, merit = Ft, JFt, mt
+                break
+            step *= 0.5
+        else:
+            return z, bool(np.max(np.abs(F)) <= tol.tol_feas)
+    return z, bool(np.max(np.abs(F)) <= tol.tol_feas)
+
+
+def _newton_roots_one_by_one(pr, grid, tol, notes, counts):
+    """The reference for oracle._newton_roots: one damped-Newton run per
+    pattern and start, one point at a time.  counts gathers the runs and the
+    evaluations that raised, at a start and in all."""
+    axis = np.linspace(grid.lo, grid.hi, grid.points_per_axis)
+    failures = 0
+    for J in _supports(pr.n, pr.s):
+        for act in _active_sets(len(pr.g)):
+            eval_f, size = _m_pattern_system(pr, J, act)
+            roots = []
+            for start in itertools.product(axis, repeat=len(J)):
+                z0 = np.zeros(size)
+                for slot, i in enumerate(J):
+                    z0[i - 1] = start[slot]
+                z, ok = _counted_run(eval_f, z0, tol, counts)
+                if not ok:
+                    failures += 1
+                    continue
+                x = z[: pr.n]
+                if any(np.max(np.abs(x - r)) <= 10.0 * tol.tol_act for r in roots):
+                    continue
+                roots.append(x)
+                yield J, x
+    if failures:
+        notes.append(f"{failures} Newton starts did not converge")
+
+
+def _counted_run(eval_f, z0, tol, counts):
+    calls = []
+
+    def counted(z):
+        calls.append(z)
+        try:
+            return eval_f(z)
+        except ExprDomainError:
+            counts["raised"] += 1
+            counts["raised at start"] += len(calls) == 1
+            raise
+
+    counts["starts"] += 1
+    return _damped_newton(counted, z0, tol)
+
+
+def _smooth_source(rng, n):
+    """Quadratic plus small sin/cos/exp/log(1+x^2) terms and two products,
+    like the instances of the newton_smooth benchmark workload."""
+    terms = [random_quadratic_source(rng, n)]
+    for i in range(1, n + 1):
+        a = float(rng.uniform(0.1, 0.3))
+        terms.append((f"{a!r}*sin(x{i})", f"{a!r}*cos(x{i})", f"{a!r}*exp(0.3*x{i})",
+                      f"{a!r}*log(1+x{i}^2)")[int(rng.integers(0, 4))])
+    for _ in range(2):
+        i, j = (int(v) + 1 for v in rng.choice(n, size=2, replace=False))
+        terms.append(f"({float(rng.uniform(-0.2, 0.2))!r})*x{i}*sin(x{j})")
+    return " + ".join(terms)
+
+
+def test_lockstep_newton_roots_equal_one_start_at_a_time(monkeypatch):
+    rng = np.random.default_rng(89)
+    tol = Tolerances()
+    curved_h = ["x1^2 + x2^2 + x3 - 1"]
+    curved_g = ["2 - x1^2 - x2^2 - x3^2 - x4^2", "x1 + x2 - 0.5"]
+    cases = [(make_problem(n, s, _smooth_source(rng, n)), GridSpec(3)) for n, s in ((4, 2), (5, 2), (6, 2))]
+    cases += [
+        # curved h and g, both of the latter active in some patterns; many
+        # runs fail, some only after max_iter steps
+        (make_problem(4, 2, _smooth_source(rng, 4), curved_h, curved_g), GridSpec(2)),
+        (_exp_well_reg().base, GridSpec(3)),  # 3 starts do not converge
+        # log raises at the starts x1 = -2 and in line searches below it
+        (make_problem(2, 1, "log(x1 + 2) + x1^2 + (x2 - 1)^2"), GridSpec(3)),
+        # g1 raises at the starts x2 = -2, also where it is inactive
+        (make_problem(3, 2, "(x1 - 1)^2 + (x2 - 1)^2 + x3^2", g=["log(x2 + 2)"]), GridSpec(3)),
+        # the Jacobian is singular at x1 = 0: least squares, within a batch
+        (make_problem(3, 2, "x1^4 - x1 + (x2 - 1)^2 + x3^2"), GridSpec(3)),
+        # 376 starts: two batches
+        (make_problem(5, 3, _smooth_source(rng, 5)), GridSpec(3)),
+    ]
+    counts = dict.fromkeys(["starts", "raised", "raised at start"], 0)
+    lstsq_calls = {"lockstep": 0, "reference": 0}
+    lstsq = np.linalg.lstsq
+
+    def counted_lstsq(*args, **kwargs):
+        lstsq_calls[phase] += 1
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+    noted = 0
+    for pr, grid in cases:
+        got_notes, want_notes = [], []
+        phase = "lockstep"
+        got = [(J, x.tobytes()) for J, x in oracle._newton_roots(pr, grid, tol, got_notes)]
+        phase = "reference"
+        with np.errstate(all="ignore"):  # the runs that diverge overflow
+            want = _newton_roots_one_by_one(pr, grid, tol, want_notes, counts)
+            want = [(J, x.tobytes()) for J, x in want]
+        assert got == want and got_notes == want_notes
+        assert got
+        noted += bool(got_notes)
+    assert counts["starts"] > 2 * oracle._BATCH and noted >= 2
+    assert counts["raised at start"] >= 3 and counts["raised"] > counts["raised at start"]
+    assert lstsq_calls["lockstep"] == lstsq_calls["reference"] >= 3
+
+
+def test_lockstep_runs_keep_the_limits_of_one_run():
+    # small max_iter and max_halvings put runs at both limits: a run may
+    # converge on its last allowed step, or fail one step or halving short
+    rng = np.random.default_rng(91)
+    tol = Tolerances()
+    problems = [make_problem(4, 2, _smooth_source(rng, 4)), _exp_well_reg().base,
+                make_problem(3, 2, "x1^4 - x1 + (x2 - 1)^2 + x3^2"),
+                make_problem(2, 1, "log(x1 + 2) + x1^2 + (x2 - 1)^2"),
+                make_problem(2, 1, "exp(x1) - 3*x1 + x2^2 + x1*x2")]  # one start needs 2 trials
+    outcomes = set()
+    for pr in problems:
+        axis = np.linspace(-2.0, 2.0, 3)
+        starts = [(J, act, start) for J in _supports(pr.n, pr.s) for act in _active_sets(len(pr.g))
+                  for start in itertools.product(axis, repeat=len(J))]
+        for max_iter, max_halvings in ((1, 30), (2, 30), (3, 1), (4, 2), (100, 1)):
+            limits = {"max_iter": max_iter, "max_halvings": max_halvings}
+            got = oracle._lockstep_newton(pr, starts, tol, **limits)
+            for (J, act, start), x in zip(starts, got):
+                eval_f, size = _m_pattern_system(pr, J, act)
+                z0 = np.zeros(size)
+                z0[[i - 1 for i in J]] = start
+                with np.errstate(all="ignore"):
+                    z, ok = _damped_newton(eval_f, z0, tol, **limits)
+                assert (x is not None) == ok
+                if ok:
+                    assert x.tobytes() == z[: pr.n].tobytes()
+                outcomes.add((max_iter, ok))
+    assert outcomes == {(k, ok) for k in (1, 2, 3, 4, 100) for ok in (False, True)}
 
 
 def _entry(x, index):
