@@ -223,7 +223,9 @@ def verify_counts(rp: RegularizedProblem, census, tol: Tolerances = Tolerances()
     """Check the counting identities of a two-sided census.
 
     (a) every nondegenerate M-point has exactly binom(n-k-1, n-s-1)
-        T-points above it (k its nonzero count), (b) that binomial equals
+        T-points above it (k its nonzero count): those whose x has its
+        bits, and those within the merge radius whose x matches no
+        M-point, (b) that binomial equals
         binom(n-k-1, s-k), (c) minimizer counts agree on both sides,
         (d) index-1 points are at least minimizers minus one.
     Exact-count checks are n/a on incomplete censuses.
@@ -239,13 +241,26 @@ def verify_counts(rp: RegularizedProblem, census, tol: Tolerances = Tolerances()
         return report
 
     if census.complete:
-        xts = np.array([xt for xt, _, _ in census.t_points])
+        # a T-point belongs to the M-point whose x has its bits (both come
+        # from one root); one whose x matches no M-point counts for every
+        # M-point within the merge radius
+        m_bits = {xm.tobytes() for xm, _ in census.m_points}
+        owned: dict[bytes, int] = {}
+        strays = []
+        for xt, _, _ in census.t_points:
+            bits = xt.tobytes()
+            if bits in m_bits:
+                owned[bits] = owned.get(bits, 0) + 1
+            else:
+                strays.append(xt)
+        strays = np.array(strays).reshape(len(strays), n)
         for xm, mcert in census.m_points:
             if not mcert.nondegenerate:
                 continue
             k = mcert.activity.x_norm0
             want = math.comb(n - k - 1, n - s - 1)
-            got = int(np.count_nonzero(np.max(np.abs(xts - xm), axis=1) <= radius))
+            near = np.max(np.abs(strays - xm), axis=1) <= radius
+            got = owned.get(xm.tobytes(), 0) + int(np.count_nonzero(near))
             status = "pass" if got == want else "fail"
             report.checks.append(
                 CountCheck(

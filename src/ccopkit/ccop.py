@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exprcore import Expr, ExprDomainError, Jet2, eval2, to_source
+from .exprcore import Expr, ExprDomainError, Jet2, eval2, eval2_many, to_source
 from .numkern import Tolerances, rank_and_nullbasis, restricted_inertia, solve_multipliers
 
 __all__ = [
@@ -124,9 +124,10 @@ class PointEval:
     `evaluate` builds one and evaluates it at once.  The certifiers, `lift`
     and `project` build one from an array and evaluate it on the first use
     of f, h or g, which comes only when a certificate they need is missing;
-    that first use raises as `evaluate` does.  Either way the jets are
-    evaluated together once and kept, so no consumer walks the expression
-    trees again.  x is a read-only copy.
+    that first use raises as `evaluate` does.  A census gives both of its
+    sides PointEvals that carry jets evaluated for all roots together
+    (_jets_many, _carrying).  Either way the jets are evaluated once and
+    kept, so no consumer walks the expression trees again.  x is read-only.
     """
 
     problem: Problem
@@ -147,6 +148,42 @@ class PointEval:
     f = property(lambda self: self._jets[0])
     h = property(lambda self: self._jets[1])
     g = property(lambda self: self._jets[2])
+
+
+def _jets_many(pr: Problem, xs: list) -> list:
+    """PointEval's jets at each x of xs, from one eval2_many per expression;
+    each row has the bits of eval2.  None stands for every x if an
+    expression raises ExprDomainError at some x, and for each x at which a
+    jet is not finite: such a point is evaluated on its first use, which
+    raises as it would without this."""
+    if not xs:
+        return []
+    X = np.array(xs)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            batches = [eval2_many(e, X) for e in (pr.f, *pr.h, *pr.g)]
+    except ExprDomainError:
+        return [None] * len(xs)
+    finite = np.ones(len(xs), dtype=bool)
+    for values, grads, hessians in batches:
+        finite &= np.isfinite(values) & np.isfinite(grads).all(axis=1)
+        finite &= np.isfinite(hessians).all(axis=(1, 2))
+        grads.flags.writeable = hessians.flags.writeable = False
+    nh = len(pr.h)
+    out: list = [None] * len(xs)
+    for k in finite.nonzero()[0].tolist():
+        jets = [Jet2(float(v[k]), g[k], h[k]) for v, g, h in batches]
+        out[k] = jets[0], tuple(jets[1 : 1 + nh]), tuple(jets[1 + nh :])
+    return out
+
+
+def _carrying(pr: Problem, x: np.ndarray, jets) -> PointEval:
+    """A PointEval of pr at the read-only x that carries `jets` (an item of
+    _jets_many), or that evaluates on first use where jets is None."""
+    pe = PointEval(pr, x)
+    if jets is not None:
+        vars(pe)["_jets"] = jets  # what its first use would have evaluated
+    return pe
 
 
 def _point(pr: Problem, x) -> PointEval:
@@ -224,6 +261,13 @@ def _stacked(kernel, tol: Tolerances, *columns) -> list:
     return out
 
 
+def _lstsq(rows, target, tol: Tolerances):
+    """solve_multipliers with the transpose of `rows` (k x d, or a stack) as
+    its columns: a view with the layout of rows.T, so that every residual
+    has the bits of rows.T @ coeffs - target."""
+    return solve_multipliers(np.swapaxes(rows, -1, -2), target, tol)
+
+
 def _solve(families, kinds, ineq: str, tol: Tolerances) -> list:
     """Solve the multiplier systems of certificates and read off their inertia.
 
@@ -237,17 +281,19 @@ def _solve(families, kinds, ineq: str, tol: Tolerances) -> list:
     leading n x n block of a d x d matrix, restricted to the null space of
     the directions.
 
-    Families of one shape share one stacked SVD for rank and null space, and
-    one stacked eigensolve for the inertia, whatever their points; each
-    family's multipliers come from its own least-squares solve, so a family
-    solved alone gives the same bits.
+    Families of one shape share one stacked SVD for rank and null space, one
+    stacked least-squares solve for the multipliers and one stacked
+    eigensolve for the inertia, whatever their points; a family solved alone
+    gives the same bits.
 
     Returns one (groups, residual, residual_ok, licq, neg, zero) per family.
     """
-    ranked = _stacked(rank_and_nullbasis, tol, [rows for _, _, rows, _ in families])
+    directions = [rows for _, _, rows, _ in families]
+    ranked = _stacked(rank_and_nullbasis, tol, directions)
+    solutions = _stacked(_lstsq, tol, directions, [target for *_, target in families])
     bases: dict = {}  # (id(pe), id(target)) -> padded Hessian of f, residual bound
     solved, hessians = [], []
-    for (pe, labels, rows, target), (rank, _) in zip(families, ranked):
+    for (pe, labels, rows, target), (rank, _), (coeffs, residual) in zip(families, ranked, solutions):
         n = pe.x.size
         base = bases.get((id(pe), id(target)))
         if base is None:
@@ -256,7 +302,6 @@ def _solve(families, kinds, ineq: str, tol: Tolerances) -> list:
             bound = tol.tol_feas * (1.0 + float(np.linalg.norm(target)))
             base = bases[id(pe), id(target)] = hess_f, bound
         hess_f, bound = base
-        coeffs, residual = solve_multipliers(rows.T, target, tol)
         groups: dict[str, dict[int, float]] = {kind: {} for kind in kinds}
         for (kind, idx), val in zip(labels, coeffs.tolist()):
             groups[kind][idx] = val

@@ -165,6 +165,11 @@ class Expr:
 
         return Tape(self._folded, self.n)
 
+    @cached_property
+    def _source(self) -> str:
+        """to_source of root, printed once and kept in the instance likewise."""
+        return to_source(self.root)
+
 
 @dataclass(frozen=True, eq=False)
 class Jet2:
@@ -340,7 +345,7 @@ def parse(source: str, n: int) -> Expr:
 
 def to_source(node: Node | Expr) -> str:
     if isinstance(node, Expr):
-        node = node.root
+        return node._source
     if isinstance(node, Num):
         r = repr(node.value)
         return f"({r})" if node.value < 0 else r

@@ -5,7 +5,10 @@ orthonormal null-space basis, least-squares multiplier solves, and the
 inertia of a symmetric matrix restricted to a subspace.  Rank goes through
 the SVD with a relative cutoff so that "linearly independent" verdicts are
 reproducible across platforms; matrices are desk scale, so the explicitly
-projected eigensolve wins over anything cleverer.
+projected eigensolve wins over anything cleverer.  Each kernel also takes a
+stack of same-shape matrices and runs it through one LAPACK call, which
+gives every matrix the result of its own call, bit for bit; certification
+groups its systems by shape to share these calls (ccop._stacked).
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "Tolerances",
@@ -76,22 +80,36 @@ def rank_and_nullbasis(A, tol: Tolerances):
     return [(rank, v[rank:].T.copy()) for rank, v in zip(ranks.tolist(), vt)]
 
 
-def solve_multipliers(G, target, tol: Tolerances) -> tuple[np.ndarray, float]:
+def _not_converged(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def solve_multipliers(G, target, tol: Tolerances):
     """Least-squares solve of G coeffs = target for multiplier columns G.
 
     Returns (coeffs, residual_norm).  The caller reads residual_norm against
     tol_feas * (1 + ||target||) as "stationarity equation holds"; coeffs are
     unique only when G has full column rank, otherwise this is the
-    minimum-norm solution.
+    minimum-norm solution, singular values up to tol_rank * sigma_max
+    counting as zero.
+
+    A stack of systems (K x d x k and K x d) gives a list of K pairs; a
+    single system is a stack of one.  Either way one call of the gufunc that
+    np.linalg.lstsq runs on one system solves them all (numpy's lstsq
+    refuses stacks), so coeffs equal lstsq's, bit for bit, and LAPACK's
+    failure to converge raises LinAlgError as lstsq does.  Each residual is
+    the norm of G[k] @ coeffs - target[k], whose bits follow the memory
+    layout of G[k].
     """
-    G = np.atleast_2d(np.asarray(G, dtype=float))
-    target = np.asarray(target, dtype=float)
-    d, k = G.shape
-    if k == 0:
-        return np.zeros(0), float(np.linalg.norm(target))
-    coeffs = np.linalg.lstsq(G, target, rcond=tol.tol_rank)[0]
-    residual = float(np.linalg.norm(G @ coeffs - target))
-    return coeffs, residual
+    G, target = np.asarray(G, dtype=float), np.asarray(target, dtype=float)
+    one = G.ndim == 2
+    if one:
+        G, target = G[None], target[None]
+    with np.errstate(call=_not_converged, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        coeffs = _umath_linalg.lstsq(G, target[..., None], tol.tol_rank, signature="ddd->ddid")[0]
+    pairs = [(c, float(np.linalg.norm(g @ c - t))) for g, c, t in zip(G, coeffs[..., 0], target)]
+    return pairs[0] if one else pairs
 
 
 def restricted_inertia(H, N, tol: Tolerances):

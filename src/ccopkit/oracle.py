@@ -21,8 +21,9 @@ deduplicated and counted by index.
 
 Every T-point lies over an M-point with the same x, so both sides use the
 same roots.  They are found once per Problem and (method, grid, tol) and kept
-on the Problem (see _shared_roots): an M and a T census of one instance, as
-`verify` and `census --side both` run, share one root search.
+on the Problem with their jets (see _shared_roots): an M and a T census of
+one instance, as `verify` and `census --side both` run, share one root
+search and one evaluation of each root.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ccop import MCertificate, Problem, certify_m_many
+from .ccop import MCertificate, Problem, _carrying, _jets_many, certify_m_many
 from .exprcore import ExprDomainError, eval2, eval2_many, polynomial_degree, to_source
 from .numkern import Tolerances
 from .regmpoc import AssumptionError, RegularizedProblem, TCertificate, certify_t_pairs, companion_y
@@ -244,7 +245,7 @@ def _lockstep_newton(pr: Problem, starts, tol: Tolerances, max_iter=100, max_hal
     JF dz = -F (least squares if JF is singular) and tries z + step dz with
     step 1, 1/2, ... for at most max_halvings trials, accepting the first
     trial at which every expression is defined and the merit |F| falls.  It
-    converges once max|F| <= tol_feas, and fails at an undefined start, a
+    converges once |F| <= tol_feas, and fails at an undefined start, a
     non-finite step, a failed line search or after max_iter steps.  The runs
     advance together: each round evaluates one trial of every live run, the
     runs of one system size (_Runs) sharing each stacked solve.
@@ -309,7 +310,7 @@ class _Runs:
         due = (self.due & self.live).nonzero()[0]
         if not due.size:
             return
-        done = np.max(np.abs(self.F[due]), axis=1) <= tol.tol_feas
+        done = self.merit[due] <= tol.tol_feas  # the norm certify_m reads, not max|F|
         self.converged[due[done]] = True
         self.live[due[done | (self.steps[due] == max_iter)]] = False
         due = due[~done & (self.steps[due] < max_iter)]
@@ -419,10 +420,14 @@ def _jets(expr, X):
 
 def _shared_roots(pr: Problem, tol: Tolerances, notes: list[str], grid: GridSpec | None = None):
     """The roots of _linear_roots, or of _newton_roots when a grid is given,
-    found once per Problem and (method, grid, tol) and kept on the Problem.
+    found once per Problem and (method, grid, tol) and kept on the Problem,
+    with their jets (see ccop._jets_many).
 
-    Both sides of a census share them.  Each call yields copies of the kept
-    read-only arrays, then appends the kept notes, as the finder did.
+    Both sides of a census share them.  Each call yields (support, pe) per
+    root, pe a fresh PointEval of pr at the kept read-only x that carries
+    the kept jets, then appends the kept notes, as the finder did.  The
+    Problem keeps arrays and Jet2s only, never a PointEval, which would
+    refer back to it.
     """
     key = ("linear" if grid is None else "newton", grid, tol)
     if key not in pr._roots:
@@ -432,10 +437,10 @@ def _shared_roots(pr: Problem, tol: Tolerances, notes: list[str], grid: GridSpec
         )
         for _, x in roots:
             x.flags.writeable = False
-        pr._roots[key] = roots, tuple(found)
-    roots, kept = pr._roots[key]
-    for J, x in roots:
-        yield J, x.copy()
+        pr._roots[key] = roots, _jets_many(pr, [x for _, x in roots]), tuple(found)
+    roots, jets, kept = pr._roots[key]
+    for (J, x), jet in zip(roots, jets):
+        yield J, _carrying(pr, x, jet)
     notes.extend(kept)
 
 
@@ -465,18 +470,27 @@ def _batches(groups):
 
 
 def _m_points(pr: Problem, roots, tol: Tolerances):
-    for xs in _batches([x] for _, x in roots):
-        for x, cert in zip(xs, certify_m_many(pr, xs, tol)):
+    """The roots (of _shared_roots), certified in batches; a stationary
+    point is reported at a copy of its x."""
+    for pes in _batches([pe] for _, pe in roots):
+        for pe, cert in zip(pes, certify_m_many(pr, pes, tol)):
             if cert.feasible and cert.stationary:
+                x = pe.x.copy()
                 yield x, (x, cert)
 
 
 def _t_points(rp: RegularizedProblem, roots, candidates, tol: Tolerances):
-    """The candidates of each root, drawn in root order, certified in batches."""
-    groups = ([(x, y) for y in candidates(J, x)] for J, x in roots)
+    """The candidates of each root (of _shared_roots), drawn in root order,
+    certified in batches; the stationary points over one root share one
+    copy of its x."""
+    groups = ([(pe, y) for y in candidates(J, pe.x)] for J, pe in roots)
     for pairs in _batches(groups):
-        for (x, y), tcert in zip(pairs, certify_t_pairs(rp, pairs, tol)):
+        copies: dict[int, np.ndarray] = {}  # id(pe) -> copy of pe.x
+        for (pe, y), tcert in zip(pairs, certify_t_pairs(rp, pairs, tol)):
             if tcert.feasible and tcert.stationary:
+                x = copies.get(id(pe))
+                if x is None:
+                    x = copies[id(pe)] = pe.x.copy()
                 yield np.concatenate([x, y]), (x, y, tcert)
 
 

@@ -4,6 +4,7 @@ import pytest
 from ccopkit import (
     AssumptionError,
     NotStationaryError,
+    Tolerances,
     census_quadratic,
     census_t_quadratic,
     certify_m,
@@ -151,3 +152,68 @@ def test_lifts_of_nondegenerate_points_satisfy_all_conditions():
                 assert tcert.t_index == mcert.m_index
                 lifted += 1
     assert lifted >= 20
+
+
+def _close_pair_instance():
+    """n=8, s=3 with one equality, where the nondegenerate roots of supports
+    {2, 5, 6} (index 0) and {5, 6} (index 1) lie 3.2e-8 apart, closer than
+    the merge radius."""
+    f = (
+        "(1.6987900543384304)*x1*x1 + (1.965628642956244)*x1 + (-0.23071381888433368)*x1*x2"
+        " + (-0.07161953374475988)*x1*x3 + (0.3546300600844282)*x1*x4"
+        " + (0.06416259573646066)*x1*x5 + (0.18860053876763294)*x1*x6"
+        " + (0.08380080208764956)*x1*x7 + (-0.214927824503702)*x1*x8"
+        " + (0.8654534837159624)*x2*x2 + (-0.5594747974517267)*x2"
+        " + (-0.3263389366514319)*x2*x3 + (-0.2640704743445517)*x2*x4"
+        " + (-0.011286950596976542)*x2*x5 + (-0.11585466967312669)*x2*x6"
+        " + (0.049714426637055276)*x2*x7 + (-0.12536252508301476)*x2*x8"
+        " + (1.4672690801891983)*x3*x3 + (1.4173141492055836)*x3"
+        " + (-0.37318710134996824)*x3*x4 + (0.20061182042439218)*x3*x5"
+        " + (-0.10104860468629423)*x3*x6 + (-0.20062387564609116)*x3*x7"
+        " + (-0.3107779457991431)*x3*x8 + (-1.4465268463199394)*x4*x4"
+        " + (1.9988204952759796)*x4 + (-0.1515798914201505)*x4*x5"
+        " + (0.3858935016683612)*x4*x6 + (0.021567607461597027)*x4*x7"
+        " + (0.3159265802698825)*x4*x8 + (0.9085930532147842)*x5*x5"
+        " + (-0.24394663501912373)*x5 + (-0.3820237197259195)*x5*x6"
+        " + (-0.15430193520114122)*x5*x7 + (-0.3759705424567324)*x5*x8"
+        " + (1.782293552325268)*x6*x6 + (0.2132380959217106)*x6"
+        " + (0.37481700743704705)*x6*x7 + (-0.02357001154980809)*x6*x8"
+        " + (-1.172331770915551)*x7*x7 + (0.9577816480788237)*x7"
+        " + (-0.29000493341992)*x7*x8 + (1.317346620765587)*x8*x8 + (1.2148389742727952)*x8"
+    )
+    h = (
+        "(-0.9568308972028126)*x1 + (-0.4803537705915551)*x2 + (-0.4411799758107684)*x3"
+        " + (-0.41696389374266574)*x4 + (-0.8396531655144066)*x5 + (0.4125310335452868)*x6"
+        " + (-0.8542948778583249)*x7 + (0.7994936098785139)*x8 + (-0.34619271219249304)"
+    )
+    c = [0.816661817059987, 0.5889639532076969, 0.23529446926690453, 0.6927151510062394,
+         0.9499297684066128, 0.3647083516492807, 0.12098921189431017, 0.4915888498888295]
+    return make_regularized(make_problem(8, 3, f, [h]), c, 0.12869268804606815)
+
+
+def test_companions_are_counted_by_their_root_not_by_distance():
+    rp = _close_pair_instance()
+    merged = merge_censuses(census_quadratic(rp.base), census_t_quadratic(rp))
+    radius = 10.0 * Tolerances().tol_act
+    points = merged.m_points
+    close = [(a, b) for k, (xa, a) in enumerate(points) for xb, b in points[k + 1 :]
+             if np.max(np.abs(xa - xb)) <= radius]
+    assert len(close) == 1  # nondegenerate, 1 and 5 companions
+    assert sorted((c.activity.x_norm0, c.m_index) for c in close[0]) == [(2, 1), (3, 0)]
+    report = verify_counts(rp, merged)
+    counts = [c for c in report.checks if c.name == "companion-count"]
+    assert len(counts) == sum(c.nondegenerate for _, c in points) >= 90
+    assert report.ok
+
+
+def test_companions_off_every_root_are_counted_within_the_radius():
+    rp = well_ones_reg()
+    merged = merge_censuses(census_quadratic(rp.base), census_t_quadratic(rp))
+    # T-points whose x is a few ulps away from their M-point's: no bits match
+    merged.t_points = [(np.nextafter(x, 2.0), y, c) for x, y, c in merged.t_points]
+    report = verify_counts(rp, merged)
+    counts = [c for c in report.checks if c.name == "companion-count"]
+    assert counts and all(c.status == "pass" for c in counts)
+    merged.t_points = [(x + 1e-6, y, c) for x, y, c in merged.t_points]  # beyond the radius
+    counts = [c for c in verify_counts(rp, merged).checks if c.name == "companion-count"]
+    assert counts and all(c.status == "fail" for c in counts)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ccopkit import Tolerances, rank_and_nullbasis, restricted_inertia, solve_multipliers
+from ccopkit import Tolerances, ccop, rank_and_nullbasis, restricted_inertia, solve_multipliers
 
 TOL = Tolerances()
 
@@ -168,3 +168,63 @@ def test_stacked_restricted_inertia_equals_the_per_matrix_call():
                 alone = N[k].T @ H[k] @ N[k]
                 assert M[k].tobytes() == alone.tobytes()
                 assert eig[k].tobytes() == np.linalg.eigvalsh(alone).tobytes()
+
+
+def _lstsq_cases(rng):
+    """Stacks (G, target) of one shape each: tall, square, wide, one column
+    and no column, K = 1 up to 39; within a stack, random systems, systems
+    with a repeated or a zero column (rank-deficient) and systems with a
+    column of size 1e-12 next to tol_rank."""
+    for d, k in [(5, 3), (4, 4), (2, 5), (6, 1), (4, 0), (1, 1), (16, 9)]:
+        for K in (1, 2, 7, 39):
+            G = rng.standard_normal((K, d, k))
+            target = rng.standard_normal((K, d))
+            for j in range(1, K, 3) if k else ():
+                G[j, :, -1] = 2.0 * G[j, :, 0] if k > 1 else 0.0
+            for j in range(2, K, 3) if k else ():
+                G[j, :, 0] *= 1e-12
+            yield G, target
+
+
+def test_stacked_solve_equals_lstsq_per_system_bit_for_bit():
+    rng = np.random.default_rng(97)
+    compared = deficient = 0
+    for G, target in _lstsq_cases(rng):
+        pairs = solve_multipliers(G, target, TOL)
+        assert len(pairs) == len(G)
+        for g, t, (coeffs, res) in zip(G, target, pairs):
+            want = np.linalg.lstsq(g, t, rcond=TOL.tol_rank)[0]
+            assert coeffs.shape == want.shape and coeffs.tobytes() == want.tobytes()
+            assert res == float(np.linalg.norm(g @ want - t))
+            alone = solve_multipliers(g, t, TOL)  # a stack of one
+            assert alone[0].tobytes() == want.tobytes() and alone[1] == res
+            compared += 1
+            deficient += np.linalg.matrix_rank(g) < min(g.shape)
+    assert compared >= 300 and deficient >= 50
+
+
+def test_stacked_solve_raises_where_lstsq_does():
+    G, target = np.ones((3, 4, 2)), np.ones((3, 4))
+    G[1, 0, 0] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        np.linalg.lstsq(G[1], target[1], rcond=TOL.tol_rank)
+    for args in ((G, target), (G[1], target[1])):
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            solve_multipliers(*args, TOL)
+
+
+def test_certificate_residuals_keep_the_bits_of_one_solve_on_rows_t():
+    # ccop._solve stacks each family's directions (rows, k x d) and solves
+    # with their transpose; every residual must be the one a solve of
+    # rows.T alone gives, bits included
+    rng = np.random.default_rng(101)
+    families = []
+    for _ in range(60):
+        d = int(rng.integers(2, 9))
+        rows = rng.standard_normal((int(rng.integers(0, d + 1)), d))
+        families.append((rows, rng.standard_normal(d)))
+    got = ccop._stacked(ccop._lstsq, TOL, *map(list, zip(*families)))
+    for (rows, target), (coeffs, res) in zip(families, got):
+        want = np.linalg.lstsq(rows.T, target, rcond=TOL.tol_rank)[0]
+        assert coeffs.tobytes() == want.tobytes()
+        assert res == float(np.linalg.norm(rows.T @ want - target))

@@ -13,6 +13,7 @@ from ccopkit import (
     census_quadratic,
     census_t_quadratic,
     certify_m,
+    evaluate,
     lift,
     make_regularized,
     merge_censuses,
@@ -287,6 +288,57 @@ def test_roots_live_and_die_with_their_problem():
     assert alive() is None  # no cache outside the problem holds it
 
 
+def test_root_jets_equal_eval2_bit_for_bit():
+    rng = np.random.default_rng(103)
+    tol = Tolerances()
+    cases = [(random_quadratic_instance(rng, n_max=6).base, None) for _ in range(6)]
+    f = random_quadratic_source(rng, 5) + " + 0.2*sin(x1) + 0.1*x2*x3 + 0.1*log(1 + x4^2)"
+    h, g = ["x1^2 + x2^2 + x3 + 0.5*x4 - 1"], ["2 - x1^2 - x2^2 - x3^2 - x4*x5"]
+    cases.append((make_problem(5, 2, f, h, g), GridSpec(2)))
+    compared = 0
+    for pr, grid in cases:
+        first = list(oracle._shared_roots(pr, tol, [], grid))
+        again = list(oracle._shared_roots(pr, tol, [], grid))
+        assert first
+        for (J, pe), (_, twin) in zip(first, again):
+            assert pe is not twin and pe.x is twin.x and not pe.x.flags.writeable
+            assert vars(pe)["_jets"] is vars(twin)["_jets"]  # kept once, on the problem
+            exprs, jets = (pr.f, *pr.h, *pr.g), (pe.f, *pe.h, *pe.g)
+            assert len(jets) == len(exprs)
+            for e, jet in zip(exprs, jets):
+                want = eval2(e, pe.x)
+                assert np.float64(jet.value).tobytes() == np.float64(want.value).tobytes()
+                assert jet.gradient.tobytes() == want.gradient.tobytes()
+                assert jet.hessian.tobytes() == want.hessian.tobytes()
+                assert not jet.gradient.flags.writeable and not jet.hessian.flags.writeable
+                compared += 1
+    assert compared >= 200
+
+
+def test_roots_whose_jets_fail_are_evaluated_on_first_use():
+    # g is inactive, and undefined (log) or not finite (exp), at some roots:
+    # a raise in the batch leaves every root without jets, a jet that is not
+    # finite only its own root; the censuses then raise as each root's own
+    # evaluation does
+    grid = GridSpec(3)
+    cases = (("log(x1)", "log of a nonpositive", False), ("2 - exp(800*x2)", "not finite", True))
+    for g, error, per_root in cases:
+        pr = make_problem(2, 1, "(x1 - 1)^2 + (x2 - 1)^2", g=[g])
+        roots = list(oracle._shared_roots(pr, Tolerances(), [], grid))
+        defined = []
+        for _, pe in roots:
+            try:
+                evaluate(pr, pe.x)
+                defined.append(True)
+            except ExprDomainError:
+                defined.append(False)
+        assert not all(defined) and any(defined)
+        assert [("_jets" in vars(pe)) for _, pe in roots] == [per_root and d for d in defined]
+        for target in (pr, make_regularized(pr, [0.3, 0.7], 0.5), pr):
+            with pytest.raises(ExprDomainError, match=error):
+                census_newton(target, grid)
+
+
 def test_root_search_is_shared_by_both_sides_and_keyed(monkeypatch):
     calls = {"_lockstep_newton": 0, "_linear_system": 0}
 
@@ -446,7 +498,7 @@ def _damped_newton(eval_f, z0, tol, max_iter=100, max_halvings=30):
         return z, False
     merit = float(np.linalg.norm(F))
     for _ in range(max_iter):
-        if np.max(np.abs(F)) <= tol.tol_feas:
+        if merit <= tol.tol_feas:
             return z, True
         try:
             dz = np.linalg.solve(JF, -F)
@@ -468,8 +520,8 @@ def _damped_newton(eval_f, z0, tol, max_iter=100, max_halvings=30):
                 break
             step *= 0.5
         else:
-            return z, bool(np.max(np.abs(F)) <= tol.tol_feas)
-    return z, bool(np.max(np.abs(F)) <= tol.tol_feas)
+            return z, merit <= tol.tol_feas
+    return z, merit <= tol.tol_feas
 
 
 def _newton_roots_one_by_one(pr, grid, tol, notes, counts):
@@ -573,6 +625,34 @@ def test_lockstep_newton_roots_equal_one_start_at_a_time(monkeypatch):
     assert counts["starts"] > 2 * oracle._BATCH and noted >= 2
     assert counts["raised at start"] >= 3 and counts["raised"] > counts["raised at start"]
     assert lstsq_calls["lockstep"] == lstsq_calls["reference"] >= 3
+
+
+def test_newton_stops_where_the_certifier_accepts():
+    # stopping at max|F| <= tol_feas leaves the support-(3, 4) run at a
+    # residual of 1.096e-9, above certify_m's bound tol_feas * (1 + |grad f|)
+    # of about 1.08e-9, so Newton must stop on the norm the certifier reads
+    f = (
+        "(1.7091722931237654)*x1*x1 + (-0.06053404939038565)*x1 + (0.17336255558501668)*x1*x2"
+        " + (-0.20749886080724345)*x1*x3 + (-0.27744887844127153)*x1*x4"
+        " + (0.8288251788746606)*x2*x2 + (0.1548136410319194)*x2 + (0.24445077305905316)*x2*x3"
+        " + (0.19769651884347206)*x2*x4 + (1.4051722856280073)*x3*x3 + (0.9025382014337398)*x3"
+        " + (0.27909475546039053)*x3*x4 + (1.3831660998948767)*x4*x4 + (0.22674482002469487)*x4"
+        " + (0.24369702578025518)*cos(x1) + (0.27882961948888235)*cos(x2)"
+        " + (0.15331636523921827)*log(1+x3^2) + (0.2423094604967088)*log(1+x4^2)"
+        " + (-0.14823740211561268)*x4*sin(x2) + (0.12048706367596229)*x4*sin(x2)"
+    )
+    pr = make_problem(4, 2, f)
+    tol, grid = Tolerances(), GridSpec(3)
+    roots = list(oracle._shared_roots(pr, tol, [], grid))
+    assert (3, 4) in [J for J, _ in roots]
+    for J, pe in roots:  # unconstrained: every pattern root is M-stationary
+        assert certify_m(pr, pe, tol).stationary, J
+    census = census_newton(pr, grid, tol)
+    assert len(census.m_points) == len(roots) == 11
+    assert census.by_index_m == {0: 6, 1: 4, 2: 1}
+    rp = make_regularized(pr, [0.18076373444993057, 0.3683147223669741, 0.6998334232587011,
+                               0.9274852786528066], 0.46200728288977233)
+    assert census_newton(rp, grid, tol).by_index_t == {0: 6, 1: 8, 2: 3}
 
 
 def test_lockstep_runs_keep_the_limits_of_one_run():

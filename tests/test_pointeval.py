@@ -54,34 +54,45 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 
 @pytest.fixture
 def eval2_calls(monkeypatch):
-    """eval2 calls per (expression, point), counted through every ccopkit
-    module attribute bound to eval2; the census's jets at the origin
-    (oracle._quadratic_data) are not counted."""
-    original = ccopkit.exprcore.eval2
+    """Evaluations per (expression, point): eval2 calls and eval2_many rows,
+    counted through every ccopkit module attribute bound to either.  The
+    root searches' own evaluations are not counted: the jets at the origin
+    of the linear one (oracle._quadratic_data) and the Newton iterates
+    (oracle._jets)."""
     counts: dict = {}
     quiet = []
 
-    def counted(expr, x):
+    def count(expr, x):
         if not quiet:
             key = (id(expr), np.asarray(x, dtype=float).tobytes())
             counts[key] = counts.get(key, 0) + 1
-        return original(expr, x)
 
+    def one(expr, x):
+        count(expr, x)
+        return eval2(expr, x)
+
+    def many(expr, X):
+        for x in np.asarray(X, dtype=float):
+            count(expr, x)
+        return eval2_many(expr, X)
+
+    eval2, eval2_many = ccopkit.exprcore.eval2, ccopkit.exprcore.eval2_many
     for name, module in list(sys.modules.items()):
         if name == "ccopkit" or name.startswith("ccopkit."):
             for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
-    quadratic_data = oracle._quadratic_data
+                if value is eval2 or value is eval2_many:
+                    monkeypatch.setattr(module, attr, one if value is eval2 else many)
+    for attr in ("_quadratic_data", "_jets"):
+        inner = getattr(oracle, attr)
 
-    def uncounted(pr):
-        quiet.append(True)
-        try:
-            return quadratic_data(pr)
-        finally:
-            quiet.pop()
+        def uncounted(*args, inner=inner):
+            quiet.append(True)
+            try:
+                return inner(*args)
+            finally:
+                quiet.pop()
 
-    monkeypatch.setattr(oracle, "_quadratic_data", uncounted)
+        monkeypatch.setattr(oracle, attr, uncounted)
     return counts
 
 
@@ -158,7 +169,10 @@ def test_t_census_evaluates_each_expression_once_per_root(eval2_calls):
     )
     census = census_t_quadratic(rp)
     assert len(census.t_points) > 10
-    assert set(eval2_calls.values()) == {1}
+    roots = len(list(oracle._shared_roots(rp.base, Tolerances(), [])))
+    assert set(eval2_calls.values()) == {1} and len(eval2_calls) == 2 * roots  # f and g
+    held = census_quadratic(rp.base)  # the M side gets the same evaluated roots
+    assert held.m_points and set(eval2_calls.values()) == {1} and len(eval2_calls) == 2 * roots
 
 
 def test_point_eval_certificates_equal_array_certificates():
@@ -271,14 +285,15 @@ def _memo_instance():
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Multiplier solves, one per certified candidate, and the (side, point,
-    tolerances) of every certificate that ran one, counted on both sides."""
+    """Multiplier systems solved, one per certified candidate however many
+    share a stacked solve, and the (side, point, tolerances) of every
+    certificate that solved one, counted on both sides."""
     calls = {"solve": 0, "keys": []}
     solve = ccop.solve_multipliers
 
-    def counted(*args):
-        calls["solve"] += 1
-        return solve(*args)
+    def counted(G, target, tol):
+        calls["solve"] += 1 if np.ndim(G) == 2 else len(G)
+        return solve(G, target, tol)
 
     monkeypatch.setattr(ccop, "solve_multipliers", counted)
     certify_m_, certify_t_ = ccop._certify_m, regmpoc._certify_t_pairs
@@ -370,9 +385,9 @@ def test_memo_key_is_the_point_bits_the_tolerances_and_the_problem(solves):
 
 def _batches(rp, candidates, grid=None):
     """(x, ys) per pattern root of rp's base problem, as the T census forms
-    them."""
-    for J, x in oracle._shared_roots(rp.base, Tolerances(), [], grid):
-        yield x, list(candidates(J, x))
+    them, x an array."""
+    for J, pe in oracle._shared_roots(rp.base, Tolerances(), [], grid):
+        yield pe.x, list(candidates(J, pe.x))
 
 
 def test_certify_t_many_equals_certify_t_per_y_on_cold_memos():
@@ -445,7 +460,8 @@ def test_census_batches_equal_cold_per_point_certificates():
     for rp, sampler, grid in cases:
         cold = _fresh(rp)
         want_m, want_t = {}, {}  # point bits -> pickled cold certificate
-        roots = list(oracle._shared_roots(rp.base, tol, [], grid))
+        # arrays, not the roots' PointEvals of rp.base, which cold refuses
+        roots = [(J, pe.x) for J, pe in oracle._shared_roots(rp.base, tol, [], grid)]
         for xs in oracle._batches([x] for _, x in roots):
             want = _pickles([certify_m(cold.base, x) for x in xs])
             assert _pickles(certify_m_many(rp.base, xs)) == want
