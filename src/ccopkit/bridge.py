@@ -65,24 +65,25 @@ class LiftSet:
     count_applicable: bool  # exact count asserted only for nondegenerate bases
 
 
-def _closed_form_multipliers(
-    rp: RegularizedProblem, mcert: MCertificate, ibar: int, ebar: tuple[int, ...]
-) -> dict[str, dict[int, float] | float]:
-    c = rp.c
-    i0 = set(mcert.activity.I0)
-    a01 = set(ebar) | {ibar}
-    a00 = sorted(i0 - a01)
-    support = sorted(set(range(1, rp.n + 1)) - i0)
-    return {
-        "lam": dict(mcert.lam),
-        "mu1": dict(mcert.mu),
-        "mu2": {i: float(c[ibar - 1] - c[i - 1]) for i in ebar},
-        "mu3": float(c[ibar - 1]),
-        "sigma1": {i: mcert.gamma[i] for i in sorted(a01)},
-        "sigma2": {i: float(c[i - 1] - c[ibar - 1]) for i in support},
-        "rho1": {i: mcert.gamma[i] for i in a00},
-        "rho2": {i: float(c[i - 1] - c[ibar - 1]) for i in a00},
-    }
+def _closed_forms(rp: RegularizedProblem, mcert: MCertificate, ibar: int):
+    """The closed-form multipliers of the companions of an M-stationary
+    point whose maximizing index is ibar, as a function of Ebar.  What does
+    not depend on Ebar is built once; each call builds mu2, sigma1, rho1
+    and rho2."""
+    c, gamma, i0 = rp.c, mcert.gamma, set(mcert.activity.I0)
+    up = {i: float(c[ibar - 1] - c[i - 1]) for i in i0}
+    down = {i: float(c[i - 1] - c[ibar - 1]) for i in range(1, rp.n + 1)}
+    lam, mu1, mu3 = mcert.lam, mcert.mu, float(c[ibar - 1])
+    sigma2 = {i: v for i, v in down.items() if i not in i0}
+
+    def multipliers(ebar: tuple[int, ...]) -> dict[str, dict[int, float] | float]:
+        a01 = set(ebar) | {ibar}
+        a00 = sorted(i0 - a01)
+        return dict(lam=lam, mu1=mu1, mu2={i: up[i] for i in ebar}, mu3=mu3,
+                    sigma1={i: gamma[i] for i in sorted(a01)}, sigma2=sigma2,
+                    rho1={i: gamma[i] for i in a00}, rho2={i: down[i] for i in a00})
+
+    return multipliers
 
 
 def _match(label: str, expected, got, context: str):
@@ -131,6 +132,7 @@ def lift(rp: RegularizedProblem, x, tol: Tolerances = Tolerances()) -> LiftSet:
     rest = sorted(set(i0) - {ibar})
     subsets = tuple(itertools.combinations(rest, n - s - 1))
     ys = [companion_y(rp, ibar, ebar) for ebar in subsets]
+    closed = _closed_forms(rp, mcert, ibar) if mcert.ndm[0] else None
     companions: list[tuple[np.ndarray, TCertificate]] = []
     for ebar, y, tcert in zip(subsets, ys, certify_t_many(rp, pe, ys, tol)):
         if not tcert.stationary or tcert.residual > _CROSS_TOL:
@@ -138,17 +140,10 @@ def lift(rp: RegularizedProblem, x, tol: Tolerances = Tolerances()) -> LiftSet:
                 f"constructed companion failed to certify (Ebar={ebar}, "
                 f"reason={tcert.degenerate_reason}, residual={tcert.residual:.3e})"
             )
-        if mcert.ndm[0] and tcert.ndt[0]:
-            closed = _closed_form_multipliers(rp, mcert, ibar, ebar)
+        if closed is not None and tcert.ndt[0]:
             ctx = f"lift Ebar={ebar}"
-            _match("lam", closed["lam"], tcert.lam, ctx)
-            _match("mu1", closed["mu1"], tcert.mu1, ctx)
-            _match("mu2", closed["mu2"], tcert.mu2, ctx)
-            _match("mu3", closed["mu3"], tcert.mu3, ctx)
-            _match("sigma1", closed["sigma1"], tcert.sigma1, ctx)
-            _match("sigma2", closed["sigma2"], tcert.sigma2, ctx)
-            _match("rho1", closed["rho1"], tcert.rho1, ctx)
-            _match("rho2", closed["rho2"], tcert.rho2, ctx)
+            for label, want in closed(ebar).items():
+                _match(label, want, getattr(tcert, label), ctx)
         companions.append((y, tcert))
 
     return LiftSet(

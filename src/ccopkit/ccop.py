@@ -7,15 +7,18 @@ of vanishing entries, then checks the four nondegeneracy conditions
 NDM1..NDM4 and reports the M-index as quadratic index + sparsity index.
 Certificates are kept per point and tolerances for as long as a caller holds
 them (see _certified), so a repeated request costs no evaluation or solve.
-certify_m_many certifies many points in one call, sharing the stacked
-kernel calls between them; certify_m is its one-point case.
+certify_m_many certifies many points in one call, as arrays per layout
+group (see _solve); certify_m is its one-point case.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +68,12 @@ class Problem:
         """Pattern roots and their notes per (method, grid, tol), filled by
         oracle._shared_roots; kept in the instance, not in a field, like
         Expr._tape, so equality, hash and repr do not see it."""
+        return {}
+
+    @cached_property
+    def _root_jets(self) -> dict:
+        """The jets of the roots in _roots that have them, by the bits of
+        their x, filled with _roots; _point serves them."""
         return {}
 
     @cached_property
@@ -188,8 +197,10 @@ def _carrying(pr: Problem, x: np.ndarray, jets) -> PointEval:
 
 def _point(pr: Problem, x) -> PointEval:
     """x itself if it is a PointEval of `pr`, else a PointEval of `pr` at a
-    read-only float copy of x, of shape (n,), that evaluates on first use;
-    raises ValueError for another problem or another shape."""
+    read-only float copy of x, of shape (n,): one that carries the jets of
+    the root kept in pr._roots whose x has the bits of x, if there is one,
+    and one that evaluates on first use otherwise; raises ValueError for
+    another problem or another shape."""
     if isinstance(x, PointEval):
         if x.problem is not pr:
             raise ValueError("PointEval was built for another problem")
@@ -198,7 +209,8 @@ def _point(pr: Problem, x) -> PointEval:
     if x.shape != (pr.n,):
         raise ValueError(f"point has shape {x.shape}, expected ({pr.n},)")
     x.flags.writeable = False
-    return PointEval(pr, x)
+    kept = vars(pr).get("_root_jets")
+    return _carrying(pr, x, kept.get(x.tobytes()) if kept else None)
 
 
 def evaluate(pr: Problem, x) -> PointEval:
@@ -214,106 +226,134 @@ def evaluate(pr: Problem, x) -> PointEval:
     return pe
 
 
-def _activity(pr: Problem, pe: PointEval, tol: Tolerances) -> CcopActivity:
-    Q0 = tuple(q + 1 for q, j in enumerate(pe.g) if abs(j.value) <= tol.tol_act)
-    I0 = tuple(i + 1 for i in range(pr.n) if abs(pe.x[i]) <= tol.tol_act)
-    return CcopActivity(Q0, I0, pr.n - len(I0))
-
-
 def check_feasible(pr: Problem, x, tol: Tolerances = Tolerances()) -> tuple[bool, CcopActivity]:
     """Feasibility of x (an array or a PointEval) for the sparse problem,
     plus its activity sets."""
-    pe = evaluate(pr, x)
-    act = _activity(pr, pe, tol)
-    ok = (
-        all(abs(j.value) <= tol.tol_feas for j in pe.h)
-        and all(j.value >= -tol.tol_feas for j in pe.g)
-        and act.x_norm0 <= pr.s
-    )
-    return ok, act
+    (ok,), (((_, Q0, I0),), _) = _m_select(pr, _bank([evaluate(pr, x)], np.eye(pr.n), (), tol), tol)
+    return ok, CcopActivity(Q0, I0, pr.n - len(I0))
 
 
 # ---------------------------------------------------------------------------
 # Certification skeleton, shared with the T-side in regmpoc
 
 
-def _independent(rows: np.ndarray, tol: Tolerances) -> tuple[bool, np.ndarray]:
-    """Whether the rows are linearly independent, and a basis of their null space."""
-    rank, nullbasis = rank_and_nullbasis(rows, tol)
-    return rank == rows.shape[0], nullbasis
+class _Bank(NamedTuple):
+    """What the candidates over X evaluated points share, stacked over the
+    points.  Each candidate picks the rows of its constraint directions
+    from the bank rows of its point, which fall into blocks, one per
+    multiplier kind (see _layouts)."""
+
+    x: np.ndarray  # X x n
+    values: np.ndarray  # X x m: h, then g (m = nh + ng)
+    rows: np.ndarray  # X x B x d: grad h_p, grad g_q (zero-padded to d), then the unit rows
+    target: np.ndarray  # X x d: grad f, then the tail
+    bound: list  # per point: tol_feas * (1 + ||target||), the residual a solve may leave
+    hessians: np.ndarray  # X x (1 + m) x n x n: f, h, then g
 
 
-def _stacked(kernel, tol: Tolerances, *columns) -> list:
-    """kernel's result per item of the equally long lists `columns`, in item
-    order.  Items whose arrays have the same shapes share one call of kernel
-    on their stacks, which returns a list; a single item's arrays are passed
-    as they are, and kernel returns its result (see numkern)."""
-    if len(columns[0]) == 1:  # nothing to share: the kernel's call on one item
-        return [kernel(*[column[0] for column in columns], tol)]
-    groups: dict[tuple, list[int]] = {}
-    for k, item in enumerate(zip(*columns)):
-        groups.setdefault(tuple(a.shape for a in item), []).append(k)
-    out: list = [None] * len(columns[0])
-    for members in groups.values():
-        stacks = [np.array([column[k] for k in members]) for column in columns]
-        for k, result in zip(members, kernel(*stacks, tol)):
-            out[k] = result
-    return out
+def _bank(pes: list, units: np.ndarray, tail, tol: Tolerances) -> _Bank:
+    """The _Bank of the points of pes (PointEvals of one problem): the rows
+    `units` (u x d, d >= n) follow the gradients, and the target is grad f
+    followed by `tail` (d - n values)."""
+    pr = pes[0].problem
+    X, n, m, d = len(pes), pr.n, len(pr.h) + len(pr.g), units.shape[1]
+    jets = [(pe.f, *pe.h, *pe.g) for pe in pes]
+    gradients = np.array([[j.gradient for j in js] for js in jets])  # f, h, then g
+    rows = np.zeros((X, m + len(units), d))
+    rows[:, :m, :n] = gradients[:, 1:]
+    rows[:, m:] = units
+    target = np.empty((X, d))
+    target[:, :n] = gradients[:, 0]
+    target[:, n:] = tail
+    return _Bank(
+        x=np.array([pe.x for pe in pes]),
+        values=np.array([[j.value for j in js[1:]] for js in jets]).reshape(X, m),
+        rows=rows,
+        target=target,
+        bound=[tol.tol_feas * (1.0 + math.sqrt(t.dot(t))) for t in target],  # np.linalg.norm
+        hessians=np.array([[j.hessian for j in js] for js in jets]),
+    )
 
 
-def _lstsq(rows, target, tol: Tolerances):
-    """solve_multipliers with the transpose of `rows` (k x d, or a stack) as
-    its columns: a view with the layout of rows.T, so that every residual
-    has the bits of rows.T @ coeffs - target."""
-    return solve_multipliers(np.swapaxes(rows, -1, -2), target, tol)
+@lru_cache(maxsize=64)
+def _columns(*blocks: range) -> tuple[np.ndarray, np.ndarray, int]:
+    """(kind, label, kinds) of a bank whose rows fall into consecutive
+    blocks, one per multiplier kind, labelled by `blocks` (see _layouts)."""
+    kind = np.array([k for k, block in enumerate(blocks) for _ in block], dtype=int)
+    label = np.array([i for block in blocks for i in block], dtype=int)
+    kind.flags.writeable = label.flags.writeable = False
+    return kind, label, len(blocks)
 
 
-def _solve(families, kinds, ineq: str, tol: Tolerances) -> list:
-    """Solve the multiplier systems of certificates and read off their inertia.
+def _layouts(sel: np.ndarray, kind: np.ndarray, label: np.ndarray, kinds: int):
+    """The candidates of sel, by layout.
 
-    Each family is (pe, labels, rows, target) at the point of the PointEval
-    pe: the constraint directions as the rows of a k x d array (d >= n),
-    their multipliers as (kind, index) labels, and the d-vector the
-    directions must combine to; kinds names every multiplier group in
-    report order.  The Lagrangian Hessian subtracts the "lam" group over h
-    and the `ineq` group over the active g from the Hessian of f, in that
-    order; every other term of the Lagrangian is linear, so it is the
-    leading n x n block of a d x d matrix, restricted to the null space of
-    the directions.
+    Row k of sel (K x B) marks the bank rows of candidate k's constraint
+    directions.  Bank row v holds a direction of the multiplier kind[v]
+    (nondecreasing in v) with the index label[v].  A layout is the number
+    of rows a candidate takes of each kind; it fixes the shape of its rows
+    and gives each kind one column slice, in the order of the kinds.
 
-    Families of one shape share one stacked SVD for rank and null space, one
-    stacked least-squares solve for the multipliers and one stacked
-    eigensolve for the inertia, whatever their points; a family solved alone
-    gives the same bits.
-
-    Returns one (groups, residual, residual_ok, licq, neg, zero) per family.
+    Returns the labels of each candidate, a tuple of indices per kind, and
+    one (layout, members, index) per layout, in order of first appearance:
+    the positions of its candidates, and their bank rows, one row each.
     """
-    directions = [rows for _, _, rows, _ in families]
-    ranked = _stacked(rank_and_nullbasis, tol, directions)
-    solutions = _stacked(_lstsq, tol, directions, [target for *_, target in families])
-    bases: dict = {}  # (id(pe), id(target)) -> padded Hessian of f, residual bound
-    solved, hessians = [], []
-    for (pe, labels, rows, target), (rank, _), (coeffs, residual) in zip(families, ranked, solutions):
-        n = pe.x.size
-        base = bases.get((id(pe), id(target)))
-        if base is None:
-            hess_f = np.zeros((target.size, target.size))
-            hess_f[:n, :n] = pe.f.hessian
-            bound = tol.tol_feas * (1.0 + float(np.linalg.norm(target)))
-            base = bases[id(pe), id(target)] = hess_f, bound
-        hess_f, bound = base
-        groups: dict[str, dict[int, float]] = {kind: {} for kind in kinds}
-        for (kind, idx), val in zip(labels, coeffs.tolist()):
-            groups[kind][idx] = val
-        hess = hess_f.copy()
-        for p, j in enumerate(pe.h, start=1):
-            hess[:n, :n] -= groups["lam"][p] * j.hessian
-        for q, v in groups[ineq].items():
-            hess[:n, :n] -= v * pe.g[q - 1].hessian
-        solved.append((groups, residual, residual <= bound, rank == rows.shape[0]))
-        hessians.append(hess)
-    inertias = _stacked(restricted_inertia, tol, hessians, [nullbasis for _, nullbasis in ranked])
-    return [(*head, neg, zero) for head, (neg, zero, _) in zip(solved, inertias)]
+    K = len(sel)
+    row, col = sel.nonzero()
+    counts = np.bincount(row * kinds + kind[col], minlength=K * kinds).reshape(K, kinds)
+    found = iter(label[col].tolist())
+    labels, groups = [], {}
+    for k, layout in enumerate(map(tuple, counts.tolist())):
+        labels.append(tuple([tuple(islice(found, c)) for c in layout]))
+        groups.setdefault(layout, []).append(k)
+    by_layout = []
+    for layout, members in groups.items():
+        index = col if len(groups) == 1 else sel[members].nonzero()[1]
+        by_layout.append((layout, np.array(members), index.reshape(len(members), sum(layout))))
+    return labels, by_layout
+
+
+def _solve(bank: _Bank, at: np.ndarray, index: np.ndarray, nh: int, nq: int, tol: Tolerances):
+    """Solve the multiplier systems of one layout group and read off their inertia.
+
+    Candidate k lies at the point at[k] of bank, and its k x d directions
+    are the bank rows index[k] of that point: nh of h, then nq of the
+    active g, then those of the other kinds.  The group's rows are stacked
+    once for one call each of rank_and_nullbasis, solve_multipliers and
+    restricted_inertia (one per null-space size); each candidate gets the
+    bits a call on its rows alone gives.  The Lagrangian Hessians are one
+    K x d x d array: the padded Hessian of f, minus lam_p * Hessian of h_p
+    for each p, then minus mu_q * Hessian of g_q in Q0 order, on the
+    leading n x n block; every other term of the Lagrangian is linear.
+
+    Returns (coeffs, residual, residual_ok, licq, neg, zero): the K x k
+    multipliers, whose columns follow the rows, and one list entry per
+    candidate.
+    """
+    K, k = index.shape
+    n, d = bank.x.shape[1], bank.rows.shape[2]
+    rows = bank.rows[at[:, None], index]
+    ranked = rank_and_nullbasis(rows, tol)
+    # the transpose of each row block is a view with the layout of rows.T, so
+    # every residual has the bits of rows.T @ coeffs - target
+    solved = solve_multipliers(rows.swapaxes(-1, -2), bank.target[at], tol)
+    coeffs = np.array([c for c, _ in solved]).reshape(K, k)
+    residual = [r for _, r in solved]
+    residual_ok = [r <= bank.bound[p] for r, p in zip(residual, at.tolist())]
+    hess = np.zeros((K, d, d))
+    block = hess[:, :n, :n]
+    block[...] = bank.hessians[at, 0]
+    for c in range(nh + nq):  # grad h_p, then grad g_q: bank row index[:, c]
+        block -= coeffs[:, c, None, None] * bank.hessians[at, 1 + index[:, c]]
+    ranks = [rank for rank, _ in ranked]
+    neg, zero = [0] * K, [0] * K
+    for rank in dict.fromkeys(ranks):
+        members = [j for j in range(K) if ranks[j] == rank]
+        bases = np.array([ranked[j][1] for j in members])
+        inertia = restricted_inertia(hess if len(members) == K else hess[members], bases, tol)
+        for j, (a, b, _) in zip(members, inertia):
+            neg[j], zero[j] = a, b
+    return coeffs, residual, residual_ok, [rank == k for rank in ranks], neg, zero
 
 
 def _key(pe: PointEval, *rest) -> tuple:
@@ -374,21 +414,26 @@ def _first_failed(feasible: bool, stationary: bool, residual: float, flags, pref
 # M-side
 
 
-def _active_family(pr: Problem, act: CcopActivity, pe: PointEval):
-    """The CC-LICQ directions with their multipliers, as (labels, rows):
-    grad h_p (lam), grad g_q for q in Q0 (mu), e_i for i in I0 (gamma)."""
-    eye = np.eye(pr.n)
-    labels = [("lam", p) for p in range(1, len(pe.h) + 1)]
-    labels += [("mu", q) for q in act.Q0] + [("gamma", i) for i in act.I0]
-    rows = [j.gradient for j in pe.h] + [pe.g[q - 1].gradient for q in act.Q0]
-    rows += [eye[i - 1] for i in act.I0]
-    return labels, np.array(rows, dtype=float).reshape(len(labels), pr.n)
+def _m_select(pr: Problem, bank: _Bank, tol: Tolerances):
+    """Whether each point of bank is feasible, and the bank rows (see
+    _layouts) of its CC-LICQ directions: grad h_p, grad g_q for q in Q0 and
+    e_i for i in I0, of the kinds lam, mu and gamma."""
+    nh, act, feas = len(pr.h), tol.tol_act, tol.tol_feas
+    h, g = bank.values[:, :nh], bank.values[:, nh:]
+    zeros = np.abs(bank.x) <= act
+    sel = np.concatenate([np.ones((len(zeros), nh), dtype=bool), np.abs(g) <= act, zeros], axis=1)
+    ok = np.logical_and.reduce(np.concatenate([
+        np.abs(h) <= feas, g >= -feas, (pr.n - np.add.reduce(zeros, axis=1) <= pr.s)[:, None]
+    ], axis=1), axis=1)
+    columns = _columns(range(1, nh + 1), range(1, g.shape[1] + 1), range(1, pr.n + 1))
+    return ok.tolist(), _layouts(sel, *columns)
 
 
 def check_cc_licq(pr: Problem, x, tol: Tolerances = Tolerances()) -> bool:
     """Linear independence of active gradients and vanishing-coordinate directions."""
-    pe = evaluate(pr, x)
-    return _independent(_active_family(pr, _activity(pr, pe, tol), pe)[1], tol)[0]
+    bank = _bank([evaluate(pr, x)], np.eye(pr.n), (), tol)
+    _, (_, ((_, _, index),)) = _m_select(pr, bank, tol)
+    return rank_and_nullbasis(bank.rows[0, index[0]], tol)[0] == index.shape[1]
 
 
 def certify_m(pr: Problem, x, tol: Tolerances = Tolerances()) -> MCertificate:
@@ -405,9 +450,9 @@ def certify_m_many(pr: Problem, xs, tol: Tolerances = Tolerances()) -> list[MCer
     """certify_m at every x of `xs` (arrays or PointEvals), in one call;
     equal to [certify_m(pr, x, tol) for x in xs].
 
-    Candidates whose constraint directions have one shape share one stacked
-    SVD and one stacked eigensolve (see _solve), and a point repeated in xs
-    is certified once.  Raises ValueError as certify_m does, before any
+    The points are certified per layout (nh, |Q0|, |I0|), each layout group
+    with one stacked call of each kernel (see _solve), and a point repeated
+    in xs is certified once.  Raises ValueError as certify_m does, before any
     certificate is looked up or stored.
     """
     xs = [_point(pr, x) for x in xs]
@@ -415,37 +460,37 @@ def certify_m_many(pr: Problem, xs, tol: Tolerances = Tolerances()) -> list[MCer
 
 
 def _certify_m(misses, pr: Problem, xs, tol: Tolerances) -> list[MCertificate]:
-    """The certificates at the xs listed in misses (see _certified)."""
-    pes = [evaluate(pr, xs[k]) for k in misses]
-    checked = [check_feasible(pr, pe, tol) for pe in pes]
-    families = [
-        (pe, *_active_family(pr, act, pe), pe.f.gradient) for pe, (_, act) in zip(pes, checked)
-    ]
-    solved = _solve(families, ("lam", "mu", "gamma"), "mu", tol)
-    certs = []
-    for (feasible, act), (groups, residual, residual_ok, licq, neg, zero) in zip(checked, solved):
-        mu, gamma = groups["mu"], groups["gamma"]
-
-        stationary = feasible and residual_ok and all(v >= -tol.tol_strict for v in mu.values())
-        ndm = (
-            licq,
-            all(v > tol.tol_strict for v in mu.values()),
-            act.x_norm0 == pr.s or all(abs(v) > tol.tol_strict for v in gamma.values()),
-            zero == 0,
-        )
-        si = pr.s - act.x_norm0
-
-        certs.append(MCertificate(
-            feasible=feasible,
-            stationary=stationary,
-            activity=act,
-            **groups,
-            residual=residual,
-            ndm=ndm,
-            quadratic_index=neg,
-            sparsity_index=si,
-            m_index=neg + si if (stationary and all(ndm)) else None,
-            degenerate_reason=_first_failed(feasible, stationary, residual, ndm, "NDM"),
-            non_unique=not licq,
-        ))
+    """The certificates at the xs listed in misses (see _certified), one
+    _solve per layout (nh, |Q0|, |I0|), whose multipliers are the column
+    slices lam, mu and gamma."""
+    bank = _bank([evaluate(pr, xs[k]) for k in misses], np.eye(pr.n), (), tol)
+    ok, (labels, by_layout) = _m_select(pr, bank, tol)
+    ts = tol.tol_strict
+    certs: list = [None] * len(misses)
+    for (nh, nq, ni), at, index in by_layout:
+        coeffs, residual, residual_ok, licq, neg, zero = _solve(bank, at, index, nh, nq, tol)
+        mu, gamma = coeffs[:, nh : nh + nq], coeffs[:, nh + nq :]
+        signs = np.logical_and.reduce(mu >= -ts, axis=1).tolist()
+        strict = np.logical_and.reduce(mu > ts, axis=1).tolist()
+        gaps = np.logical_and.reduce(np.abs(gamma) > ts, axis=1).tolist()
+        norm0 = pr.n - ni
+        for j, (k, row) in enumerate(zip(at.tolist(), coeffs.tolist())):
+            lam, Q0, I0 = labels[k]
+            stationary = ok[k] and residual_ok[j] and signs[j]
+            ndm = (licq[j], strict[j], norm0 == pr.s or gaps[j], zero[j] == 0)
+            certs[k] = MCertificate(
+                feasible=ok[k],
+                stationary=stationary,
+                activity=CcopActivity(Q0, I0, norm0),
+                lam=dict(zip(lam, row[:nh])),
+                mu=dict(zip(Q0, row[nh : nh + nq])),
+                gamma=dict(zip(I0, row[nh + nq :])),
+                residual=residual[j],
+                ndm=ndm,
+                quadratic_index=neg[j],
+                sparsity_index=pr.s - norm0,
+                m_index=neg[j] + pr.s - norm0 if (stationary and all(ndm)) else None,
+                degenerate_reason=_first_failed(ok[k], stationary, residual[j], ndm, "NDM"),
+                non_unique=not licq[j],
+            )
     return certs

@@ -6,9 +6,10 @@ inertia of a symmetric matrix restricted to a subspace.  Rank goes through
 the SVD with a relative cutoff so that "linearly independent" verdicts are
 reproducible across platforms; matrices are desk scale, so the explicitly
 projected eigensolve wins over anything cleverer.  Each kernel also takes a
-stack of same-shape matrices and runs it through one LAPACK call, which
-gives every matrix the result of its own call, bit for bit; certification
-groups its systems by shape to share these calls (ccop._stacked).
+stack of same-shape matrices and runs it through one call of the gufunc
+that numpy.linalg runs on one matrix, which gives every matrix the result
+of its own call, bit for bit; certification makes these calls once per
+layout group of its candidates (ccop._solve).
 """
 
 from __future__ import annotations
@@ -53,6 +54,16 @@ class Tolerances:
             raise ValueError("tol_rank must be smaller than tol_strict")
 
 
+def _lapack(failure: str) -> np.errstate:
+    """The floating-point state numpy.linalg calls its gufuncs in: LAPACK's
+    failure to converge raises LinAlgError(failure), with numpy's message."""
+
+    def fail(err, flag):
+        raise np.linalg.LinAlgError(failure)
+
+    return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
 def rank_and_nullbasis(A, tol: Tolerances):
     """Numerical rank of A (m x k) and an orthonormal basis of its null space.
 
@@ -71,17 +82,14 @@ def rank_and_nullbasis(A, tol: Tolerances):
     m, k = A.shape[-2:]
     if m == 0 or k == 0:
         return (0, np.eye(k)) if A.ndim == 2 else [(0, np.eye(k)) for _ in A]
-    _, sing, vt = np.linalg.svd(A, full_matrices=True)
+    with _lapack("SVD did not converge"):
+        _, sing, vt = _umath_linalg.svd_f(A, signature="d->ddd")  # np.linalg.svd's gufunc
     # an all-zero matrix has no singular value above 0 = tol_rank * sigma_max
-    ranks = (sing > tol.tol_rank * sing[..., :1]).sum(axis=-1)
+    ranks = np.add.reduce(sing > tol.tol_rank * sing[..., :1], axis=-1)
     if A.ndim == 2:
         rank = int(ranks)
         return rank, vt[rank:].T.copy()
     return [(rank, v[rank:].T.copy()) for rank, v in zip(ranks.tolist(), vt)]
-
-
-def _not_converged(err, flag):
-    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
 def solve_multipliers(G, target, tol: Tolerances):
@@ -105,10 +113,11 @@ def solve_multipliers(G, target, tol: Tolerances):
     one = G.ndim == 2
     if one:
         G, target = G[None], target[None]
-    with np.errstate(call=_not_converged, invalid="call", over="ignore", divide="ignore",
-                     under="ignore"):
+    with _lapack("SVD did not converge in Linear Least Squares"):
         coeffs = _umath_linalg.lstsq(G, target[..., None], tol.tol_rank, signature="ddd->ddid")[0]
-    pairs = [(c, float(np.linalg.norm(g @ c - t))) for g, c, t in zip(G, coeffs[..., 0], target)]
+    residuals = [g @ c - t for g, c, t in zip(G, coeffs[..., 0], target)]
+    # each norm as np.linalg.norm takes it, sqrt(r.dot(r)), without its dispatch
+    pairs = [(c, math.sqrt(r.dot(r))) for c, r in zip(coeffs[..., 0], residuals)]
     return pairs[0] if one else pairs
 
 
@@ -130,11 +139,12 @@ def restricted_inertia(H, N, tol: Tolerances):
     r = N.shape[-1]
     if r == 0:
         return (0, 0, 0) if N.ndim == 2 else [(0, 0, 0)] * len(N)
-    M = np.swapaxes(N, -1, -2) @ H @ N
-    M = 0.5 * (M + np.swapaxes(M, -1, -2))
-    eig = np.linalg.eigvalsh(M)
-    neg = (eig < -tol.tol_strict).sum(axis=-1)
-    pos = (eig > tol.tol_strict).sum(axis=-1)
+    M = N.swapaxes(-1, -2) @ H @ N
+    M = 0.5 * (M + M.swapaxes(-1, -2))
+    with _lapack("Eigenvalues did not converge"):
+        eig = _umath_linalg.eigvalsh_lo(M, signature="d->d")  # np.linalg.eigvalsh's gufunc
+    neg = np.add.reduce(eig < -tol.tol_strict, axis=-1)
+    pos = np.add.reduce(eig > tol.tol_strict, axis=-1)
     if N.ndim == 2:
         return int(neg), r - int(neg) - int(pos), int(pos)
     return [(a, r - a - b, b) for a, b in zip(neg.tolist(), pos.tolist())]

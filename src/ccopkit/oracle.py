@@ -421,7 +421,8 @@ def _jets(expr, X):
 def _shared_roots(pr: Problem, tol: Tolerances, notes: list[str], grid: GridSpec | None = None):
     """The roots of _linear_roots, or of _newton_roots when a grid is given,
     found once per Problem and (method, grid, tol) and kept on the Problem,
-    with their jets (see ccop._jets_many).
+    with their jets (see ccop._jets_many); ccop._point serves those jets to
+    any later array with the bits of a root's x.
 
     Both sides of a census share them.  Each call yields (support, pe) per
     root, pe a fresh PointEval of pr at the kept read-only x that carries
@@ -437,7 +438,9 @@ def _shared_roots(pr: Problem, tol: Tolerances, notes: list[str], grid: GridSpec
         )
         for _, x in roots:
             x.flags.writeable = False
-        pr._roots[key] = roots, _jets_many(pr, [x for _, x in roots]), tuple(found)
+        jets = _jets_many(pr, [x for _, x in roots])
+        pr._roots[key] = roots, jets, tuple(found)
+        pr._root_jets.update((x.tobytes(), jet) for (_, x), jet in zip(roots, jets) if jet is not None)
     roots, jets, kept = pr._roots[key]
     for (J, x), jet in zip(roots, jets):
         yield J, _carrying(pr, x, jet)

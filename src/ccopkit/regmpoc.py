@@ -15,32 +15,37 @@ Certification solves the T-stationarity multiplier system over the 2n-dim
 constraint directions, checks the sign and disjunction conditions, the five
 nondegeneracy conditions NDT1..NDT5, and reports the T-index as quadratic
 index + biactive index.  certify_t_pairs certifies many (x, y) in one call:
-the work that depends on x alone is done once per distinct x, and the
-kernel calls are shared across all pairs.  certify_t_many is its one-x case
-and certify_t its one-pair case.
+the work that depends on x alone is done once per distinct x, and the pairs
+are certified as arrays per layout group, a layout being the number of
+multipliers of each kind (see ccop._solve).  certify_t_many is its one-x
+case and certify_t its one-pair case.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import accumulate
 
 import numpy as np
 
 from .ccop import (
     PointEval,
     Problem,
+    _Bank,
+    _bank,
     _certified,
+    _columns,
     _first_failed,
-    _independent,
     _key,
+    _layouts,
     _point,
     _solve,
     _without_certs,
     evaluate,
 )
-from .numkern import Tolerances
+from .numkern import Tolerances, rank_and_nullbasis
 
 __all__ = [
     "RegularizedProblem",
@@ -176,43 +181,64 @@ def _y(rp: RegularizedProblem, y) -> np.ndarray:
     return y
 
 
-def _feasible_r(
-    rp: RegularizedProblem, pe: PointEval, ys: list[np.ndarray], tol: Tolerances
-) -> list[tuple[bool, MpocActivity]]:
-    """check_feasible_r at every y of ys (checked by _y) over the point of pe.
+@lru_cache(maxsize=64)
+def _t_units(n: int) -> np.ndarray:
+    """The rows after (grad h_p, 0) and (grad g_q, 0) of the T-side bank in
+    R^(2n), x-part first, whose target is (grad f, c): -e_(n+i) (mu2),
+    (0, 1) (mu3), e_i (sigma1), e_(n+i) (sigma2), e_i (rho1) and e_(n+i)
+    (rho2)."""
+    eye = np.eye(2 * n)
+    units = np.concatenate([-eye[n:], [np.repeat([0.0, 1.0], n)], eye, eye])
+    units.flags.writeable = False
+    return units
 
-    What depends on x alone (its zeros, Q0 and the h/g feasibility) is
-    found once; the y-conditions are evaluated for all ys together.
+
+def _feasible_r(rp: RegularizedProblem, bank: _Bank, at: np.ndarray, Y: np.ndarray, tol: Tolerances):
+    """check_feasible_r at the pairs (point at[k] of bank, Y[k]), evaluated
+    for all pairs together: whether each is feasible, and its
+    T-stationarity directions grouped by layout (see ccop._layouts), as the
+    bank rows grad h_p (lam), grad g_q for q in Q0 (mu1), -e_(n+i) for i in
+    Ecal (mu2), (0, 1) if the sum is active (mu3), e_i for i in a01
+    (sigma1), e_(n+i) for i in a10 (sigma2), and e_i (rho1) and e_(n+i)
+    (rho2) for i in a00.
+
+    The same vectors (up to the sign of the mu2 block, which is irrelevant
+    for rank and null space) constitute the MPOC-LICQ family and cut out the
+    tangent space, so one assembly serves the solve, the CQ test and the
+    restricted Hessian.
     """
-    n, eps = rp.n, rp.eps
-    Y = np.array(ys, dtype=float).reshape(len(ys), n)
-    x0 = (np.abs(pe.x) <= tol.tol_act).tolist()
-    y0 = (np.abs(Y) <= tol.tol_act).tolist()
-    yup = (np.abs(Y - (1.0 + eps)) <= tol.tol_act).tolist()
-    sums = Y.sum(axis=1)
-    sum_active = (np.abs(sums - (n - rp.s)) <= tol.tol_act).tolist()
-    q0 = tuple(q + 1 for q, j in enumerate(pe.g) if abs(j.value) <= tol.tol_act)
-    hg_ok = all(abs(j.value) <= tol.tol_feas for j in pe.h) and all(
-        j.value >= -tol.tol_feas for j in pe.g
-    )
-    in_bounds = (
-        (np.abs(pe.x * Y) <= tol.tol_feas) & (Y >= -tol.tol_feas) & (Y <= 1.0 + eps + tol.tol_feas)
-    )
-    ok = ((sums >= (n - rp.s) - tol.tol_feas) & in_bounds.all(axis=1)).tolist()
+    n, s, eps, act, feas = rp.n, rp.s, rp.eps, tol.tol_act, tol.tol_feas
+    nh, K = len(rp.base.h), len(Y)
+    x, values = bank.x[at], bank.values[at]
+    h, g = values[:, :nh], values[:, nh:]
+    sums = np.add.reduce(Y, axis=1)  # Y.sum(axis=1)
+    ok = np.logical_and.reduce(np.concatenate([
+        np.abs(h) <= feas, g >= -feas, (sums >= (n - s) - feas)[:, None],
+        np.abs(x * Y) <= feas, Y >= -feas, Y <= 1.0 + eps + feas,
+    ], axis=1), axis=1)
+    x0, y0 = np.abs(x) <= act, np.abs(Y) <= act
+    a00 = x0 & y0
+    sel = np.concatenate([
+        np.ones((K, nh), dtype=bool),
+        np.abs(g) <= act,  # Q0
+        x0 & (np.abs(Y - (1.0 + eps)) <= act),  # Ecal
+        (np.abs(sums - (n - s)) <= act)[:, None],  # the sum is active
+        x0 ^ a00,  # a01: x_i = 0 and y_i != 0
+        y0 ^ a00,  # a10: x_i != 0 and y_i = 0
+        a00,
+        a00,
+    ], axis=1)
+    ones = range(1, n + 1)
+    columns = _columns(range(1, nh + 1), range(1, g.shape[1] + 1), ones, range(1), ones, ones, ones, ones)
+    return ok.tolist(), _layouts(sel, *columns)
 
-    out = []
-    for y_ok, active, zeros, uppers in zip(ok, sum_active, y0, yup):
-        a00, a01, a10, ecal = [], [], [], []
-        for i, x_zero, y_zero, y_up in zip(range(1, n + 1), x0, zeros, uppers):
-            if x_zero:
-                (a00 if y_zero else a01).append(i)
-                if y_up:
-                    ecal.append(i)
-            elif y_zero:
-                a10.append(i)
-        act = MpocActivity(tuple(a00), tuple(a01), tuple(a10), tuple(ecal), active, q0)
-        out.append((hg_ok and y_ok, act))
-    return out
+
+def _checked(rp: RegularizedProblem, x, y, tol: Tolerances):
+    """The bank of x (an array or a PointEval of the base problem), and the
+    feasibility, labels and layout group of (x, y) (see _feasible_r)."""
+    bank = _bank([evaluate(rp.base, x)], _t_units(rp.n), rp.c, tol)
+    (ok,), ((labels,), (group,)) = _feasible_r(rp, bank, np.zeros(1, dtype=int), _y(rp, y)[None], tol)
+    return bank, ok, labels, group
 
 
 def check_feasible_r(
@@ -220,48 +246,14 @@ def check_feasible_r(
 ) -> tuple[bool, MpocActivity]:
     """Feasibility of (x, y) for the lifted problem, plus its activity pattern;
     x is an array or a PointEval of the base problem."""
-    pe = evaluate(rp.base, x)
-    return _feasible_r(rp, pe, [_y(rp, y)], tol)[0]
-
-
-def _stationarity_families(rp: RegularizedProblem, pe: PointEval, acts) -> list:
-    """Directions of the T-stationarity system in R^(2n), x-part first, with
-    their multipliers, as one (labels, rows) per activity pattern over the
-    point of pe (see ccop._solve).
-
-    The same vectors (up to the sign of the mu2 block, which is irrelevant
-    for rank and null space) constitute the MPOC-LICQ family and cut out the
-    tangent space, so one assembly serves the solve, the CQ test and the
-    restricted Hessian.  Every row is taken from one bank per point:
-    (grad h_p, 0), (grad g_q, 0), -e_(n+i), (0, 1), e_i and e_(n+i).
-    """
-    n, nh = rp.n, len(pe.h)
-    m = nh + len(pe.g)  # gradient rows, then unit rows
-    eye = np.eye(2 * n)
-    bank = np.zeros((m + 3 * n + 1, 2 * n))
-    for r, j in enumerate((*pe.h, *pe.g)):
-        bank[r, :n] = j.gradient
-    bank[m : m + n] = -eye[n:]
-    bank[m + n, n:] = 1.0
-    bank[m + n + 1 :] = eye
-    # the bank row of label (kind, i) is first[kind] + i
-    first = dict(lam=-1, mu1=nh - 1, mu2=m - 1, mu3=m + n, sigma1=m + n, rho1=m + n)
-    first.update(sigma2=m + 2 * n, rho2=m + 2 * n)
-    families = []
-    for act in acts:
-        labels = [("lam", p) for p in range(1, nh + 1)] + [("mu1", q) for q in act.Q0]
-        labels += [("mu2", i) for i in act.Ecal] + ([("mu3", 0)] if act.sum_active else [])
-        labels += [("sigma1", i) for i in act.a01] + [("sigma2", i) for i in act.a10]
-        labels += [("rho1", i) for i in act.a00] + [("rho2", i) for i in act.a00]
-        families.append((labels, bank[[first[kind] + i for kind, i in labels]]))
-    return families
+    _, ok, (_, Q0, ecal, mu3, a01, a10, a00, _), _ = _checked(rp, x, y, tol)
+    return ok, MpocActivity(a00, a01, a10, ecal, bool(mu3), Q0)
 
 
 def check_mpoc_licq(rp: RegularizedProblem, x, y, tol: Tolerances = Tolerances()) -> bool:
     """Linear independence of the MPOC constraint directions at (x, y)."""
-    pe = evaluate(rp.base, x)
-    _, act = _feasible_r(rp, pe, [_y(rp, y)], tol)[0]
-    return _independent(_stationarity_families(rp, pe, [act])[0][1], tol)[0]
+    bank, _, _, (_, _, index) = _checked(rp, x, y, tol)
+    return rank_and_nullbasis(bank.rows[0, index[0]], tol)[0] == index.shape[1]
 
 
 def certify_t(rp: RegularizedProblem, x, y, tol: Tolerances = Tolerances()) -> TCertificate:
@@ -292,11 +284,13 @@ def certify_t_pairs(
     [certify_t(rp, x, y, tol) for x, y in pairs].
 
     Each distinct x (by its bits) is evaluated once if a pair over it is
-    not held, and never otherwise.  The work that depends on x alone (its
-    zeros, the h/g feasibility, the row bank and the target) is done once;
-    the y-conditions over one x are evaluated together.  Candidates whose constraint directions have one shape share
-    one stacked SVD and one stacked eigensolve, whatever their x (see
-    ccop._solve), and a pair repeated in `pairs` is certified once.  Raises
+    not held, and never otherwise.  The work that depends on x alone (the
+    h/g feasibility, the row bank, the Hessians and the target) is done
+    once; the y-conditions of all pairs are evaluated together.  The pairs
+    are certified per layout (nh, |Q0|, |Ecal|, sum_active, |a01|, |a10|,
+    |a00|), whatever their x: each layout group makes one stacked call of
+    each kernel and reads every flag off column slices (see ccop._solve),
+    and a pair repeated in `pairs` is certified once.  Raises
     AssumptionError as certify_t does, and ValueError when an x or a y has
     the wrong shape; either raise happens before any certificate is looked
     up or stored.
@@ -323,76 +317,65 @@ def certify_t_pairs(
     return _certified(rp._certs, keys, _certify_t_pairs, rp, points, owners, ys, tol)
 
 
-_KINDS = ("lam", "mu1", "mu2", "mu3", "sigma1", "sigma2", "rho1", "rho2")
-
-
 def _certify_t_pairs(
     misses, rp: RegularizedProblem, points: dict, owners: list, ys: list, tol: Tolerances
 ) -> list[TCertificate]:
     """The certificates at the pairs listed in misses (see ccop._certified):
-    the pair at position k is (points[owners[k]], ys[k])."""
-    over: dict[tuple, list[int]] = {}  # key of x -> places in misses, in order
-    for place, k in enumerate(misses):
-        over.setdefault(owners[k], []).append(place)
-    places, checked, families = [], [], []
-    for xkey, members in over.items():
-        pe = evaluate(rp.base, points[xkey])
-        target = np.concatenate([pe.f.gradient, rp.c])
-        here = _feasible_r(rp, pe, [ys[misses[place]] for place in members], tol)
-        for labels, rows in _stationarity_families(rp, pe, [act for _, act in here]):
-            families.append((pe, labels, rows, target))
-        places += members
-        checked += here
-    solved = _solve(families, _KINDS, "mu1", tol)
-    out: list = [None] * len(misses)
-    for place, pair, result in zip(places, checked, solved):
-        out[place] = _t_certificate(*pair, *result, tol)
-    return out
-
-
-def _t_certificate(
-    feasible, act: MpocActivity, groups, residual, residual_ok, licq, neg, zero, tol: Tolerances
-) -> TCertificate:
-    mu3 = groups.pop("mu3").get(0, 0.0)
-
+    the pair at position k is (points[owners[k]], ys[k]).  One _solve per
+    layout (nh, |Q0|, |Ecal|, sum_active, |a01|, |a10|, |a00|, |a00|),
+    whose multipliers are the column slices lam, mu1, mu2, mu3, sigma1,
+    sigma2, rho1 and rho2."""
+    place: dict[tuple, int] = {}  # key of x -> its point in the bank, in order of first use
+    at = np.array([place.setdefault(owners[k], len(place)) for k in misses])
+    bank = _bank([evaluate(rp.base, points[xkey]) for xkey in place], _t_units(rp.n), rp.c, tol)
+    ok, (labels, by_layout) = _feasible_r(rp, bank, at, np.array([ys[k] for k in misses]), tol)
     ts = tol.tol_strict
-    eq7 = (
-        all(v >= -ts for v in groups["mu1"].values())
-        and all(v >= -ts for v in groups["mu2"].values())
-        and (mu3 >= -ts if act.sum_active else True)
-    )
-    eq8_branches = {
-        i: (abs(groups["rho1"][i]) <= ts, groups["rho2"][i] <= ts) for i in act.a00
-    }
-    eq8 = all(b1 or b2 for b1, b2 in eq8_branches.values())
-    stationary = feasible and residual_ok and eq7 and eq8
-
-    ndt = (
-        licq,
-        all(v > ts for v in groups["mu1"].values())
-        and all(v > ts for v in groups["mu2"].values())
-        and (mu3 > ts if act.sum_active else True),
-        all(abs(groups["rho1"][i]) > ts and groups["rho2"][i] < -ts for i in act.a00),
-        zero == 0,
-        len(act.a00) == 0 or all(abs(v) > ts for v in groups["sigma1"].values()),
-    )
-    bi = len(act.a00)
-
-    return TCertificate(
-        feasible=feasible,
-        stationary=stationary,
-        activity=act,
-        mu3=mu3,
-        **groups,
-        residual=residual,
-        ndt=ndt,
-        eq8_branches=eq8_branches,
-        quadratic_index=neg,
-        biactive_index=bi,
-        t_index=neg + bi if (stationary and all(ndt[:4])) else None,
-        degenerate_reason=_first_failed(feasible, stationary, residual, ndt, "NDT"),
-        non_unique=not licq,
-    )
+    out: list = [None] * len(misses)
+    for layout, group, index in by_layout:
+        nh, nq, _, sa, _, _, n00, _ = layout
+        coeffs, residual, residual_ok, licq, neg, zero = _solve(bank, at[group], index, nh, nq, tol)
+        _, e1, e2, e3, e4, e5, e6, _ = accumulate(layout)  # where each kind's slice ends
+        mu = coeffs[:, nh:e3]  # mu1, mu2, and mu3 where the sum is active
+        signs = np.logical_and.reduce(mu >= -ts, axis=1)
+        strict = np.logical_and.reduce(mu > ts, axis=1).tolist()
+        if n00:
+            rho1, rho2 = coeffs[:, e5:e6], coeffs[:, e6:]
+            branch1, branch2 = np.abs(rho1) <= ts, rho2 <= ts
+            signs &= np.logical_and.reduce(branch1 | branch2, axis=1)  # eq7 and eq8
+            biactive = np.logical_and.reduce((np.abs(rho1) > ts) & (rho2 < -ts), axis=1).tolist()
+            a01_ok = np.logical_and.reduce(np.abs(coeffs[:, e3:e4]) > ts, axis=1).tolist()
+            branches = [list(zip(*b)) for b in zip(branch1.tolist(), branch2.tolist())]
+        else:  # no biactive index: eq8, NDT3 and NDT5 hold, and no branch is recorded
+            biactive = a01_ok = [True] * len(group)
+            branches = [()] * len(group)
+        signs = signs.tolist()
+        for j, (k, row) in enumerate(zip(group.tolist(), coeffs.tolist())):
+            lam, Q0, ecal, _, a01, a10, a00, _ = labels[k]
+            feasible = ok[k]
+            stationary = feasible and residual_ok[j] and signs[j]
+            ndt = (licq[j], strict[j], biactive[j], zero[j] == 0, a01_ok[j])
+            out[k] = TCertificate(
+                feasible=feasible,
+                stationary=stationary,
+                activity=MpocActivity(a00, a01, a10, ecal, bool(sa), Q0),
+                lam=dict(zip(lam, row[:nh])),
+                mu1=dict(zip(Q0, row[nh:e1])),
+                mu2=dict(zip(ecal, row[e1:e2])),
+                mu3=row[e2] if sa else 0.0,
+                sigma1=dict(zip(a01, row[e3:e4])),
+                sigma2=dict(zip(a10, row[e4:e5])),
+                rho1=dict(zip(a00, row[e5:e6])),
+                rho2=dict(zip(a00, row[e6:])),
+                residual=residual[j],
+                ndt=ndt,
+                eq8_branches=dict(zip(a00, branches[j])),
+                quadratic_index=neg[j],
+                biactive_index=n00,
+                t_index=neg[j] + n00 if (stationary and all(ndt[:4])) else None,
+                degenerate_reason=_first_failed(feasible, stationary, residual[j], ndt, "NDT"),
+                non_unique=not licq[j],
+            )
+    return out
 
 
 def companion_y(rp: RegularizedProblem, ibar: int, ebar) -> np.ndarray:

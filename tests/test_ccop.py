@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from ccopkit import Problem, Tolerances, ccop, certify_m, check_cc_licq, check_feasible, parse
+from ccopkit import (
+    Problem,
+    Tolerances,
+    ccop,
+    certify_m,
+    check_cc_licq,
+    check_feasible,
+    parse,
+    rank_and_nullbasis,
+    restricted_inertia,
+)
 
 from helpers import make_problem, well_e1, well_ones
 
@@ -135,23 +145,63 @@ def test_problem_validation():
         Problem(2, 1, parse("x1", 1))  # dimension mismatch
 
 
-def test_stacked_kernel_calls_keep_each_item_with_its_result():
-    # _solve's rank and inertia calls: one kernel call per shape group, on
-    # the stack of its items, and each result returned at its item's place
+def test_stacked_kernel_calls_keep_each_item_with_its_result(monkeypatch):
+    # _solve's kernel calls: one call per layout group, on the stack of its
+    # items, and each result returned at its item's place
     rng = np.random.default_rng(31)
-    first = [rng.standard_normal((m, 3)) for m in (2, 4, 2, 0, 4, 2)]
-    second = [rng.standard_normal((3, k)) for k in (1, 1, 2, 1, 1, 1)]
+    X, n = 3, 3
+    hessians = rng.standard_normal((X, 3, n, n))  # f, h1, g1 at each point
+    hessians += hessians.swapaxes(-1, -2)
+    bank = ccop._Bank(x=np.zeros((X, n)), values=np.zeros((X, 2)),
+                      rows=rng.standard_normal((X, 2 + n, n)), target=rng.standard_normal((X, n)),
+                      bound=[1.0] * X, hessians=hessians)
+    at = np.array([0, 1, 2, 0, 1, 2, 0])
+    # bank rows: grad h1 (lam), grad g1 (mu), e_1..e_3 (gamma)
+    sel = np.array([[1, 1, 1, 0, 0], [1, 0, 1, 1, 0], [1, 1, 0, 0, 1], [1, 0, 0, 0, 0],
+                    [1, 1, 0, 1, 0], [1, 1, 0, 0, 0], [1, 0, 1, 0, 1]], dtype=bool)
     calls = []
 
-    def kernel(a, b, tol):  # one item's arrays, or stacks of them, as in numkern
-        calls.append((a.shape, b.shape))
-        if a.ndim == 2:
-            return a.tobytes(), b.tobytes()
-        return [(x.tobytes(), y.tobytes()) for x, y in zip(a, b)]
+    def recorded(name):
+        kernel = getattr(ccop, name)
 
-    got = ccop._stacked(kernel, TOL, first, second)
-    assert got == [(x.tobytes(), y.tobytes()) for x, y in zip(first, second)]
-    assert sorted(calls) == [((1, 0, 3), (1, 3, 1)), ((1, 2, 3), (1, 3, 2)),
-                             ((2, 2, 3), (2, 3, 1)), ((2, 4, 3), (2, 3, 1))]
-    assert ccop._stacked(kernel, TOL, first[1:2], second[1:2]) == got[1:2]
-    assert calls[-1] == ((4, 3), (3, 1))
+        def call(*args):
+            calls.append((name, args[0].shape))
+            return kernel(*args)
+
+        monkeypatch.setattr(ccop, name, call)
+
+    for name in ("rank_and_nullbasis", "solve_multipliers", "restricted_inertia"):
+        recorded(name)
+    labels, by_layout = ccop._layouts(sel, *ccop._columns(range(1, 2), range(1, 2), range(1, n + 1)))
+    got = {}
+    for (nh, nq, _), members, index in by_layout:
+        solved = ccop._solve(bank, at[members], index, nh, nq, TOL)
+        for j, k in enumerate(members.tolist()):
+            got[k] = [part[j] for part in solved]
+    for k in range(len(sel)):
+        rows, target, (f, h, g) = bank.rows[at[k]][sel[k]], bank.target[at[k]], hessians[at[k]]
+        coeffs = np.linalg.lstsq(rows.T, target, rcond=TOL.tol_rank)[0]
+        rank_, basis = rank_and_nullbasis(rows, TOL)
+        hess = f.copy()
+        hess -= coeffs[0] * h
+        if sel[k, 1]:
+            hess -= coeffs[1] * g
+        neg, zero, _ = restricted_inertia(hess, basis, TOL)
+        residual = float(np.linalg.norm(rows.T @ coeffs - target))
+        assert got[k][0].tobytes() == coeffs.tobytes() and got[k][1:] == [
+            residual, residual <= 1.0, rank_ == len(rows), neg, zero]
+    assert labels[1] == ((1,), (), (1, 2)) and labels[2] == ((1,), (1,), (3,))
+    # layouts (1, 1, 1) and (1, 0, 2) have one shape and are separate groups
+    assert [(layout, members.tolist()) for layout, members, _ in by_layout] == [
+        ((1, 1, 1), [0, 2, 4]), ((1, 0, 2), [1, 6]), ((1, 0, 0), [3]), ((1, 1, 0), [5])]
+    assert [c for c in calls if c[0] != "restricted_inertia"] == [
+        ("rank_and_nullbasis", (3, 3, 3)), ("solve_multipliers", (3, 3, 3)),
+        ("rank_and_nullbasis", (2, 3, 3)), ("solve_multipliers", (2, 3, 3)),
+        ("rank_and_nullbasis", (1, 1, 3)), ("solve_multipliers", (1, 3, 1)),
+        ("rank_and_nullbasis", (1, 2, 3)), ("solve_multipliers", (1, 3, 2)),
+    ]
+    # one eigensolve per group and null-space size: the rows are independent
+    assert [c[1] for c in calls if c[0] == "restricted_inertia"] == [
+        (3, 3, 3), (2, 3, 3), (1, 3, 3), (1, 3, 3)]
+    alone = ccop._solve(bank, at[[3]], np.array([[0]]), 1, 0, TOL)  # a group of one is a stack of one
+    assert [part[0] for part in alone][1:] == got[3][1:] and alone[0][0].tobytes() == got[3][0].tobytes()

@@ -1,0 +1,162 @@
+"""The layout-group pass certifies as the per-candidate reference does.
+
+certify_m_many and certify_t_pairs certify each layout group as arrays
+(ccop._solve); reference_certifier keeps the per-candidate certifiers they
+replaced.  Every certificate must equal the reference's field by field and
+bit for bit, and the kernels must see the same rows, targets, Lagrangian
+Hessians and null bases per candidate, on the shapes the censuses certify
+and on the corners: layouts that share a shape, Q0 that differs between
+candidates of one shape, curved h and g, zero rows, empty null spaces and
+tolerances that a multiplier meets exactly.
+"""
+
+import dataclasses
+import pickle
+
+import numpy as np
+import pytest
+
+import reference_certifier as reference
+from ccopkit import GridSpec, Tolerances, ccop, certify_m_many, certify_t_pairs, make_regularized, oracle
+from helpers import affine_source, make_problem, random_c, random_quadratic_source
+
+TOL = Tolerances()
+
+
+def _bits(cert) -> dict:
+    """Each field of a certificate as its pickle, which holds every bit of
+    every float and the order of every dict."""
+    return {f.name: pickle.dumps(getattr(cert, f.name)) for f in dataclasses.fields(cert)}
+
+
+def _census_n8(rng):
+    row = rng.uniform(0.25, 1.0, size=8) * rng.choice([-1.0, 1.0], size=8)
+    pr = make_problem(8, 3, random_quadratic_source(rng, 8), h=[affine_source(row, 0.3)])
+    return make_regularized(pr, random_c(rng, 8), float(rng.uniform(0.3, 1.0)) / 5)
+
+
+def _inequalities(rng):
+    """n=5, s=2 with three affine inequalities through the origin's
+    neighbourhood, so that roots of one shape have different Q0."""
+    g = [affine_source(rng.uniform(-1.0, 1.0, size=5), b) for b in (0.0, 0.0, 0.4)]
+    pr = make_problem(5, 2, random_quadratic_source(rng, 5), g=g)
+    return make_regularized(pr, random_c(rng, 5), 0.5 / 3)
+
+
+def _curved(rng):
+    f = random_quadratic_source(rng, 5) + " + 0.2*sin(x1) + 0.1*x2*x3"
+    h, g = ["x1^2 + x2^2 + x3 + 0.5*x4 - 1"], ["2 - x1^2 - x2^2 - x3^2 - x4*x5"]
+    return make_regularized(make_problem(5, 2, f, h, g), random_c(rng, 5), 0.5 / 3)
+
+
+def _cases():
+    """(rp, candidates, grid): census_n8's shape, several inequalities,
+    the override sampler, and Newton roots with curved h and g."""
+    rng = np.random.default_rng(211)
+    override = make_regularized(_census_n8(rng).base, np.zeros(8), 0.0, override=True)
+    return [
+        (_census_n8(rng), oracle._subset_ys, None),
+        (_inequalities(rng), oracle._subset_ys, None),
+        (override, lambda rp: oracle._sampled_ys(rp, TOL), None),
+        (_curved(rng), oracle._subset_ys, GridSpec(2)),
+    ]
+
+
+def _corners(rp):
+    """Points whose systems have no rows or an empty null space: x dense
+    (M: no zero, no active g) and x = 0 with y = 0 (T: every index
+    biactive, 2n independent unit rows)."""
+    n = rp.n
+    dense, zero = np.linspace(0.5, 1.5, n), np.zeros(n)
+    return [dense, zero], [(dense, np.full(n, 0.5)), (zero, zero), (zero, np.full(n, 1.0 + rp.eps))]
+
+
+@pytest.fixture
+def kernel_inputs(monkeypatch):
+    """The arrays each kernel gets per candidate, as a set of bytes, for
+    the library (ccop) and for the reference; candidates with equal inputs
+    count once, since the library certifies a repeated point once."""
+    seen = {"ccop": {}, "reference": {}}
+
+    def spy(module, key, name):
+        kernel = getattr(module, name)
+
+        def call(*args):  # one item's arrays, or stacks of them, then tol
+            arrays = args[:-1]
+            for item in zip(*arrays) if arrays[0].ndim == 3 else [arrays]:
+                seen[key].setdefault(name, set()).add(b"|".join(a.tobytes() for a in item))
+            return kernel(*args)
+
+        monkeypatch.setattr(module, name, call)
+
+    for name in ("rank_and_nullbasis", "solve_multipliers", "restricted_inertia"):
+        spy(ccop, "ccop", name)
+        spy(reference, "reference", name)
+    return seen
+
+
+def _same_kernel_inputs(seen):
+    for name in ("rank_and_nullbasis", "solve_multipliers", "restricted_inertia"):
+        assert seen["ccop"].get(name) == seen["reference"].get(name), name
+    seen["ccop"].clear()
+    seen["reference"].clear()
+
+
+def test_layout_groups_equal_the_per_candidate_reference(kernel_inputs):
+    batches = shared_shape = mixed_q0 = curved = corners = 0
+    for rp, sampler, grid in _cases():
+        roots = [(J, pe.x) for J, pe in oracle._shared_roots(rp.base, TOL, [], grid)]
+        m_points, t_pairs = _corners(rp)
+        for batch in [*oracle._batches([x] for _, x in roots), m_points]:
+            got, want = certify_m_many(rp.base, batch, TOL), reference.certify_m_reference(rp.base, batch, TOL)
+            assert [_bits(c) for c in got] == [_bits(c) for c in want]
+            _same_kernel_inputs(kernel_inputs)
+            corners += sum(not (c.lam or c.mu or c.gamma) or len(c.gamma) == rp.n for c in got)
+        candidates = sampler(rp)
+        groups = [[(x, y) for y in candidates(J, x)] for J, x in roots] + [t_pairs]
+        for pairs in oracle._batches(groups):
+            got, want = certify_t_pairs(rp, pairs, TOL), reference.certify_t_reference(rp, pairs, TOL)
+            assert [_bits(c) for c in got] == [_bits(c) for c in want]
+            _same_kernel_inputs(kernel_inputs)
+            batches += 1
+            layouts: dict = {}
+            q0s: dict = {}
+            for c in got:
+                a = c.activity
+                layout = (len(a.Q0), len(a.Ecal), a.sum_active, len(a.a01), len(a.a10), len(a.a00))
+                layouts.setdefault(sum(layout) + len(a.a00), set()).add(layout)
+                q0s.setdefault(layout, set()).add(a.Q0)
+                curved += grid is not None and any(c.lam.values()) and any(c.mu1.values())
+            shared_shape += any(len(v) > 1 for v in layouts.values())
+            mixed_q0 += any(len(v) > 1 for v in q0s.values())
+            corners += sum(len(c.rho1) == rp.n or not c.lam and not (
+                c.mu1 or c.mu2 or c.sigma1 or c.sigma2 or c.rho1) for c in got)
+    assert batches >= 6 and shared_shape >= 4 and mixed_q0 >= 1 and curved >= 5 and corners >= 8
+
+
+def test_flags_meet_their_tolerances_as_the_reference_does():
+    # each comparison of a multiplier with tol_strict, at a tol_strict that
+    # some multiplier of the candidate equals in magnitude: > and >= differ
+    # only there
+    rng = np.random.default_rng(223)
+    compared = 0
+    for rp, sampler, grid in _cases()[:3]:
+        pairs = [(x, y) for J, pe in oracle._shared_roots(rp.base, TOL, [], grid)
+                 for x in [pe.x] for y in sampler(rp)(J, x)]
+        for k in rng.choice(len(pairs), size=12, replace=False):
+            x, y = pairs[k]
+            cert = reference.certify_t_reference(rp, [(x, y)], TOL)[0]
+            values = [v for name in ("mu1", "mu2", "sigma1", "rho1", "rho2")
+                      for v in getattr(cert, name).values()] + [cert.mu3]
+            mcert = reference.certify_m_reference(rp.base, [x], TOL)[0]
+            m_values = [*mcert.mu.values(), *mcert.gamma.values()]
+            for v in {abs(v) for v in values + m_values if 1e-9 < abs(v) < 1e6}:
+                tol = Tolerances(tol_strict=v)
+                got = certify_t_pairs(rp, [(x, y)], tol)
+                assert [_bits(c) for c in got] == [
+                    _bits(c) for c in reference.certify_t_reference(rp, [(x, y)], tol)]
+                got = certify_m_many(rp.base, [x], tol)
+                assert [_bits(c) for c in got] == [
+                    _bits(c) for c in reference.certify_m_reference(rp.base, [x], tol)]
+                compared += 1
+    assert compared >= 100

@@ -141,6 +141,10 @@ def test_stacked_rank_and_nullbasis_equals_the_per_matrix_call():
             want_rank, want_basis = rank_and_nullbasis(A, TOL)
             assert rank == want_rank
             assert basis.shape == want_basis.shape and basis.tobytes() == want_basis.tobytes()
+            if A.size:  # the bits of np.linalg.svd, whose gufunc the kernel calls
+                _, sing, vt = np.linalg.svd(A)
+                assert rank == int((sing > TOL.tol_rank * sing[0]).sum())
+                assert basis.tobytes() == vt[rank:].T.copy().tobytes()
             deficient += 0 < rank < min(A.shape)
         m, k = stack.shape[1:]
         if m and k:
@@ -168,6 +172,26 @@ def test_stacked_restricted_inertia_equals_the_per_matrix_call():
                 alone = N[k].T @ H[k] @ N[k]
                 assert M[k].tobytes() == alone.tobytes()
                 assert eig[k].tobytes() == np.linalg.eigvalsh(alone).tobytes()
+                # the signs of np.linalg.eigvalsh, whose gufunc the kernel calls
+                eig_k = np.linalg.eigvalsh(0.5 * (alone + alone.T))
+                neg, pos = int((eig_k < -ts).sum()), int((eig_k > ts).sum())
+                assert triples[k] == (neg, r - neg - pos, pos)
+
+
+def test_kernels_raise_where_np_linalg_does():
+    A = np.ones((3, 4))
+    A[1, 1] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+        np.linalg.svd(A)
+    H = np.full((3, 3), np.nan)
+    with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+        np.linalg.eigvalsh(H)
+    for stack in (False, True):
+        with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+            rank_and_nullbasis(np.array([A, A]) if stack else A, TOL)
+        with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+            restricted_inertia(np.array([H, H]) if stack else H,
+                               np.array([np.eye(3)] * 2) if stack else np.eye(3), TOL)
 
 
 def _lstsq_cases(rng):
@@ -214,16 +238,27 @@ def test_stacked_solve_raises_where_lstsq_does():
 
 
 def test_certificate_residuals_keep_the_bits_of_one_solve_on_rows_t():
-    # ccop._solve stacks each family's directions (rows, k x d) and solves
-    # with their transpose; every residual must be the one a solve of
-    # rows.T alone gives, bits included
+    # ccop._solve gathers each layout group's directions (rows, k x d) from
+    # the bank of their points and solves with their transpose; every
+    # residual must be the one a solve of rows.T alone gives, bits included
     rng = np.random.default_rng(101)
     families = []
     for _ in range(60):
         d = int(rng.integers(2, 9))
         rows = rng.standard_normal((int(rng.integers(0, d + 1)), d))
         families.append((rows, rng.standard_normal(d)))
-    got = ccop._stacked(ccop._lstsq, TOL, *map(list, zip(*families)))
+    got = [None] * len(families)
+    for shape in {rows.shape for rows, _ in families}:
+        group = [k for k, (rows, _) in enumerate(families) if rows.shape == shape]
+        (k, d), K = shape, len(group)
+        bank = ccop._Bank(x=np.zeros((K, d)), values=np.zeros((K, 0)),
+                          rows=np.array([families[j][0] for j in group]).reshape(K, k, d),
+                          target=np.array([families[j][1] for j in group]), bound=[0.0] * K,
+                          hessians=np.zeros((K, 1, d, d)))
+        index = np.broadcast_to(np.arange(k), (K, k))
+        coeffs, residual, *_ = ccop._solve(bank, np.arange(K), index, 0, 0, TOL)
+        for j, c, res in zip(group, coeffs, residual):
+            got[j] = c, res
     for (rows, target), (coeffs, res) in zip(families, got):
         want = np.linalg.lstsq(rows.T, target, rcond=TOL.tol_rank)[0]
         assert coeffs.tobytes() == want.tobytes()

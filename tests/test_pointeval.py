@@ -145,6 +145,47 @@ def test_verify_round_trips_after_the_censuses_evaluate_nothing(eval2_calls):
     assert trips >= 20
 
 
+def test_lifts_after_an_m_census_evaluate_nothing(eval2_calls):
+    # lift gets arrays with the bits of kept roots, whose jets it reuses
+    rng = np.random.default_rng(71)
+    lifted = 0
+    for _ in range(5):
+        rp = random_quadratic_instance(rng, n_max=6)
+        census = census_quadratic(rp.base)
+        eval2_calls.clear()
+        for x, mcert in census.m_points:
+            if mcert.nondegenerate:
+                lifted += len(lift(rp, x).companions)
+        assert eval2_calls == {}
+    assert lifted >= 20
+
+
+def test_an_array_at_a_kept_root_carries_its_jets():
+    pr = make_problem(2, 1, "(x1 - 1)^2 + (x2 - 1)^2", g=["x1 + 1"])
+    roots = {pe.x.tobytes(): pe for _, pe in oracle._shared_roots(pr, Tolerances(), [])}
+    assert len(roots) >= 3 and all("_jets" in vars(pe) for pe in roots.values())
+    for bits, kept in roots.items():
+        x = np.frombuffer(bits).copy()
+        pe = ccop._point(pr, x)
+        assert pe.x is not kept.x and pe.x.tobytes() == bits and not pe.x.flags.writeable
+        assert vars(pe)["_jets"] is vars(kept)["_jets"]
+    # other bits (here -0.0 for 0.0) evaluate on first use
+    assert "_jets" not in vars(ccop._point(pr, [-0.0, -0.0]))
+    # roots kept without jets, as when an expression fails at some root,
+    # evaluate, and raise, on first use
+    pr = make_problem(2, 1, "(x1 - 1)^2 + (x2 - 1)^2", g=["log(x1)"])
+    roots = [pe for _, pe in oracle._shared_roots(pr, Tolerances(), [], GridSpec(3))]
+    assert roots and not any("_jets" in vars(pe) for pe in roots)
+    undefined = 0
+    for pe in roots:
+        assert "_jets" not in vars(ccop._point(pr, pe.x.copy()))
+        if pe.x[0] <= 0.0:
+            with pytest.raises(ExprDomainError):
+                certify_m(pr, pe.x.copy())
+            undefined += 1
+    assert undefined
+
+
 def test_cli_verify_evaluates_nothing_after_its_censuses(eval2_calls, monkeypatch, capsys):
     census = cli._census
 
