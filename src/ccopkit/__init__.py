@@ -55,7 +55,6 @@ from .regmpoc import (
     RegularizedProblem,
     TCertificate,
     certify_t,
-    certify_t_many,
     certify_t_pairs,
     check_feasible_r,
     check_mpoc_licq,

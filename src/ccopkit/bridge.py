@@ -25,7 +25,7 @@ from .regmpoc import (
     RegularizedProblem,
     TCertificate,
     certify_t,
-    certify_t_many,
+    certify_t_pairs,
     companion_y,
 )
 
@@ -67,9 +67,11 @@ class LiftSet:
 
 def _closed_forms(rp: RegularizedProblem, mcert: MCertificate, ibar: int):
     """The closed-form multipliers of the companions of an M-stationary
-    point whose maximizing index is ibar, as a function of Ebar.  What does
-    not depend on Ebar is built once; each call builds mu2, sigma1, rho1
-    and rho2."""
+    point whose maximizing index is ibar, as two functions of Ebar: the
+    dicts by label that _match compares, and whether a companion's solved
+    certificate agrees with them.  What does not depend on Ebar is built
+    once; multipliers builds mu2, sigma1, rho1 and rho2 per call, and agrees
+    builds no dict."""
     c, gamma, i0 = rp.c, mcert.gamma, set(mcert.activity.I0)
     up = {i: float(c[ibar - 1] - c[i - 1]) for i in i0}
     down = {i: float(c[i - 1] - c[ibar - 1]) for i in range(1, rp.n + 1)}
@@ -83,7 +85,38 @@ def _closed_forms(rp: RegularizedProblem, mcert: MCertificate, ibar: int):
                     sigma1={i: gamma[i] for i in sorted(a01)}, sigma2=sigma2,
                     rho1={i: gamma[i] for i in a00}, rho2={i: down[i] for i in a00})
 
-    return multipliers
+    def agrees(ebar: tuple[int, ...], t: TCertificate) -> bool:
+        """Whether _match passes t on every entry of multipliers(ebar), by
+        one loop over I0: i in Ebar has mu2 and sigma1, ibar has sigma1,
+        and the rest of I0 has rho1 and rho2."""
+        fixed = (lam, t.lam), (mu1, t.mu1), (sigma2, t.sigma2)
+        if abs(mu3 - t.mu3) > _CROSS_TOL or not _agree(fixed):
+            return False
+        for i in i0:
+            if i in ebar:
+                pairs = (up[i], t.mu2.get(i)), (gamma[i], t.sigma1.get(i))
+            elif i == ibar:
+                pairs = ((gamma[i], t.sigma1.get(i)),)
+            else:
+                pairs = (gamma[i], t.rho1.get(i)), (down[i], t.rho2.get(i))
+            for v, gv in pairs:
+                if gv is None or abs(gv - v) > _CROSS_TOL:
+                    return False
+        return True
+
+    return multipliers, agrees
+
+
+def _agree(pairs) -> bool:
+    """Whether _match passes every (expected, solved) pair of dicts by index
+    in `pairs`, without raising: a missing solved entry fails, and a NaN
+    difference passes, since abs(nan) > tol is false."""
+    for expected, got in pairs:
+        for i, v in expected.items():
+            gv = got.get(i)
+            if gv is None or abs(gv - v) > _CROSS_TOL:
+                return False
+    return True
 
 
 def _match(label: str, expected, got, context: str):
@@ -132,17 +165,17 @@ def lift(rp: RegularizedProblem, x, tol: Tolerances = Tolerances()) -> LiftSet:
     rest = sorted(set(i0) - {ibar})
     subsets = tuple(itertools.combinations(rest, n - s - 1))
     ys = [companion_y(rp, ibar, ebar) for ebar in subsets]
-    closed = _closed_forms(rp, mcert, ibar) if mcert.ndm[0] else None
+    multipliers, agrees = _closed_forms(rp, mcert, ibar) if mcert.ndm[0] else (None, None)
     companions: list[tuple[np.ndarray, TCertificate]] = []
-    for ebar, y, tcert in zip(subsets, ys, certify_t_many(rp, pe, ys, tol)):
+    for ebar, y, tcert in zip(subsets, ys, certify_t_pairs(rp, [(pe, y) for y in ys], tol)):
         if not tcert.stationary or tcert.residual > _CROSS_TOL:
             raise BridgeError(
                 f"constructed companion failed to certify (Ebar={ebar}, "
                 f"reason={tcert.degenerate_reason}, residual={tcert.residual:.3e})"
             )
-        if closed is not None and tcert.ndt[0]:
-            ctx = f"lift Ebar={ebar}"
-            for label, want in closed(ebar).items():
+        if agrees is not None and tcert.ndt[0] and not agrees(ebar, tcert):
+            ctx = f"lift Ebar={ebar}"  # _match raises at the first entry that disagrees
+            for label, want in multipliers(ebar).items():
                 _match(label, want, getattr(tcert, label), ctx)
         companions.append((y, tcert))
 
@@ -174,16 +207,17 @@ def project(rp: RegularizedProblem, x, y, tol: Tolerances = Tolerances()) -> MCe
         raise NotStationaryError(
             f"point is not T-stationary ({tcert.degenerate_reason})"
         )
-    mapped_gamma = {**tcert.sigma1, **tcert.rho1}
-
     mcert = certify_m(rp.base, pe, tol)
     if not mcert.stationary:
         raise BridgeError("projection of a T-stationary point failed to be M-stationary")
 
-    if mcert.ndm[0] and tcert.ndt[0]:
+    # gamma is read off sigma1 on a01 and rho1 on a00, which are disjoint
+    mapped = ((tcert.lam, mcert.lam), (tcert.mu1, mcert.mu),
+              (tcert.sigma1, mcert.gamma), (tcert.rho1, mcert.gamma))
+    if mcert.ndm[0] and tcert.ndt[0] and not _agree(mapped):
         _match("lam", tcert.lam, mcert.lam, "project")
         _match("mu", tcert.mu1, mcert.mu, "project")
-        _match("gamma", mapped_gamma, mcert.gamma, "project")
+        _match("gamma", {**tcert.sigma1, **tcert.rho1}, mcert.gamma, "project")
 
     if tcert.nondegenerate and tcert.ndt[4]:
         if not mcert.nondegenerate:
@@ -212,6 +246,12 @@ class CountReport:
     @property
     def ok(self) -> bool:
         return all(c.status != "fail" for c in self.checks)
+
+
+def _rounded(vectors, n: int) -> list[list[float]]:
+    """np.round(v, 6).tolist() of each length-n vector v, from one call over
+    them stacked; rounding is elementwise, so each row has the same bits."""
+    return np.round(np.reshape(vectors, (len(vectors), n)), 6).tolist()
 
 
 def verify_counts(rp: RegularizedProblem, census, tol: Tolerances = Tolerances()) -> CountReport:
@@ -249,7 +289,8 @@ def verify_counts(rp: RegularizedProblem, census, tol: Tolerances = Tolerances()
             else:
                 strays.append(xt)
         strays = np.array(strays).reshape(len(strays), n)
-        for xm, mcert in census.m_points:
+        labels = _rounded([xm for xm, _ in census.m_points], n)
+        for (xm, mcert), label in zip(census.m_points, labels):
             if not mcert.nondegenerate:
                 continue
             k = mcert.activity.x_norm0
@@ -261,7 +302,7 @@ def verify_counts(rp: RegularizedProblem, census, tol: Tolerances = Tolerances()
                 CountCheck(
                     "companion-count",
                     status,
-                    f"x={np.round(xm, 6).tolist()} expected {want} companions, found {got}",
+                    f"x={label} expected {want} companions, found {got}",
                 )
             )
     else:

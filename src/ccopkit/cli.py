@@ -47,7 +47,7 @@ import sys
 
 import numpy as np
 
-from .bridge import BridgeError, NotStationaryError, lift, project, verify_counts
+from .bridge import BridgeError, NotStationaryError, _rounded, lift, project, verify_counts
 from .ccop import MCertificate, Problem, _point, certify_m, check_cc_licq, evaluate
 from .exprcore import ExprDomainError, ExprSyntaxError, parse
 from .numkern import Tolerances
@@ -263,6 +263,19 @@ def load_problem_file(path: str) -> ProblemFile:
 
 
 def _fmt(value) -> str:
+    """A report value as text: none, true/false, int, shortest round-trip
+    float, quoted string, or a bracketed list of formatted items.
+
+    The types a report row holds most are looked up by exact type first: a
+    float, int, str, None or bool, and a 1-D float64 array, formatted as one
+    repr per element of its tolist().  Every other value (numpy scalars,
+    subclasses, other arrays, lists and tuples) goes through _fmt_any, which
+    gives each of these types the same text."""
+    exact = _FMT_EXACT.get(type(value))
+    return _fmt_any(value) if exact is None else exact(value)
+
+
+def _fmt_any(value) -> str:
     if value is None:
         return "none"
     if isinstance(value, bool):
@@ -274,8 +287,24 @@ def _fmt(value) -> str:
     if isinstance(value, str):
         return f'"{value}"'
     if isinstance(value, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(_fmt(v) for v in value) + "]"
+        return "[" + ", ".join(map(_fmt, value)) + "]"
     return f'"{value}"'
+
+
+def _fmt_array(value: np.ndarray) -> str:
+    if value.ndim == 1 and value.dtype == np.float64:
+        return "[" + ", ".join(map(repr, value.tolist())) + "]"
+    return _fmt_any(value)
+
+
+_FMT_EXACT = {
+    float: repr,
+    int: str,
+    str: '"{}"'.format,
+    type(None): lambda _: "none",
+    bool: lambda v: "true" if v else "false",
+    np.ndarray: _fmt_array,
+}
 
 
 class Report:
@@ -615,10 +644,11 @@ def cmd_verify(args) -> int:
 
     rows = [(c.name, c.status, c.detail) for c in verify_counts(rp, merged, tol).checks]
     if rp.assumption1_ok:
-        for x, mcert in merged.m_points:
+        xs = _rounded([x for x, _ in merged.m_points], rp.n)
+        for (x, mcert), rounded in zip(merged.m_points, xs):
             if not mcert.nondegenerate:
                 continue
-            label = f"x={np.round(x, 6).tolist()}"
+            label = f"x={rounded}"
             pe = _point(rp.base, x)  # evaluated only if a certificate is missing
             try:
                 ls = lift(rp, pe, tol)
@@ -635,11 +665,11 @@ def cmd_verify(args) -> int:
                     rows.append(("project-roundtrip", "pass" if ok else "fail", label))
             except (BridgeError, NotStationaryError) as exc:
                 rows.append(("lift-roundtrip", "fail", f"{label}: {exc}"))
-        for x, y, tcert in merged.t_points:
+        ys = _rounded([y for _, y, _ in merged.t_points], rp.n)
+        for (_, y, tcert), rounded in zip(merged.t_points, ys):
             if tcert.stationary:
                 ok = check_y_structure(rp, y, tol)
-                label = f"y={np.round(y, 6).tolist()}"
-                rows.append(("y-structure", "pass" if ok else "fail", label))
+                rows.append(("y-structure", "pass" if ok else "fail", f"y={rounded}"))
 
     failures = sum(status == "fail" for _, status, _ in rows)
     _add_checks(rep, rows)

@@ -170,6 +170,12 @@ class Expr:
         """to_source of root, printed once and kept in the instance likewise."""
         return to_source(self.root)
 
+    @cached_property
+    def _poly_degree(self) -> int | None:
+        """polynomial_degree of root, walked once and kept in the instance
+        likewise."""
+        return polynomial_degree(self.root)
+
 
 @dataclass(frozen=True, eq=False)
 class Jet2:
@@ -452,9 +458,11 @@ def _degree(node: Node, child_degrees: tuple) -> int | None:
 
 
 def polynomial_degree(node: Node | Expr) -> int | None:
-    """Total degree of a polynomial AST, or None if not polynomial."""
+    """Total degree of a polynomial AST, or None if not polynomial.  The
+    degree of an Expr is computed on its first request and kept on it
+    (Expr._poly_degree), so later requests do not walk the tree."""
     if isinstance(node, Expr):
-        node = node.root
+        return node._poly_degree
     degrees = ()
     for child in _children(node):
         degrees += (polynomial_degree(child),)

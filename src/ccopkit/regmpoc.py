@@ -17,8 +17,8 @@ nondegeneracy conditions NDT1..NDT5, and reports the T-index as quadratic
 index + biactive index.  certify_t_pairs certifies many (x, y) in one call:
 the work that depends on x alone is done once per distinct x, and the pairs
 are certified as arrays per layout group, a layout being the number of
-multipliers of each kind (see ccop._solve).  certify_t_many is its one-x
-case and certify_t its one-pair case.
+multipliers of each kind (see ccop._solve).  certify_t is its one-pair
+case.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ __all__ = [
     "check_feasible_r",
     "check_mpoc_licq",
     "certify_t",
-    "certify_t_many",
     "certify_t_pairs",
     "check_y_structure",
     "companion_y",
@@ -87,6 +86,15 @@ class RegularizedProblem:
     def _certs(self) -> weakref.WeakValueDictionary:
         """T-certificates per (point bits, tol), filled by ccop._certified."""
         return weakref.WeakValueDictionary()
+
+    @cached_property
+    def _y_profile(self) -> np.ndarray:
+        """The sorted components of a companion_y, which check_y_structure
+        compares every y with; they depend on n, s and eps alone, so they are
+        built on first use and kept in the instance, like _certs."""
+        profile = np.sort(companion_y(self, self.n - self.s, range(1, self.n - self.s)))
+        profile.flags.writeable = False
+        return profile
 
     __getstate__ = _without_certs
 
@@ -268,14 +276,6 @@ def certify_t(rp: RegularizedProblem, x, y, tol: Tolerances = Tolerances()) -> T
     return certify_t_pairs(rp, [(x, y)], tol)[0]
 
 
-def certify_t_many(
-    rp: RegularizedProblem, x, ys, tol: Tolerances = Tolerances()
-) -> list[TCertificate]:
-    """certify_t at every y of `ys` over one x (an array or a PointEval of
-    the base problem), in one call: the one-x case of certify_t_pairs."""
-    return certify_t_pairs(rp, [(x, y) for y in ys], tol)
-
-
 def certify_t_pairs(
     rp: RegularizedProblem, pairs, tol: Tolerances = Tolerances()
 ) -> list[TCertificate]:
@@ -391,14 +391,15 @@ def check_y_structure(rp: RegularizedProblem, y, tol: Tolerances = Tolerances())
     """Structure every T-stationary y must have under the parameter assumption:
 
     the components of a companion_y (n-s-1 at 1+eps, one at 1-(n-s-1)*eps, s
-    at zero) in some order, and the component sum exactly n-s.
+    at zero) in some order, and the component sum exactly n-s.  The sorted
+    components of a companion_y are built once per problem and kept on it
+    (RegularizedProblem._y_profile).
     """
     y = np.asarray(y, dtype=float)
     n, s = rp.n, rp.s
     if y.shape != (n,):
         raise ValueError(f"y has shape {y.shape}, expected ({n},)")
-    expected = np.sort(companion_y(rp, n - s, range(1, n - s)))
     got = np.sort(y)
-    return bool(np.all(np.abs(got - expected) <= tol.tol_act)) and abs(
+    return bool(np.all(np.abs(got - rp._y_profile) <= tol.tol_act)) and abs(
         float(np.sum(y)) - (n - s)
     ) <= tol.tol_feas

@@ -1,8 +1,12 @@
+import copy
+import re
+
 import numpy as np
 import pytest
 
 from ccopkit import (
     AssumptionError,
+    BridgeError,
     NotStationaryError,
     Tolerances,
     census_quadratic,
@@ -15,6 +19,7 @@ from ccopkit import (
     project,
     verify_counts,
 )
+from ccopkit import bridge
 
 from helpers import make_problem, random_quadratic_instance, well_e1, well_ones, well_ones_reg
 
@@ -217,3 +222,104 @@ def test_companions_off_every_root_are_counted_within_the_radius():
     merged.t_points = [(x + 1e-6, y, c) for x, y, c in merged.t_points]  # beyond the radius
     counts = [c for c in verify_counts(rp, merged).checks if c.name == "companion-count"]
     assert counts and all(c.status == "fail" for c in counts)
+
+
+def _entries(want):
+    """(index, value) of each entry of a closed form: a dict by index, or
+    one number, whose index is None."""
+    return list(want.items()) if isinstance(want, dict) else [(None, want)]
+
+
+def _with(cert, label, i, value):
+    """A copy of cert with entry i of the multipliers `label` set to value,
+    or removed when value is None."""
+    cert = copy.deepcopy(cert)
+    if i is None:
+        setattr(cert, label, value)
+    elif value is None:
+        del getattr(cert, label)[i]
+    else:
+        getattr(cert, label)[i] = value
+    return cert
+
+
+def _nondegenerate_bases(count):
+    """(rp, x, mcert) at nondegenerate M-points of quadratic instances with
+    an equality or an inequality constraint."""
+    rng = np.random.default_rng(5)
+    for _ in range(count):
+        rp = random_quadratic_instance(rng, n_max=5)
+        if rp.base.h or rp.base.g:
+            for x, mcert in census_quadratic(rp.base).m_points:
+                if mcert.nondegenerate:
+                    yield rp, x, mcert
+
+
+def test_lift_names_the_first_closed_form_that_disagrees(monkeypatch):
+    labels = set()
+    for rp, x, mcert in _nondegenerate_bases(60):
+        ls = lift(rp, x)
+        certs = [tcert for _, tcert in ls.companions]
+        for k, ebar in enumerate(ls.subsets):
+            want = bridge._closed_forms(rp, mcert, ls.ibar)[0](ebar)
+            context = f"lift Ebar={ebar}: closed-form"
+            first = None
+            for label, expected in want.items():
+                for i, v in _entries(expected):
+                    name = label if i is None else f"{label}[{i}]"
+                    first = first or (label, i, v, name)
+                    labels.add(label)
+                    cases = [(v + 1e-6, f"{context} {name}={v!r} vs solved {v + 1e-6!r}"),
+                             (float("nan"), None)]  # a NaN entry passes, as abs(nan) > tol is false
+                    if i is not None:
+                        cases.append((None, f"{context} {name}={v!r} vs solved None"))
+                    for bad, message in cases:
+                        got = certs[:k] + [_with(certs[k], label, i, bad)] + certs[k + 1 :]
+                        monkeypatch.setattr(bridge, "certify_t_pairs", lambda *args, got=got: got)
+                        if message is None:
+                            lift(rp, x)
+                        else:
+                            with pytest.raises(BridgeError) as raised:
+                                lift(rp, x)
+                            assert str(raised.value) == message
+            # with every entry off, the first in label order is named
+            bad = certs[k]
+            for label, expected in want.items():
+                for i, v in _entries(expected):
+                    bad = _with(bad, label, i, v - 1e-6)
+            got = certs[:k] + [bad] + certs[k + 1 :]
+            monkeypatch.setattr(bridge, "certify_t_pairs", lambda *args, got=got: got)
+            label, i, v, name = first
+            with pytest.raises(BridgeError, match=re.escape(f"{context} {name}={v!r} vs solved {v - 1e-6!r}")):
+                lift(rp, x)
+            monkeypatch.undo()
+    assert labels == {"lam", "mu1", "mu2", "mu3", "sigma1", "sigma2", "rho1", "rho2"}
+
+
+def test_project_names_the_first_mapped_multiplier_that_disagrees(monkeypatch):
+    labels = set()
+    for rp, x, mcert in _nondegenerate_bases(60):
+        for y, tcert in lift(rp, x).companions:
+            mapped = {"lam": ("lam", mcert.lam), "mu1": ("mu", mcert.mu),
+                      "sigma1": ("gamma", mcert.gamma), "rho1": ("gamma", mcert.gamma)}
+            for label, (name, solved) in mapped.items():
+                for i, v in getattr(tcert, label).items():
+                    labels.add(label)
+                    bad = _with(tcert, label, i, v + 1e-6)
+                    monkeypatch.setattr(bridge, "certify_t", lambda *args, bad=bad: bad)
+                    with pytest.raises(BridgeError) as raised:
+                        project(rp, x, y)
+                    assert str(raised.value) == f"project: closed-form {name}[{i}]={v + 1e-6!r} vs solved {solved[i]!r}"
+                    monkeypatch.setattr(bridge, "certify_t", lambda *args: _with(tcert, label, i, float("nan")))
+                    project(rp, x, y)
+                    monkeypatch.undo()
+            for i in mcert.gamma:
+                short = copy.deepcopy(mcert)
+                del short.gamma[i]
+                monkeypatch.setattr(bridge, "certify_m", lambda *args, short=short: short)
+                v = {**tcert.sigma1, **tcert.rho1}[i]
+                with pytest.raises(BridgeError) as raised:
+                    project(rp, x, y)
+                assert str(raised.value) == f"project: closed-form gamma[{i}]={v!r} vs solved None"
+                monkeypatch.undo()
+    assert labels == set(("lam", "mu1", "sigma1", "rho1"))

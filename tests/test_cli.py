@@ -5,6 +5,8 @@ import pytest
 
 from ccopkit.cli import LoadError, _build_parser, load_problem_file, main
 
+from helpers import random_c, random_quadratic_source
+
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
@@ -318,6 +320,21 @@ def test_verify_command_green(capsys):
     code, out = run(capsys, "verify", path("well_ones.prob"), "--format", "machine")
     assert code == 0
     assert "failures = 0" in out
+
+
+def test_verify_at_the_papers_scale(capsys, tmp_path):
+    # the seed-7 n=10, s=6 quadratic: 848 M-points, 7,937 T-points
+    rng = np.random.default_rng(7)
+    n, s = 10, 6
+    f = random_quadratic_source(rng, n)
+    c = ", ".join(repr(float(v)) for v in random_c(rng, n))
+    prob = tmp_path / "n10.prob"
+    prob.write_text(f'[problem]\nn = {n}\ns = {s}\nf = "{f}"\n\n'
+                    f"[regularization]\nc = [{c}]\neps = {0.5 / (n - s)!r}\n")
+    code, out = run(capsys, "verify", str(prob), "--format", "machine")
+    rows = dict(line.split(" = ", 1) for line in out.splitlines())
+    assert code == 0
+    assert (rows["m.count"], rows["t.count"], rows["checks"], rows["failures"]) == ("848", "7937", "17579", "0")
 
 
 def test_reports_are_byte_identical_across_runs(capsys):

@@ -236,6 +236,32 @@ def test_polynomial_degree():
     assert polynomial_degree(parse("x1^-1", 1)) is None
 
 
+def test_degree_of_an_expression_is_walked_once(monkeypatch, capsys):
+    from ccopkit import cli, exprcore
+
+    walked = []
+    degree = exprcore._degree
+    def counted(node, degrees):
+        walked.append(node)
+        return degree(node, degrees)
+
+    monkeypatch.setattr(exprcore, "_degree", counted)
+    e = parse("(x1-1)^2 + x2^2 + sin(x1)*0", 2)
+    assert polynomial_degree(e) is None and walked
+    walks = len(walked)
+    assert polynomial_degree(e) is None and len(walked) == walks
+    assert e == parse("(x1-1)^2 + x2^2 + sin(x1)*0", 2)  # kept outside the fields
+    # verify reads the degree of f for its method and for both quadratic
+    # censuses; compiling f, which walks it too, is done before counting
+    pf = load_problem_file(os.path.join(os.path.dirname(__file__), "data", "well_ones.prob"))
+    pf.problem.f._folded
+    walked.clear()
+    monkeypatch.setattr(cli, "load_problem_file", lambda path: pf)
+    assert cli.main(["verify", "well_ones.prob", "--format", "machine"]) == 0
+    assert sum(node is pf.problem.f.root for node in walked) == 1
+    capsys.readouterr()
+
+
 def test_parse_requires_positive_dimension():
     with pytest.raises(ValueError):
         parse("x1", 0)

@@ -131,7 +131,7 @@ def _rank_cases(rng):
 
 def test_stacked_rank_and_nullbasis_equals_the_per_matrix_call():
     # numpy runs one matrix and a stack through the same LAPACK routine;
-    # certify_t_many relies on this to give certify_t's bits
+    # certify_t_pairs relies on this to give certify_t's bits
     rng = np.random.default_rng(13)
     deficient = 0
     for stack in _rank_cases(rng):

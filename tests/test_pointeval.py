@@ -28,7 +28,6 @@ from ccopkit import (
     certify_m,
     certify_m_many,
     certify_t,
-    certify_t_many,
     certify_t_pairs,
     evaluate,
     lift,
@@ -431,7 +430,7 @@ def _batches(rp, candidates, grid=None):
         yield pe.x, list(candidates(J, pe.x))
 
 
-def test_certify_t_many_equals_certify_t_per_y_on_cold_memos():
+def test_certify_t_pairs_over_one_x_equals_certify_t_per_y_on_cold_memos():
     rng = np.random.default_rng(73)
     cases = []
     for _ in range(3):  # census_n8-shaped: n=8, s=3, one equality
@@ -454,7 +453,7 @@ def test_certify_t_many_equals_certify_t_per_y_on_cold_memos():
     for rp, batches, smooth in cases:
         cold = _fresh(rp)
         for x, ys in batches:
-            many = certify_t_many(rp, x, ys)
+            many = certify_t_pairs(rp, [(x, y) for y in ys])
             one = [certify_t(cold, x, y) for y in ys]
             assert [pickle.dumps(c) for c in many] == [pickle.dumps(c) for c in one]
             compared += len(ys)
@@ -465,7 +464,7 @@ def test_certify_t_many_equals_certify_t_per_y_on_cold_memos():
     assert compared >= 1000 and shapes_in_one_call >= 5 and curved >= 10
 
     stored = len(rp._certs)
-    assert certify_t_many(rp, np.zeros(rp.n), []) == []
+    assert certify_t_pairs(rp, []) == []
     assert len(rp._certs) == stored
 
 
@@ -575,17 +574,17 @@ def test_a_batch_with_a_wrong_y_raises_and_stores_nothing():
     for bad in (y[:-1], y.reshape(-1, 1), np.append(y, 0.0)):
         for ys in ([bad, y], [y, bad], [y, y, bad]):
             with pytest.raises(ValueError, match="shape"):
-                certify_t_many(rp, x, ys)
+                certify_t_pairs(rp, [(x, v) for v in ys])
             assert len(rp._certs) == 0
-    held = certify_t_many(rp, x, [y, 2.0 * y])
+    held = certify_t_pairs(rp, [(x, y), (x, 2.0 * y)])
     assert len(rp._certs) == 2
     # the assumption is checked before any lookup: a stored entry is no hit
     relaxed = make_regularized(rp.base, np.zeros(rp.n), 0.0, override=True)
-    held += certify_t_many(relaxed, x, [y])
+    held += certify_t_pairs(relaxed, [(x, y)])
     object.__setattr__(relaxed, "override", False)
     for ys in ([y], [], [y[:-1]]):
         with pytest.raises(AssumptionError):
-            certify_t_many(relaxed, x, ys)
+            certify_t_pairs(relaxed, [(x, v) for v in ys])
 
 
 def test_would_be_hits_still_raise():

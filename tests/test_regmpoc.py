@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,8 @@ from ccopkit import (
     parse,
     to_source,
 )
+
+from ccopkit.regmpoc import companion_y
 
 from helpers import (
     make_problem,
@@ -101,6 +106,32 @@ def test_check_y_structure_refuses_a_y_of_the_wrong_shape():
     for y in ([0.0, 1.0, 0.0], [[0.0], [1.0]], [1.0]):
         with pytest.raises(ValueError, match="^y has shape"):
             check_y_structure(rp, y)
+
+
+def test_kept_y_profile_is_the_sorted_companion_y():
+    rng = np.random.default_rng(41)
+    problems = [random_quadratic_instance(rng, n_max=7) for _ in range(6)]
+    problems = [rp for rp in problems if rp.n - rp.s >= 2]
+    # override problems: zero parameters, and an eps above 1/(n-s-1), where
+    # the component at ibar is negative and sorts first
+    pr = make_problem(5, 2, "x1^2 + x2^2 + x3^2 + x4^2 + x5^2")
+    problems += [make_regularized(pr, np.zeros(5), 0.0, override=True),
+                 make_regularized(pr, [0.1, 0.2, 0.3, 0.4, 0.5], 0.7, override=True)]
+    assert problems[-1]._y_profile[0] < 0.0
+    for rp in problems:
+        n, s = rp.n, rp.s
+        want = np.sort(companion_y(rp, n - s, range(1, n - s)))
+        assert rp._y_profile.tobytes() == want.tobytes()
+        for y in (want[::-1], rng.permutation(want), want + 1e-12, np.roll(want, 1) + 0.1):
+            got = np.sort(y)
+            expected = (bool(np.all(np.abs(got - want) <= TOL.tol_act))
+                        and abs(float(np.sum(y)) - (n - s)) <= TOL.tol_feas)
+            assert check_y_structure(rp, y) == expected
+        with pytest.raises(ValueError, match="^y has shape"):
+            check_y_structure(rp, want[:-1])
+        for twin in (pickle.loads(pickle.dumps(rp)), copy.deepcopy(rp)):
+            assert twin._y_profile.tobytes() == want.tobytes()
+            assert check_y_structure(twin, want[::-1]) == check_y_structure(rp, want[::-1])
 
 
 def test_mpoc_licq_fails_on_duplicated_equality_gradient():
