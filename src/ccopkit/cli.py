@@ -269,8 +269,8 @@ def _fmt(value) -> str:
     The types a report row holds most are looked up by exact type first: a
     float, int, str, None or bool, and a 1-D float64 array, formatted as one
     repr per element of its tolist().  Every other value (numpy scalars,
-    subclasses, other arrays, lists and tuples) goes through _fmt_any, which
-    gives each of these types the same text."""
+    subclasses, other arrays, lists and tuples) goes through the general
+    rules of _fmt_any, which give the looked-up types the same text too."""
     exact = _FMT_EXACT.get(type(value))
     return _fmt_any(value) if exact is None else exact(value)
 
