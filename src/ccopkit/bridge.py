@@ -67,68 +67,50 @@ class LiftSet:
 
 def _closed_forms(rp: RegularizedProblem, mcert: MCertificate, ibar: int):
     """The closed-form multipliers of the companions of an M-stationary
-    point whose maximizing index is ibar, as two functions of Ebar: the
-    dicts by label that _match compares, and whether a companion's solved
-    certificate agrees with them.  What does not depend on Ebar is built
-    once; multipliers builds mu2, sigma1, rho1 and rho2 per call, and agrees
-    builds no dict."""
+    point whose maximizing index is ibar, as a check of one companion's
+    solved certificate against them: it raises BridgeError at the first
+    entry that _mismatch finds, by label (lam, mu1, mu2, mu3, sigma1, sigma2,
+    rho1, rho2) and then by index.  The (index, value) pairs are built once;
+    a call builds no dict."""
     c, gamma, i0 = rp.c, mcert.gamma, set(mcert.activity.I0)
-    up = {i: float(c[ibar - 1] - c[i - 1]) for i in i0}
-    down = {i: float(c[i - 1] - c[ibar - 1]) for i in range(1, rp.n + 1)}
-    lam, mu1, mu3 = mcert.lam, mcert.mu, float(c[ibar - 1])
-    sigma2 = {i: v for i, v in down.items() if i not in i0}
+    up = {i: (i, float(c[ibar - 1] - c[i - 1])) for i in i0}
+    down = {i: (i, float(c[i - 1] - c[ibar - 1])) for i in range(1, rp.n + 1)}
+    gam = {i: (i, gamma[i]) for i in i0}
+    lam, mu1, mu3 = mcert.lam.items(), mcert.mu.items(), float(c[ibar - 1])
+    sigma2 = [pair for i, pair in down.items() if i not in i0]
 
-    def multipliers(ebar: tuple[int, ...]) -> dict[str, dict[int, float] | float]:
-        a01 = set(ebar) | {ibar}
-        a00 = sorted(i0 - a01)
-        return dict(lam=lam, mu1=mu1, mu2={i: up[i] for i in ebar}, mu3=mu3,
-                    sigma1={i: gamma[i] for i in sorted(a01)}, sigma2=sigma2,
-                    rho1={i: gamma[i] for i in a00}, rho2={i: down[i] for i in a00})
+    def check(ebar: tuple[int, ...], t: TCertificate) -> None:
+        a01 = sorted((*ebar, ibar))
+        a00 = sorted(i0.difference(a01))
+        bad = (_mismatch("lam", lam, t.lam)
+               or _mismatch("mu1", mu1, t.mu1)
+               or _mismatch("mu2", map(up.__getitem__, ebar), t.mu2)
+               or _mismatch("mu3", mu3, t.mu3)
+               or _mismatch("sigma1", map(gam.__getitem__, a01), t.sigma1)
+               or _mismatch("sigma2", sigma2, t.sigma2)
+               or _mismatch("rho1", map(gam.__getitem__, a00), t.rho1)
+               or _mismatch("rho2", map(down.__getitem__, a00), t.rho2))
+        if bad:
+            raise BridgeError(f"lift Ebar={ebar}: {bad}")
 
-    def agrees(ebar: tuple[int, ...], t: TCertificate) -> bool:
-        """Whether _match passes t on every entry of multipliers(ebar), by
-        one loop over I0: i in Ebar has mu2 and sigma1, ibar has sigma1,
-        and the rest of I0 has rho1 and rho2."""
-        fixed = (lam, t.lam), (mu1, t.mu1), (sigma2, t.sigma2)
-        if abs(mu3 - t.mu3) > _CROSS_TOL or not _agree(fixed):
-            return False
-        for i in i0:
-            if i in ebar:
-                pairs = (up[i], t.mu2.get(i)), (gamma[i], t.sigma1.get(i))
-            elif i == ibar:
-                pairs = ((gamma[i], t.sigma1.get(i)),)
-            else:
-                pairs = (gamma[i], t.rho1.get(i)), (down[i], t.rho2.get(i))
-            for v, gv in pairs:
-                if gv is None or abs(gv - v) > _CROSS_TOL:
-                    return False
-        return True
-
-    return multipliers, agrees
+    return check
 
 
-def _agree(pairs) -> bool:
-    """Whether _match passes every (expected, solved) pair of dicts by index
-    in `pairs`, without raising: a missing solved entry fails, and a NaN
-    difference passes, since abs(nan) > tol is false."""
-    for expected, got in pairs:
-        for i, v in expected.items():
-            gv = got.get(i)
-            if gv is None or abs(gv - v) > _CROSS_TOL:
-                return False
-    return True
-
-
-def _match(label: str, expected, got, context: str):
-    if isinstance(expected, dict):
-        for i, v in expected.items():
-            gv = got.get(i)
-            if gv is None or abs(gv - v) > _CROSS_TOL:
-                raise BridgeError(
-                    f"{context}: closed-form {label}[{i}]={v!r} vs solved {gv!r}"
-                )
-    elif abs(expected - got) > _CROSS_TOL:
-        raise BridgeError(f"{context}: closed-form {label}={expected!r} vs solved {got!r}")
+def _mismatch(label: str, expected, got) -> str | None:
+    """The text naming the first entry of `expected` that the solved `got`
+    lacks or differs from by more than _CROSS_TOL, or None if there is none.
+    `expected` is a float, compared with the float `got`, or (index, value)
+    pairs, compared with the dict `got` by index.  A NaN difference passes,
+    since abs(nan) > tol is false."""
+    if isinstance(expected, float):
+        if abs(expected - got) > _CROSS_TOL:
+            return f"closed-form {label}={expected!r} vs solved {got!r}"
+        return None
+    for i, v in expected:
+        gv = got.get(i)
+        if gv is None or abs(gv - v) > _CROSS_TOL:
+            return f"closed-form {label}[{i}]={v!r} vs solved {gv!r}"
+    return None
 
 
 def lift(rp: RegularizedProblem, x, tol: Tolerances = Tolerances()) -> LiftSet:
@@ -165,7 +147,7 @@ def lift(rp: RegularizedProblem, x, tol: Tolerances = Tolerances()) -> LiftSet:
     rest = sorted(set(i0) - {ibar})
     subsets = tuple(itertools.combinations(rest, n - s - 1))
     ys = [companion_y(rp, ibar, ebar) for ebar in subsets]
-    multipliers, agrees = _closed_forms(rp, mcert, ibar) if mcert.ndm[0] else (None, None)
+    check = _closed_forms(rp, mcert, ibar) if mcert.ndm[0] else None
     companions: list[tuple[np.ndarray, TCertificate]] = []
     for ebar, y, tcert in zip(subsets, ys, certify_t_pairs(rp, [(pe, y) for y in ys], tol)):
         if not tcert.stationary or tcert.residual > _CROSS_TOL:
@@ -173,10 +155,8 @@ def lift(rp: RegularizedProblem, x, tol: Tolerances = Tolerances()) -> LiftSet:
                 f"constructed companion failed to certify (Ebar={ebar}, "
                 f"reason={tcert.degenerate_reason}, residual={tcert.residual:.3e})"
             )
-        if agrees is not None and tcert.ndt[0] and not agrees(ebar, tcert):
-            ctx = f"lift Ebar={ebar}"  # _match raises at the first entry that disagrees
-            for label, want in multipliers(ebar).items():
-                _match(label, want, getattr(tcert, label), ctx)
+        if check is not None and tcert.ndt[0]:
+            check(ebar, tcert)
         companions.append((y, tcert))
 
     return LiftSet(
@@ -211,13 +191,14 @@ def project(rp: RegularizedProblem, x, y, tol: Tolerances = Tolerances()) -> MCe
     if not mcert.stationary:
         raise BridgeError("projection of a T-stationary point failed to be M-stationary")
 
-    # gamma is read off sigma1 on a01 and rho1 on a00, which are disjoint
-    mapped = ((tcert.lam, mcert.lam), (tcert.mu1, mcert.mu),
-              (tcert.sigma1, mcert.gamma), (tcert.rho1, mcert.gamma))
-    if mcert.ndm[0] and tcert.ndt[0] and not _agree(mapped):
-        _match("lam", tcert.lam, mcert.lam, "project")
-        _match("mu", tcert.mu1, mcert.mu, "project")
-        _match("gamma", {**tcert.sigma1, **tcert.rho1}, mcert.gamma, "project")
+    if mcert.ndm[0] and tcert.ndt[0]:
+        # gamma is read off sigma1 on a01 and rho1 on a00, which are disjoint
+        bad = (_mismatch("lam", tcert.lam.items(), mcert.lam)
+               or _mismatch("mu", tcert.mu1.items(), mcert.mu)
+               or _mismatch("gamma", tcert.sigma1.items(), mcert.gamma)
+               or _mismatch("gamma", tcert.rho1.items(), mcert.gamma))
+        if bad:
+            raise BridgeError(f"project: {bad}")
 
     if tcert.nondegenerate and tcert.ndt[4]:
         if not mcert.nondegenerate:

@@ -21,7 +21,16 @@ from ccopkit import (
 )
 from ccopkit import bridge
 
-from helpers import make_problem, random_quadratic_instance, well_e1, well_ones, well_ones_reg
+from helpers import (
+    affine_source,
+    make_problem,
+    random_c,
+    random_quadratic_instance,
+    random_quadratic_source,
+    well_e1,
+    well_ones,
+    well_ones_reg,
+)
 
 
 def test_lift_origin_single_companion():
@@ -224,6 +233,19 @@ def test_companions_off_every_root_are_counted_within_the_radius():
     assert counts and all(c.status == "fail" for c in counts)
 
 
+def _closed_form(rp, mcert, ibar, ebar):
+    """The closed-form multipliers of the companion at Ebar of an
+    M-stationary point whose maximizing index is ibar, as dicts by label in
+    the order lift compares them."""
+    c, gamma, i0 = rp.c, mcert.gamma, set(mcert.activity.I0)
+    a01 = set(ebar) | {ibar}
+    a00 = sorted(i0 - a01)
+    return dict(lam=mcert.lam, mu1=mcert.mu, mu2={i: float(c[ibar - 1] - c[i - 1]) for i in ebar},
+                mu3=float(c[ibar - 1]), sigma1={i: gamma[i] for i in sorted(a01)},
+                sigma2={i: float(c[i - 1] - c[ibar - 1]) for i in range(1, rp.n + 1) if i not in i0},
+                rho1={i: gamma[i] for i in a00}, rho2={i: float(c[i - 1] - c[ibar - 1]) for i in a00})
+
+
 def _entries(want):
     """(index, value) of each entry of a closed form: a dict by index, or
     one number, whose index is None."""
@@ -245,10 +267,16 @@ def _with(cert, label, i, value):
 
 def _nondegenerate_bases(count):
     """(rp, x, mcert) at nondegenerate M-points of quadratic instances with
-    an equality or an inequality constraint."""
+    an equality or an inequality constraint, and of one with both, where
+    lam and mu are both nonempty at some points."""
     rng = np.random.default_rng(5)
-    for _ in range(count):
-        rp = random_quadratic_instance(rng, n_max=5)
+    rps = [random_quadratic_instance(rng, n_max=5) for _ in range(count)]
+    rng = np.random.default_rng(0)
+    h = [affine_source(rng.uniform(-1, 1, size=4), float(rng.uniform(-0.5, 0.5)))]
+    g = [affine_source(rng.uniform(-1, 1, size=4), float(rng.uniform(-0.2, 0.2)))]
+    pr = make_problem(4, 2, random_quadratic_source(rng, 4), h, g)
+    rps.append(make_regularized(pr, random_c(rng, 4), 0.25))
+    for rp in rps:
         if rp.base.h or rp.base.g:
             for x, mcert in census_quadratic(rp.base).m_points:
                 if mcert.nondegenerate:
@@ -261,7 +289,7 @@ def test_lift_names_the_first_closed_form_that_disagrees(monkeypatch):
         ls = lift(rp, x)
         certs = [tcert for _, tcert in ls.companions]
         for k, ebar in enumerate(ls.subsets):
-            want = bridge._closed_forms(rp, mcert, ls.ibar)[0](ebar)
+            want = _closed_form(rp, mcert, ls.ibar, ebar)
             context = f"lift Ebar={ebar}: closed-form"
             first = None
             for label, expected in want.items():
@@ -313,6 +341,18 @@ def test_project_names_the_first_mapped_multiplier_that_disagrees(monkeypatch):
                     monkeypatch.setattr(bridge, "certify_t", lambda *args: _with(tcert, label, i, float("nan")))
                     project(rp, x, y)
                     monkeypatch.undo()
+            # with every mapped entry off, the first in label order is named
+            bad = tcert
+            for label in mapped:
+                for i, v in getattr(tcert, label).items():
+                    bad = _with(bad, label, i, v - 1e-6)
+            label, (name, solved) = next((k, m) for k, m in mapped.items() if getattr(tcert, k))
+            i, v = next(iter(getattr(tcert, label).items()))
+            monkeypatch.setattr(bridge, "certify_t", lambda *args, bad=bad: bad)
+            with pytest.raises(BridgeError) as raised:
+                project(rp, x, y)
+            assert str(raised.value) == f"project: closed-form {name}[{i}]={v - 1e-6!r} vs solved {solved[i]!r}"
+            monkeypatch.undo()
             for i in mcert.gamma:
                 short = copy.deepcopy(mcert)
                 del short.gamma[i]
