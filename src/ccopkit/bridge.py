@@ -141,7 +141,7 @@ def lift(rp: RegularizedProblem, x, tol: Tolerances = Tolerances()) -> LiftSet:
     norm0 = mcert.activity.x_norm0
     expected = math.comb(n - norm0 - 1, n - s - 1)
     if expected > 2**63 - 1:
-        raise OverflowError("companion count exceeds 64-bit range")
+        raise OverflowError(f"companion count binom({n - norm0 - 1}, {n - s - 1}) exceeds 64-bit range")
 
     ibar = max(i0, key=lambda i: rp.c[i - 1])
     rest = sorted(set(i0) - {ibar})

@@ -366,13 +366,19 @@ def _add_certificate(rep: Report, prefix: str, cert: MCertificate | TCertificate
 # Shared command plumbing
 
 
-def _tolerances(pf: ProblemFile, args) -> Tolerances:
+def _start(args) -> tuple[ProblemFile, Tolerances, Report]:
+    """The problem file of a command, its tolerances (the file's, and the
+    flags' over them), and its report, which begins with the file."""
+    pf = load_problem_file(args.file)
     merged = dict(pf.tol_overrides)
     for name in _TOL_KEYS:
         flag = getattr(args, name)
         if flag is not None:
             merged[name] = flag
-    return Tolerances(**merged)
+    tol = Tolerances(**merged)
+    rep = Report(args.command, tol)
+    rep.add("file", args.file)
+    return pf, tol, rep
 
 
 def _regularized(pf: ProblemFile, args, tol: Tolerances) -> RegularizedProblem:
@@ -422,11 +428,8 @@ def _bridge_failure(rep: Report, args, exc: Exception) -> int:
 
 
 def cmd_certify(args) -> int:
-    pf = load_problem_file(args.file)
-    tol = _tolerances(pf, args)
+    pf, tol, rep = _start(args)
     vec = _named_point(pf, args.point)
-    rep = Report("certify", tol)
-    rep.add("file", args.file)
     rep.add("point", args.point)
     rep.add("side", args.side)
 
@@ -457,14 +460,11 @@ def cmd_certify(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    pf = load_problem_file(args.file)
-    tol = _tolerances(pf, args)
+    pf, tol, rep = _start(args)
     rp = _regularized(pf, args, tol)
     vec = _named_point(pf, args.point)
     if vec.size != pf.problem.n:
         raise LoadError(f"point '{args.point}' has length {vec.size}; lift needs an x of length {pf.problem.n}")
-    rep = Report("lift", tol)
-    rep.add("file", args.file)
     rep.add("point", args.point)
     rep.add("x", vec)
     try:
@@ -486,13 +486,10 @@ def cmd_lift(args) -> int:
 
 
 def cmd_project(args) -> int:
-    pf = load_problem_file(args.file)
-    tol = _tolerances(pf, args)
+    pf, tol, rep = _start(args)
     rp = _regularized(pf, args, tol)
     vec = _named_point(pf, args.point)
     x, y = _split_xy(pf, vec, args.point)
-    rep = Report("project", tol)
-    rep.add("file", args.file)
     rep.add("point", args.point)
     rep.add("x", x)
     rep.add("y", y)
@@ -576,10 +573,7 @@ def _add_checks(rep: Report, rows) -> None:
 
 
 def cmd_census(args) -> int:
-    pf = load_problem_file(args.file)
-    tol = _tolerances(pf, args)
-    rep = Report("census", tol)
-    rep.add("file", args.file)
+    pf, tol, rep = _start(args)
     rep.add("method", args.method)
     rep.add("side", args.side)
 
@@ -603,11 +597,8 @@ def cmd_census(args) -> int:
 
 
 def cmd_check_licq(args) -> int:
-    pf = load_problem_file(args.file)
-    tol = _tolerances(pf, args)
+    pf, tol, rep = _start(args)
     vec = _named_point(pf, args.point)
-    rep = Report("check-licq", tol)
-    rep.add("file", args.file)
     rep.add("point", args.point)
     if vec.size == pf.problem.n:
         rep.add("side", "m")
@@ -630,11 +621,8 @@ def cmd_verify(args) -> int:
     """Full battery: censuses both sides, counting identities, lift/project
     round trips for every nondegenerate M-point, and the y-structure of
     every T-stationary point."""
-    pf = load_problem_file(args.file)
-    tol = _tolerances(pf, args)
+    pf, tol, rep = _start(args)
     rp = _regularized(pf, args, tol)
-    rep = Report("verify", tol)
-    rep.add("file", args.file)
 
     method = "quadratic" if is_quadratic_affine(pf.problem) else "newton"
     if not (rp.assumption1_ok or (rp.override and method == "quadratic")):
@@ -746,7 +734,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (LoadError, AssumptionError, ExprSyntaxError, ExprDomainError, ValueError) as exc:
+    except (LoadError, AssumptionError, ExprSyntaxError, ExprDomainError, ValueError, OverflowError) as exc:
         sys.stderr.write(f"ccopkit: {exc}\n")
         return 3
 

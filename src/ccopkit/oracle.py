@@ -428,7 +428,8 @@ def _shared_roots(pr: Problem, tol: Tolerances, notes: list[str], grid: GridSpec
     root, pe a fresh PointEval of pr at the kept read-only x that carries
     the kept jets, then appends the kept notes, as the finder did.  The
     Problem keeps arrays and Jet2s only, never a PointEval, which would
-    refer back to it.
+    refer back to it.  A census reports its points at the kept read-only
+    xs themselves.
     """
     key = ("linear" if grid is None else "newton", grid, tol)
     if key not in pr._roots:
@@ -474,27 +475,22 @@ def _batches(groups):
 
 def _m_points(pr: Problem, roots, tol: Tolerances):
     """The roots (of _shared_roots), certified in batches; a stationary
-    point is reported at a copy of its x."""
+    point is reported at the root's kept read-only x."""
     for pes in _batches([pe] for _, pe in roots):
         for pe, cert in zip(pes, certify_m_many(pr, pes, tol)):
             if cert.feasible and cert.stationary:
-                x = pe.x.copy()
-                yield x, (x, cert)
+                yield pe.x, (pe.x, cert)
 
 
 def _t_points(rp: RegularizedProblem, roots, candidates, tol: Tolerances):
     """The candidates of each root (of _shared_roots), drawn in root order,
-    certified in batches; the stationary points over one root share one
-    copy of its x."""
+    certified in batches; a stationary point is reported at the root's kept
+    read-only x and its own y."""
     groups = ([(pe, y) for y in candidates(J, pe.x)] for J, pe in roots)
     for pairs in _batches(groups):
-        copies: dict[int, np.ndarray] = {}  # id(pe) -> copy of pe.x
         for (pe, y), tcert in zip(pairs, certify_t_pairs(rp, pairs, tol)):
             if tcert.feasible and tcert.stationary:
-                x = copies.get(id(pe))
-                if x is None:
-                    x = copies[id(pe)] = pe.x.copy()
-                yield np.concatenate([x, y]), (x, y, tcert)
+                yield np.concatenate([pe.x, y]), (pe.x, y, tcert)
 
 
 def _subset_ys(rp: RegularizedProblem):

@@ -31,10 +31,12 @@ from itertools import accumulate
 import numpy as np
 
 from .ccop import (
+    FrozenDict,
     PointEval,
     Problem,
     _Bank,
     _bank,
+    _certificate,
     _certified,
     _columns,
     _first_failed,
@@ -140,36 +142,36 @@ class MpocActivity:
     Q0: tuple[int, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TCertificate:
     """Verdict of T-stationarity certification at one lifted point.
 
-    Multiplier dicts are keyed by 1-based indices (mu1 over Q0, mu2 over
-    Ecal, sigma1 over a01, sigma2 over a10, rho1/rho2 over a00); mu3 is the
-    multiplier of the summation constraint, structurally 0 when inactive.
-    eq8_branches records, per biactive index, which branch of the
-    disjunction (rho1 = 0 | rho2 <= 0) holds.  t_index is set only when the
-    point is stationary and NDT1..NDT4 all hold; NDT5 is reported separately.
-    Fields are declared in report order, as in MCertificate.
+    Multiplier groups are FrozenDicts keyed by 1-based indices (mu1 over
+    Q0, mu2 over Ecal, sigma1 over a01, sigma2 over a10, rho1/rho2 over
+    a00); mu3 is the multiplier of the summation constraint, structurally 0
+    when inactive.  eq8_branches records, per biactive index, which branch
+    of the disjunction (rho1 = 0 | rho2 <= 0) holds.  t_index is set only
+    when the point is stationary and NDT1..NDT4 all hold; NDT5 is reported
+    separately.  Fields are declared in report order, as in MCertificate.
 
-    Certificates are results: the library never mutates one, and a repeated
-    request for the same point and tolerances returns an equal copy.
+    Certificates are results and read-only: a repeated request for the same
+    point and tolerances returns the held certificate itself.
     """
 
     feasible: bool
     stationary: bool
     activity: MpocActivity
-    lam: dict[int, float] = field(default_factory=dict)
-    mu1: dict[int, float] = field(default_factory=dict)
-    mu2: dict[int, float] = field(default_factory=dict)
+    lam: dict[int, float] = field(default_factory=FrozenDict)
+    mu1: dict[int, float] = field(default_factory=FrozenDict)
+    mu2: dict[int, float] = field(default_factory=FrozenDict)
     mu3: float = 0.0
-    sigma1: dict[int, float] = field(default_factory=dict)
-    sigma2: dict[int, float] = field(default_factory=dict)
-    rho1: dict[int, float] = field(default_factory=dict)
-    rho2: dict[int, float] = field(default_factory=dict)
+    sigma1: dict[int, float] = field(default_factory=FrozenDict)
+    sigma2: dict[int, float] = field(default_factory=FrozenDict)
+    rho1: dict[int, float] = field(default_factory=FrozenDict)
+    rho2: dict[int, float] = field(default_factory=FrozenDict)
     residual: float = float("nan")
     ndt: tuple[bool, bool, bool, bool, bool] = (False,) * 5
-    eq8_branches: dict[int, tuple[bool, bool]] = field(default_factory=dict)
+    eq8_branches: dict[int, tuple[bool, bool]] = field(default_factory=FrozenDict)
     quadratic_index: int | None = None
     biactive_index: int | None = None
     t_index: int | None = None
@@ -354,21 +356,22 @@ def _certify_t_pairs(
             feasible = ok[k]
             stationary = feasible and residual_ok[j] and signs[j]
             ndt = (licq[j], strict[j], biactive[j], zero[j] == 0, a01_ok[j])
-            out[k] = TCertificate(
+            out[k] = _certificate(
+                TCertificate,
                 feasible=feasible,
                 stationary=stationary,
                 activity=MpocActivity(a00, a01, a10, ecal, bool(sa), Q0),
-                lam=dict(zip(lam, row[:nh])),
-                mu1=dict(zip(Q0, row[nh:e1])),
-                mu2=dict(zip(ecal, row[e1:e2])),
+                lam=FrozenDict(zip(lam, row[:nh])),
+                mu1=FrozenDict(zip(Q0, row[nh:e1])),
+                mu2=FrozenDict(zip(ecal, row[e1:e2])),
                 mu3=row[e2] if sa else 0.0,
-                sigma1=dict(zip(a01, row[e3:e4])),
-                sigma2=dict(zip(a10, row[e4:e5])),
-                rho1=dict(zip(a00, row[e5:e6])),
-                rho2=dict(zip(a00, row[e6:])),
+                sigma1=FrozenDict(zip(a01, row[e3:e4])),
+                sigma2=FrozenDict(zip(a10, row[e4:e5])),
+                rho1=FrozenDict(zip(a00, row[e5:e6])),
+                rho2=FrozenDict(zip(a00, row[e6:])),
                 residual=residual[j],
                 ndt=ndt,
-                eq8_branches=dict(zip(a00, branches[j])),
+                eq8_branches=FrozenDict(zip(a00, branches[j])),
                 quadratic_index=neg[j],
                 biactive_index=n00,
                 t_index=neg[j] + n00 if (stationary and all(ndt[:4])) else None,
@@ -395,11 +398,7 @@ def check_y_structure(rp: RegularizedProblem, y, tol: Tolerances = Tolerances())
     components of a companion_y are built once per problem and kept on it
     (RegularizedProblem._y_profile).
     """
-    y = np.asarray(y, dtype=float)
-    n, s = rp.n, rp.s
-    if y.shape != (n,):
-        raise ValueError(f"y has shape {y.shape}, expected ({n},)")
-    got = np.sort(y)
-    return bool(np.all(np.abs(got - rp._y_profile) <= tol.tol_act)) and abs(
-        float(np.sum(y)) - (n - s)
+    y = _y(rp, y)
+    return bool(np.all(np.abs(np.sort(y) - rp._y_profile) <= tol.tol_act)) and abs(
+        float(np.sum(y)) - (rp.n - rp.s)
     ) <= tol.tol_feas

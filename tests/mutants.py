@@ -1,0 +1,214 @@
+"""Committed mutants: small faults in the library that the tests must catch.
+
+Each entry of MUTANTS names a file under src/ccopkit, an exact text in it,
+the text that replaces it, and the tests that must then fail.  For every
+entry the script patches a temporary copy of src/, runs the entry's tests
+with `pytest -x` against that copy, and reports the mutants whose tests
+still pass: they survive, and a test is missing.
+
+    python tests/mutants.py               # every mutant
+    python tests/mutants.py lift project  # the mutants whose name contains a word given
+
+It exits 1 if a mutant survives, and 2 if an entry no longer applies: its
+old text is not found exactly once, or its tests do not run.  So a refactor
+that moves or rewrites a mutated text must update the entry.  pytest does
+not collect this file (like transcripts.py, its name does not start with
+test_).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/ccopkit
+    old: str  # found exactly once in the file
+    new: str
+    tests: tuple[str, ...]  # pytest node ids or files, relative to the repository root
+
+
+LAYOUTS = "tests/test_layout_groups.py"
+BRIDGE = "tests/test_bridge.py"
+
+MUTANTS = (
+    # the layout-group certification (ccop._solve, _layouts, the sign conditions)
+    Mutant(
+        "Hessian terms of h and g subtracted in reverse order", "ccop.py",
+        "    for c in range(nh + nq):  # grad h_p, then grad g_q",
+        "    for c in reversed(range(nh + nq)):  # grad h_p, then grad g_q",
+        (LAYOUTS,),
+    ),
+    Mutant(
+        "> for >= in the M sign condition", "ccop.py",
+        "signs = np.logical_and.reduce(mu >= -ts, axis=1).tolist()",
+        "signs = np.logical_and.reduce(mu > -ts, axis=1).tolist()",
+        (LAYOUTS,),
+    ),
+    Mutant(
+        "> for >= in the T sign condition", "regmpoc.py",
+        "signs = np.logical_and.reduce(mu >= -ts, axis=1)",
+        "signs = np.logical_and.reduce(mu > -ts, axis=1)",
+        (LAYOUTS,),
+    ),
+    Mutant(
+        ">= for > in NDT3", "regmpoc.py",
+        "biactive = np.logical_and.reduce((np.abs(rho1) > ts) & (rho2 < -ts), axis=1)",
+        "biactive = np.logical_and.reduce((np.abs(rho1) >= ts) & (rho2 < -ts), axis=1)",
+        (LAYOUTS,),
+    ),
+    Mutant(
+        "groups keyed by shape instead of layout", "ccop.py",
+        "        groups.setdefault(layout, []).append(k)",
+        "        shaped = [g for g in groups if sum(g) == sum(layout)]  # the first layout of this shape\n"
+        "        groups.setdefault(shaped[0] if shaped else layout, []).append(k)",
+        (LAYOUTS,),
+    ),
+    # the cross-checks of bridge.lift and bridge.project
+    Mutant(
+        "lam and mu1 swapped in lift", "bridge.py",
+        "lam, mu1, mu3 = mcert.lam.items(), mcert.mu.items(), float(c[ibar - 1])",
+        "mu1, lam, mu3 = mcert.lam.items(), mcert.mu.items(), float(c[ibar - 1])",
+        (BRIDGE,),
+    ),
+    Mutant(
+        "the rho2 pairs dropped from lift's check", "bridge.py",
+        '\n               or _mismatch("rho2", map(down.__getitem__, a00), t.rho2))',
+        ")",
+        (BRIDGE,),
+    ),
+    Mutant(
+        "lam and mu swapped in project", "bridge.py",
+        '        bad = (_mismatch("lam", tcert.lam.items(), mcert.lam)\n'
+        '               or _mismatch("mu", tcert.mu1.items(), mcert.mu)',
+        '        bad = (_mismatch("lam", tcert.lam.items(), mcert.mu)\n'
+        '               or _mismatch("mu", tcert.mu1.items(), mcert.lam)',
+        (BRIDGE,),
+    ),
+    Mutant(
+        "sigma1 and rho1 swapped in project", "bridge.py",
+        '               or _mismatch("gamma", tcert.sigma1.items(), mcert.gamma)\n'
+        '               or _mismatch("gamma", tcert.rho1.items(), mcert.gamma))',
+        '               or _mismatch("gamma", tcert.rho1.items(), mcert.gamma)\n'
+        '               or _mismatch("gamma", tcert.sigma1.items(), mcert.gamma))',
+        (BRIDGE,),
+    ),
+    Mutant(
+        "a NaN entry fails _mismatch", "bridge.py",
+        "if gv is None or abs(gv - v) > _CROSS_TOL:",
+        "if gv is None or not abs(gv - v) <= _CROSS_TOL:",
+        (BRIDGE,),
+    ),
+    # what verify and the reports keep per problem and per type
+    Mutant(
+        "an unsorted y profile", "regmpoc.py",
+        "profile = np.sort(companion_y(self, self.n - self.s, range(1, self.n - self.s)))",
+        "profile = companion_y(self, self.n - self.s, range(1, self.n - self.s))",
+        ("tests/test_regmpoc.py",),
+    ),
+    Mutant(
+        "the polynomial degree walked on every call", "exprcore.py",
+        "        return node._poly_degree\n",
+        "        return polynomial_degree(node.root)\n",
+        ("tests/test_exprcore.py",),
+    ),
+    Mutant(
+        "the array fast path without its dtype check", "cli.py",
+        "    if value.ndim == 1 and value.dtype == np.float64:",
+        "    if value.ndim == 1:",
+        ("tests/test_report_format.py",),
+    ),
+    # read-only certificates
+    Mutant(
+        "a certificate mapping that accepts item assignment", "ccop.py",
+        "    __setitem__ = __delitem__ = __ior__",
+        "    __delitem__ = __ior__",
+        ("tests/test_pointeval.py::test_mutating_a_certificate_changes_no_later_hit",),
+    ),
+    Mutant(
+        "a T-certificate that is not frozen", "regmpoc.py",
+        "@dataclass(frozen=True)\nclass TCertificate:",
+        "@dataclass\nclass TCertificate:",
+        ("tests/test_pointeval.py::test_mutating_a_certificate_changes_no_later_hit",),
+    ),
+)
+
+# Mutants that read the same as the original, so that no test can fail on
+# them.  They are not run; their old texts are checked like the others.
+EQUIVALENT = (
+    # str and repr of an int are the same text
+    Mutant("int formatted by repr", "cli.py", "    int: str,\n", "    int: repr,\n", ()),
+)
+
+
+def _patched(text: str, m: Mutant) -> str:
+    if text.count(m.old) != 1:
+        raise LookupError(f"{m.file}: the old text of {m.name!r} is found {text.count(m.old)} times, not once")
+    return text.replace(m.old, m.new)
+
+
+def _run(m: Mutant, src: Path, env: dict) -> str | None:
+    """The summary line of the test that failed on m, or None if m survived;
+    raises RuntimeError when the tests do not run."""
+    path = src / "ccopkit" / m.file
+    original = path.read_text()
+    path.write_text(_patched(original, m))
+    try:
+        cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *m.tests]
+        done = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
+    finally:
+        path.write_text(original)
+    if done.returncode not in (0, 1):  # 1: a test failed; anything else: they did not run
+        raise RuntimeError(f"{m.name}: pytest exited {done.returncode}\n{done.stdout[-2000:]}{done.stderr[-2000:]}")
+    if done.returncode == 0:
+        return None
+    return next((line for line in done.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))), "FAILED")
+
+
+def main(argv: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not argv or any(word in m.name for word in argv)]
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        try:
+            for m in MUTANTS + EQUIVALENT:
+                _patched((src / "ccopkit" / m.file).read_text(), m)
+        except LookupError as exc:
+            print(f"mutants: {exc}", file=sys.stderr)
+            return 2
+        # no bytecode: a mutant of the same size and second as the original
+        # must not be served from a stale .pyc
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+        env["PYTHONPATH"] = os.pathsep.join([str(src), *filter(None, [os.environ.get("PYTHONPATH")])])
+        where = subprocess.run([sys.executable, "-c", "import ccopkit; print(ccopkit.__file__)"],
+                               env=env, capture_output=True, text=True).stdout.strip()
+        if not where.startswith(str(src)):
+            print(f"mutants: the tests would import ccopkit from {where!r}, not from the copy", file=sys.stderr)
+            return 2
+        survivors = []
+        for m in chosen:
+            start = time.perf_counter()
+            try:
+                failed = _run(m, src, env)
+            except RuntimeError as exc:
+                print(f"mutants: {exc}", file=sys.stderr)
+                return 2
+            print(f"{time.perf_counter() - start:5.1f} s  {m.name}: {failed or 'SURVIVED'}", flush=True)
+            if failed is None:
+                survivors.append(m.name)
+    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed; {len(EQUIVALENT)} equivalent not run")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ccopkit.ccop import CcopActivity, MCertificate, _first_failed, evaluate
+from ccopkit.ccop import CcopActivity, FrozenDict, MCertificate, _first_failed, evaluate
 from ccopkit.numkern import Tolerances, rank_and_nullbasis, restricted_inertia, solve_multipliers
 from ccopkit.regmpoc import MpocActivity, TCertificate
 
@@ -78,6 +78,11 @@ def _solve(families, kinds, ineq: str, tol: Tolerances) -> list:
     return [(*head, neg, zero) for head, (neg, zero, _) in zip(solved, inertias)]
 
 
+def _frozen(groups: dict) -> dict:
+    """The multiplier groups as the read-only mappings a certificate holds."""
+    return {kind: FrozenDict(group) for kind, group in groups.items()}
+
+
 # ---------------------------------------------------------------------------
 # M-side
 
@@ -126,7 +131,7 @@ def certify_m_reference(pr, xs, tol: Tolerances = Tolerances()) -> list[MCertifi
             feasible=feasible,
             stationary=stationary,
             activity=act,
-            **groups,
+            **_frozen(groups),
             residual=residual,
             ndm=ndm,
             quadratic_index=neg,
@@ -228,10 +233,10 @@ def _t_certificate(
         stationary=stationary,
         activity=act,
         mu3=mu3,
-        **groups,
+        **_frozen(groups),
         residual=residual,
         ndt=ndt,
-        eq8_branches=eq8_branches,
+        eq8_branches=FrozenDict(eq8_branches),
         quadratic_index=neg,
         biactive_index=bi,
         t_index=neg + bi if (stationary and all(ndt[:4])) else None,

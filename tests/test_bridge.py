@@ -1,4 +1,4 @@
-import copy
+import dataclasses
 import re
 
 import numpy as np
@@ -20,6 +20,7 @@ from ccopkit import (
     verify_counts,
 )
 from ccopkit import bridge
+from ccopkit.ccop import FrozenDict
 
 from helpers import (
     affine_source,
@@ -255,14 +256,10 @@ def _entries(want):
 def _with(cert, label, i, value):
     """A copy of cert with entry i of the multipliers `label` set to value,
     or removed when value is None."""
-    cert = copy.deepcopy(cert)
-    if i is None:
-        setattr(cert, label, value)
-    elif value is None:
-        del getattr(cert, label)[i]
-    else:
-        getattr(cert, label)[i] = value
-    return cert
+    if i is not None:
+        group = {**getattr(cert, label), i: value}
+        value = FrozenDict((j, v) for j, v in group.items() if v is not None)
+    return dataclasses.replace(cert, **{label: value})
 
 
 def _nondegenerate_bases(count):
@@ -354,8 +351,7 @@ def test_project_names_the_first_mapped_multiplier_that_disagrees(monkeypatch):
             assert str(raised.value) == f"project: closed-form {name}[{i}]={v - 1e-6!r} vs solved {solved[i]!r}"
             monkeypatch.undo()
             for i in mcert.gamma:
-                short = copy.deepcopy(mcert)
-                del short.gamma[i]
+                short = _with(mcert, "gamma", i, None)
                 monkeypatch.setattr(bridge, "certify_m", lambda *args, short=short: short)
                 v = {**tcert.sigma1, **tcert.rho1}[i]
                 with pytest.raises(BridgeError) as raised:

@@ -226,6 +226,25 @@ def test_lift_reports_a_failed_cross_check_as_a_verdict(tmp_path, capsys):
     assert (1, True) in verdicts and set(verdicts) <= {(0, False), (1, True)}
 
 
+def test_lift_with_too_many_companions_is_an_input_error(tmp_path, capsys):
+    """At x = 0 with n=70, s=35 the companion count binom(69, 34) exceeds
+    64 bits; lift raises before it enumerates any companion, and the
+    command exits 3 naming the count instead of printing a traceback."""
+    n, s = 70, 35
+    f = " + ".join(f"(x{i}-1)^2" for i in range(1, n + 1))
+    c = ", ".join(repr(0.01 * i) for i in range(1, n + 1))
+    prob = tmp_path / "wide.prob"
+    prob.write_text(
+        f'[problem]\nn = {n}\ns = {s}\nf = "{f}"\n'
+        f"[regularization]\nc = [{c}]\neps = {1.0 / n!r}\n"
+        f"[points]\nzero = [{', '.join(['0'] * n)}]\n"
+    )
+    assert main(["lift", str(prob), "zero"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ccopkit: companion count binom(69, 34) exceeds 64-bit range\n"
+
+
 def test_census_command_and_verdict(capsys):
     code, out = run(capsys, "census", path("well_ones.prob"), "--format", "machine")
     assert code == 0

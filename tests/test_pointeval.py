@@ -385,10 +385,11 @@ def test_warm_and_cold_certificates_are_equal():
     for ls in lifts:
         x = ls.base_point
         warm = certify_m(rp.base, x)
-        assert _fields(warm) == _fields(certify_m(cold.base, x)) == _fields(ls.base_certificate)
+        assert warm is ls.base_certificate
+        assert _fields(warm) == _fields(certify_m(cold.base, x))
         for y, tcert in ls.companions:
             warm = certify_t(rp, x, y)
-            assert warm is not tcert
+            assert warm is tcert
             assert _fields(warm) == _fields(certify_t(cold, x, y)) == _fields(tcert)
             compared += 1
     assert compared >= 5
@@ -555,15 +556,13 @@ def test_a_key_repeated_in_one_batch_is_certified_once(solves, eval2_calls):
     assert len(solves["keys"]) == len(set(solves["keys"])) == 3
     assert len(eval2_calls) == 2 * 2 and set(eval2_calls.values()) == {1}  # f, g at x and x2
     assert _pickles(got) == want  # the pairs interleave two xs
-    assert got[1] is not got[0] and got[3] is not got[0]
-    got[0].sigma1[5] = 99.0
-    assert got[1].sigma1[5] == got[3].sigma1[5] != 99.0
+    assert got[1] is got[0] and got[3] is got[0] and got[4] is not got[0]
     xs = [x, x2, x.copy(), x]
     want = _pickles([certify_m(cold.base, v) for v in xs])
     solves["keys"].clear()
     ms = certify_m_many(rp.base, xs)
     assert len(solves["keys"]) == len(set(solves["keys"])) == 2
-    assert _pickles(ms) == want and ms[2] is not ms[0] and ms[3] is not ms[0]
+    assert _pickles(ms) == want and ms[2] is ms[0] and ms[3] is ms[0] and ms[1] is not ms[0]
     assert certify_t_pairs(rp, []) == [] and certify_m_many(rp.base, []) == []
 
 
@@ -612,7 +611,7 @@ def test_would_be_hits_still_raise():
         certify_t(relaxed, x, y)
 
 
-def test_a_hit_is_an_equal_copy_that_shares_no_dict():
+def test_a_hit_is_the_held_certificate():
     rp = _memo_instance()
     census = census_quadratic(rp.base), census_t_quadratic(rp)
     x, y, tcert = next(p for p in census[1].t_points if p[2].activity.a00)
@@ -620,12 +619,10 @@ def test_a_hit_is_an_equal_copy_that_shares_no_dict():
     mcert = next(c for _, c in census[0].m_points if c.gamma)
     xm = next(x for x, c in census[0].m_points if c is mcert)
     stored = list(rp.base._certs.values()) + list(rp._certs.values())
-    for entry, hit in ((mcert, certify_m(rp.base, xm)), (tcert, certify_t(rp, x, y))):
+    for entry, hits in ((mcert, [certify_m(rp.base, xm), certify_m(rp.base, xm.copy())]),
+                        (tcert, [certify_t(rp, x, y), certify_t(rp, x.copy(), y.tolist())])):
         assert any(entry is kept for kept in stored)
-        assert type(hit) is type(entry) and hit is not entry
-        assert hit == entry and pickle.dumps(hit) == pickle.dumps(entry)
-        dicts = [v for v in vars(entry).values() if isinstance(v, dict)]
-        assert dicts and all(v is not w for v in vars(hit).values() for w in dicts)
+        assert all(hit is entry for hit in hits)
 
 
 def test_lift_and_project_raise_input_errors_cold_and_warm():
@@ -667,20 +664,71 @@ def test_domain_errors_raise_on_every_call():
     assert len(pr._certs) == 0 and len(rp._certs) == 0
 
 
+# every way to change a dict in place, each of which a certificate's mapping
+# refuses; k is a key of the mapping, or any key if it is empty
+_MUTATIONS = (
+    lambda m, k: m.__setitem__(k, 99.0),
+    lambda m, k: m.__setitem__(99, 99.0),
+    lambda m, k: m.__delitem__(k),
+    lambda m, k: m.__ior__({k: 99.0}),
+    lambda m, k: m.clear(),
+    lambda m, k: m.pop(k),
+    lambda m, k: m.popitem(),
+    lambda m, k: m.setdefault(99, 99.0),
+    lambda m, k: m.update({k: 99.0}),
+)
+
+
 def test_mutating_a_certificate_changes_no_later_hit():
     rp = _memo_instance()
     census = census_t_quadratic(rp)
-    x, y, tcert = next(p for p in census.t_points if p[2].activity.a00)
+    x, y, tcert = next(p for p in census.t_points if p[2].activity.a00 and p[2].mu1)
     mcert = certify_m(rp.base, x)
-    want_m, want_t = copy.deepcopy(_fields(mcert)), copy.deepcopy(_fields(tcert))
-    for cert in (certify_m(rp.base, x), certify_t(rp, x, y)):
+    want_m, want_t = pickle.dumps(mcert), pickle.dumps(tcert)
+    mappings = 0
+    for cert in (mcert, tcert):
         for name, value in _fields(cert).items():
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cert, name, value)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(cert, name)
             if isinstance(value, dict):
-                for k in list(value):
-                    value[k] = (99.0, 99.0) if name == "eq8_branches" else 99.0
-                value[99] = 99.0
-    assert _fields(certify_m(rp.base, x)) == want_m == _fields(mcert)
-    assert _fields(certify_t(rp, x, y)) == want_t == _fields(tcert)
+                mappings += 1
+                for mutate in _MUTATIONS:
+                    with pytest.raises(TypeError, match="read-only"):
+                        mutate(value, next(iter(value), 1))  # a key of value, if it has one
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cert.note = "a field that does not exist"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cert.activity.Q0 = ()
+    assert mappings == 3 + 8 and tcert.eq8_branches and tcert.mu1
+    assert certify_m(rp.base, x) is mcert and pickle.dumps(mcert) == want_m
+    assert certify_t(rp, x, y) is tcert and pickle.dumps(tcert) == want_t
+
+
+def test_certificates_pickle_and_deepcopy_as_read_only_certificates():
+    rp = _memo_instance()
+    census = census_t_quadratic(rp)
+    x, y, tcert = next(p for p in census.t_points if p[2].activity.a00 and p[2].mu1)
+    for cert in (certify_m(rp.base, x), tcert):
+        want = pickle.dumps(cert)
+        for clone in (pickle.loads(want), copy.deepcopy(cert), copy.copy(cert)):
+            assert type(clone) is type(cert) and clone == cert and pickle.dumps(clone) == want
+            mappings = [v for v in _fields(clone).values() if isinstance(v, dict)]
+            assert mappings and all(type(v) is ccop.FrozenDict for v in mappings)
+            for value in mappings:
+                for mutate in _MUTATIONS:
+                    with pytest.raises(TypeError, match="read-only"):
+                        mutate(value, next(iter(value), 1))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                clone.residual = 0.0
+        name = next(f for f, v in _fields(cert).items() if isinstance(v, dict) and v)
+        changed = dataclasses.replace(cert, residual=0.0)
+        assert changed.residual == 0.0 and getattr(changed, name) is getattr(cert, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            changed.residual = 1.0
+        with pytest.raises(TypeError, match="read-only"):
+            getattr(changed, name).clear()
 
 
 def test_an_entry_lives_as_long_as_its_certificate_is_held():
@@ -690,16 +738,20 @@ def test_an_entry_lives_as_long_as_its_certificate_is_held():
     x, mcert = census.m_points[0]
     ls = lift(rp, x)
     assert len(rp._certs) == len(ls.companions) > 0
-    copy_ = certify_m(rp.base, x)
-    assert copy_ is not mcert
+    want = pickle.dumps(mcert)
+    hit = certify_m(rp.base, x)
+    assert hit is mcert is ls.base_certificate
     stored = weakref.ref(mcert)
     del census, mcert
     gc.collect()
-    assert stored() is None and len(rp.base._certs) == 0
+    assert stored() is hit and len(rp.base._certs) == 1  # the hit and the LiftSet hold it
+    del hit
+    gc.collect()
+    assert stored() is ls.base_certificate and len(rp.base._certs) == 1
     del ls
     gc.collect()
-    assert len(rp._certs) == 0
-    assert _fields(certify_m(rp.base, x)) == _fields(copy_)
+    assert stored() is None and len(rp.base._certs) == 0 and len(rp._certs) == 0
+    assert pickle.dumps(certify_m(rp.base, x)) == want
 
 
 def test_problems_pickle_and_deepcopy_after_a_census():
