@@ -65,51 +65,49 @@ class LiftSet:
     count_applicable: bool  # exact count asserted only for nondegenerate bases
 
 
-def _closed_forms(rp: RegularizedProblem, mcert: MCertificate, ibar: int):
+def _closed_forms(c: list, mcert: MCertificate, ibar: int):
     """The closed-form multipliers of the companions of an M-stationary
-    point whose maximizing index is ibar, as a check of one companion's
-    solved certificate against them: it raises BridgeError at the first
-    entry that _mismatch finds, by label (lam, mu1, mu2, mu3, sigma1, sigma2,
-    rho1, rho2) and then by index.  The (index, value) pairs are built once;
-    a call builds no dict."""
-    c, gamma, i0 = rp.c, mcert.gamma, set(mcert.activity.I0)
-    up = {i: (i, float(c[ibar - 1] - c[i - 1])) for i in i0}
-    down = {i: (i, float(c[i - 1] - c[ibar - 1])) for i in range(1, rp.n + 1)}
+    point whose maximizing index is ibar (c the regularization vector), as
+    a check of one companion's solved certificate against them: it raises
+    BridgeError at the first entry that _mismatch finds, by label (lam,
+    mu1, mu2, mu3, sigma1, sigma2, rho1, rho2) and then by index.  The
+    (index, value) pairs are built once; a call builds no dict."""
+    gamma, i0 = mcert.gamma, set(mcert.activity.I0)
+    up = {i: (i, c[ibar - 1] - c[i - 1]) for i in i0}
+    down = {i: (i, c[i - 1] - c[ibar - 1]) for i in range(1, len(c) + 1)}
     gam = {i: (i, gamma[i]) for i in i0}
-    lam, mu1, mu3 = mcert.lam.items(), mcert.mu.items(), float(c[ibar - 1])
+    lam, mu1, mu3 = mcert.lam.items(), mcert.mu.items(), c[ibar - 1]
     sigma2 = [pair for i, pair in down.items() if i not in i0]
 
     def check(ebar: tuple[int, ...], t: TCertificate) -> None:
         a01 = sorted((*ebar, ibar))
         a00 = sorted(i0.difference(a01))
-        bad = (_mismatch("lam", lam, t.lam)
-               or _mismatch("mu1", mu1, t.mu1)
-               or _mismatch("mu2", map(up.__getitem__, ebar), t.mu2)
-               or _mismatch("mu3", mu3, t.mu3)
-               or _mismatch("sigma1", map(gam.__getitem__, a01), t.sigma1)
-               or _mismatch("sigma2", sigma2, t.sigma2)
-               or _mismatch("rho1", map(gam.__getitem__, a00), t.rho1)
-               or _mismatch("rho2", map(down.__getitem__, a00), t.rho2))
+        bad = _mismatch(("lam", lam, t.lam), ("mu1", mu1, t.mu1), ("mu2", map(up.__getitem__, ebar), t.mu2),
+                        ("mu3", mu3, t.mu3), ("sigma1", map(gam.__getitem__, a01), t.sigma1),
+                        ("sigma2", sigma2, t.sigma2), ("rho1", map(gam.__getitem__, a00), t.rho1),
+                        ("rho2", map(down.__getitem__, a00), t.rho2))
         if bad:
             raise BridgeError(f"lift Ebar={ebar}: {bad}")
 
     return check
 
 
-def _mismatch(label: str, expected, got) -> str | None:
-    """The text naming the first entry of `expected` that the solved `got`
-    lacks or differs from by more than _CROSS_TOL, or None if there is none.
-    `expected` is a float, compared with the float `got`, or (index, value)
-    pairs, compared with the dict `got` by index.  A NaN difference passes,
-    since abs(nan) > tol is false."""
-    if isinstance(expected, float):
-        if abs(expected - got) > _CROSS_TOL:
-            return f"closed-form {label}={expected!r} vs solved {got!r}"
-        return None
-    for i, v in expected:
-        gv = got.get(i)
-        if gv is None or abs(gv - v) > _CROSS_TOL:
-            return f"closed-form {label}[{i}]={v!r} vs solved {gv!r}"
+def _mismatch(*checks) -> str | None:
+    """The text naming the first entry, in the order of `checks`, that the
+    solved values lack or that differs from the closed form by more than
+    _CROSS_TOL, or None if there is none.  A check is (label, expected,
+    got): a float compared with the float got, or (index, value) pairs
+    compared with the dict got by index.  A NaN difference passes, since
+    abs(nan) > tol is false."""
+    for label, expected, got in checks:
+        if isinstance(expected, float):
+            if abs(expected - got) > _CROSS_TOL:
+                return f"closed-form {label}={expected!r} vs solved {got!r}"
+            continue
+        for i, v in expected:
+            gv = got.get(i)
+            if gv is None or abs(gv - v) > _CROSS_TOL:
+                return f"closed-form {label}[{i}]={v!r} vs solved {gv!r}"
     return None
 
 
@@ -131,9 +129,7 @@ def lift(rp: RegularizedProblem, x, tol: Tolerances = Tolerances()) -> LiftSet:
     n, s = rp.n, rp.s
     mcert = certify_m(rp.base, pe, tol)
     if not mcert.stationary:
-        raise NotStationaryError(
-            f"point is not M-stationary ({mcert.degenerate_reason})"
-        )
+        raise NotStationaryError(f"point is not M-stationary ({mcert.degenerate_reason})")
     i0 = mcert.activity.I0
     if len(i0) < n - s:
         raise BridgeError("fewer vanishing coordinates than n - s at a feasible point")
@@ -143,11 +139,12 @@ def lift(rp: RegularizedProblem, x, tol: Tolerances = Tolerances()) -> LiftSet:
     if expected > 2**63 - 1:
         raise OverflowError(f"companion count binom({n - norm0 - 1}, {n - s - 1}) exceeds 64-bit range")
 
-    ibar = max(i0, key=lambda i: rp.c[i - 1])
+    c = rp.c.tolist()
+    ibar = max(i0, key=lambda i: c[i - 1])
     rest = sorted(set(i0) - {ibar})
     subsets = tuple(itertools.combinations(rest, n - s - 1))
     ys = [companion_y(rp, ibar, ebar) for ebar in subsets]
-    check = _closed_forms(rp, mcert, ibar) if mcert.ndm[0] else None
+    check = _closed_forms(c, mcert, ibar) if mcert.ndm[0] else None
     companions: list[tuple[np.ndarray, TCertificate]] = []
     for ebar, y, tcert in zip(subsets, ys, certify_t_pairs(rp, [(pe, y) for y in ys], tol)):
         if not tcert.stationary or tcert.residual > _CROSS_TOL:
@@ -159,15 +156,8 @@ def lift(rp: RegularizedProblem, x, tol: Tolerances = Tolerances()) -> LiftSet:
             check(ebar, tcert)
         companions.append((y, tcert))
 
-    return LiftSet(
-        base_point=pe.x,
-        base_certificate=mcert,
-        ibar=ibar,
-        subsets=subsets,
-        companions=companions,
-        expected_count=expected,
-        count_applicable=mcert.nondegenerate,
-    )
+    return LiftSet(base_point=pe.x, base_certificate=mcert, ibar=ibar, subsets=subsets, companions=companions,
+                   expected_count=expected, count_applicable=mcert.nondegenerate)
 
 
 def project(rp: RegularizedProblem, x, y, tol: Tolerances = Tolerances()) -> MCertificate:
@@ -193,10 +183,8 @@ def project(rp: RegularizedProblem, x, y, tol: Tolerances = Tolerances()) -> MCe
 
     if mcert.ndm[0] and tcert.ndt[0]:
         # gamma is read off sigma1 on a01 and rho1 on a00, which are disjoint
-        bad = (_mismatch("lam", tcert.lam.items(), mcert.lam)
-               or _mismatch("mu", tcert.mu1.items(), mcert.mu)
-               or _mismatch("gamma", tcert.sigma1.items(), mcert.gamma)
-               or _mismatch("gamma", tcert.rho1.items(), mcert.gamma))
+        bad = _mismatch(("lam", tcert.lam.items(), mcert.lam), ("mu", tcert.mu1.items(), mcert.mu),
+                        ("gamma", tcert.sigma1.items(), mcert.gamma), ("gamma", tcert.rho1.items(), mcert.gamma))
         if bad:
             raise BridgeError(f"project: {bad}")
 

@@ -13,11 +13,10 @@ group (see _solve); certify_m is its one-point case.
 
 from __future__ import annotations
 
-import math
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import islice
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -93,19 +92,32 @@ class CcopActivity:
     x_norm0: int
 
 
-class FrozenDict(dict):
-    """A multiplier group of a certificate: a dict whose mutating methods
-    raise.  It pickles and deep-copies as a plain dict of its items."""
+class _Filled(type):
+    def __call__(cls, *args, **kwargs):  # FrozenDict(...) fills it without __init__, which refuses
+        return _frozen(dict(*args, **kwargs))
+
+
+class FrozenDict(dict, metaclass=_Filled):
+    """A multiplier group of a certificate: a dict whose mutating methods,
+    __init__ included, raise.  It pickles and deep-copies as a plain dict of
+    its items."""
 
     __slots__ = ()
 
     def _refuse(self, *args, **kwargs):
         raise TypeError("certificate multipliers are read-only")
 
-    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+    __init__ = __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
 
     def __reduce__(self):
         return FrozenDict, (dict(self),)
+
+
+def _frozen(items, _new=dict.__new__, _fill=dict.__init__) -> FrozenDict:
+    """A FrozenDict of the (key, value) items, as FrozenDict(items) makes it."""
+    frozen = _new(FrozenDict)
+    _fill(frozen, items)
+    return frozen
 
 
 @dataclass(frozen=True)
@@ -204,7 +216,7 @@ def _jets_many(pr: Problem, xs: list) -> list:
 def _carrying(pr: Problem, x: np.ndarray, jets) -> PointEval:
     """A PointEval of pr at the read-only x that carries `jets` (an item of
     _jets_many), or that evaluates on first use where jets is None."""
-    pe = PointEval(pr, x)
+    pe = _instance(PointEval, problem=pr, x=x)
     if jets is not None:
         vars(pe)["_jets"] = jets  # what its first use would have evaluated
     return pe
@@ -223,7 +235,7 @@ def _point(pr: Problem, x) -> PointEval:
     x = np.array(x, dtype=float)
     if x.shape != (pr.n,):
         raise ValueError(f"point has shape {x.shape}, expected ({pr.n},)")
-    x.flags.writeable = False
+    x.setflags(write=False)
     kept = vars(pr).get("_root_jets")
     return _carrying(pr, x, kept.get(x.tobytes()) if kept else None)
 
@@ -244,8 +256,9 @@ def evaluate(pr: Problem, x) -> PointEval:
 def check_feasible(pr: Problem, x, tol: Tolerances = Tolerances()) -> tuple[bool, CcopActivity]:
     """Feasibility of x (an array or a PointEval) for the sparse problem,
     plus its activity sets."""
-    (ok,), (((_, Q0, I0),), _) = _m_select(pr, _bank([evaluate(pr, x)], np.eye(pr.n), (), tol), tol)
-    return ok, CcopActivity(Q0, I0, pr.n - len(I0))
+    ok, ((layout, _, _, (labels,)),) = _m_select(pr, _bank([evaluate(pr, x)], np.eye(pr.n), (), tol), tol)
+    _, Q0, I0 = _kinds(labels, layout)
+    return bool(ok[0]), CcopActivity(Q0, I0, pr.n - len(I0))
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +275,7 @@ class _Bank(NamedTuple):
     values: np.ndarray  # X x m: h, then g (m = nh + ng)
     rows: np.ndarray  # X x B x d: grad h_p, grad g_q (zero-padded to d), then the unit rows
     target: np.ndarray  # X x d: grad f, then the tail
-    bound: list  # per point: tol_feas * (1 + ||target||), the residual a solve may leave
+    bound: np.ndarray  # X: tol_feas * (1 + ||target||), the residual a solve may leave
     hessians: np.ndarray  # X x (1 + m) x n x n: f, h, then g
 
 
@@ -272,8 +285,8 @@ def _bank(pes: list, units: np.ndarray, tail, tol: Tolerances) -> _Bank:
     followed by `tail` (d - n values)."""
     pr = pes[0].problem
     X, n, m, d = len(pes), pr.n, len(pr.h) + len(pr.g), units.shape[1]
-    jets = [(pe.f, *pe.h, *pe.g) for pe in pes]
-    gradients = np.array([[j.gradient for j in js] for js in jets])  # f, h, then g
+    jets = [j for pe in pes for j in (pe.f, *pe.h, *pe.g)]
+    gradients = np.array([j.gradient for j in jets]).reshape(X, 1 + m, n)  # f, h, then g
     rows = np.zeros((X, m + len(units), d))
     rows[:, :m, :n] = gradients[:, 1:]
     rows[:, m:] = units
@@ -282,50 +295,51 @@ def _bank(pes: list, units: np.ndarray, tail, tol: Tolerances) -> _Bank:
     target[:, n:] = tail
     return _Bank(
         x=np.array([pe.x for pe in pes]),
-        values=np.array([[j.value for j in js[1:]] for js in jets]).reshape(X, m),
+        values=np.array([j.value for j in jets]).reshape(X, 1 + m)[:, 1:],
         rows=rows,
         target=target,
-        bound=[tol.tol_feas * (1.0 + math.sqrt(t.dot(t))) for t in target],  # np.linalg.norm
-        hessians=np.array([[j.hessian for j in js] for js in jets]),
+        # np.linalg.norm of each target, sqrt(t.dot(t)), whose bits the stacked product keeps
+        bound=tol.tol_feas * (1.0 + np.sqrt(target[:, None, :] @ target[:, :, None]).ravel()),
+        hessians=np.array([j.hessian for j in jets]).reshape(X, 1 + m, n, n),
     )
 
 
 @lru_cache(maxsize=64)
-def _columns(*blocks: range) -> tuple[np.ndarray, np.ndarray, int]:
-    """(kind, label, kinds) of a bank whose rows fall into consecutive
-    blocks, one per multiplier kind, labelled by `blocks` (see _layouts)."""
-    kind = np.array([k for k, block in enumerate(blocks) for _ in block], dtype=int)
-    label = np.array([i for block in blocks for i in block], dtype=int)
-    kind.flags.writeable = label.flags.writeable = False
-    return kind, label, len(blocks)
+def _columns(*sizes: int) -> tuple[np.ndarray, np.ndarray]:
+    """(kinds, label) of bank rows in consecutive blocks of the given sizes,
+    one per multiplier kind (see _layouts), each block labelled 1, 2, ..."""
+    kinds = np.repeat(np.eye(len(sizes), dtype=int), sizes, axis=0)
+    label = np.concatenate([np.arange(1, size + 1) for size in sizes])
+    kinds.flags.writeable = label.flags.writeable = False
+    return kinds, label
 
 
-def _layouts(sel: np.ndarray, kind: np.ndarray, label: np.ndarray, kinds: int):
+def _layouts(sel: np.ndarray, kinds: np.ndarray, label: np.ndarray) -> list:
     """The candidates of sel, by layout.
 
     Row k of sel (K x B) marks the bank rows of candidate k's constraint
-    directions.  Bank row v holds a direction of the multiplier kind[v]
-    (nondecreasing in v) with the index label[v].  A layout is the number
-    of rows a candidate takes of each kind; it fixes the shape of its rows
-    and gives each kind one column slice, in the order of the kinds.
-
-    Returns the labels of each candidate, a tuple of indices per kind, and
-    one (layout, members, index) per layout, in order of first appearance:
-    the positions of its candidates, and their bank rows, one row each.
+    directions.  Bank row v holds a direction of the kind c with kinds[v, c]
+    = 1 (the kinds follow each other in v) and the index label[v].  A layout
+    is the number of rows a candidate takes of each kind; it fixes the shape
+    of its rows and gives each kind one column slice, in the order of the
+    kinds.  Returns one (layout, members, index, labels) per layout, in
+    order of first appearance: the positions of its candidates, their bank
+    rows and their labels, one row label[index[j]] each (see _kinds).
     """
-    K = len(sel)
-    row, col = sel.nonzero()
-    counts = np.bincount(row * kinds + kind[col], minlength=K * kinds).reshape(K, kinds)
-    found = iter(label[col].tolist())
-    labels, groups = [], {}
-    for k, layout in enumerate(map(tuple, counts.tolist())):
-        labels.append(tuple([tuple(islice(found, c)) for c in layout]))
+    col = sel.nonzero()[1]
+    groups: dict[tuple, list] = {}
+    for k, layout in enumerate(map(tuple, (sel @ kinds).tolist())):
         groups.setdefault(layout, []).append(k)
-    by_layout = []
+    out = []
     for layout, members in groups.items():
-        index = col if len(groups) == 1 else sel[members].nonzero()[1]
-        by_layout.append((layout, np.array(members), index.reshape(len(members), sum(layout))))
-    return labels, by_layout
+        index = (col if len(groups) == 1 else sel[members].nonzero()[1]).reshape(len(members), sum(layout))
+        out.append((layout, np.array(members), index, label.take(index).tolist()))
+    return out
+
+
+def _kinds(labels: list, layout: tuple) -> list[tuple]:
+    """One candidate's labels (see _layouts) as one tuple per kind."""
+    return [tuple(labels[end - count : end]) for end, count in zip(accumulate(layout), layout)]
 
 
 def _solve(bank: _Bank, at: np.ndarray, index: np.ndarray, nh: int, nq: int, tol: Tolerances):
@@ -333,17 +347,16 @@ def _solve(bank: _Bank, at: np.ndarray, index: np.ndarray, nh: int, nq: int, tol
 
     Candidate k lies at the point at[k] of bank, and its k x d directions
     are the bank rows index[k] of that point: nh of h, then nq of the
-    active g, then those of the other kinds.  The group's rows are stacked
-    once for one call each of rank_and_nullbasis, solve_multipliers and
-    restricted_inertia (one per null-space size); each candidate gets the
-    bits a call on its rows alone gives.  The Lagrangian Hessians are one
-    K x d x d array: the padded Hessian of f, minus lam_p * Hessian of h_p
-    for each p, then minus mu_q * Hessian of g_q in Q0 order, on the
+    active g, then those of the other kinds.  The rows are gathered once
+    for one call each of rank_and_nullbasis and solve_multipliers, whose
+    Stacks are read whole, and one call of restricted_inertia per
+    null-space size, on the rows rank.. of the stacked V^T; each candidate
+    gets the bits a call on its rows alone gives.  The Lagrangian Hessians
+    are one K x d x d array: the padded Hessian of f, minus lam_p * Hessian
+    of h_p for each p, then minus mu_q * Hessian of g_q in Q0 order, on the
     leading n x n block; every other term of the Lagrangian is linear.
-
     Returns (coeffs, residual, residual_ok, licq, neg, zero): the K x k
-    multipliers, whose columns follow the rows, and one list entry per
-    candidate.
+    multipliers, whose columns follow the rows, then one entry per candidate.
     """
     K, k = index.shape
     n, d = bank.x.shape[1], bank.rows.shape[2]
@@ -351,24 +364,22 @@ def _solve(bank: _Bank, at: np.ndarray, index: np.ndarray, nh: int, nq: int, tol
     ranked = rank_and_nullbasis(rows, tol)
     # the transpose of each row block is a view with the layout of rows.T, so
     # every residual has the bits of rows.T @ coeffs - target
-    solved = solve_multipliers(rows.swapaxes(-1, -2), bank.target[at], tol)
-    coeffs = np.array([c for c, _ in solved]).reshape(K, k)
-    residual = [r for _, r in solved]
-    residual_ok = [r <= bank.bound[p] for r, p in zip(residual, at.tolist())]
+    solved = solve_multipliers(rows.swapaxes(-1, -2), bank.target.take(at, 0), tol)
+    coeffs = solved.coeffs
     hess = np.zeros((K, d, d))
     block = hess[:, :n, :n]
-    block[...] = bank.hessians[at, 0]
+    block[...] = bank.hessians[:, 0].take(at, 0)
     for c in range(nh + nq):  # grad h_p, then grad g_q: bank row index[:, c]
         block -= coeffs[:, c, None, None] * bank.hessians[at, 1 + index[:, c]]
-    ranks = [rank for rank, _ in ranked]
+    ranks = ranked.ranks.tolist()
     neg, zero = [0] * K, [0] * K
     for rank in dict.fromkeys(ranks):
-        members = [j for j in range(K) if ranks[j] == rank]
-        bases = np.array([ranked[j][1] for j in members])
-        inertia = restricted_inertia(hess if len(members) == K else hess[members], bases, tol)
-        for j, (a, b, _) in zip(members, inertia):
+        members = [j for j, r in enumerate(ranks) if r == rank]
+        some = slice(None) if len(members) == K else members
+        bases = np.ascontiguousarray(ranked.vt[some, rank:].swapaxes(1, 2))  # each vt[rank:].T
+        for j, (a, b, _) in zip(members, restricted_inertia(hess[some], bases, tol)):
             neg[j], zero[j] = a, b
-    return coeffs, residual, residual_ok, [rank == k for rank in ranks], neg, zero
+    return coeffs, solved.residuals, solved.residuals <= bank.bound.take(at), ranked.ranks == k, neg, zero
 
 
 def _key(pe: PointEval, *rest) -> tuple:
@@ -391,21 +402,22 @@ def _certified(memo: weakref.WeakValueDictionary, keys: list, certify, *args) ->
     that miss on one key both certify, and either entry is correct.
     """
     certs = [memo.get(key) for key in keys]
+    if all(certs):  # every key held: a certificate is never false
+        return certs
     first: dict = {}  # key of a miss -> its first position
     for k, cert in enumerate(certs):
         if cert is None:
             first.setdefault(keys[k], k)
     misses = list(first.values())
-    if misses:
-        for k, cert in zip(misses, certify(misses, *args)):
-            certs[k] = memo[keys[k]] = cert
+    for k, cert in zip(misses, certify(misses, *args)):
+        certs[k] = memo[keys[k]] = cert
     return [certs[first[key]] if cert is None else cert for key, cert in zip(keys, certs)]
 
 
-def _certificate(cls, **fields):
-    """A certificate of class cls from all its fields in declaration order.
-    The __init__ of a frozen dataclass sets each field through
-    object.__setattr__, which made the n=8 censuses 7% slower."""
+def _instance(cls, **fields):
+    """A certificate or an activity (a frozen dataclass) from all its fields
+    in declaration order.  The __init__ of a frozen dataclass sets each
+    field through object.__setattr__, which made the n=8 censuses 7% slower."""
     cert = object.__new__(cls)
     object.__setattr__(cert, "__dict__", fields)
     return cert
@@ -418,7 +430,7 @@ def _first_failed(feasible: bool, stationary: bool, residual: float, flags, pref
         return "infeasible"
     if not stationary:
         return f"not stationary (residual={residual:.3e})"
-    return next((f"{prefix}{k}" for k, flag in enumerate(flags, start=1) if not flag), None)
+    return None if all(flags) else next(f"{prefix}{k}" for k, flag in enumerate(flags, start=1) if not flag)
 
 
 # ---------------------------------------------------------------------------
@@ -426,24 +438,23 @@ def _first_failed(feasible: bool, stationary: bool, residual: float, flags, pref
 
 
 def _m_select(pr: Problem, bank: _Bank, tol: Tolerances):
-    """Whether each point of bank is feasible, and the bank rows (see
-    _layouts) of its CC-LICQ directions: grad h_p, grad g_q for q in Q0 and
-    e_i for i in I0, of the kinds lam, mu and gamma."""
+    """Whether each point of bank is feasible (an array), and the bank rows
+    of its CC-LICQ directions, by layout (see _layouts): grad h_p, grad g_q
+    for q in Q0 and e_i for i in I0, of the kinds lam, mu and gamma."""
     nh, act, feas = len(pr.h), tol.tol_act, tol.tol_feas
     h, g = bank.values[:, :nh], bank.values[:, nh:]
     zeros = np.abs(bank.x) <= act
-    sel = np.concatenate([np.ones((len(zeros), nh), dtype=bool), np.abs(g) <= act, zeros], axis=1)
+    sel = np.concatenate([~np.zeros((len(zeros), nh), dtype=bool), np.abs(g) <= act, zeros], axis=1)
     ok = np.logical_and.reduce(np.concatenate([
         np.abs(h) <= feas, g >= -feas, (pr.n - np.add.reduce(zeros, axis=1) <= pr.s)[:, None]
     ], axis=1), axis=1)
-    columns = _columns(range(1, nh + 1), range(1, g.shape[1] + 1), range(1, pr.n + 1))
-    return ok.tolist(), _layouts(sel, *columns)
+    return ok, _layouts(sel, *_columns(nh, g.shape[1], pr.n))
 
 
 def check_cc_licq(pr: Problem, x, tol: Tolerances = Tolerances()) -> bool:
     """Linear independence of active gradients and vanishing-coordinate directions."""
     bank = _bank([evaluate(pr, x)], np.eye(pr.n), (), tol)
-    _, (_, ((_, _, index),)) = _m_select(pr, bank, tol)
+    _, ((_, _, index, _),) = _m_select(pr, bank, tol)
     return rank_and_nullbasis(bank.rows[0, index[0]], tol)[0] == index.shape[1]
 
 
@@ -467,7 +478,7 @@ def certify_m_many(pr: Problem, xs, tol: Tolerances = Tolerances()) -> list[MCer
     certificate is looked up or stored.
     """
     xs = [_point(pr, x) for x in xs]
-    return _certified(pr._certs, [_key(x, tol) for x in xs], _certify_m, pr, xs, tol)
+    return _certified(pr._certs, [_key(x, tol._astuple) for x in xs], _certify_m, pr, xs, tol)
 
 
 def _certify_m(misses, pr: Problem, xs, tol: Tolerances) -> list[MCertificate]:
@@ -475,34 +486,25 @@ def _certify_m(misses, pr: Problem, xs, tol: Tolerances) -> list[MCertificate]:
     _solve per layout (nh, |Q0|, |I0|), whose multipliers are the column
     slices lam, mu and gamma."""
     bank = _bank([evaluate(pr, xs[k]) for k in misses], np.eye(pr.n), (), tol)
-    ok, (labels, by_layout) = _m_select(pr, bank, tol)
-    ts = tol.tol_strict
+    ok, groups = _m_select(pr, bank, tol)
+    feasible, ts = ok.tolist(), tol.tol_strict
     certs: list = [None] * len(misses)
-    for (nh, nq, ni), at, index in by_layout:
+    for (nh, nq, ni), at, index, labels in groups:
         coeffs, residual, residual_ok, licq, neg, zero = _solve(bank, at, index, nh, nq, tol)
-        mu, gamma = coeffs[:, nh : nh + nq], coeffs[:, nh + nq :]
-        signs = np.logical_and.reduce(mu >= -ts, axis=1).tolist()
-        strict = np.logical_and.reduce(mu > ts, axis=1).tolist()
-        gaps = np.logical_and.reduce(np.abs(gamma) > ts, axis=1).tolist()
-        norm0 = pr.n - ni
-        for j, (k, row) in enumerate(zip(at.tolist(), coeffs.tolist())):
-            lam, Q0, I0 = labels[k]
-            stationary = ok[k] and residual_ok[j] and signs[j]
-            ndm = (licq[j], strict[j], norm0 == pr.s or gaps[j], zero[j] == 0)
-            certs[k] = _certificate(
-                MCertificate,
-                feasible=ok[k],
-                stationary=stationary,
-                activity=CcopActivity(Q0, I0, norm0),
-                lam=FrozenDict(zip(lam, row[:nh])),
-                mu=FrozenDict(zip(Q0, row[nh : nh + nq])),
-                gamma=FrozenDict(zip(I0, row[nh + nq :])),
-                residual=residual[j],
-                ndm=ndm,
-                quadratic_index=neg[j],
-                sparsity_index=pr.s - norm0,
-                m_index=neg[j] + pr.s - norm0 if (stationary and all(ndm)) else None,
-                degenerate_reason=_first_failed(ok[k], stationary, residual[j], ndm, "NDM"),
-                non_unique=not licq[j],
+        e1, norm0 = nh + nq, pr.n - ni
+        least, si = np.minimum.reduce(coeffs[:, nh:e1], axis=1, initial=np.inf), pr.s - norm0  # of mu
+        stationary = ok.take(at) & residual_ok & (least >= -ts)
+        gaps = np.logical_and.reduce(np.abs(coeffs[:, e1:]) > ts, axis=1) | (norm0 == pr.s)
+        ndms = zip(licq.tolist(), (least > ts).tolist(), gaps.tolist(), [z == 0 for z in zero])
+        for k, lab, row, st, ndm, res, q in zip(
+            at.tolist(), labels, coeffs.tolist(), stationary.tolist(), ndms, residual.tolist(), neg
+        ):
+            pairs = tuple(zip(lab, row))
+            activity = _instance(CcopActivity, Q0=tuple(lab[nh:e1]), I0=tuple(lab[e1:]), x_norm0=norm0)
+            certs[k] = _instance(
+                MCertificate, feasible=feasible[k], stationary=st, activity=activity,
+                lam=_frozen(pairs[:nh]), mu=_frozen(pairs[nh:e1]), gamma=_frozen(pairs[e1:]), residual=res,
+                ndm=ndm, quadratic_index=q, sparsity_index=si, m_index=q + si if (st and all(ndm)) else None,
+                degenerate_reason=_first_failed(feasible[k], st, res, ndm, "NDM"), non_unique=not ndm[0],
             )
     return certs

@@ -9,13 +9,15 @@ projected eigensolve wins over anything cleverer.  Each kernel also takes a
 stack of same-shape matrices and runs it through one call of the gufunc
 that numpy.linalg runs on one matrix, which gives every matrix the result
 of its own call, bit for bit; certification makes these calls once per
-layout group of its candidates (ccop._solve).
+layout group of its candidates (ccop._solve) and reads their Stacks whole.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -53,15 +55,38 @@ class Tolerances:
         if self.tol_rank >= self.tol_strict:
             raise ValueError("tol_rank must be smaller than tol_strict")
 
+    @cached_property
+    def _astuple(self) -> tuple:
+        """The tolerances as memo keys hold them, hashed and compared in C."""
+        return self.tol_feas, self.tol_act, self.tol_rank, self.tol_strict
 
-def _lapack(failure: str) -> np.errstate:
-    """The floating-point state numpy.linalg calls its gufuncs in: LAPACK's
-    failure to converge raises LinAlgError(failure), with numpy's message."""
 
+def _lapack(gufunc, failure: str):
+    """gufunc in numpy.linalg's floating-point state, set per call (np.errstate as
+    a decorator): LAPACK's failure to converge raises LinAlgError(failure)."""
     def fail(err, flag):
         raise np.linalg.LinAlgError(failure)
+    return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")(gufunc)
 
-    return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+# the gufuncs behind np.linalg.svd, np.linalg.lstsq and np.linalg.eigvalsh
+_svd = _lapack(_umath_linalg.svd_f, "SVD did not converge")
+_lstsq = _lapack(_umath_linalg.lstsq, "SVD did not converge in Linear Least Squares")
+_eigvalsh = _lapack(_umath_linalg.eigvalsh_lo, "Eigenvalues did not converge")
+
+
+class Stack(Sequence):
+    """A kernel's results on a stack of K matrices: its arrays, as attributes,
+    and as a sequence item(j), its result on matrix j alone, built when read."""
+
+    def __init__(self, K: int, item, **arrays):
+        vars(self).update(arrays, _K=K, _item=item)
+
+    def __len__(self) -> int:
+        return self._K
+
+    def __getitem__(self, j):
+        return self._item(range(self._K)[j])
 
 
 def rank_and_nullbasis(A, tol: Tolerances):
@@ -69,27 +94,23 @@ def rank_and_nullbasis(A, tol: Tolerances):
 
     Rank counts singular values above tol_rank * sigma_max (zero or empty
     matrices have rank 0).  The returned N is k x (k - rank) with exactly
-    orthonormal columns from the SVD.
+    orthonormal columns from the SVD, the rows rank.. of V^T transposed.
 
     A stack of matrices (K x m x k) goes through one stacked SVD and gives a
-    list of K (rank, N) pairs by the same rule; numpy runs a single matrix
-    and a stack through one LAPACK routine, so each pair equals the pair of
-    its matrix alone, bit for bit.
+    Stack of K (rank, N) pairs, with the arrays ranks and vt (K x k x k); a
+    single matrix is a stack of one.  numpy runs a single matrix and a
+    stack through one LAPACK routine, so each pair equals the pair of its
+    matrix alone, bit for bit.
     """
     A = np.asarray(A, dtype=float)
-    if A.ndim < 2:
-        A = np.atleast_2d(A)
-    m, k = A.shape[-2:]
-    if m == 0 or k == 0:
-        return (0, np.eye(k)) if A.ndim == 2 else [(0, np.eye(k)) for _ in A]
-    with _lapack("SVD did not converge"):
-        _, sing, vt = _umath_linalg.svd_f(A, signature="d->ddd")  # np.linalg.svd's gufunc
-    # an all-zero matrix has no singular value above 0 = tol_rank * sigma_max
-    ranks = np.add.reduce(sing > tol.tol_rank * sing[..., :1], axis=-1)
-    if A.ndim == 2:
-        rank = int(ranks)
-        return rank, vt[rank:].T.copy()
-    return [(rank, v[rank:].T.copy()) for rank, v in zip(ranks.tolist(), vt)]
+    one = A.ndim <= 2  # a single matrix is a stack of one
+    A = np.atleast_2d(A)[None] if one else A
+    # an empty matrix has no singular value and V^T = I, an all-zero one none
+    # above 0 = tol_rank * sigma_max: both have rank 0
+    _, sing, vt = _svd(A, signature="d->ddd")
+    ranks = np.add.reduce(sing > tol.tol_rank * sing[:, :1], axis=-1)
+    ranked = Stack(len(A), lambda j: (int(ranks[j]), vt[j, ranks[j] :].T.copy()), ranks=ranks, vt=vt)
+    return ranked[0] if one else ranked
 
 
 def solve_multipliers(G, target, tol: Tolerances):
@@ -101,24 +122,25 @@ def solve_multipliers(G, target, tol: Tolerances):
     minimum-norm solution, singular values up to tol_rank * sigma_max
     counting as zero.
 
-    A stack of systems (K x d x k and K x d) gives a list of K pairs; a
-    single system is a stack of one.  Either way one call of the gufunc that
+    A stack of systems (K x d x k and K x d) gives a Stack of K pairs, with
+    the arrays coeffs (K x k) and residuals; a single system is a stack of
+    one.  Either way one call of the gufunc that
     np.linalg.lstsq runs on one system solves them all (numpy's lstsq
     refuses stacks), so coeffs equal lstsq's, bit for bit, and LAPACK's
     failure to converge raises LinAlgError as lstsq does.  Each residual is
     the norm of G[k] @ coeffs - target[k], whose bits follow the memory
-    layout of G[k].
+    layout of G[k] (stacked products keep each system's bits).
     """
-    G, target = np.asarray(G, dtype=float), np.asarray(target, dtype=float)
-    one = G.ndim == 2
-    if one:
-        G, target = G[None], target[None]
-    with _lapack("SVD did not converge in Linear Least Squares"):
-        coeffs = _umath_linalg.lstsq(G, target[..., None], tol.tol_rank, signature="ddd->ddid")[0]
-    residuals = [g @ c - t for g, c, t in zip(G, coeffs[..., 0], target)]
+    G, target = np.asarray(G, dtype=float), np.asarray(target, dtype=float)[..., None]
+    one = G.ndim == 2  # a single system is a stack of one
+    G, target = (G[None], target[None]) if one else (G, target)
+    coeffs = _lstsq(G, target, tol.tol_rank, signature="ddd->ddid")[0]
+    r = G @ coeffs - target
     # each norm as np.linalg.norm takes it, sqrt(r.dot(r)), without its dispatch
-    pairs = [(c, math.sqrt(r.dot(r))) for c, r in zip(coeffs[..., 0], residuals)]
-    return pairs[0] if one else pairs
+    residuals = np.sqrt(r.swapaxes(1, 2) @ r).ravel()
+    coeffs = coeffs[..., 0]
+    solved = Stack(len(G), lambda j: (coeffs[j], float(residuals[j])), coeffs=coeffs, residuals=residuals)
+    return solved[0] if one else solved
 
 
 def restricted_inertia(H, N, tol: Tolerances):
@@ -131,20 +153,18 @@ def restricted_inertia(H, N, tol: Tolerances):
 
     Stacks of matrices (K x d x d and K x d x r) give a list of K triples
     from stacked products and one stacked eigensolve, each equal to the
-    triple of its pair alone.
+    triple of its pair alone; a single pair is a stack of one.
     """
     H, N = np.asarray(H, dtype=float), np.asarray(N, dtype=float)
-    if N.ndim < 2:
-        N = np.atleast_2d(N)
+    one = N.ndim <= 2  # a single pair is a stack of one
+    H, N = (H[None], np.atleast_2d(N)[None]) if one else (H, N)
     r = N.shape[-1]
-    if r == 0:
-        return (0, 0, 0) if N.ndim == 2 else [(0, 0, 0)] * len(N)
-    M = N.swapaxes(-1, -2) @ H @ N
-    M = 0.5 * (M + M.swapaxes(-1, -2))
-    with _lapack("Eigenvalues did not converge"):
-        eig = _umath_linalg.eigvalsh_lo(M, signature="d->d")  # np.linalg.eigvalsh's gufunc
-    neg = np.add.reduce(eig < -tol.tol_strict, axis=-1)
-    pos = np.add.reduce(eig > tol.tol_strict, axis=-1)
-    if N.ndim == 2:
-        return int(neg), r - int(neg) - int(pos), int(pos)
-    return [(a, r - a - b, b) for a, b in zip(neg.tolist(), pos.tolist())]
+    triples = [(0, 0, 0)] * len(N)
+    if r:
+        M = N.swapaxes(-1, -2) @ H @ N
+        M = 0.5 * (M + M.swapaxes(-1, -2))
+        eig = _eigvalsh(M, signature="d->d")
+        neg = np.add.reduce(eig < -tol.tol_strict, axis=-1).tolist()
+        pos = np.add.reduce(eig > tol.tol_strict, axis=-1).tolist()
+        triples = [(a, r - a - b, b) for a, b in zip(neg, pos)]
+    return triples[0] if one else triples

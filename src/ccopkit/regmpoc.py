@@ -36,11 +36,13 @@ from .ccop import (
     Problem,
     _Bank,
     _bank,
-    _certificate,
     _certified,
     _columns,
     _first_failed,
+    _frozen,
+    _instance,
     _key,
+    _kinds,
     _layouts,
     _point,
     _solve,
@@ -218,37 +220,36 @@ def _feasible_r(rp: RegularizedProblem, bank: _Bank, at: np.ndarray, Y: np.ndarr
     restricted Hessian.
     """
     n, s, eps, act, feas = rp.n, rp.s, rp.eps, tol.tol_act, tol.tol_feas
-    nh, K = len(rp.base.h), len(Y)
-    x, values = bank.x[at], bank.values[at]
+    nh = len(rp.base.h)
+    x, values, sums = bank.x.take(at, 0), bank.values.take(at, 0), np.add.reduce(Y, axis=1, keepdims=True)
     h, g = values[:, :nh], values[:, nh:]
-    sums = np.add.reduce(Y, axis=1)  # Y.sum(axis=1)
     ok = np.logical_and.reduce(np.concatenate([
-        np.abs(h) <= feas, g >= -feas, (sums >= (n - s) - feas)[:, None],
+        np.abs(h) <= feas, g >= -feas, sums >= (n - s) - feas,
         np.abs(x * Y) <= feas, Y >= -feas, Y <= 1.0 + eps + feas,
     ], axis=1), axis=1)
-    x0, y0 = np.abs(x) <= act, np.abs(Y) <= act
+    # |x|, |y|, |y - (1 + eps)|, |sum(y) - (n - s)| and |g| against tol_act, in one comparison
+    near = np.abs(np.concatenate([x, Y, Y - (1.0 + eps), sums - (n - s), g], axis=1)) <= act
+    x0, y0 = near[:, :n], near[:, n : 2 * n]
     a00 = x0 & y0
     sel = np.concatenate([
-        np.ones((K, nh), dtype=bool),
-        np.abs(g) <= act,  # Q0
-        x0 & (np.abs(Y - (1.0 + eps)) <= act),  # Ecal
-        (np.abs(sums - (n - s)) <= act)[:, None],  # the sum is active
+        ~np.zeros(h.shape, dtype=bool),
+        near[:, 3 * n + 1 :],  # Q0
+        x0 & near[:, 2 * n : 3 * n],  # Ecal
+        near[:, 3 * n : 3 * n + 1],  # the sum is active
         x0 ^ a00,  # a01: x_i = 0 and y_i != 0
         y0 ^ a00,  # a10: x_i != 0 and y_i = 0
         a00,
         a00,
     ], axis=1)
-    ones = range(1, n + 1)
-    columns = _columns(range(1, nh + 1), range(1, g.shape[1] + 1), ones, range(1), ones, ones, ones, ones)
-    return ok.tolist(), _layouts(sel, *columns)
+    return ok, _layouts(sel, *_columns(nh, g.shape[1], n, 1, n, n, n, n))
 
 
 def _checked(rp: RegularizedProblem, x, y, tol: Tolerances):
     """The bank of x (an array or a PointEval of the base problem), and the
-    feasibility, labels and layout group of (x, y) (see _feasible_r)."""
+    feasibility and layout group of (x, y) (see _feasible_r)."""
     bank = _bank([evaluate(rp.base, x)], _t_units(rp.n), rp.c, tol)
-    (ok,), ((labels,), (group,)) = _feasible_r(rp, bank, np.zeros(1, dtype=int), _y(rp, y)[None], tol)
-    return bank, ok, labels, group
+    ok, (group,) = _feasible_r(rp, bank, np.zeros(1, dtype=int), _y(rp, y)[None], tol)
+    return bank, bool(ok[0]), group
 
 
 def check_feasible_r(
@@ -256,13 +257,14 @@ def check_feasible_r(
 ) -> tuple[bool, MpocActivity]:
     """Feasibility of (x, y) for the lifted problem, plus its activity pattern;
     x is an array or a PointEval of the base problem."""
-    _, ok, (_, Q0, ecal, mu3, a01, a10, a00, _), _ = _checked(rp, x, y, tol)
+    _, ok, (layout, _, _, (labels,)) = _checked(rp, x, y, tol)
+    _, Q0, ecal, mu3, a01, a10, a00, _ = _kinds(labels, layout)
     return ok, MpocActivity(a00, a01, a10, ecal, bool(mu3), Q0)
 
 
 def check_mpoc_licq(rp: RegularizedProblem, x, y, tol: Tolerances = Tolerances()) -> bool:
     """Linear independence of the MPOC constraint directions at (x, y)."""
-    bank, _, _, (_, _, index) = _checked(rp, x, y, tol)
+    bank, _, (_, _, index, _) = _checked(rp, x, y, tol)
     return rank_and_nullbasis(bank.rows[0, index[0]], tol)[0] == index.shape[1]
 
 
@@ -315,7 +317,7 @@ def certify_t_pairs(
         xkey, y = seen[id(x)][1], _y(rp, y)
         owners.append(xkey)
         ys.append(y)
-        keys.append((*xkey, y.shape, y.tobytes(), tol))  # _key(x, y.shape, y.tobytes(), tol)
+        keys.append((*xkey, y.shape, y.tobytes(), tol._astuple))  # _key(x, y.shape, y.tobytes(), ...)
     return _certified(rp._certs, keys, _certify_t_pairs, rp, points, owners, ys, tol)
 
 
@@ -330,53 +332,41 @@ def _certify_t_pairs(
     place: dict[tuple, int] = {}  # key of x -> its point in the bank, in order of first use
     at = np.array([place.setdefault(owners[k], len(place)) for k in misses])
     bank = _bank([evaluate(rp.base, points[xkey]) for xkey in place], _t_units(rp.n), rp.c, tol)
-    ok, (labels, by_layout) = _feasible_r(rp, bank, at, np.array([ys[k] for k in misses]), tol)
-    ts = tol.tol_strict
+    ok, groups = _feasible_r(rp, bank, at, np.array([ys[k] for k in misses]), tol)
+    feasible, ts = ok.tolist(), tol.tol_strict
     out: list = [None] * len(misses)
-    for layout, group, index in by_layout:
+    for layout, group, index, labels in groups:
         nh, nq, _, sa, _, _, n00, _ = layout
-        coeffs, residual, residual_ok, licq, neg, zero = _solve(bank, at[group], index, nh, nq, tol)
+        coeffs, residual, residual_ok, licq, neg, zero = _solve(bank, at.take(group), index, nh, nq, tol)
         _, e1, e2, e3, e4, e5, e6, _ = accumulate(layout)  # where each kind's slice ends
-        mu = coeffs[:, nh:e3]  # mu1, mu2, and mu3 where the sum is active
-        signs = np.logical_and.reduce(mu >= -ts, axis=1)
-        strict = np.logical_and.reduce(mu > ts, axis=1).tolist()
+        least = np.minimum.reduce(coeffs[:, nh:e3], axis=1, initial=np.inf)  # of mu1, mu2 and an active mu3
+        signs, strict = least >= -ts, least > ts
         if n00:
-            rho1, rho2 = coeffs[:, e5:e6], coeffs[:, e6:]
-            branch1, branch2 = np.abs(rho1) <= ts, rho2 <= ts
+            rho1, rho2 = np.abs(coeffs[:, e5:e6]), coeffs[:, e6:]  # |rho1|, rho2
+            branch1, branch2 = rho1 <= ts, rho2 <= ts
             signs &= np.logical_and.reduce(branch1 | branch2, axis=1)  # eq7 and eq8
-            biactive = np.logical_and.reduce((np.abs(rho1) > ts) & (rho2 < -ts), axis=1).tolist()
+            biactive = np.logical_and.reduce((rho1 > ts) & (rho2 < -ts), axis=1).tolist()
             a01_ok = np.logical_and.reduce(np.abs(coeffs[:, e3:e4]) > ts, axis=1).tolist()
             branches = [list(zip(*b)) for b in zip(branch1.tolist(), branch2.tolist())]
         else:  # no biactive index: eq8, NDT3 and NDT5 hold, and no branch is recorded
             biactive = a01_ok = [True] * len(group)
             branches = [()] * len(group)
-        signs = signs.tolist()
-        for j, (k, row) in enumerate(zip(group.tolist(), coeffs.tolist())):
-            lam, Q0, ecal, _, a01, a10, a00, _ = labels[k]
-            feasible = ok[k]
-            stationary = feasible and residual_ok[j] and signs[j]
-            ndt = (licq[j], strict[j], biactive[j], zero[j] == 0, a01_ok[j])
-            out[k] = _certificate(
-                TCertificate,
-                feasible=feasible,
-                stationary=stationary,
-                activity=MpocActivity(a00, a01, a10, ecal, bool(sa), Q0),
-                lam=FrozenDict(zip(lam, row[:nh])),
-                mu1=FrozenDict(zip(Q0, row[nh:e1])),
-                mu2=FrozenDict(zip(ecal, row[e1:e2])),
-                mu3=row[e2] if sa else 0.0,
-                sigma1=FrozenDict(zip(a01, row[e3:e4])),
-                sigma2=FrozenDict(zip(a10, row[e4:e5])),
-                rho1=FrozenDict(zip(a00, row[e5:e6])),
-                rho2=FrozenDict(zip(a00, row[e6:])),
-                residual=residual[j],
-                ndt=ndt,
-                eq8_branches=FrozenDict(zip(a00, branches[j])),
-                quadratic_index=neg[j],
-                biactive_index=n00,
-                t_index=neg[j] + n00 if (stationary and all(ndt[:4])) else None,
-                degenerate_reason=_first_failed(feasible, stationary, residual[j], ndt, "NDT"),
-                non_unique=not licq[j],
+        stationary = ok.take(group) & residual_ok & signs
+        ndts = zip(licq.tolist(), strict.tolist(), biactive, [z == 0 for z in zero], a01_ok)
+        for k, lab, row, st, ndt, res, q, branch in zip(
+            group.tolist(), labels, coeffs.tolist(), stationary.tolist(), ndts, residual.tolist(), neg, branches
+        ):
+            pairs, a00 = tuple(zip(lab, row)), tuple(lab[e5:e6])
+            activity = _instance(MpocActivity, a00=a00, a01=tuple(lab[e3:e4]), a10=tuple(lab[e4:e5]),
+                                 Ecal=tuple(lab[e1:e2]), sum_active=bool(sa), Q0=tuple(lab[nh:e1]))
+            out[k] = _instance(
+                TCertificate, feasible=feasible[k], stationary=st, activity=activity,
+                lam=_frozen(pairs[:nh]), mu1=_frozen(pairs[nh:e1]), mu2=_frozen(pairs[e1:e2]),
+                mu3=row[e2] if sa else 0.0, sigma1=_frozen(pairs[e3:e4]), sigma2=_frozen(pairs[e4:e5]),
+                rho1=_frozen(pairs[e5:e6]), rho2=_frozen(pairs[e6:]), residual=res, ndt=ndt,
+                eq8_branches=_frozen(zip(a00, branch)), quadratic_index=q, biactive_index=n00,
+                t_index=q + n00 if (st and all(ndt[:4])) else None,
+                degenerate_reason=_first_failed(feasible[k], st, res, ndt, "NDT"), non_unique=not ndt[0],
             )
     return out
 

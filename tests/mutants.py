@@ -51,20 +51,20 @@ MUTANTS = (
     ),
     Mutant(
         "> for >= in the M sign condition", "ccop.py",
-        "signs = np.logical_and.reduce(mu >= -ts, axis=1).tolist()",
-        "signs = np.logical_and.reduce(mu > -ts, axis=1).tolist()",
+        "stationary = ok.take(at) & residual_ok & (least >= -ts)",
+        "stationary = ok.take(at) & residual_ok & (least > -ts)",
         (LAYOUTS,),
     ),
     Mutant(
         "> for >= in the T sign condition", "regmpoc.py",
-        "signs = np.logical_and.reduce(mu >= -ts, axis=1)",
-        "signs = np.logical_and.reduce(mu > -ts, axis=1)",
+        "signs, strict = least >= -ts, least > ts",
+        "signs, strict = least > -ts, least > ts",
         (LAYOUTS,),
     ),
     Mutant(
         ">= for > in NDT3", "regmpoc.py",
-        "biactive = np.logical_and.reduce((np.abs(rho1) > ts) & (rho2 < -ts), axis=1)",
-        "biactive = np.logical_and.reduce((np.abs(rho1) >= ts) & (rho2 < -ts), axis=1)",
+        "biactive = np.logical_and.reduce((rho1 > ts) & (rho2 < -ts), axis=1)",
+        "biactive = np.logical_and.reduce((rho1 >= ts) & (rho2 < -ts), axis=1)",
         (LAYOUTS,),
     ),
     Mutant(
@@ -74,33 +74,47 @@ MUTANTS = (
         "        groups.setdefault(shaped[0] if shaped else layout, []).append(k)",
         (LAYOUTS,),
     ),
+    Mutant(
+        "a label slice one past its kind's end", "regmpoc.py",
+        "Ecal=tuple(lab[e1:e2]),",
+        "Ecal=tuple(lab[e1:e2 + 1]),",
+        (LAYOUTS,),
+    ),
+    Mutant(
+        "< for <= in the upper bound of y", "regmpoc.py",
+        "Y >= -feas, Y <= 1.0 + eps + feas,",
+        "Y >= -feas, Y < 1.0 + eps + feas,",
+        (LAYOUTS,),
+    ),
+    Mutant(
+        "a01 and a10 swapped", "regmpoc.py",
+        "        x0 ^ a00,  # a01: x_i = 0 and y_i != 0\n        y0 ^ a00,  # a10: x_i != 0 and y_i = 0",
+        "        y0 ^ a00,  # a01: x_i = 0 and y_i != 0\n        x0 ^ a00,  # a10: x_i != 0 and y_i = 0",
+        (LAYOUTS,),
+    ),
     # the cross-checks of bridge.lift and bridge.project
     Mutant(
         "lam and mu1 swapped in lift", "bridge.py",
-        "lam, mu1, mu3 = mcert.lam.items(), mcert.mu.items(), float(c[ibar - 1])",
-        "mu1, lam, mu3 = mcert.lam.items(), mcert.mu.items(), float(c[ibar - 1])",
+        "lam, mu1, mu3 = mcert.lam.items(), mcert.mu.items(), c[ibar - 1]",
+        "mu1, lam, mu3 = mcert.lam.items(), mcert.mu.items(), c[ibar - 1]",
         (BRIDGE,),
     ),
     Mutant(
         "the rho2 pairs dropped from lift's check", "bridge.py",
-        '\n               or _mismatch("rho2", map(down.__getitem__, a00), t.rho2))',
+        ',\n                        ("rho2", map(down.__getitem__, a00), t.rho2))',
         ")",
         (BRIDGE,),
     ),
     Mutant(
         "lam and mu swapped in project", "bridge.py",
-        '        bad = (_mismatch("lam", tcert.lam.items(), mcert.lam)\n'
-        '               or _mismatch("mu", tcert.mu1.items(), mcert.mu)',
-        '        bad = (_mismatch("lam", tcert.lam.items(), mcert.mu)\n'
-        '               or _mismatch("mu", tcert.mu1.items(), mcert.lam)',
+        'bad = _mismatch(("lam", tcert.lam.items(), mcert.lam), ("mu", tcert.mu1.items(), mcert.mu),',
+        'bad = _mismatch(("lam", tcert.lam.items(), mcert.mu), ("mu", tcert.mu1.items(), mcert.lam),',
         (BRIDGE,),
     ),
     Mutant(
         "sigma1 and rho1 swapped in project", "bridge.py",
-        '               or _mismatch("gamma", tcert.sigma1.items(), mcert.gamma)\n'
-        '               or _mismatch("gamma", tcert.rho1.items(), mcert.gamma))',
-        '               or _mismatch("gamma", tcert.rho1.items(), mcert.gamma)\n'
-        '               or _mismatch("gamma", tcert.sigma1.items(), mcert.gamma))',
+        '("gamma", tcert.sigma1.items(), mcert.gamma), ("gamma", tcert.rho1.items(), mcert.gamma))',
+        '("gamma", tcert.rho1.items(), mcert.gamma), ("gamma", tcert.sigma1.items(), mcert.gamma))',
         (BRIDGE,),
     ),
     Mutant(
@@ -131,9 +145,15 @@ MUTANTS = (
     # read-only certificates
     Mutant(
         "a certificate mapping that accepts item assignment", "ccop.py",
-        "    __setitem__ = __delitem__ = __ior__",
-        "    __delitem__ = __ior__",
+        "    __init__ = __setitem__ = __delitem__ = __ior__",
+        "    __init__ = __delitem__ = __ior__",
         ("tests/test_pointeval.py::test_mutating_a_certificate_changes_no_later_hit",),
+    ),
+    Mutant(
+        "a certificate mapping whose __init__ refills it", "ccop.py",
+        "    __init__ = __setitem__ = __delitem__ = __ior__",
+        "    __setitem__ = __delitem__ = __ior__",
+        ("tests/test_pointeval.py::test_init_on_a_frozen_dict_raises_and_changes_nothing",),
     ),
     Mutant(
         "a T-certificate that is not frozen", "regmpoc.py",

@@ -154,7 +154,7 @@ def test_stacked_kernel_calls_keep_each_item_with_its_result(monkeypatch):
     hessians += hessians.swapaxes(-1, -2)
     bank = ccop._Bank(x=np.zeros((X, n)), values=np.zeros((X, 2)),
                       rows=rng.standard_normal((X, 2 + n, n)), target=rng.standard_normal((X, n)),
-                      bound=[1.0] * X, hessians=hessians)
+                      bound=np.ones(X), hessians=hessians)
     at = np.array([0, 1, 2, 0, 1, 2, 0])
     # bank rows: grad h1 (lam), grad g1 (mu), e_1..e_3 (gamma)
     sel = np.array([[1, 1, 1, 0, 0], [1, 0, 1, 1, 0], [1, 1, 0, 0, 1], [1, 0, 0, 0, 0],
@@ -172,12 +172,14 @@ def test_stacked_kernel_calls_keep_each_item_with_its_result(monkeypatch):
 
     for name in ("rank_and_nullbasis", "solve_multipliers", "restricted_inertia"):
         recorded(name)
-    labels, by_layout = ccop._layouts(sel, *ccop._columns(range(1, 2), range(1, 2), range(1, n + 1)))
-    got = {}
-    for (nh, nq, _), members, index in by_layout:
+    by_layout = ccop._layouts(sel, *ccop._columns(1, 1, n))
+    got, labels = {}, {}
+    for layout, members, index, group_labels in by_layout:
+        nh, nq, _ = layout
         solved = ccop._solve(bank, at[members], index, nh, nq, TOL)
         for j, k in enumerate(members.tolist()):
             got[k] = [part[j] for part in solved]
+            labels[k] = tuple(ccop._kinds(group_labels[j], layout))
     for k in range(len(sel)):
         rows, target, (f, h, g) = bank.rows[at[k]][sel[k]], bank.target[at[k]], hessians[at[k]]
         coeffs = np.linalg.lstsq(rows.T, target, rcond=TOL.tol_rank)[0]
@@ -192,7 +194,7 @@ def test_stacked_kernel_calls_keep_each_item_with_its_result(monkeypatch):
             residual, residual <= 1.0, rank_ == len(rows), neg, zero]
     assert labels[1] == ((1,), (), (1, 2)) and labels[2] == ((1,), (1,), (3,))
     # layouts (1, 1, 1) and (1, 0, 2) have one shape and are separate groups
-    assert [(layout, members.tolist()) for layout, members, _ in by_layout] == [
+    assert [(layout, members.tolist()) for layout, members, *_ in by_layout] == [
         ((1, 1, 1), [0, 2, 4]), ((1, 0, 2), [1, 6]), ((1, 0, 0), [3]), ((1, 1, 0), [5])]
     assert [c for c in calls if c[0] != "restricted_inertia"] == [
         ("rank_and_nullbasis", (3, 3, 3)), ("solve_multipliers", (3, 3, 3)),

@@ -7,17 +7,34 @@ bit for bit, and the kernels must see the same rows, targets, Lagrangian
 Hessians and null bases per candidate, on the shapes the censuses certify
 and on the corners: layouts that share a shape, Q0 that differs between
 candidates of one shape, curved h and g, zero rows, empty null spaces and
-tolerances that a multiplier meets exactly.
+tolerances that a multiplier or a y meets exactly.  The small groups that
+lift certifies (every prefix of one point's companions) and the one-point
+checks are compared too.
 """
 
 import dataclasses
+import itertools
 import pickle
 
 import numpy as np
 import pytest
 
 import reference_certifier as reference
-from ccopkit import GridSpec, Tolerances, ccop, certify_m_many, certify_t_pairs, make_regularized, oracle
+from ccopkit import (
+    GridSpec,
+    Tolerances,
+    ccop,
+    census_quadratic,
+    certify_m_many,
+    certify_t_pairs,
+    check_cc_licq,
+    check_feasible,
+    check_feasible_r,
+    check_mpoc_licq,
+    make_regularized,
+    oracle,
+)
+from ccopkit.regmpoc import companion_y
 from helpers import affine_source, make_problem, random_c, random_quadratic_source
 
 TOL = Tolerances()
@@ -160,3 +177,93 @@ def test_flags_meet_their_tolerances_as_the_reference_does():
                     _bits(c) for c in reference.certify_m_reference(rp.base, [x], tol)]
                 compared += 1
     assert compared >= 100
+
+
+def _styled(rng, n, s, style):
+    """A quadratic instance of the shapes lift certifies: unconstrained (""),
+    with one affine equality ("h") or with one affine inequality ("g")."""
+    row = rng.uniform(0.25, 1.0, size=n) * rng.choice([-1.0, 1.0], size=n)
+    h = [affine_source(row, float(rng.uniform(-0.5, 0.5)))] if style == "h" else []
+    g = [affine_source(row, float(rng.uniform(0.2, 1.0)))] if style == "g" else []
+    pr = make_problem(n, s, random_quadratic_source(rng, n), h, g)
+    return make_regularized(pr, random_c(rng, n), float(rng.uniform(0.3, 1.0)) / (n - s))
+
+
+def _companions(rp, mcert):
+    """The ys of the companions of an M-point, as lift builds them, without
+    certifying them (so that no certificate is held)."""
+    i0 = mcert.activity.I0
+    ibar = max(i0, key=lambda i: rp.c[i - 1])
+    rest = sorted(set(i0) - {ibar})
+    return [companion_y(rp, ibar, ebar) for ebar in itertools.combinations(rest, rp.n - rp.s - 1)]
+
+
+@pytest.mark.parametrize("style", ["", "h", "g"])
+def test_small_groups_over_one_x_equal_the_reference(style, kernel_inputs):
+    # lift certifies the companions of one x in one call, mostly a group of
+    # one to a few pairs: every prefix of them, down to a single pair, must
+    # give the reference's certificates and kernel inputs
+    rng = np.random.default_rng({"": 227, "h": 229, "g": 233}[style])
+    groups = sizes = 0
+    for n, s in [(4, 1), (5, 2), (6, 2), (6, 3)]:
+        rp = _styled(rng, n, s, style)
+        m_points = census_quadratic(rp.base).m_points
+        kernel_inputs["ccop"].clear()  # the census's own M-side calls
+        for x, mcert in m_points:
+            ys = _companions(rp, mcert) if mcert.nondegenerate else []
+            # and a y that no companion has: every coordinate at zero
+            for K in range(1, len(ys) + 2):
+                pairs = [(x, y) for y in [*ys, np.zeros(n)][:K]]
+                # no certificate is held from one K to the next, so each call certifies all K
+                got = [_bits(c) for c in certify_t_pairs(rp, pairs, TOL)]
+                assert got == [_bits(c) for c in reference.certify_t_reference(rp, pairs, TOL)]
+                _same_kernel_inputs(kernel_inputs)
+                groups += 1
+            sizes = max(sizes, len(ys))
+    assert groups >= 30 and sizes >= 3
+
+
+@pytest.mark.parametrize("style", ["", "h", "g"])
+def test_one_point_checks_agree_with_the_reference(style):
+    # check_feasible, check_cc_licq, check_feasible_r and check_mpoc_licq
+    # read their activity and LICQ off one candidate's layout group
+    rng = np.random.default_rng({"": 239, "h": 241, "g": 251}[style])
+    checked = 0
+    for n, s in [(4, 1), (5, 2), (6, 3)]:
+        rp = _styled(rng, n, s, style)
+        points = [x for x, _ in census_quadratic(rp.base).m_points]
+        points += [np.zeros(n), np.linspace(0.5, 1.5, n), rng.standard_normal(n)]
+        for x, mcert in zip(points, reference.certify_m_reference(rp.base, points, TOL)):
+            assert check_feasible(rp.base, x, TOL) == (mcert.feasible, mcert.activity)
+            assert check_cc_licq(rp.base, x, TOL) == mcert.ndm[0]
+            ys = _companions(rp, mcert)[:2] if mcert.nondegenerate else []
+            ys += [np.zeros(n), np.full(n, 1.0 + rp.eps)]
+            for y, tcert in zip(ys, reference.certify_t_reference(rp, [(x, y) for y in ys], TOL)):
+                assert check_feasible_r(rp, x, y, TOL) == (tcert.feasible, tcert.activity)
+                assert check_mpoc_licq(rp, x, y, TOL) == tcert.ndt[0]
+                checked += 1
+    assert checked >= 40
+
+
+def test_feasibility_bounds_meet_their_tolerances_as_the_reference_does():
+    # a companion's y moved exactly onto a bound of the lifted problem:
+    # 1 + eps + tol_feas where it is 1 + eps, -tol_feas where it is zero
+    # at a zero of x; <= and < differ only there
+    rng = np.random.default_rng(257)
+    feasible = {"upper": 0, "lower": 0}
+    for style in ("", "h", "g"):
+        rp = _styled(rng, 5, 2, style)
+        for x, mcert in census_quadratic(rp.base).m_points:
+            for y in _companions(rp, mcert) if mcert.nondegenerate else []:
+                for i in mcert.activity.I0:
+                    if y[i - 1] not in (0.0, 1.0 + rp.eps):
+                        continue
+                    side, bound = ("upper", 1.0 + rp.eps + TOL.tol_feas) if y[i - 1] else ("lower", -TOL.tol_feas)
+                    edge = y.copy()
+                    edge[i - 1] = bound
+                    got = [_bits(c) for c in certify_t_pairs(rp, [(x, edge)], TOL)]
+                    want = reference.certify_t_reference(rp, [(x, edge)], TOL)
+                    assert got == [_bits(c) for c in want]
+                    assert check_feasible_r(rp, x, edge, TOL) == (want[0].feasible, want[0].activity)
+                    feasible[side] += want[0].feasible
+    assert feasible["upper"] >= 10 and feasible["lower"] >= 10

@@ -253,7 +253,7 @@ def test_certificate_residuals_keep_the_bits_of_one_solve_on_rows_t():
         (k, d), K = shape, len(group)
         bank = ccop._Bank(x=np.zeros((K, d)), values=np.zeros((K, 0)),
                           rows=np.array([families[j][0] for j in group]).reshape(K, k, d),
-                          target=np.array([families[j][1] for j in group]), bound=[0.0] * K,
+                          target=np.array([families[j][1] for j in group]), bound=np.zeros(K),
                           hessians=np.zeros((K, 1, d, d)))
         index = np.broadcast_to(np.arange(k), (K, k))
         coeffs, residual, *_ = ccop._solve(bank, np.arange(K), index, 0, 0, TOL)

@@ -676,7 +676,23 @@ _MUTATIONS = (
     lambda m, k: m.popitem(),
     lambda m, k: m.setdefault(99, 99.0),
     lambda m, k: m.update({k: 99.0}),
+    lambda m, k: m.__init__({k: 99.0}),
 )
+
+
+def test_init_on_a_frozen_dict_raises_and_changes_nothing():
+    # dict.__init__ would add the items in place; an empty mapping cannot
+    # tell its first fill from a later one, so every later call must raise
+    for items in ({1: 2.0, 3: -0.5}, {}):
+        frozen = ccop.FrozenDict(items)
+        want = pickle.dumps(frozen)
+        for clone in (frozen, pickle.loads(want), copy.deepcopy(frozen), copy.copy(frozen)):
+            assert type(clone) is ccop.FrozenDict and clone == items and pickle.dumps(clone) == want
+            for args, kwargs in (((), {}), (({4: 1.0},), {}), (([(1, 9.0)],), {}), ((), {"x": 1.0})):
+                with pytest.raises(TypeError, match="read-only"):
+                    clone.__init__(*args, **kwargs)
+                assert clone == items and pickle.dumps(clone) == want
+    assert ccop.FrozenDict(a=1.0) == {"a": 1.0} and ccop.FrozenDict([(2, 3.0)], b=4.0) == {2: 3.0, "b": 4.0}
 
 
 def test_mutating_a_certificate_changes_no_later_hit():
