@@ -8,19 +8,23 @@ bracketed lists, and ``#`` starts a comment line:
     n = 2
     s = 1
     f = "(x1-1)^2 + (x2-1)^2"
-    h = []                        # optional equality constraints
-    g = []                        # optional inequality constraints
+    # optional equality (h) and inequality (g) constraints
+    h = []
+    g = []
 
-    [regularization]              # optional
+    # optional
+    [regularization]
     c = [0.3, 0.7]
     eps = 0.5
     override = false
 
-    [points]                      # named points: length n (x) or 2n (x, y)
+    # named points: length n (x) or 2n (x, y)
+    [points]
     origin = [0, 0]
     lifted = [0, 0, 0, 1]
 
-    [tolerances]                  # optional overrides
+    # optional overrides
+    [tolerances]
     tol_feas = 1e-9
 
 Reports come in two formats, both deterministic (byte-identical across runs
@@ -269,23 +273,17 @@ def _fmt(value) -> str:
     The types a report row holds most are looked up by exact type first: a
     float, int, str, None or bool, and a 1-D float64 array, formatted as one
     repr per element of its tolist().  Every other value (numpy scalars,
-    subclasses, other arrays, lists and tuples) goes through the general
-    rules of _fmt_any, which give the looked-up types the same text too."""
+    subclasses, other arrays, lists and tuples) goes through _fmt_any, where
+    a subclass of int, float or str gets the text of its base type."""
     exact = _FMT_EXACT.get(type(value))
     return _fmt_any(value) if exact is None else exact(value)
 
 
 def _fmt_any(value) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    if isinstance(value, str):
-        return f'"{value}"'
     if isinstance(value, (list, tuple, np.ndarray)):
         return "[" + ", ".join(map(_fmt, value)) + "]"
     return f'"{value}"'

@@ -1,14 +1,14 @@
 """Brute-force enumeration of stationary points on desk-scale instances.
 
 Every census runs roots -> certify -> report.  A root finder yields
-(support, x) per support/active-set pattern: one linear solve per pattern on
-quadratic-affine instances, which makes the census exhaustive and the trust
-anchor for certification and lift/project, or a multistart damped Newton on
-any smooth instance (never exhaustive).  The Newton runs of all starts of a
-batch advance in lockstep: each round evaluates f and h once over the trial
-points of every run (eval2_many), each g_q only where q is active, and
-solves the KKT systems of one size in one stacked solve, while every run
-takes the steps, and ends with the bits, it would alone.
+(support, x) per support/active-set pattern of _patterns: one linear solve
+per pattern on quadratic-affine instances, which makes the census
+exhaustive and the trust anchor for certification and lift/project, or a
+multistart damped Newton on any smooth instance (never exhaustive).  Both
+assemble the KKT systems of one support size and active set in one
+_kkt_matrix call and solve them stacked; the Newton runs of a batch advance
+in lockstep, evaluating f and h once per round (eval2_many) and each g_q
+only where q is active, and end with the bits of a run alone.
 
 Roots are certified with certify_m_many, or expanded, in root order, into
 candidate y: the y of every (n-s)-subset of the zero pattern, or seeded
@@ -119,41 +119,40 @@ def _require_quadratic(pr: Problem, what: str) -> None:
 # Pattern systems
 
 
-def _supports(n: int, s: int):
-    for k in range(s + 1):
-        yield from itertools.combinations(range(1, n + 1), k)
+def _patterns(pr: Problem) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every (support J, active set act) of pr, 1-based, supports outermost:
+    J runs over the sets of at most s coordinates and act over all sets of
+    inequalities, each by size, then in combination order."""
+    supports = [J for k in range(pr.s + 1) for J in itertools.combinations(range(1, pr.n + 1), k)]
+    acts = [a for k in range(len(pr.g) + 1) for a in itertools.combinations(range(1, len(pr.g) + 1), k)]
+    return list(itertools.product(supports, acts))
 
 
-def _active_sets(m: int):
-    for k in range(m + 1):
-        yield from itertools.combinations(range(1, m + 1), k)
+def _off_support(n: int, supports) -> np.ndarray:
+    """The off-support coordinates, 0-based, of supports of one size; one row each."""
+    rows = [[i for i in range(n) if i + 1 not in J] for J in supports]
+    return np.array(rows, dtype=int).reshape(len(rows), n - len(supports[0]))
 
 
 def _kkt_matrix(H, grads, jc0) -> np.ndarray:
-    """KKT matrix of one pattern, or of each of a batch of patterns of one
-    size: the linear system of a quadratic-affine instance and the Newton
-    Jacobian of a general one.  Unknowns are x and one multiplier per
+    """KKT matrices of a batch of patterns with one support size and one set
+    of constraints: the linear systems of a quadratic-affine instance and the
+    Newton Jacobians of a general one.  Unknowns are x and one multiplier per
     constraint gradient in grads (equalities, then active inequalities) and
-    per off-support coordinate in jc0 (0-based); H is the Hessian of the
-    Lagrangian.  One pattern: H (n, n), gradients (n,), jc0 a list.  A
-    batch: H (K, n, n), gradients (K, n), jc0 an array (K, m)."""
+    per off-support coordinate in row r of jc0 (K, m), 0-based, for pattern
+    r.  H, the Hessian of the Lagrangian, and each gradient are shared, (n, n)
+    and (n,), or given per pattern, (K, n, n) and (K, n)."""
+    k, m = jc0.shape
     n = H.shape[-1]
     c = n + len(grads)
-    batch = H.ndim == 3
-    size = c + (jc0.shape[1] if batch else len(jc0))
-    M = np.zeros(H.shape[:-2] + (size, size))
-    M[..., :n, :n] = H
-    for k, a in enumerate(grads, start=n):
-        M[..., :n, k] = -a
-        M[..., k, :n] = a
-    if batch:  # pattern r's k-th off-support coordinate is jc0[r, k]
-        rows, cols = np.arange(len(M))[:, None], np.arange(c, size)
-        M[rows, jc0, cols] = -1.0
-        M[rows, cols, jc0] = 1.0
-    else:
-        for k, i0 in enumerate(jc0, start=c):
-            M[i0, k] = -1.0
-            M[k, i0] = 1.0
+    M = np.zeros((k, c + m, c + m))
+    M[:, :n, :n] = H
+    for col, a in enumerate(grads, start=n):
+        M[:, :n, col] = -a
+        M[:, col, :n] = a
+    rows, cols = np.arange(k)[:, None], np.arange(c, c + m)
+    M[rows, jc0, cols] = -1.0
+    M[rows, cols, jc0] = 1.0
     return M
 
 
@@ -161,16 +160,6 @@ def _quadratic_data(pr: Problem):
     """Jets of f and of every constraint at the origin."""
     x0 = np.zeros(pr.n)
     return eval2(pr.f, x0), [eval2(e, x0) for e in pr.h], [eval2(e, x0) for e in pr.g]
-
-
-def _linear_system(data, J, act):
-    """Matrix and right-hand side of the linear system of one pattern."""
-    jf, hj, gj = data
-    gj = [gj[q - 1] for q in act]
-    jc0 = [i - 1 for i in range(1, jf.gradient.size + 1) if i not in J]
-    M = _kkt_matrix(jf.hessian, [j.gradient for j in hj + gj], jc0)
-    rhs = np.concatenate([-jf.gradient, [-j.value for j in hj + gj], np.zeros(len(jc0))])
-    return M, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -182,26 +171,27 @@ def _linear_roots(pr: Problem, tol: Tolerances, notes: list[str]):
 
     A numerically singular pattern system is skipped with a note: no
     stationary point carries that exact pattern under a constraint
-    qualification.  Systems of one size share one stacked SVD and one
+    qualification.  The patterns of one support size and active set share
+    one assembly from the jets at the origin, one stacked SVD and one
     stacked solve, which give each system the bits of its own call; roots
     and notes come in pattern order.
     """
-    data = _quadratic_data(pr)
-    patterns = [(J, act) for J in _supports(pr.n, pr.s) for act in _active_sets(len(pr.g))]
-    systems = [_linear_system(data, J, act) for J, act in patterns]
-    sizes: dict[int, list[int]] = {}
-    for k, (M, _) in enumerate(systems):
-        sizes.setdefault(M.shape[0], []).append(k)
-    xs: list = [None] * len(systems)  # None marks a skipped pattern
-    for members in sizes.values():
-        sing = np.linalg.svd(np.array([systems[k][0] for k in members]), compute_uv=False)
-        skip = (sing[:, 0] == 0.0) | (sing[:, -1] <= tol.tol_rank * sing[:, 0])
-        kept = [k for k, skipped in zip(members, skip.tolist()) if not skipped]
-        if kept:
-            M = np.array([systems[k][0] for k in kept])
-            rhs = np.array([systems[k][1] for k in kept])
-            for k, z in zip(kept, np.linalg.solve(M, rhs[..., None])[..., 0]):
-                xs[k] = z[: pr.n]
+    jf, hj, gj = _quadratic_data(pr)
+    patterns = _patterns(pr)
+    groups: dict[tuple, list[int]] = {}
+    for k, (J, act) in enumerate(patterns):
+        groups.setdefault((len(J), act), []).append(k)
+    xs: list = [None] * len(patterns)  # None marks a skipped pattern
+    for members in groups.values():
+        cons = hj + [gj[q - 1] for q in patterns[members[0]][1]]
+        jc0 = _off_support(pr.n, [patterns[k][0] for k in members])
+        M = _kkt_matrix(jf.hessian, [j.gradient for j in cons], jc0)
+        rhs = np.concatenate([-jf.gradient, [-j.value for j in cons], np.zeros(jc0.shape[1])])
+        sing = np.linalg.svd(M, compute_uv=False)
+        skip = sing[:, -1] <= tol.tol_rank * sing[:, 0]
+        kept = np.flatnonzero(~skip)
+        for k, z in zip(kept.tolist(), np.linalg.solve(M[kept], rhs[:, None])[..., 0]):
+            xs[members[k]] = z[: pr.n]
     for (J, act), x in zip(patterns, xs):
         if x is None:
             notes.append(f"skipped singular pattern support={list(J)} active={list(act)}")
@@ -218,9 +208,8 @@ def _newton_roots(pr: Problem, grid: GridSpec, tol: Tolerances, notes: list[str]
     in pattern and start order, with the bits of one start run alone.
     """
     axis = np.linspace(grid.lo, grid.hi, grid.points_per_axis)
-    patterns = [(J, act) for J in _supports(pr.n, pr.s) for act in _active_sets(len(pr.g))]
     groups = (
-        [(J, act, start) for start in itertools.product(axis, repeat=len(J))] for J, act in patterns
+        [(J, act, start) for start in itertools.product(axis, repeat=len(J))] for J, act in _patterns(pr)
     )
     failures = 0
     for batch in _batches(groups):
@@ -248,7 +237,7 @@ def _lockstep_newton(pr: Problem, starts, tol: Tolerances, max_iter=100, max_hal
     converges once |F| <= tol_feas, and fails at an undefined start, a
     non-finite step, a failed line search or after max_iter steps.  The runs
     advance together: each round evaluates one trial of every live run, the
-    runs of one system size (_Runs) sharing each stacked solve.
+    runs of one (|J|, act) group (_Runs) sharing each stacked solve.
     """
     n = pr.n
     sized: dict[tuple, list[int]] = {}
@@ -288,8 +277,7 @@ class _Runs:
     def __init__(self, pr: Problem, starts):
         n, k = pr.n, len(starts)
         self.act = starts[0][1]
-        jc0 = [[i for i in range(n) if i + 1 not in J] for J, _, _ in starts]
-        self.jc0 = np.array(jc0, dtype=int).reshape(k, n - len(starts[0][0]))
+        self.jc0 = _off_support(n, [J for J, _, _ in starts])
         self.z = np.zeros((k, n + len(pr.h) + len(self.act) + self.jc0.shape[1]))
         for row, (J, _, start) in enumerate(starts):
             self.z[row, [i - 1 for i in J]] = start

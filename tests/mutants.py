@@ -40,6 +40,7 @@ class Mutant(NamedTuple):
 
 LAYOUTS = "tests/test_layout_groups.py"
 BRIDGE = "tests/test_bridge.py"
+ORACLE = "tests/test_oracle.py"
 
 MUTANTS = (
     # the layout-group certification (ccop._solve, _layouts, the sign conditions)
@@ -141,6 +142,27 @@ MUTANTS = (
         "    if value.ndim == 1 and value.dtype == np.float64:",
         "    if value.ndim == 1:",
         ("tests/test_report_format.py",),
+    ),
+    # the root search (oracle._kkt_matrix, _linear_roots)
+    Mutant(
+        "the gradient column of a KKT matrix without its minus sign", "oracle.py",
+        "        M[:, :n, col] = -a\n",
+        "        M[:, :n, col] = a\n",
+        # the linear roots keep their bits; only their multipliers change sign
+        (f"{ORACLE}::test_shared_kkt_matrix_is_pinned_by_certify_m_multipliers",
+         f"{ORACLE}::test_lockstep_newton_roots_equal_one_start_at_a_time"),
+    ),
+    Mutant(
+        "the singular-pattern cutoff relative to the least singular value", "oracle.py",
+        "skip = sing[:, -1] <= tol.tol_rank * sing[:, 0]",
+        "skip = sing[:, -1] <= tol.tol_rank * sing[:, -1]",
+        (f"{ORACLE}::test_stacked_linear_roots_equal_one_solve_per_pattern",),
+    ),
+    Mutant(
+        "patterns grouped by support size alone", "oracle.py",
+        "groups.setdefault((len(J), act), []).append(k)",
+        "groups.setdefault(len(J), []).append(k)",
+        (f"{ORACLE}::test_stacked_linear_roots_equal_one_solve_per_pattern",),
     ),
     # read-only certificates
     Mutant(

@@ -1,8 +1,11 @@
 import os
+import re
+import textwrap
 
 import numpy as np
 import pytest
 
+import ccopkit.cli
 from ccopkit.cli import LoadError, _build_parser, load_problem_file, main
 
 from helpers import random_c, random_quadratic_source
@@ -33,6 +36,24 @@ def test_load_problem_file_tolerance_overrides():
     pf = load_problem_file(path("constrained.prob"))
     assert pf.tol_overrides == {"tol_act": 1e-8}
     assert len(pf.problem.g) == 1
+
+
+def test_the_documented_problem_files_load(tmp_path, capsys):
+    # the examples of README "Problem files" and of the cli module docstring
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as handle:
+        readme = handle.read()
+    docstring = re.search(r"comment line:\n\n((?:    .*\n|\n)+)", ccopkit.cli.__doc__).group(1)
+    examples = {
+        "readme": readme.split("### Problem files\n\n```\n", 1)[1].split("```", 1)[0],
+        "docstring": textwrap.dedent(docstring),
+    }
+    for name, text in examples.items():
+        assert "[points]" in text and "origin = " in text and "lifted = " in text, name
+        file = tmp_path / f"{name}.prob"
+        file.write_text(text)
+        for argv in (["certify", str(file), "origin", "--side", "m"], ["check-licq", str(file), "lifted"]):
+            code = main(argv)
+            assert code != 3, (name, argv, capsys.readouterr().err)
 
 
 def test_load_rejects_malformed_input(tmp_path):

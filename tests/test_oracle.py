@@ -22,15 +22,7 @@ from ccopkit import (
 )
 from ccopkit import oracle
 from ccopkit.exprcore import ExprDomainError, eval2
-from ccopkit.oracle import (
-    _active_sets,
-    _dedupe,
-    _kkt_matrix,
-    _kkt_systems,
-    _linear_system,
-    _quadratic_data,
-    _supports,
-)
+from ccopkit.oracle import _dedupe, _kkt_matrix, _kkt_systems, _patterns, _quadratic_data
 
 from helpers import (
     make_problem,
@@ -340,7 +332,7 @@ def test_roots_whose_jets_fail_are_evaluated_on_first_use():
 
 
 def test_root_search_is_shared_by_both_sides_and_keyed(monkeypatch):
-    calls = {"_lockstep_newton": 0, "_linear_system": 0}
+    calls = {"_lockstep_newton": 0, "_linear_roots": 0}
 
     def counted(name):
         inner = getattr(oracle, name)
@@ -352,7 +344,7 @@ def test_root_search_is_shared_by_both_sides_and_keyed(monkeypatch):
         monkeypatch.setattr(oracle, name, wrapper)
 
     counted("_lockstep_newton")
-    counted("_linear_system")
+    counted("_linear_roots")
     rp = _exp_well_reg()
     grid = GridSpec(3)
     m_census = census_newton(rp.base, grid)
@@ -369,12 +361,11 @@ def test_root_search_is_shared_by_both_sides_and_keyed(monkeypatch):
 
     quad = well_ones_reg()
     census_quadratic(quad.base)
-    solves = calls["_linear_system"]
-    assert solves > 0
+    assert calls["_linear_roots"] == 1
     census_t_quadratic(quad)
-    assert calls["_linear_system"] == solves
+    assert calls["_linear_roots"] == 1
     census_t_quadratic(quad, Tolerances(tol_rank=1e-9))
-    assert calls["_linear_system"] > solves
+    assert calls["_linear_roots"] == 2
 
     # a census reports the kept xs themselves, which refuse every write
     want = _rows(m_census), _rows(t_census)
@@ -384,10 +375,47 @@ def test_root_search_is_shared_by_both_sides_and_keyed(monkeypatch):
     assert (_rows(census_newton(rp.base, grid)), _rows(census_newton(rp, grid))) == want
 
 
+def test_patterns_list_supports_then_active_sets_by_size():
+    # supports of size 0, 1, 2 of {1, 2, 3}, then active sets of size 0, 1, 2
+    # of {1, 2}, each in lexicographic order; supports outermost
+    pr = make_problem(3, 2, "x1^2 + x2^2 + x3^2", g=["x1 + 1", "x2 + 1"])
+    supports = [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]
+    acts = [(), (1,), (2,), (1, 2)]
+    assert _patterns(pr) == [(J, act) for J in supports for act in acts]
+    assert _patterns(make_problem(2, 0, "x1^2 + x2^2")) == [((), ())]
+
+
+def _linear_system(data, J, act):
+    """Matrix and right-hand side of the linear system of one pattern, set
+    entry by entry: the reference for oracle._kkt_matrix and the right-hand
+    side of oracle._linear_roots."""
+    jf, hj, gj = data
+    grads = [j.gradient for j in hj] + [gj[q - 1].gradient for q in act]
+    values = [j.value for j in hj] + [gj[q - 1].value for q in act]
+    n = jf.gradient.size
+    jc = [i for i in range(1, n + 1) if i not in J]
+    size = n + len(grads) + len(jc)
+    M, rhs = np.zeros((size, size)), np.zeros(size)
+    for i in range(n):
+        rhs[i] = -jf.gradient[i]
+        for j in range(n):
+            M[i, j] = jf.hessian[i, j]
+        for k, a in enumerate(grads):
+            M[i, n + k] = -a[i]
+            M[n + k, i] = a[i]
+    for k, v in enumerate(values):
+        rhs[n + k] = -v
+    for k, i in enumerate(jc, start=n + len(grads)):
+        M[i - 1, k] = -1.0
+        M[k, i - 1] = 1.0
+    return M, rhs
+
+
 def test_shared_kkt_matrix_is_pinned_by_certify_m_multipliers():
-    # both root finders take their KKT matrix from _kkt_matrix, the Newton
-    # one through _kkt_systems; the pin is the comparison with certify_m,
-    # which solves for the multipliers on its own
+    # both root finders take their KKT matrices from _kkt_matrix, the Newton
+    # one through _kkt_systems, which must set every entry as the reference
+    # does; the pin is the comparison with certify_m, which solves for the
+    # multipliers on its own
     rng = np.random.default_rng(7)
     tol = Tolerances()
     patterns = pinned = with_lam = with_mu = 0
@@ -395,31 +423,30 @@ def test_shared_kkt_matrix_is_pinned_by_certify_m_multipliers():
         pr = random_quadratic_instance(rng, n_max=5).base
         n, mh = pr.n, len(pr.h)
         data = _quadratic_data(pr)
-        for J in _supports(n, pr.s):
-            for act in _active_sets(len(pr.g)):
-                M, rhs = _linear_system(data, J, act)
-                sing = np.linalg.svd(M, compute_uv=False)
-                if sing[-1] <= tol.tol_rank * sing[0]:
-                    continue
-                z = np.linalg.solve(M, rhs)
-                jc0 = [[i - 1 for i in range(1, n + 1) if i not in J]]
-                ((F, JF, failed),) = _kkt_systems(pr, [(act, np.array(jc0), z[None])])
-                assert not failed[0]
-                F, JF = F[0], JF[0]
-                np.testing.assert_array_equal(JF, M)  # wiring only: both are _kkt_matrix
-                assert np.max(np.abs(F)) <= 1e-8
-                patterns += 1
-                cert = certify_m(pr, z[:n], tol)
-                jc = tuple(i for i in range(1, n + 1) if i not in J)
-                if not (cert.stationary and cert.ndm[0]):
-                    continue
-                if cert.activity.I0 != jc or cert.activity.Q0 != act:
-                    continue
-                solved = [*cert.lam.values(), *(cert.mu[q] for q in act), *(cert.gamma[i] for i in jc)]
-                np.testing.assert_allclose(z[n:], solved, rtol=0.0, atol=1e-8)
-                pinned += 1
-                with_lam += mh > 0
-                with_mu += len(act) > 0
+        for J, act in _patterns(pr):
+            M, rhs = _linear_system(data, J, act)
+            sing = np.linalg.svd(M, compute_uv=False)
+            if sing[-1] <= tol.tol_rank * sing[0]:
+                continue
+            z = np.linalg.solve(M, rhs)
+            jc0 = [[i - 1 for i in range(1, n + 1) if i not in J]]
+            ((F, JF, failed),) = _kkt_systems(pr, [(act, np.array(jc0), z[None])])
+            assert not failed[0]
+            F, JF = F[0], JF[0]
+            np.testing.assert_array_equal(JF, M)
+            assert np.max(np.abs(F)) <= 1e-8
+            patterns += 1
+            cert = certify_m(pr, z[:n], tol)
+            jc = tuple(i for i in range(1, n + 1) if i not in J)
+            if not (cert.stationary and cert.ndm[0]):
+                continue
+            if cert.activity.I0 != jc or cert.activity.Q0 != act:
+                continue
+            solved = [*cert.lam.values(), *(cert.mu[q] for q in act), *(cert.gamma[i] for i in jc)]
+            np.testing.assert_allclose(z[n:], solved, rtol=0.0, atol=1e-8)
+            pinned += 1
+            with_lam += mh > 0
+            with_mu += len(act) > 0
     assert patterns >= 250 and pinned >= 200 and with_lam >= 10 and with_mu >= 10
 
 
@@ -427,16 +454,15 @@ def _linear_roots_one_by_one(pr, tol, notes):
     """The reference for oracle._linear_roots: one SVD and one solve per
     pattern, in pattern order."""
     data = _quadratic_data(pr)
-    for J in _supports(pr.n, pr.s):
-        for act in _active_sets(len(pr.g)):
-            M, rhs = _linear_system(data, J, act)
-            sing = np.linalg.svd(M, compute_uv=False)
-            if sing[0] == 0.0 or sing[-1] <= tol.tol_rank * sing[0]:
-                notes.append(f"skipped singular pattern support={list(J)} active={list(act)}")
-                continue
-            x = np.linalg.solve(M, rhs)[: pr.n]
-            if np.all(np.isfinite(x)):
-                yield J, x
+    for J, act in _patterns(pr):
+        M, rhs = _linear_system(data, J, act)
+        sing = np.linalg.svd(M, compute_uv=False)
+        if sing[0] == 0.0 or sing[-1] <= tol.tol_rank * sing[0]:
+            notes.append(f"skipped singular pattern support={list(J)} active={list(act)}")
+            continue
+        x = np.linalg.solve(M, rhs)[: pr.n]
+        if np.all(np.isfinite(x)):
+            yield J, x
 
 
 def test_stacked_linear_roots_equal_one_solve_per_pattern():
@@ -445,17 +471,22 @@ def test_stacked_linear_roots_equal_one_solve_per_pattern():
     # f is linear in x1 and x3 is tied to x1 by the inequality: several
     # singular patterns of different sizes, among regular ones
     problems = [make_problem(4, 2, "x1 + (x2-1)^2 + x3^2 - x4^2", g=["x3 - x1 + 1"])]
+    # two inequalities: groups (|J|, act) of one system size but different
+    # constraint rows, as ((), (1,)), ((1,), (1, 2)) and ((1,), (2,))
+    problems.append(make_problem(3, 2, "(x1-1)^2 + x2^2 - x3^2 + x1*x3", g=["x1 + x2 - 1", "x3 - x2"]))
     problems += [random_quadratic_instance(rng, n_max=6).base for _ in range(12)]
-    sizes, skipped = set(), 0
+    sizes, skipped, shared = set(), 0, 0
     for pr in problems:
         got_notes, want_notes = [], []
         got = [(J, x.tobytes()) for J, x in oracle._linear_roots(pr, tol, got_notes)]
         want = [(J, x.tobytes()) for J, x in _linear_roots_one_by_one(pr, tol, want_notes)]
         assert got == want and got_notes == want_notes
         skipped += len(got_notes)
-        sizes |= {2 * pr.n + len(pr.h) + len(a) - len(J) for J, a in
-                  itertools.product(_supports(pr.n, pr.s), _active_sets(len(pr.g)))}
-    assert skipped >= 3 and len(sizes) >= 8
+        groups = {(len(J), act) for J, act in _patterns(pr)}
+        size = {key: 2 * pr.n + len(pr.h) + len(key[1]) - key[0] for key in groups}
+        sizes |= set(size.values())
+        shared += len(groups) - len(set(size.values()))  # groups beside another of their size
+    assert skipped >= 3 and len(sizes) >= 8 and shared >= 10
 
 
 def _m_pattern_system(pr, J, act):
@@ -484,7 +515,7 @@ def _m_pattern_system(pr, J, act):
             hess -= mu[k] * j.hessian
         r1[jc0] -= gam
         F = np.concatenate([r1, [j.value for j in hj], [j.value for j in gj], x[jc0]])
-        JF = _kkt_matrix(hess, [j.gradient for j in hj + gj], jc0)
+        JF = _kkt_matrix(hess, [j.gradient for j in hj + gj], np.array([jc0], dtype=int))[0]
         return F, JF
 
     return eval_f, size
@@ -530,23 +561,22 @@ def _newton_roots_one_by_one(pr, grid, tol, notes, counts):
     evaluations that raised, at a start and in all."""
     axis = np.linspace(grid.lo, grid.hi, grid.points_per_axis)
     failures = 0
-    for J in _supports(pr.n, pr.s):
-        for act in _active_sets(len(pr.g)):
-            eval_f, size = _m_pattern_system(pr, J, act)
-            roots = []
-            for start in itertools.product(axis, repeat=len(J)):
-                z0 = np.zeros(size)
-                for slot, i in enumerate(J):
-                    z0[i - 1] = start[slot]
-                z, ok = _counted_run(eval_f, z0, tol, counts)
-                if not ok:
-                    failures += 1
-                    continue
-                x = z[: pr.n]
-                if any(np.max(np.abs(x - r)) <= 10.0 * tol.tol_act for r in roots):
-                    continue
-                roots.append(x)
-                yield J, x
+    for J, act in _patterns(pr):
+        eval_f, size = _m_pattern_system(pr, J, act)
+        roots = []
+        for start in itertools.product(axis, repeat=len(J)):
+            z0 = np.zeros(size)
+            for slot, i in enumerate(J):
+                z0[i - 1] = start[slot]
+            z, ok = _counted_run(eval_f, z0, tol, counts)
+            if not ok:
+                failures += 1
+                continue
+            x = z[: pr.n]
+            if any(np.max(np.abs(x - r)) <= 10.0 * tol.tol_act for r in roots):
+                continue
+            roots.append(x)
+            yield J, x
     if failures:
         notes.append(f"{failures} Newton starts did not converge")
 
@@ -667,8 +697,7 @@ def test_lockstep_runs_keep_the_limits_of_one_run():
     outcomes = set()
     for pr in problems:
         axis = np.linspace(-2.0, 2.0, 3)
-        starts = [(J, act, start) for J in _supports(pr.n, pr.s) for act in _active_sets(len(pr.g))
-                  for start in itertools.product(axis, repeat=len(J))]
+        starts = [(J, act, start) for J, act in _patterns(pr) for start in itertools.product(axis, repeat=len(J))]
         for max_iter, max_halvings in ((1, 30), (2, 30), (3, 1), (4, 2), (100, 1)):
             limits = {"max_iter": max_iter, "max_halvings": max_halvings}
             got = oracle._lockstep_newton(pr, starts, tol, **limits)
