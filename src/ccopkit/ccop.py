@@ -14,7 +14,7 @@ group (see _solve); certify_m is its one-point case.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import NamedTuple
@@ -120,8 +120,26 @@ def _frozen(items, _new=dict.__new__, _fill=dict.__init__) -> FrozenDict:
     return frozen
 
 
+class _FilledOnRead:
+    """Base of MCertificate and TCertificate, whose certifiers store `_source` in
+    place of the fields in _unread, which no census reads.  The first read of
+    any puts all that _fill(*_source) builds in by one update, then drops _source."""
+
+    def __getattr__(self, name):  # names missing from the instance dict; those not in _unread raise at once
+        held = vars(self)
+        if name in self._unread and (source := held.get("_source")) is not None:
+            held.update(self._fill(*source))
+            held.pop("_source", None)
+        if name in held:  # filled just now, by this thread or by one that found _source first
+            return held[name]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def __getstate__(self) -> dict:  # every field, filled, in declaration order: pickles tell nothing
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
 @dataclass(frozen=True)
-class MCertificate:
+class MCertificate(_FilledOnRead):
     """Verdict of M-stationarity certification at one point.
 
     Multiplier groups are FrozenDicts keyed by 1-based constraint/coordinate
@@ -132,6 +150,8 @@ class MCertificate:
 
     Certificates are results and read-only: a repeated request for the same
     point and tolerances returns the held certificate itself (see _certified).
+    Certifiers fill lam, mu and gamma on first read (_FilledOnRead): ==, repr,
+    pickles, copies and dataclasses.replace cannot tell whether they were.
     """
 
     feasible: bool
@@ -147,6 +167,13 @@ class MCertificate:
     m_index: int | None = None
     degenerate_reason: str | None = None
     non_unique: bool = False
+
+    _unread = frozenset(("lam", "mu", "gamma"))
+
+    @staticmethod
+    def _fill(lab: list, row: list, nh: int, e1: int) -> dict:  # labels, multipliers, slice ends
+        pairs = tuple(zip(lab, row))
+        return {"lam": _frozen(pairs[:nh]), "mu": _frozen(pairs[nh:e1]), "gamma": _frozen(pairs[e1:])}
 
     @property
     def nondegenerate(self) -> bool:
@@ -415,9 +442,9 @@ def _certified(memo: weakref.WeakValueDictionary, keys: list, certify, *args) ->
 
 
 def _instance(cls, **fields):
-    """A certificate or an activity (a frozen dataclass) from all its fields
-    in declaration order.  The __init__ of a frozen dataclass sets each
-    field through object.__setattr__, which made the n=8 censuses 7% slower."""
+    """A certificate or an activity (a frozen dataclass) from its fields in
+    declaration order (see _FilledOnRead).  A frozen dataclass's __init__ sets
+    each field by object.__setattr__, which made n=8 censuses 7% slower."""
     cert = object.__new__(cls)
     object.__setattr__(cert, "__dict__", fields)
     return cert
@@ -499,12 +526,11 @@ def _certify_m(misses, pr: Problem, xs, tol: Tolerances) -> list[MCertificate]:
         for k, lab, row, st, ndm, res, q in zip(
             at.tolist(), labels, coeffs.tolist(), stationary.tolist(), ndms, residual.tolist(), neg
         ):
-            pairs = tuple(zip(lab, row))
             activity = _instance(CcopActivity, Q0=tuple(lab[nh:e1]), I0=tuple(lab[e1:]), x_norm0=norm0)
             certs[k] = _instance(
                 MCertificate, feasible=feasible[k], stationary=st, activity=activity,
-                lam=_frozen(pairs[:nh]), mu=_frozen(pairs[nh:e1]), gamma=_frozen(pairs[e1:]), residual=res,
-                ndm=ndm, quadratic_index=q, sparsity_index=si, m_index=q + si if (st and all(ndm)) else None,
+                _source=(lab, row, nh, e1), residual=res, ndm=ndm, quadratic_index=q, sparsity_index=si,
+                m_index=q + si if (st and all(ndm)) else None,
                 degenerate_reason=_first_failed(feasible[k], st, res, ndm, "NDM"), non_unique=not ndm[0],
             )
     return certs

@@ -652,10 +652,9 @@ def cmd_verify(args) -> int:
             except (BridgeError, NotStationaryError) as exc:
                 rows.append(("lift-roundtrip", "fail", f"{label}: {exc}"))
         ys = _rounded([y for _, y, _ in merged.t_points], rp.n)
-        for (_, y, tcert), rounded in zip(merged.t_points, ys):
-            if tcert.stationary:
-                ok = check_y_structure(rp, y, tol)
-                rows.append(("y-structure", "pass" if ok else "fail", f"y={rounded}"))
+        points = [(y, rounded) for (_, y, tcert), rounded in zip(merged.t_points, ys) if tcert.stationary]
+        oks = check_y_structure(rp, np.reshape([y for y, _ in points], (-1, rp.n)), tol).tolist()
+        rows += [("y-structure", "pass" if ok else "fail", f"y={at}") for ok, (_, at) in zip(oks, points)]
 
     failures = sum(status == "fail" for _, status, _ in rows)
     _add_checks(rep, rows)

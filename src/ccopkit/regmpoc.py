@@ -38,6 +38,7 @@ from .ccop import (
     _bank,
     _certified,
     _columns,
+    _FilledOnRead,
     _first_failed,
     _frozen,
     _instance,
@@ -145,7 +146,7 @@ class MpocActivity:
 
 
 @dataclass(frozen=True)
-class TCertificate:
+class TCertificate(_FilledOnRead):
     """Verdict of T-stationarity certification at one lifted point.
 
     Multiplier groups are FrozenDicts keyed by 1-based indices (mu1 over
@@ -157,7 +158,9 @@ class TCertificate:
     separately.  Fields are declared in report order, as in MCertificate.
 
     Certificates are results and read-only: a repeated request for the same
-    point and tolerances returns the held certificate itself.
+    point and tolerances returns the held certificate itself.  Certifiers fill
+    activity, the groups but mu3, and eq8_branches on first read; as in
+    MCertificate, ==, repr, pickles, copies and replace cannot tell.
     """
 
     feasible: bool
@@ -180,16 +183,29 @@ class TCertificate:
     degenerate_reason: str | None = None
     non_unique: bool = False
 
+    _unread = frozenset(("activity", "lam", "mu1", "mu2", "sigma1", "sigma2", "rho1", "rho2", "eq8_branches"))
+
+    @staticmethod
+    def _fill(lab: list, row: list, ends: tuple, ts: float) -> dict:  # see ccop._FilledOnRead
+        nh, e1, e2, e3, e4, e5, e6, _ = ends
+        pairs, a00 = tuple(zip(lab, row)), tuple(lab[e5:e6])
+        eq8 = _frozen(zip(a00, [(abs(r1) <= ts, r2 <= ts) for r1, r2 in zip(row[e5:e6], row[e6:])]))
+        activity = _instance(MpocActivity, a00=a00, a01=tuple(lab[e3:e4]), a10=tuple(lab[e4:e5]),
+                             Ecal=tuple(lab[e1:e2]), sum_active=e3 > e2, Q0=tuple(lab[nh:e1]))
+        return dict(activity=activity, lam=_frozen(pairs[:nh]), mu1=_frozen(pairs[nh:e1]),
+                    mu2=_frozen(pairs[e1:e2]), sigma1=_frozen(pairs[e3:e4]), sigma2=_frozen(pairs[e4:e5]),
+                    rho1=_frozen(pairs[e5:e6]), rho2=_frozen(pairs[e6:]), eq8_branches=eq8)
+
     @property
     def nondegenerate(self) -> bool:
         """NDT1..NDT4; the additional condition NDT5 is tracked on its own."""
         return self.stationary and all(self.ndt[:4])
 
 
-def _y(rp: RegularizedProblem, y) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    if y.shape != (rp.n,):
-        raise ValueError(f"y has shape {y.shape}, expected ({rp.n},)")
+def _y(rp: RegularizedProblem, y, ndims=(1,)) -> np.ndarray:
+    y = np.asarray(y, dtype=float, order="C")
+    if y.ndim not in ndims or y.shape[-1] != rp.n:
+        raise ValueError(f"y has shape {y.shape}, expected ({rp.n},)" + f" or (K, {rp.n})" * (2 in ndims))
     return y
 
 
@@ -338,33 +354,24 @@ def _certify_t_pairs(
     for layout, group, index, labels in groups:
         nh, nq, _, sa, _, _, n00, _ = layout
         coeffs, residual, residual_ok, licq, neg, zero = _solve(bank, at.take(group), index, nh, nq, tol)
-        _, e1, e2, e3, e4, e5, e6, _ = accumulate(layout)  # where each kind's slice ends
+        _, e1, e2, e3, e4, e5, e6, _ = ends = tuple(accumulate(layout))  # where each kind's slice ends
         least = np.minimum.reduce(coeffs[:, nh:e3], axis=1, initial=np.inf)  # of mu1, mu2 and an active mu3
         signs, strict = least >= -ts, least > ts
+        biactive = a01_ok = [True] * len(group)  # with no biactive index, eq8, NDT3 and NDT5 hold
         if n00:
             rho1, rho2 = np.abs(coeffs[:, e5:e6]), coeffs[:, e6:]  # |rho1|, rho2
             branch1, branch2 = rho1 <= ts, rho2 <= ts
             signs &= np.logical_and.reduce(branch1 | branch2, axis=1)  # eq7 and eq8
             biactive = np.logical_and.reduce((rho1 > ts) & (rho2 < -ts), axis=1).tolist()
             a01_ok = np.logical_and.reduce(np.abs(coeffs[:, e3:e4]) > ts, axis=1).tolist()
-            branches = [list(zip(*b)) for b in zip(branch1.tolist(), branch2.tolist())]
-        else:  # no biactive index: eq8, NDT3 and NDT5 hold, and no branch is recorded
-            biactive = a01_ok = [True] * len(group)
-            branches = [()] * len(group)
         stationary = ok.take(group) & residual_ok & signs
         ndts = zip(licq.tolist(), strict.tolist(), biactive, [z == 0 for z in zero], a01_ok)
-        for k, lab, row, st, ndt, res, q, branch in zip(
-            group.tolist(), labels, coeffs.tolist(), stationary.tolist(), ndts, residual.tolist(), neg, branches
+        for k, lab, row, st, ndt, res, q in zip(
+            group.tolist(), labels, coeffs.tolist(), stationary.tolist(), ndts, residual.tolist(), neg
         ):
-            pairs, a00 = tuple(zip(lab, row)), tuple(lab[e5:e6])
-            activity = _instance(MpocActivity, a00=a00, a01=tuple(lab[e3:e4]), a10=tuple(lab[e4:e5]),
-                                 Ecal=tuple(lab[e1:e2]), sum_active=bool(sa), Q0=tuple(lab[nh:e1]))
             out[k] = _instance(
-                TCertificate, feasible=feasible[k], stationary=st, activity=activity,
-                lam=_frozen(pairs[:nh]), mu1=_frozen(pairs[nh:e1]), mu2=_frozen(pairs[e1:e2]),
-                mu3=row[e2] if sa else 0.0, sigma1=_frozen(pairs[e3:e4]), sigma2=_frozen(pairs[e4:e5]),
-                rho1=_frozen(pairs[e5:e6]), rho2=_frozen(pairs[e6:]), residual=res, ndt=ndt,
-                eq8_branches=_frozen(zip(a00, branch)), quadratic_index=q, biactive_index=n00,
+                TCertificate, feasible=feasible[k], stationary=st, _source=(lab, row, ends, ts),
+                mu3=row[e2] if sa else 0.0, residual=res, ndt=ndt, quadratic_index=q, biactive_index=n00,
                 t_index=q + n00 if (st and all(ndt[:4])) else None,
                 degenerate_reason=_first_failed(feasible[k], st, res, ndt, "NDT"), non_unique=not ndt[0],
             )
@@ -380,15 +387,15 @@ def companion_y(rp: RegularizedProblem, ibar: int, ebar) -> np.ndarray:
     return y
 
 
-def check_y_structure(rp: RegularizedProblem, y, tol: Tolerances = Tolerances()) -> bool:
+def check_y_structure(rp: RegularizedProblem, y, tol: Tolerances = Tolerances()):
     """Structure every T-stationary y must have under the parameter assumption:
 
     the components of a companion_y (n-s-1 at 1+eps, one at 1-(n-s-1)*eps, s
-    at zero) in some order, and the component sum exactly n-s.  The sorted
-    components of a companion_y are built once per problem and kept on it
-    (RegularizedProblem._y_profile).
+    at zero) in some order, and the component sum exactly n-s: a bool for one
+    y (n,), K bools for a stack (K, n), by one sort and one sum along rows.  The
+    sorted components of a companion_y are kept per problem (_y_profile).
     """
-    y = _y(rp, y)
-    return bool(np.all(np.abs(np.sort(y) - rp._y_profile) <= tol.tol_act)) and abs(
-        float(np.sum(y)) - (rp.n - rp.s)
-    ) <= tol.tol_feas
+    Y = _y(rp, y, (1, 2))  # C-ordered: each row sums pairwise, with the bits of np.sum(row)
+    ok = np.logical_and.reduce(np.abs(np.sort(Y, axis=-1) - rp._y_profile) <= tol.tol_act, axis=-1)
+    ok = ok & (np.abs(np.add.reduce(Y, axis=-1) - (rp.n - rp.s)) <= tol.tol_feas)
+    return ok if Y.ndim == 2 else bool(ok)

@@ -14,12 +14,15 @@ two sides' summaries of each item must be equal; the script stops with
 exit code 1 at the first item where they differ.
 
 It prints each side's median and quartiles of the per-round time, the
-number of rounds each side won, and the ratio new/old of the medians and
-the median of the per-round ratios.  The host's speed drifts (up to 2x between
-subprocess runs of bench/run.py), which alternation inside one process
-cancels: both sides of a round run within a second of each other.  A claim
-of gain still rests on alternating pairs of `bench/run.py` runs.  pytest
-does not collect this file (like transcripts.py).
+number of rounds each side won, the median time of cyclic garbage
+collection within a round (timed with gc.callbacks around the pass) and
+the median share of the round it took, and the ratio new/old of the
+medians and the median of the per-round ratios.  The host's speed drifts
+(up to 2x between subprocess runs of bench/run.py), which alternation
+inside one process cancels: both sides of a round run within a second of
+each other.  A claim of gain still rests on alternating pairs of
+`bench/run.py` runs.  pytest does not collect this file (like
+transcripts.py).
 """
 
 from __future__ import annotations
@@ -74,11 +77,26 @@ def load_side(src: Path, tag: str) -> SimpleNamespace:
     return SimpleNamespace(ck=ck, cli=importlib.import_module(f"ccopkit_{tag}.cli"), helpers=helpers)
 
 
-def _timed(wl, lib, items) -> tuple[float, list]:
+def _timed(wl, lib, items) -> tuple[float, float, list]:
+    """The seconds the pass over items took, the seconds of cyclic garbage
+    collection within it (timed by a gc.callbacks hook), and its results."""
     gc.collect()
-    t0 = time.perf_counter()
-    raws = [wl.run(lib, item) for item in items]
-    return time.perf_counter() - t0, raws
+    spent = [0.0, 0.0]  # collection seconds, start of the running collection
+
+    def clock(phase, info):
+        if phase == "start":
+            spent[1] = time.perf_counter()
+        else:
+            spent[0] += time.perf_counter() - spent[1]
+
+    gc.callbacks.append(clock)
+    try:
+        t0 = time.perf_counter()
+        raws = [wl.run(lib, item) for item in items]
+        seconds = time.perf_counter() - t0
+    finally:
+        gc.callbacks.remove(clock)
+    return seconds, spent[0], raws
 
 
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -100,6 +118,7 @@ def main(argv=None) -> int:
     seed = wl.default_seed if args.seed is None else args.seed
     sides = {"old": load_side(args.old.resolve(), "old"), "new": load_side(args.new.resolve(), "new")}
     times: dict[str, list[float]] = {"old": [], "new": []}
+    collected: dict[str, list[float]] = {"old": [], "new": []}  # garbage-collection seconds per round
     wins = {"old": 0, "new": 0}
     with tempfile.TemporaryDirectory() as tmp:
         for r in range(args.rounds):
@@ -108,8 +127,9 @@ def main(argv=None) -> int:
             for tag in order:
                 lib = sides[tag]
                 items = wl.make_pass(lib, seed + r, Path(tmp) / tag, ROOT / "tests" / "data")
-                seconds, raws = _timed(wl, lib, items)
+                seconds, gc_seconds, raws = _timed(wl, lib, items)
                 times[tag].append(seconds)
+                collected[tag].append(gc_seconds)
                 summaries[tag] = [wl.check(lib, item, raw)[0] for item, raw in zip(items, raws)]
             if summaries["old"] != summaries["new"]:
                 k = next(k for k, (a, b) in enumerate(zip(summaries["old"], summaries["new"])) if a != b)
@@ -123,8 +143,10 @@ def main(argv=None) -> int:
           f"(one pass each, alternating order)")
     for tag, path in (("old", args.old), ("new", args.new)):
         q1, q2, q3 = _quartiles(times[tag])
+        share = statistics.median(c / t for c, t in zip(collected[tag], times[tag]))
         print(f"interleave: {tag} {path}: median {q2 * 1e3:.2f} ms, quartiles "
-              f"{q1 * 1e3:.2f}-{q3 * 1e3:.2f} ms, won {wins[tag]} of {args.rounds} rounds")
+              f"{q1 * 1e3:.2f}-{q3 * 1e3:.2f} ms, won {wins[tag]} of {args.rounds} rounds; "
+              f"gc median {statistics.median(collected[tag]) * 1e3:.2f} ms, {share:.1%} of a round")
     ratios = [new / old for old, new in zip(times["old"], times["new"])]
     print(f"interleave: new/old {statistics.median(times['new']) / statistics.median(times['old']):.4f} "
           f"by medians, {statistics.median(ratios):.4f} by the median of the per-round ratios")

@@ -179,9 +179,31 @@ MUTANTS = (
     ),
     Mutant(
         "a T-certificate that is not frozen", "regmpoc.py",
-        "@dataclass(frozen=True)\nclass TCertificate:",
-        "@dataclass\nclass TCertificate:",
+        "@dataclass(frozen=True)\nclass TCertificate(_FilledOnRead):",
+        "@dataclass\nclass TCertificate(_FilledOnRead):",
         ("tests/test_pointeval.py::test_mutating_a_certificate_changes_no_later_hit",),
+    ),
+    # fields filled on first read (ccop._FilledOnRead)
+    Mutant(
+        "sigma1 and sigma2 swapped in the fill", "regmpoc.py",
+        "sigma1=_frozen(pairs[e3:e4]), sigma2=_frozen(pairs[e4:e5])",
+        "sigma1=_frozen(pairs[e4:e5]), sigma2=_frozen(pairs[e3:e4])",
+        (f"{LAYOUTS}::test_census_certificates_fill_their_groups_on_first_read_as_the_reference_builds_them",),
+    ),
+    Mutant(
+        "a __getstate__ that returns the unread instance dict", "ccop.py",
+        "        return {f.name: getattr(self, f.name) for f in fields(self)}\n",
+        "        return vars(self)\n",
+        ("tests/test_pointeval.py::test_unread_read_and_whole_certificates_pickle_copy_and_compare_alike",),
+    ),
+    Mutant(
+        "the source taken before the fields are in", "ccop.py",
+        '(source := held.get("_source")) is not None:\n'
+        "            held.update(self._fill(*source))\n"
+        '            held.pop("_source", None)\n',
+        '(source := held.pop("_source", None)) is not None:\n'
+        "            held.update(self._fill(*source))\n",
+        ("tests/test_pointeval.py::test_threads_reading_one_unread_certificate_get_equal_groups",),
     ),
 )
 

@@ -362,6 +362,20 @@ def test_verify_command_green(capsys):
     assert "failures = 0" in out
 
 
+def test_verify_checks_every_stationary_y_in_one_call(capsys, monkeypatch):
+    shapes, check = [], ccopkit.cli.check_y_structure
+
+    def spy(rp, y, tol):
+        shapes.append(np.shape(y))
+        return check(rp, y, tol)
+
+    monkeypatch.setattr(ccopkit.cli, "check_y_structure", spy)
+    for name in ("well_ones.prob", "constrained.prob"):
+        code, out = run(capsys, "verify", path(name), "--format", "machine")
+        rows = out.count('name = "y-structure"')
+        assert code == 0 and rows >= 1 and shapes.pop() == (rows, 2) and not shapes
+
+
 def test_verify_at_the_papers_scale(capsys, tmp_path):
     # the seed-7 n=10, s=6 quadratic: 848 M-points, 7,937 T-points
     rng = np.random.default_rng(7)

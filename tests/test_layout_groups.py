@@ -25,6 +25,7 @@ from ccopkit import (
     Tolerances,
     ccop,
     census_quadratic,
+    census_t_quadratic,
     certify_m_many,
     certify_t_pairs,
     check_cc_licq,
@@ -149,6 +150,26 @@ def test_layout_groups_equal_the_per_candidate_reference(kernel_inputs):
             corners += sum(len(c.rho1) == rp.n or not c.lam and not (
                 c.mu1 or c.mu2 or c.sigma1 or c.sigma2 or c.rho1) for c in got)
     assert batches >= 6 and shared_shape >= 4 and mixed_q0 >= 1 and curved >= 5 and corners >= 8
+
+
+def test_census_certificates_fill_their_groups_on_first_read_as_the_reference_builds_them():
+    # a census reads no multiplier group: each certificate holds _source in
+    # their place until a field is read, and then holds the reference's
+    rng = np.random.default_rng(263)
+    filled = {"MCertificate": 0, "TCertificate": 0}
+    for rp in (_inequalities(rng), _census_n8(rng)):
+        m_census, t_census = census_quadratic(rp.base, TOL), census_t_quadratic(rp, TOL)
+        certs = [c for _, c in m_census.m_points] + [c for _, _, c in t_census.t_points]
+        assert certs and all("_source" in vars(c) for c in certs)
+        assert not any(name in vars(c) for c in certs for name in type(c)._unread)
+        assert not any("lam" in vars(c) for c in certs)
+        want = reference.certify_m_reference(rp.base, [x for x, _ in m_census.m_points], TOL)
+        want += reference.certify_t_reference(rp, [(x, y) for x, y, _ in t_census.t_points], TOL)
+        for cert, expected in zip(certs, want, strict=True):
+            assert _bits(cert) == _bits(expected)
+            assert "_source" not in vars(cert) and type(cert)._unread <= vars(cert).keys()
+            filled[type(cert).__name__] += 1
+    assert filled["MCertificate"] >= 20 and filled["TCertificate"] >= 100
 
 
 def test_flags_meet_their_tolerances_as_the_reference_does():

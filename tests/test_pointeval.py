@@ -9,6 +9,8 @@ import os
 import pickle
 import re
 import sys
+import threading
+import time
 import weakref
 
 import numpy as np
@@ -745,6 +747,96 @@ def test_certificates_pickle_and_deepcopy_as_read_only_certificates():
             changed.residual = 1.0
         with pytest.raises(TypeError, match="read-only"):
             getattr(changed, name).clear()
+
+
+def _unread_pair():
+    """An unread M- and T-certificate at a T-point of _memo_instance with a
+    biactive index and an active inequality, each with a function that gives
+    another unread certificate equal to it: a census on a fresh problem
+    chooses the point, and one on another fresh problem certifies it."""
+    rp = _memo_instance()
+    seen = census_t_quadratic(_fresh(rp)).t_points
+    k = next(k for k, (_, _, c) in enumerate(seen) if c.activity.a00 and c.mu1 and c.sigma2)
+    cold = _fresh(rp)
+    x, _, tcert = census_t_quadratic(cold).t_points[k]
+    mcert = certify_m(cold.base, x)
+    for cert in (mcert, tcert):
+        assert "_source" in vars(cert) and not type(cert)._unread & vars(cert).keys()
+    return [(cert, lambda cls=type(cert), state=dict(vars(cert)): ccop._instance(cls, **state))
+            for cert in (mcert, tcert)]
+
+
+def test_unread_read_and_whole_certificates_pickle_copy_and_compare_alike():
+    # an unread certificate fills its fields on first read; no operation may
+    # tell it from a read one or from one built whole by its __init__
+    for unread, another in _unread_pair():
+        read = another()
+        repr(read)
+        assert "_source" not in vars(read)
+        whole = type(read)(**_fields(read))
+        want = pickle.dumps(whole)
+        assert pickle.dumps(another()) == pickle.dumps(read) == want
+        for op in (copy.copy, copy.deepcopy, lambda c: dataclasses.replace(c, residual=0.0)):
+            got = [op(c) for c in (another(), read, whole)]
+            assert len({pickle.dumps(c) for c in got}) == 1 and got[0] == got[1] == got[2]
+            assert all(type(c) is type(whole) and "_source" not in vars(c) for c in got)
+        assert another() == whole and whole == another() and another() == read
+        assert repr(another()) == repr(read) == repr(whole)
+        assert dataclasses.asdict(another()) == dataclasses.asdict(whole)
+        assert pickle.dumps(unread) == want and _fields(unread) == _fields(whole)
+
+
+def test_unknown_names_raise_at_once_and_an_unpickled_unread_certificate_reads():
+    for _, another in _unread_pair():
+        cert = another()
+        for name in ("no_such_field", "__setstate__", "__deepcopy__", "nondegenerate_"):
+            assert not hasattr(cert, name)
+        with pytest.raises(AttributeError, match="object has no attribute 'no_such_field'"):
+            cert.no_such_field
+        assert "_source" in vars(cert)  # nothing was filled
+        blank = object.__new__(type(cert))  # as an unpickler makes it, before its state
+        for name in ("lam", "activity", "_source", "no_such_field", "__setstate__"):
+            assert not hasattr(blank, name)
+        clone = pickle.loads(pickle.dumps(another()))
+        assert "_source" not in vars(clone) and _fields(clone) == _fields(cert)
+        assert pickle.dumps(clone) == pickle.dumps(cert)
+
+
+def test_threads_reading_one_unread_certificate_get_equal_groups(monkeypatch):
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for unread, another in _unread_pair():
+            names = sorted(type(unread)._unread)
+            want = [getattr(unread, name) for name in names]
+            fill = type(unread)._fill
+
+            def slow_fill(*source, fill=fill):  # the other threads read while one fills
+                filled = fill(*source)
+                time.sleep(0.002)
+                return filled
+
+            monkeypatch.setattr(type(unread), "_fill", staticmethod(slow_fill))
+            for _ in range(5):
+                cert, start = another(), threading.Barrier(6, timeout=10)
+                got: list = [None] * 6
+
+                def read(j, cert=cert, start=start, got=got):
+                    start.wait()
+                    order = names[j:] + names[:j]  # each thread reads first another field
+                    fields = {name: getattr(cert, name) for name in order}
+                    got[j] = [fields[name] for name in names]
+
+                threads = [threading.Thread(target=read, args=(j,)) for j in range(6)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads)
+                assert all(g == want for g in got) and "_source" not in vars(cert)
+                assert pickle.dumps(cert) == pickle.dumps(unread)
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_an_entry_lives_as_long_as_its_certificate_is_held():

@@ -134,6 +134,36 @@ def test_kept_y_profile_is_the_sorted_companion_y():
             assert check_y_structure(twin, want[::-1]) == check_y_structure(rp, want[::-1])
 
 
+def test_a_stack_of_ys_is_checked_as_each_y_alone():
+    # one sort along the rows and one sum per row, whose bits must be those
+    # of np.sum of the row: near the sum's tolerance the last bit decides
+    rng = np.random.default_rng(43)
+    verdicts = []
+    for n in range(2, 40):
+        s = int(rng.integers(0, n))
+        pr = make_problem(n, s, " + ".join(f"x{i}^2" for i in range(1, n + 1)))
+        rp = make_regularized(pr, np.arange(1.0, n + 1.0), 0.5 / (n - s))
+        Y = np.array([rng.permutation(rp._y_profile) for _ in range(50)])
+        Y += rng.choice([1e-10, -1e-10, 3e-10, 2e-8], size=Y.shape) * (rng.random(Y.shape) < 0.05)
+        sums = np.array([np.sum(y) for y in Y])
+        assert np.add.reduce(Y, axis=-1).tobytes() == sums.tobytes()
+        assert np.sort(Y, axis=-1).tobytes() == np.array([np.sort(y) for y in Y]).tobytes()
+        want = [bool(np.all(np.abs(np.sort(y) - rp._y_profile) <= TOL.tol_act))
+                and abs(float(np.sum(y)) - (n - s)) <= TOL.tol_feas for y in Y]
+        got = check_y_structure(rp, Y)
+        assert got.dtype == bool and got.shape == (len(Y),) and got.tolist() == want
+        assert [check_y_structure(rp, y) for y in Y] == want
+        assert all(type(check_y_structure(rp, y)) is bool for y in Y[:2])
+        for same in (np.asfortranarray(Y), Y.tolist(), Y[::-1][::-1]):
+            assert check_y_structure(rp, same).tolist() == want
+        assert check_y_structure(rp, np.empty((0, n))).shape == (0,)
+        for wrong in (np.empty((2, n + 1)), np.empty((1, 2, n)), 1.0):
+            with pytest.raises(ValueError, match="^y has shape"):
+                check_y_structure(rp, wrong)
+        verdicts += want
+    assert len(verdicts) == 1900 and 300 <= sum(verdicts) <= len(verdicts) - 300
+
+
 def test_mpoc_licq_fails_on_duplicated_equality_gradient():
     pr = make_problem(2, 1, "x1^2 + x2^2", h=["x1 + x2", "x1 + x2"])
     rp = make_regularized(pr, [0.3, 0.7], 0.5)
