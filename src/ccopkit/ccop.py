@@ -369,44 +369,69 @@ def _kinds(labels: list, layout: tuple) -> list[tuple]:
     return [tuple(labels[end - count : end]) for end, count in zip(accumulate(layout), layout)]
 
 
-def _solve(bank: _Bank, at: np.ndarray, index: np.ndarray, nh: int, nq: int, tol: Tolerances):
-    """Solve the multiplier systems of one layout group and read off their inertia.
+@lru_cache(maxsize=64)
+def _split(layout: tuple, shifts: tuple) -> tuple:
+    """(x, y, shift) of a layout: its columns in the x-block and in the
+    y-block, and each x column's shift, None if all are 0 (see _solve)."""
+    col = np.repeat(np.array(shifts, dtype=float), layout)  # each column's shift, nan in the y-block
+    x, y, shift = np.flatnonzero(col == col), np.flatnonzero(col != col), col[col == col].astype(int)
+    x.flags.writeable = y.flags.writeable = shift.flags.writeable = False
+    return x, y, shift if shift.any() else None
+
+
+def _solve(bank: _Bank, at: np.ndarray, index: np.ndarray, layout: tuple, shifts: tuple, tol: Tolerances):
+    """Solve the multiplier systems of one layout group and read off their rank and inertia.
 
     Candidate k lies at the point at[k] of bank, and its k x d directions
     are the bank rows index[k] of that point: nh of h, then nq of the
-    active g, then those of the other kinds.  The rows are gathered once
-    for one call each of rank_and_nullbasis and solve_multipliers, whose
-    Stacks are read whole, and one call of restricted_inertia per
-    null-space size, on the rows rank.. of the stacked V^T; each candidate
-    gets the bits a call on its rows alone gives.  The Lagrangian Hessians
-    are one K x d x d array: the padded Hessian of f, minus lam_p * Hessian
-    of h_p for each p, then minus mu_q * Hessian of g_q in Q0 order, on the
-    leading n x n block; every other term of the Lagrangian is linear.
-    Returns (coeffs, residual, residual_ok, licq, neg, zero): the K x k
-    multipliers, whose columns follow the rows, then one entry per candidate.
+    active g, then the other kinds, each in the x-block (the first n
+    coordinates) if shifts[c] is an int, else in the y-block.  Bank rows
+    shifted by shifts[c] hold the same x-block vectors (rho1's e_i are
+    sigma1's), so in their order (h, Q0, I0 ascending) a point's x-block is
+    that of every candidate over it.  One call each: rank_and_nullbasis on
+    one x-block per point and one y-block per candidate, zero-padded to one
+    row count, whose singular values above tol_rank times the larger
+    sigma_max of the two count; solve_multipliers on the rows; and
+    restricted_inertia per x-block null-space size on the rows rank.. of
+    V^T, with the Lagrangian Hessians (f, minus lam_p * h_p for each p, then
+    minus mu_q * g_q in Q0 order: one K x n x n array), the zero count
+    adding the y-block's null space.  Each candidate gets the bits of its
+    rows alone.  Returns (coeffs, residual, residual_ok, rank, neg, zero):
+    the K x k multipliers, then one entry per candidate.
     """
-    K, k = index.shape
-    n, d = bank.x.shape[1], bank.rows.shape[2]
+    x, y, shift = _split(layout, shifts)
+    (nh, nq), n, kx = layout[:2], bank.x.shape[1], len(x)
     rows = bank.rows[at[:, None], index]
-    ranked = rank_and_nullbasis(rows, tol)
+    K, k, d = rows.shape
+    places: dict = {}  # point -> (place of its x-block, its first candidate)
+    owner = [places.setdefault(a, (len(places), j))[0] for j, a in enumerate(at.tolist())]
+    first = [j for _, j in places.values()]
+    S, ny = len(first), K if kx < k else 0  # a block without rows has rank 0 and needs no SVD
+    if shift is not None:  # kinds whose rows interleave: the order of their shifted bank rows
+        x = x.take(np.argsort(index.take(first, 0).take(x, 1) + shift, axis=1))
+    blocks = np.zeros((S + ny, max(kx, k - kx), n))
+    blocks[:S, :kx] = rows[np.array(first)[:, None], x, :n]
+    blocks[S:, : k - kx, : d - n] = rows[:ny].take(y, 1)[:, :, n:]
+    ranked = rank_and_nullbasis(blocks, tol)
+    sing = ranked.sing if S == K else np.concatenate((ranked.sing.take(owner, 0), ranked.sing[S:]))
+    sing = sing.reshape(2 if ny else 1, K, -1).swapaxes(0, 1)  # each candidate's x-block and y-block (if any)
+    top = np.maximum.reduce(sing, axis=(1, 2), initial=0.0, keepdims=True)
+    ranks = np.add.reduce(sing > tol.tol_rank * top, axis=2).tolist()  # [x-block, y-block (if any)]
     # the transpose of each row block is a view with the layout of rows.T, so
     # every residual has the bits of rows.T @ coeffs - target
     solved = solve_multipliers(rows.swapaxes(-1, -2), bank.target.take(at, 0), tol)
     coeffs = solved.coeffs
-    hess = np.zeros((K, d, d))
-    block = hess[:, :n, :n]
-    block[...] = bank.hessians[:, 0].take(at, 0)
+    hess = bank.hessians[:, 0].take(at, 0)
     for c in range(nh + nq):  # grad h_p, then grad g_q: bank row index[:, c]
-        block -= coeffs[:, c, None, None] * bank.hessians[at, 1 + index[:, c]]
-    ranks = ranked.ranks.tolist()
-    neg, zero = [0] * K, [0] * K
-    for rank in dict.fromkeys(ranks):
-        members = [j for j, r in enumerate(ranks) if r == rank]
+        hess -= coeffs[:, c, None, None] * bank.hessians[at, 1 + index[:, c]]
+    neg, zero, rx = [0] * K, [d - n - sum(r[1:]) for r in ranks], [r[0] for r in ranks]  # zero: the y null space
+    for rank in dict.fromkeys(rx):
+        members = [j for j, r in enumerate(rx) if r == rank]
         some = slice(None) if len(members) == K else members
-        bases = np.ascontiguousarray(ranked.vt[some, rank:].swapaxes(1, 2))  # each vt[rank:].T
+        bases = np.ascontiguousarray(ranked.vt.take([owner[j] for j in members], 0)[:, rank:].swapaxes(1, 2))
         for j, (a, b, _) in zip(members, restricted_inertia(hess[some], bases, tol)):
-            neg[j], zero[j] = a, b
-    return coeffs, solved.residuals, solved.residuals <= bank.bound.take(at), ranked.ranks == k, neg, zero
+            neg[j], zero[j] = a, zero[j] + b
+    return coeffs, solved.residuals, solved.residuals <= bank.bound.take(at), list(map(sum, ranks)), neg, zero
 
 
 def _key(pe: PointEval, *rest) -> tuple:
@@ -481,8 +506,8 @@ def _m_select(pr: Problem, bank: _Bank, tol: Tolerances):
 def check_cc_licq(pr: Problem, x, tol: Tolerances = Tolerances()) -> bool:
     """Linear independence of active gradients and vanishing-coordinate directions."""
     bank = _bank([evaluate(pr, x)], np.eye(pr.n), (), tol)
-    _, ((_, _, index, _),) = _m_select(pr, bank, tol)
-    return rank_and_nullbasis(bank.rows[0, index[0]], tol)[0] == index.shape[1]
+    _, ((layout, _, index, _),) = _m_select(pr, bank, tol)
+    return _solve(bank, np.zeros(1, int), index, layout, (0, 0, 0), tol)[3][0] == index.shape[1]
 
 
 def certify_m(pr: Problem, x, tol: Tolerances = Tolerances()) -> MCertificate:
@@ -517,12 +542,12 @@ def _certify_m(misses, pr: Problem, xs, tol: Tolerances) -> list[MCertificate]:
     feasible, ts = ok.tolist(), tol.tol_strict
     certs: list = [None] * len(misses)
     for (nh, nq, ni), at, index, labels in groups:
-        coeffs, residual, residual_ok, licq, neg, zero = _solve(bank, at, index, nh, nq, tol)
+        coeffs, residual, residual_ok, ranks, neg, zero = _solve(bank, at, index, (nh, nq, ni), (0, 0, 0), tol)
         e1, norm0 = nh + nq, pr.n - ni
         least, si = np.minimum.reduce(coeffs[:, nh:e1], axis=1, initial=np.inf), pr.s - norm0  # of mu
         stationary = ok.take(at) & residual_ok & (least >= -ts)
         gaps = np.logical_and.reduce(np.abs(coeffs[:, e1:]) > ts, axis=1) | (norm0 == pr.s)
-        ndms = zip(licq.tolist(), (least > ts).tolist(), gaps.tolist(), [z == 0 for z in zero])
+        ndms = zip([r == e1 + ni for r in ranks], (least > ts).tolist(), gaps.tolist(), [z == 0 for z in zero])
         for k, lab, row, st, ndm, res, q in zip(
             at.tolist(), labels, coeffs.tolist(), stationary.tolist(), ndms, residual.tolist(), neg
         ):

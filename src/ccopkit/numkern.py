@@ -9,7 +9,8 @@ projected eigensolve wins over anything cleverer.  Each kernel also takes a
 stack of same-shape matrices and runs it through one call of the gufunc
 that numpy.linalg runs on one matrix, which gives every matrix the result
 of its own call, bit for bit; certification makes these calls once per
-layout group of its candidates (ccop._solve) and reads their Stacks whole.
+layout group of its candidates (ccop._solve, which ranks by blocks) and
+reads their Stacks whole.
 """
 
 from __future__ import annotations
@@ -97,10 +98,11 @@ def rank_and_nullbasis(A, tol: Tolerances):
     orthonormal columns from the SVD, the rows rank.. of V^T transposed.
 
     A stack of matrices (K x m x k) goes through one stacked SVD and gives a
-    Stack of K (rank, N) pairs, with the arrays ranks and vt (K x k x k); a
-    single matrix is a stack of one.  numpy runs a single matrix and a
-    stack through one LAPACK routine, so each pair equals the pair of its
-    matrix alone, bit for bit.
+    Stack of K (rank, N) pairs, ranked when read, with the arrays sing
+    (K x min(m, k), descending) and vt (K x k x k); a single matrix is a
+    stack of one.  numpy runs a single matrix and a stack through one
+    LAPACK routine, so each pair equals the pair of its matrix alone, bit
+    for bit.
     """
     A = np.asarray(A, dtype=float)
     one = A.ndim <= 2  # a single matrix is a stack of one
@@ -108,8 +110,8 @@ def rank_and_nullbasis(A, tol: Tolerances):
     # an empty matrix has no singular value and V^T = I, an all-zero one none
     # above 0 = tol_rank * sigma_max: both have rank 0
     _, sing, vt = _svd(A, signature="d->ddd")
-    ranks = np.add.reduce(sing > tol.tol_rank * sing[:, :1], axis=-1)
-    ranked = Stack(len(A), lambda j: (int(ranks[j]), vt[j, ranks[j] :].T.copy()), ranks=ranks, vt=vt)
+    rank = lambda j: int(np.add.reduce(sing[j] > tol.tol_rank * sing[j, :1]))  # noqa: E731
+    ranked = Stack(len(A), lambda j: (r := rank(j), vt[j, r:].T.copy()), sing=sing, vt=vt)
     return ranked[0] if one else ranked
 
 

@@ -14,11 +14,12 @@ and is reachable only through an explicit override.
 Certification solves the T-stationarity multiplier system over the 2n-dim
 constraint directions, checks the sign and disjunction conditions, the five
 nondegeneracy conditions NDT1..NDT5, and reports the T-index as quadratic
-index + biactive index.  certify_t_pairs certifies many (x, y) in one call:
-the work that depends on x alone is done once per distinct x, and the pairs
-are certified as arrays per layout group, a layout being the number of
-multipliers of each kind (see ccop._solve).  certify_t is its one-pair
-case.
+index + biactive index; rank, null space and inertia come by the x- and
+y-blocks of the directions (see ccop._solve).  certify_t_pairs certifies
+many (x, y) in one call: the work that depends on x alone is done once per
+distinct x, and the pairs are certified as arrays per layout group, a layout
+being the number of multipliers of each kind (see ccop._solve).  certify_t
+is its one-pair case.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .ccop import (
     _without_certs,
     evaluate,
 )
-from .numkern import Tolerances, rank_and_nullbasis
+from .numkern import Tolerances
 
 __all__ = [
     "RegularizedProblem",
@@ -210,15 +211,15 @@ def _y(rp: RegularizedProblem, y, ndims=(1,)) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _t_units(n: int) -> np.ndarray:
+def _t_units(n: int) -> tuple[np.ndarray, tuple]:
     """The rows after (grad h_p, 0) and (grad g_q, 0) of the T-side bank in
     R^(2n), x-part first, whose target is (grad f, c): -e_(n+i) (mu2),
     (0, 1) (mu3), e_i (sigma1), e_(n+i) (sigma2), e_i (rho1) and e_(n+i)
-    (rho2)."""
+    (rho2); and the kinds' shifts (see ccop._solve), rho1 onto sigma1."""
     eye = np.eye(2 * n)
     units = np.concatenate([-eye[n:], [np.repeat([0.0, 1.0], n)], eye, eye])
     units.flags.writeable = False
-    return units
+    return units, (0, 0, None, None, 0, None, -2 * n, None)
 
 
 def _feasible_r(rp: RegularizedProblem, bank: _Bank, at: np.ndarray, Y: np.ndarray, tol: Tolerances):
@@ -263,7 +264,7 @@ def _feasible_r(rp: RegularizedProblem, bank: _Bank, at: np.ndarray, Y: np.ndarr
 def _checked(rp: RegularizedProblem, x, y, tol: Tolerances):
     """The bank of x (an array or a PointEval of the base problem), and the
     feasibility and layout group of (x, y) (see _feasible_r)."""
-    bank = _bank([evaluate(rp.base, x)], _t_units(rp.n), rp.c, tol)
+    bank = _bank([evaluate(rp.base, x)], _t_units(rp.n)[0], rp.c, tol)
     ok, (group,) = _feasible_r(rp, bank, np.zeros(1, dtype=int), _y(rp, y)[None], tol)
     return bank, bool(ok[0]), group
 
@@ -280,8 +281,8 @@ def check_feasible_r(
 
 def check_mpoc_licq(rp: RegularizedProblem, x, y, tol: Tolerances = Tolerances()) -> bool:
     """Linear independence of the MPOC constraint directions at (x, y)."""
-    bank, _, (_, _, index, _) = _checked(rp, x, y, tol)
-    return rank_and_nullbasis(bank.rows[0, index[0]], tol)[0] == index.shape[1]
+    bank, _, (layout, _, index, _) = _checked(rp, x, y, tol)
+    return _solve(bank, np.zeros(1, int), index, layout, _t_units(rp.n)[1], tol)[3][0] == index.shape[1]
 
 
 def certify_t(rp: RegularizedProblem, x, y, tol: Tolerances = Tolerances()) -> TCertificate:
@@ -347,13 +348,14 @@ def _certify_t_pairs(
     sigma2, rho1 and rho2."""
     place: dict[tuple, int] = {}  # key of x -> its point in the bank, in order of first use
     at = np.array([place.setdefault(owners[k], len(place)) for k in misses])
-    bank = _bank([evaluate(rp.base, points[xkey]) for xkey in place], _t_units(rp.n), rp.c, tol)
+    units, shifts = _t_units(rp.n)
+    bank = _bank([evaluate(rp.base, points[xkey]) for xkey in place], units, rp.c, tol)
     ok, groups = _feasible_r(rp, bank, at, np.array([ys[k] for k in misses]), tol)
     feasible, ts = ok.tolist(), tol.tol_strict
     out: list = [None] * len(misses)
     for layout, group, index, labels in groups:
         nh, nq, _, sa, _, _, n00, _ = layout
-        coeffs, residual, residual_ok, licq, neg, zero = _solve(bank, at.take(group), index, nh, nq, tol)
+        coeffs, residual, residual_ok, ranks, neg, zero = _solve(bank, at.take(group), index, layout, shifts, tol)
         _, e1, e2, e3, e4, e5, e6, _ = ends = tuple(accumulate(layout))  # where each kind's slice ends
         least = np.minimum.reduce(coeffs[:, nh:e3], axis=1, initial=np.inf)  # of mu1, mu2 and an active mu3
         signs, strict = least >= -ts, least > ts
@@ -365,7 +367,7 @@ def _certify_t_pairs(
             biactive = np.logical_and.reduce((rho1 > ts) & (rho2 < -ts), axis=1).tolist()
             a01_ok = np.logical_and.reduce(np.abs(coeffs[:, e3:e4]) > ts, axis=1).tolist()
         stationary = ok.take(group) & residual_ok & signs
-        ndts = zip(licq.tolist(), strict.tolist(), biactive, [z == 0 for z in zero], a01_ok)
+        ndts = zip([r == ends[-1] for r in ranks], strict.tolist(), biactive, [z == 0 for z in zero], a01_ok)
         for k, lab, row, st, ndt, res, q in zip(
             group.tolist(), labels, coeffs.tolist(), stationary.tolist(), ndts, residual.tolist(), neg
         ):

@@ -93,6 +93,25 @@ MUTANTS = (
         "        y0 ^ a00,  # a01: x_i = 0 and y_i != 0\n        x0 ^ a00,  # a10: x_i != 0 and y_i = 0",
         (LAYOUTS,),
     ),
+    # rank and inertia by blocks (ccop._solve)
+    Mutant(
+        "the rank cutoff taken from the x-block's own sigma_max", "ccop.py",
+        "top = np.maximum.reduce(sing, axis=(1, 2), initial=0.0, keepdims=True)",
+        "top = np.maximum.reduce(sing[:, :1], axis=(1, 2), initial=0.0, keepdims=True)",
+        (LAYOUTS,),
+    ),
+    Mutant(
+        "the zero count without the y-block's null space", "ccop.py",
+        "[d - n - sum(r[1:]) for r in ranks]",
+        "[0 for r in ranks]",
+        (LAYOUTS,),
+    ),
+    Mutant(
+        "rho1 among the y-columns", "regmpoc.py",
+        "(0, 0, None, None, 0, None, -2 * n, None)",
+        "(0, 0, None, None, 0, None, None, None)",
+        (LAYOUTS,),
+    ),
     # the cross-checks of bridge.lift and bridge.project
     Mutant(
         "lam and mu1 swapped in lift", "bridge.py",

@@ -175,8 +175,7 @@ def test_stacked_kernel_calls_keep_each_item_with_its_result(monkeypatch):
     by_layout = ccop._layouts(sel, *ccop._columns(1, 1, n))
     got, labels = {}, {}
     for layout, members, index, group_labels in by_layout:
-        nh, nq, _ = layout
-        solved = ccop._solve(bank, at[members], index, nh, nq, TOL)
+        solved = ccop._solve(bank, at[members], index, layout, (0, 0, 0), TOL)
         for j, k in enumerate(members.tolist()):
             got[k] = [part[j] for part in solved]
             labels[k] = tuple(ccop._kinds(group_labels[j], layout))
@@ -191,7 +190,7 @@ def test_stacked_kernel_calls_keep_each_item_with_its_result(monkeypatch):
         neg, zero, _ = restricted_inertia(hess, basis, TOL)
         residual = float(np.linalg.norm(rows.T @ coeffs - target))
         assert got[k][0].tobytes() == coeffs.tobytes() and got[k][1:] == [
-            residual, residual <= 1.0, rank_ == len(rows), neg, zero]
+            residual, residual <= 1.0, rank_, neg, zero]
     assert labels[1] == ((1,), (), (1, 2)) and labels[2] == ((1,), (1,), (3,))
     # layouts (1, 1, 1) and (1, 0, 2) have one shape and are separate groups
     assert [(layout, members.tolist()) for layout, members, *_ in by_layout] == [
@@ -205,5 +204,5 @@ def test_stacked_kernel_calls_keep_each_item_with_its_result(monkeypatch):
     # one eigensolve per group and null-space size: the rows are independent
     assert [c[1] for c in calls if c[0] == "restricted_inertia"] == [
         (3, 3, 3), (2, 3, 3), (1, 3, 3), (1, 3, 3)]
-    alone = ccop._solve(bank, at[[3]], np.array([[0]]), 1, 0, TOL)  # a group of one is a stack of one
+    alone = ccop._solve(bank, at[[3]], np.array([[0]]), (1, 0, 0), (0, 0, 0), TOL)  # a group of one is a stack of one
     assert [part[0] for part in alone][1:] == got[3][1:] and alone[0][0].tobytes() == got[3][0].tobytes()

@@ -26,14 +26,18 @@ from ccopkit import (
     ccop,
     census_quadratic,
     census_t_quadratic,
+    certify_m,
     certify_m_many,
+    certify_t,
     certify_t_pairs,
     check_cc_licq,
     check_feasible,
     check_feasible_r,
     check_mpoc_licq,
     make_regularized,
+    numkern,
     oracle,
+    regmpoc,
 )
 from ccopkit.regmpoc import companion_y
 from helpers import affine_source, make_problem, random_c, random_quadratic_source
@@ -91,9 +95,12 @@ def _corners(rp):
 
 @pytest.fixture
 def kernel_inputs(monkeypatch):
-    """The arrays each kernel gets per candidate, as a set of bytes, for
-    the library (ccop) and for the reference; candidates with equal inputs
-    count once, since the library certifies a repeated point once."""
+    """The arrays each kernel gets per candidate, as a set of tuples of
+    bytes, for the library (ccop) and for the reference; candidates with
+    equal inputs count once, since the library certifies a repeated point
+    once.  And under "candidates", each candidate's (rank, neg, zero) by
+    its rows and target: the library's rank by blocks (ccop._solve), the
+    reference's from one SVD of its rows."""
     seen = {"ccop": {}, "reference": {}}
 
     def spy(module, key, name):
@@ -102,22 +109,59 @@ def kernel_inputs(monkeypatch):
         def call(*args):  # one item's arrays, or stacks of them, then tol
             arrays = args[:-1]
             for item in zip(*arrays) if arrays[0].ndim == 3 else [arrays]:
-                seen[key].setdefault(name, set()).add(b"|".join(a.tobytes() for a in item))
+                seen[key].setdefault(name, set()).add(tuple(a.tobytes() for a in item))
+                if name == "restricted_inertia":  # the Lagrangian Hessian, compared on its own
+                    seen[key].setdefault("hessians", []).append(item[0].copy())
             return kernel(*args)
 
         monkeypatch.setattr(module, name, call)
 
+    def record(key, rows, targets, ranks, negs, zeros):
+        candidates = seen[key].setdefault("candidates", {})
+        for r, t, rank, neg, zero in zip(rows, targets, ranks, negs, zeros):
+            candidates[r.shape, r.tobytes(), t.tobytes()] = int(rank), neg, zero
+
+    def library(solve):
+        def call(bank, at, index, layout, shifts, tol):
+            out = solve(bank, at, index, layout, shifts, tol)
+            record("ccop", bank.rows[at[:, None], index], bank.target[at], *out[-3:])
+            return out
+        return call
+
+    def reference_solve(families, *args):
+        out = solve(families, *args)
+        ranks = [numkern.rank_and_nullbasis(rows, args[-1])[0] for _, _, rows, _ in families]
+        record("reference", [f[2] for f in families], [f[3] for f in families], ranks,
+               [r[-2] for r in out], [r[-1] for r in out])
+        return out
+
+    solve = reference._solve
     for name in ("rank_and_nullbasis", "solve_multipliers", "restricted_inertia"):
         spy(ccop, "ccop", name)
         spy(reference, "reference", name)
+    monkeypatch.setattr(ccop, "_solve", library(ccop._solve))
+    monkeypatch.setattr(regmpoc, "_solve", library(regmpoc._solve))
+    monkeypatch.setattr(reference, "_solve", reference_solve)
     return seen
 
 
-def _same_kernel_inputs(seen):
-    for name in ("rank_and_nullbasis", "solve_multipliers", "restricted_inertia"):
-        assert seen["ccop"].get(name) == seen["reference"].get(name), name
-    seen["ccop"].clear()
-    seen["reference"].clear()
+def _same_kernel_inputs(seen, side="m"):
+    """Both sides' solve_multipliers inputs and per-candidate (rank, neg,
+    zero) are equal.  On the M side so are the inputs of the other two
+    kernels; on the T side, where the library works by blocks and the
+    reference in 2n dimensions, the library's n x n Lagrangian Hessians
+    equal the leading n x n blocks of the reference's."""
+    got, want = seen["ccop"], seen["reference"]
+    assert got["candidates"] == want["candidates"]
+    assert got.get("solve_multipliers") == want.get("solve_multipliers")
+    if side == "m":
+        for name in ("rank_and_nullbasis", "restricted_inertia"):
+            assert got.get(name) == want.get(name), name
+    else:  # the reference's Hessians are 2n x 2n
+        assert {h.tobytes() for h in got["hessians"]} == {
+            h[: len(h) // 2, : len(h) // 2].tobytes() for h in want["hessians"]}
+    got.clear()
+    want.clear()
 
 
 def test_layout_groups_equal_the_per_candidate_reference(kernel_inputs):
@@ -135,7 +179,7 @@ def test_layout_groups_equal_the_per_candidate_reference(kernel_inputs):
         for pairs in oracle._batches(groups):
             got, want = certify_t_pairs(rp, pairs, TOL), reference.certify_t_reference(rp, pairs, TOL)
             assert [_bits(c) for c in got] == [_bits(c) for c in want]
-            _same_kernel_inputs(kernel_inputs)
+            _same_kernel_inputs(kernel_inputs, "t")
             batches += 1
             layouts: dict = {}
             q0s: dict = {}
@@ -150,6 +194,61 @@ def test_layout_groups_equal_the_per_candidate_reference(kernel_inputs):
             corners += sum(len(c.rho1) == rp.n or not c.lam and not (
                 c.mu1 or c.mu2 or c.sigma1 or c.sigma2 or c.rho1) for c in got)
     assert batches >= 6 and shared_shape >= 4 and mixed_q0 >= 1 and curved >= 5 and corners >= 8
+
+
+def test_licq_checks_decide_as_the_certificates_do():
+    # check_cc_licq and check_mpoc_licq rank by blocks through ccop._solve,
+    # as certification does, so a check and a certificate cannot disagree at
+    # a margin
+    checked = 0
+    for rp, sampler, grid in _cases():
+        roots = [(J, pe.x) for J, pe in oracle._shared_roots(rp.base, TOL, [], grid)]
+        m_points, t_pairs = _corners(rp)
+        for x in [x for _, x in roots] + m_points:
+            assert check_cc_licq(rp.base, x, TOL) == certify_m(rp.base, x, TOL).ndm[0]
+        candidates = sampler(rp)
+        for x, y in [(x, y) for J, x in roots for y in candidates(J, x)] + t_pairs:
+            assert check_mpoc_licq(rp, x, y, TOL) == certify_t(rp, x, y, TOL).ndt[0]
+            checked += 1
+    assert checked >= 1000
+
+
+def _crafted(rng):
+    """(rp, pairs, dependent) at the edges of the block rule, dependent
+    telling for each pair whether its rows are.
+
+    h scaled by 1e-6 and by 1e-12, so that sigma_max comes from the y-block
+    (a companion's y-block holds the all-ones row), and at 1e-12 the h row of
+    a dense x lies below tol_rank * sigma_max but above tol_rank times the
+    x-block's own sigma_max; x = 0, y = 0, every index biactive; a y-block
+    whose all-ones row depends on its unit rows (Ecal, a10 and a00 cover
+    every index and the sum is active, under an override eps = 0.5); and an
+    override eps = -1, where the rows -e_(n+i) of Ecal and e_(n+i) of a00
+    coincide up to sign."""
+    n, s = 5, 2
+    f, a = random_quadratic_source(rng, n), rng.uniform(0.5, 1.0, size=n)
+    dense, zero, i0 = np.linspace(0.5, 1.5, n), np.zeros(n), np.array([0.0, 0.0, 0.0, 0.7, -0.4])
+    cases = []
+    for scale in (1e-6, 1e-12):
+        rp = make_regularized(make_problem(n, s, f, [affine_source(scale * a, scale)]), random_c(rng, n), 0.5 / 3)
+        # x = 0 puts h among n unit rows; at 1e-12 the h row of every x is lost
+        pairs = [(dense, zero), (i0, companion_y(rp, 3, (1, 2))), (i0, zero), (zero, zero)]
+        cases.append((rp, pairs, [scale < 1e-10] * 3 + [True]))
+    pr = make_problem(4, 1, random_quadratic_source(rng, 4), [affine_source(a[:4], 0.2)])
+    cases.append((make_regularized(pr, random_c(rng, 4), 0.5, override=True),
+                  [(np.array([0.0, 0.0, 0.7, 0.0]), np.array([1.5, 1.5, 0.0, 0.0]))], [True]))
+    cases.append((make_regularized(make_problem(n, s, f), random_c(rng, n), -1.0, override=True),
+                  [(zero, zero), (i0, zero), (dense, zero)], [True, True, False]))
+    return cases
+
+
+def test_block_rank_and_inertia_equal_the_2n_reference_on_crafted_pairs(kernel_inputs):
+    for rp, pairs, dependent in _crafted(np.random.default_rng(269)):
+        got, want = certify_t_pairs(rp, pairs, TOL), reference.certify_t_reference(rp, pairs, TOL)
+        assert [_bits(c) for c in got] == [_bits(c) for c in want]
+        assert [c.non_unique for c in got] == dependent
+        assert [check_mpoc_licq(rp, x, y, TOL) for x, y in pairs] == [c.ndt[0] for c in got]
+        _same_kernel_inputs(kernel_inputs, "t")
 
 
 def test_census_certificates_fill_their_groups_on_first_read_as_the_reference_builds_them():
@@ -238,7 +337,7 @@ def test_small_groups_over_one_x_equal_the_reference(style, kernel_inputs):
                 # no certificate is held from one K to the next, so each call certifies all K
                 got = [_bits(c) for c in certify_t_pairs(rp, pairs, TOL)]
                 assert got == [_bits(c) for c in reference.certify_t_reference(rp, pairs, TOL)]
-                _same_kernel_inputs(kernel_inputs)
+                _same_kernel_inputs(kernel_inputs, "t")
                 groups += 1
             sizes = max(sizes, len(ys))
     assert groups >= 30 and sizes >= 3

@@ -256,7 +256,7 @@ def test_certificate_residuals_keep_the_bits_of_one_solve_on_rows_t():
                           target=np.array([families[j][1] for j in group]), bound=np.zeros(K),
                           hessians=np.zeros((K, 1, d, d)))
         index = np.broadcast_to(np.arange(k), (K, k))
-        coeffs, residual, *_ = ccop._solve(bank, np.arange(K), index, 0, 0, TOL)
+        coeffs, residual, *_ = ccop._solve(bank, np.arange(K), index, (0, 0, k), (0, 0, 0), TOL)
         for j, c, res in zip(group, coeffs, residual):
             got[j] = c, res
     for (rows, target), (coeffs, res) in zip(families, got):
