@@ -8,7 +8,8 @@ NDM1..NDM4 and reports the M-index as quadratic index + sparsity index.
 Certificates are kept per point and tolerances for as long as a caller holds
 them (see _certified), so a repeated request costs no evaluation or solve.
 certify_m_many certifies many points in one call, as arrays per layout
-group (see _solve); certify_m is its one-point case.
+group (see _solve); certify_m is its one-point case.  CC-LICQ is NDM1, so
+check_cc_licq and check_feasible read fields of certify_m's certificate.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -213,20 +213,31 @@ class PointEval:
     g = property(lambda self: self._jets[2])
 
 
+def _jets_at(expr: Expr, X: np.ndarray) -> tuple:
+    """eval2_many of expr at the rows of X, and the mask of rows at which it
+    raises ExprDomainError; a batch that raises is split in halves until the
+    failing rows are found, and those hold NaN."""
+    try:
+        return (*eval2_many(expr, X), np.zeros(len(X), dtype=bool))
+    except ExprDomainError:
+        if len(X) == 1:
+            n = X.shape[1]
+            nan = np.full(1, np.nan), np.full((1, n), np.nan), np.full((1, n, n), np.nan)
+            return (*nan, np.ones(1, dtype=bool))
+    half = len(X) // 2
+    return tuple(np.concatenate(t) for t in zip(_jets_at(expr, X[:half]), _jets_at(expr, X[half:])))
+
+
 def _jets_many(pr: Problem, xs: list) -> list:
-    """PointEval's jets at each x of xs, from one eval2_many per expression;
-    each row has the bits of eval2.  None stands for every x if an
-    expression raises ExprDomainError at some x, and for each x at which a
-    jet is not finite: such a point is evaluated on its first use, which
-    raises as it would without this."""
+    """PointEval's jets at each x of xs, from _jets_at per expression; each
+    row has the bits of eval2.  None stands for each x at which an
+    expression raises ExprDomainError or a jet is not finite: such a point
+    is evaluated on its first use, which raises as it would without this."""
     if not xs:
         return []
     X = np.array(xs)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            batches = [eval2_many(e, X) for e in (pr.f, *pr.h, *pr.g)]
-    except ExprDomainError:
-        return [None] * len(xs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        batches = [_jets_at(e, X)[:3] for e in (pr.f, *pr.h, *pr.g)]  # a failed row holds NaN
     finite = np.ones(len(xs), dtype=bool)
     for values, grads, hessians in batches:
         finite &= np.isfinite(values) & np.isfinite(grads).all(axis=1)
@@ -278,14 +289,6 @@ def evaluate(pr: Problem, x) -> PointEval:
     pe = _point(pr, x)
     pe.f  # the first use evaluates every jet, and raises here for an undefined point
     return pe
-
-
-def check_feasible(pr: Problem, x, tol: Tolerances = Tolerances()) -> tuple[bool, CcopActivity]:
-    """Feasibility of x (an array or a PointEval) for the sparse problem,
-    plus its activity sets."""
-    ok, ((layout, _, _, (labels,)),) = _m_select(pr, _bank([evaluate(pr, x)], np.eye(pr.n), (), tol), tol)
-    _, Q0, I0 = _kinds(labels, layout)
-    return bool(ok[0]), CcopActivity(Q0, I0, pr.n - len(I0))
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +354,7 @@ def _layouts(sel: np.ndarray, kinds: np.ndarray, label: np.ndarray) -> list:
     of its rows and gives each kind one column slice, in the order of the
     kinds.  Returns one (layout, members, index, labels) per layout, in
     order of first appearance: the positions of its candidates, their bank
-    rows and their labels, one row label[index[j]] each (see _kinds).
+    rows and their labels, one row label[index[j]] each.
     """
     col = sel.nonzero()[1]
     groups: dict[tuple, list] = {}
@@ -362,11 +365,6 @@ def _layouts(sel: np.ndarray, kinds: np.ndarray, label: np.ndarray) -> list:
         index = (col if len(groups) == 1 else sel[members].nonzero()[1]).reshape(len(members), sum(layout))
         out.append((layout, np.array(members), index, label.take(index).tolist()))
     return out
-
-
-def _kinds(labels: list, layout: tuple) -> list[tuple]:
-    """One candidate's labels (see _layouts) as one tuple per kind."""
-    return [tuple(labels[end - count : end]) for end, count in zip(accumulate(layout), layout)]
 
 
 @lru_cache(maxsize=64)
@@ -503,13 +501,6 @@ def _m_select(pr: Problem, bank: _Bank, tol: Tolerances):
     return ok, _layouts(sel, *_columns(nh, g.shape[1], pr.n))
 
 
-def check_cc_licq(pr: Problem, x, tol: Tolerances = Tolerances()) -> bool:
-    """Linear independence of active gradients and vanishing-coordinate directions."""
-    bank = _bank([evaluate(pr, x)], np.eye(pr.n), (), tol)
-    _, ((layout, _, index, _),) = _m_select(pr, bank, tol)
-    return _solve(bank, np.zeros(1, int), index, layout, (0, 0, 0), tol)[3][0] == index.shape[1]
-
-
 def certify_m(pr: Problem, x, tol: Tolerances = Tolerances()) -> MCertificate:
     """Certify M-stationarity, nondegeneracy NDM1..NDM4 and the M-index at x
     (an array or a PointEval).
@@ -531,6 +522,19 @@ def certify_m_many(pr: Problem, xs, tol: Tolerances = Tolerances()) -> list[MCer
     """
     xs = [_point(pr, x) for x in xs]
     return _certified(pr._certs, [_key(x, tol._astuple) for x in xs], _certify_m, pr, xs, tol)
+
+
+def check_feasible(pr: Problem, x, tol: Tolerances = Tolerances()) -> tuple[bool, CcopActivity]:
+    """Feasibility of x (an array or a PointEval) for the sparse problem,
+    plus its activity sets: the fields of certify_m(pr, x, tol)."""
+    cert = certify_m(pr, x, tol)
+    return cert.feasible, cert.activity
+
+
+def check_cc_licq(pr: Problem, x, tol: Tolerances = Tolerances()) -> bool:
+    """Linear independence of active gradients and vanishing-coordinate
+    directions: NDM1 of certify_m(pr, x, tol)."""
+    return certify_m(pr, x, tol).ndm[0]
 
 
 def _certify_m(misses, pr: Problem, xs, tol: Tolerances) -> list[MCertificate]:

@@ -10,7 +10,8 @@ stack of same-shape matrices and runs it through one call of the gufunc
 that numpy.linalg runs on one matrix, which gives every matrix the result
 of its own call, bit for bit; certification makes these calls once per
 layout group of its candidates (ccop._solve, which ranks by blocks) and
-reads their Stacks whole.
+reads their Stacks whole.  Calling them so needs numpy 2.0 or later:
+numpy 1.x split the lstsq and SVD gufuncs in two.
 """
 
 from __future__ import annotations

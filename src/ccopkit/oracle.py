@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ccop import MCertificate, Problem, _carrying, _jets_many, certify_m_many
-from .exprcore import ExprDomainError, eval2, eval2_many, polynomial_degree, to_source
+from .ccop import MCertificate, Problem, _carrying, _jets_at, _jets_many, certify_m_many
+from .exprcore import eval2, polynomial_degree, to_source
 from .numkern import Tolerances
 from .regmpoc import AssumptionError, RegularizedProblem, TCertificate, certify_t_pairs, companion_y
 
@@ -364,15 +364,15 @@ def _kkt_systems(pr: Problem, parts):
     n = pr.n
     X = np.concatenate([z[:, :n] for _, _, z in parts])
     ends = [0, *itertools.accumulate(len(z) for _, _, z in parts)]
-    f = _jets(pr.f, X)
-    h = [_jets(e, X) for e in pr.h]
+    f = _jets_at(pr.f, X)
+    h = [_jets_at(e, X) for e in pr.h]
     g = {}
     spans = list(zip(ends, ends[1:]))
     for q in sorted(set().union(*(act for act, _, _ in parts))):
         rows = [np.arange(a, b) for (act, _, _), (a, b) in zip(parts, spans) if q in act]
         rows = np.concatenate(rows)
         g[q] = []
-        for t in _jets(pr.g[q - 1], X[rows]):  # scattered back; other rows stay unread
+        for t in _jets_at(pr.g[q - 1], X[rows]):  # scattered back; other rows stay unread
             g[q].append(np.zeros((len(X), *t.shape[1:]), dtype=t.dtype))
             g[q][-1][rows] = t
     out = []
@@ -389,21 +389,6 @@ def _kkt_systems(pr: Problem, parts):
         F = np.concatenate([r1, *values, z[rows, jc0]], axis=1)
         out.append((F, _kkt_matrix(hess, [grad for _, grad, _, _ in cons], jc0), failed))
     return out
-
-
-def _jets(expr, X):
-    """eval2_many of expr at the rows of X, and the mask of rows at which it
-    raises ExprDomainError; a batch that raises is split in halves until the
-    failing rows are found, and those hold NaN."""
-    try:
-        return (*eval2_many(expr, X), np.zeros(len(X), dtype=bool))
-    except ExprDomainError:
-        if len(X) == 1:
-            n = X.shape[1]
-            nan = np.full(1, np.nan), np.full((1, n), np.nan), np.full((1, n, n), np.nan)
-            return (*nan, np.ones(1, dtype=bool))
-    half = len(X) // 2
-    return tuple(np.concatenate(t) for t in zip(_jets(expr, X[:half]), _jets(expr, X[half:])))
 
 
 def _shared_roots(pr: Problem, tol: Tolerances, notes: list[str], grid: GridSpec | None = None):

@@ -19,7 +19,10 @@ y-blocks of the directions (see ccop._solve).  certify_t_pairs certifies
 many (x, y) in one call: the work that depends on x alone is done once per
 distinct x, and the pairs are certified as arrays per layout group, a layout
 being the number of multipliers of each kind (see ccop._solve).  certify_t
-is its one-pair case.
+is its one-pair case.  MPOC-LICQ is NDT1, so check_mpoc_licq and
+check_feasible_r read fields of the certificate (_certify_pairs); unlike
+certification they answer on parameters that violate the assumption,
+override or not.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from .ccop import (
     _frozen,
     _instance,
     _key,
-    _kinds,
     _layouts,
     _point,
     _solve,
@@ -223,7 +225,7 @@ def _t_units(n: int) -> tuple[np.ndarray, tuple]:
 
 
 def _feasible_r(rp: RegularizedProblem, bank: _Bank, at: np.ndarray, Y: np.ndarray, tol: Tolerances):
-    """check_feasible_r at the pairs (point at[k] of bank, Y[k]), evaluated
+    """The feasibility of the pairs (point at[k] of bank, Y[k]), evaluated
     for all pairs together: whether each is feasible, and its
     T-stationarity directions grouped by layout (see ccop._layouts), as the
     bank rows grad h_p (lam), grad g_q for q in Q0 (mu1), -e_(n+i) for i in
@@ -233,8 +235,8 @@ def _feasible_r(rp: RegularizedProblem, bank: _Bank, at: np.ndarray, Y: np.ndarr
 
     The same vectors (up to the sign of the mu2 block, which is irrelevant
     for rank and null space) constitute the MPOC-LICQ family and cut out the
-    tangent space, so one assembly serves the solve, the CQ test and the
-    restricted Hessian.
+    tangent space, so one assembly serves the solve, the rank (NDT1, which
+    check_mpoc_licq reads) and the restricted Hessian.
     """
     n, s, eps, act, feas = rp.n, rp.s, rp.eps, tol.tol_act, tol.tol_feas
     nh = len(rp.base.h)
@@ -261,28 +263,20 @@ def _feasible_r(rp: RegularizedProblem, bank: _Bank, at: np.ndarray, Y: np.ndarr
     return ok, _layouts(sel, *_columns(nh, g.shape[1], n, 1, n, n, n, n))
 
 
-def _checked(rp: RegularizedProblem, x, y, tol: Tolerances):
-    """The bank of x (an array or a PointEval of the base problem), and the
-    feasibility and layout group of (x, y) (see _feasible_r)."""
-    bank = _bank([evaluate(rp.base, x)], _t_units(rp.n)[0], rp.c, tol)
-    ok, (group,) = _feasible_r(rp, bank, np.zeros(1, dtype=int), _y(rp, y)[None], tol)
-    return bank, bool(ok[0]), group
-
-
 def check_feasible_r(
     rp: RegularizedProblem, x, y, tol: Tolerances = Tolerances()
 ) -> tuple[bool, MpocActivity]:
-    """Feasibility of (x, y) for the lifted problem, plus its activity pattern;
-    x is an array or a PointEval of the base problem."""
-    _, ok, (layout, _, _, (labels,)) = _checked(rp, x, y, tol)
-    _, Q0, ecal, mu3, a01, a10, a00, _ = _kinds(labels, layout)
-    return ok, MpocActivity(a00, a01, a10, ecal, bool(mu3), Q0)
+    """Feasibility of (x, y) for the lifted problem, plus its activity
+    pattern: the fields of the T-certificate at (x, y), also where the (c,
+    eps) assumption fails; x is an array or a PointEval of the base problem."""
+    cert = _certify_pairs(rp, [(x, y)], tol)[0]
+    return cert.feasible, cert.activity
 
 
 def check_mpoc_licq(rp: RegularizedProblem, x, y, tol: Tolerances = Tolerances()) -> bool:
-    """Linear independence of the MPOC constraint directions at (x, y)."""
-    bank, _, (layout, _, index, _) = _checked(rp, x, y, tol)
-    return _solve(bank, np.zeros(1, int), index, layout, _t_units(rp.n)[1], tol)[3][0] == index.shape[1]
+    """Linear independence of the MPOC constraint directions at (x, y): NDT1
+    of the T-certificate there, also where the (c, eps) assumption fails."""
+    return _certify_pairs(rp, [(x, y)], tol)[0].ndt[0]
 
 
 def certify_t(rp: RegularizedProblem, x, y, tol: Tolerances = Tolerances()) -> TCertificate:
@@ -321,6 +315,12 @@ def certify_t_pairs(
             "regularization parameters violate the positivity/distinctness/eps bound "
             "assumption; construct with override=True to certify anyway"
         )
+    return _certify_pairs(rp, pairs, tol)
+
+
+def _certify_pairs(rp: RegularizedProblem, pairs, tol: Tolerances) -> list[TCertificate]:
+    """certify_t_pairs without its refusal of parameters that violate the
+    assumption, for the checks, which answer on any parameters."""
     # an x shared by several pairs is checked, and so copied, once; a copy per
     # pair left the n=10, s=6 T census with about 1 MB more peak RSS
     seen: dict[int, tuple] = {}  # id(x) -> (x, key of x); x is held, so its id stays its own

@@ -183,6 +183,44 @@ MUTANTS = (
         "groups.setdefault(len(J), []).append(k)",
         (f"{ORACLE}::test_stacked_linear_roots_equal_one_solve_per_pattern",),
     ),
+    # the checks read the certificate (ccop.check_*, regmpoc.check_*)
+    Mutant(
+        "check_cc_licq reads NDM2", "ccop.py",
+        "    return certify_m(pr, x, tol).ndm[0]\n",
+        "    return certify_m(pr, x, tol).ndm[1]\n",
+        (f"{LAYOUTS}::test_licq_checks_decide_as_the_certificates_do",),
+    ),
+    Mutant(
+        "check_feasible_r through the guarded certify_t_pairs", "regmpoc.py",
+        "    cert = _certify_pairs(rp, [(x, y)], tol)[0]\n",
+        "    cert = certify_t_pairs(rp, [(x, y)], tol)[0]\n",
+        ("tests/test_regmpoc.py::test_checks_answer_where_certification_refuses_the_parameters",),
+    ),
+    Mutant(
+        "check_mpoc_licq through the guarded certify_t_pairs", "regmpoc.py",
+        "    return _certify_pairs(rp, [(x, y)], tol)[0].ndt[0]\n",
+        "    return certify_t_pairs(rp, [(x, y)], tol)[0].ndt[0]\n",
+        ("tests/test_cli.py::test_check_licq_answers_without_override_on_parameters_that_violate_the_assumption",),
+    ),
+    # the jets kept with the roots (ccop._jets_many, _jets_at)
+    Mutant(
+        "_jets_many keeps a failed row", "ccop.py",
+        "    for k in finite.nonzero()[0].tolist():\n",
+        "    for k in range(len(xs)):\n",
+        (f"{ORACLE}::test_roots_whose_jets_fail_are_evaluated_on_first_use",),
+    ),
+    Mutant(
+        "_jets_many drops every row when one fails", "ccop.py",
+        "        batches = [_jets_at(e, X)[:3] for e in (pr.f, *pr.h, *pr.g)]",
+        "        batches = [eval2_many(e, X) for e in (pr.f, *pr.h, *pr.g)]",
+        (f"{ORACLE}::test_roots_whose_jets_fail_are_evaluated_on_first_use",),
+    ),
+    Mutant(
+        "a failed row of _jets_at holding zeros", "ccop.py",
+        "nan = np.full(1, np.nan), np.full((1, n), np.nan), np.full((1, n, n), np.nan)",
+        "nan = np.zeros(1), np.zeros((1, n)), np.zeros((1, n, n))",
+        ("tests/test_pointeval.py::test_an_array_at_a_kept_root_carries_its_jets",),
+    ),
     # read-only certificates
     Mutant(
         "a certificate mapping that accepts item assignment", "ccop.py",

@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import numpy as np
 import pytest
 
@@ -178,7 +180,8 @@ def test_stacked_kernel_calls_keep_each_item_with_its_result(monkeypatch):
         solved = ccop._solve(bank, at[members], index, layout, (0, 0, 0), TOL)
         for j, k in enumerate(members.tolist()):
             got[k] = [part[j] for part in solved]
-            labels[k] = tuple(ccop._kinds(group_labels[j], layout))
+            ends = accumulate(layout)  # each kind's labels: the slice of its count ending here
+            labels[k] = tuple(tuple(group_labels[j][end - c : end]) for end, c in zip(ends, layout))
     for k in range(len(sel)):
         rows, target, (f, h, g) = bank.rows[at[k]][sel[k]], bank.target[at[k]], hessians[at[k]]
         coeffs = np.linalg.lstsq(rows.T, target, rcond=TOL.tol_rank)[0]

@@ -356,6 +356,24 @@ def test_check_licq_both_sides(capsys):
     assert code == 0 and "holds = true" in out
 
 
+def test_check_licq_answers_without_override_on_parameters_that_violate_the_assumption(capsys, tmp_path):
+    # certify and lift refuse c = 0, eps = 0 without override (exit 3);
+    # check-licq answers as with override
+    with open(path("well_ones_relaxed.prob")) as f:
+        text = f.read()
+    assert "override = true" in text
+    file = tmp_path / "relaxed_no_override.prob"
+    file.write_text(text.replace("override = true", "override = false"))
+    code, out = run(capsys, "certify", str(file), "lifted_e1", "--side", "t")
+    assert code == 3
+    answers = []
+    for name in (str(file), path("well_ones_relaxed.prob")):
+        code, out = run(capsys, "check-licq", name, "lifted_e1", "--format", "machine")
+        assert code in (0, 1)
+        answers.append((code, [line for line in out.splitlines() if line.startswith("holds")]))
+    assert answers[0] == answers[1]
+
+
 def test_verify_command_green(capsys):
     code, out = run(capsys, "verify", path("well_ones.prob"), "--format", "machine")
     assert code == 0

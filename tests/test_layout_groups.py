@@ -197,9 +197,9 @@ def test_layout_groups_equal_the_per_candidate_reference(kernel_inputs):
 
 
 def test_licq_checks_decide_as_the_certificates_do():
-    # check_cc_licq and check_mpoc_licq rank by blocks through ccop._solve,
-    # as certification does, so a check and a certificate cannot disagree at
-    # a margin
+    # check_cc_licq and check_mpoc_licq return NDM1 and NDT1 of the
+    # certificate at the point, so a check and a certificate cannot disagree
+    # at a margin
     checked = 0
     for rp, sampler, grid in _cases():
         roots = [(J, pe.x) for J, pe in oracle._shared_roots(rp.base, TOL, [], grid)]
@@ -346,7 +346,7 @@ def test_small_groups_over_one_x_equal_the_reference(style, kernel_inputs):
 @pytest.mark.parametrize("style", ["", "h", "g"])
 def test_one_point_checks_agree_with_the_reference(style):
     # check_feasible, check_cc_licq, check_feasible_r and check_mpoc_licq
-    # read their activity and LICQ off one candidate's layout group
+    # read their activity and LICQ off the certificate at one point
     rng = np.random.default_rng({"": 239, "h": 241, "g": 251}[style])
     checked = 0
     for n, s in [(4, 1), (5, 2), (6, 3)]:

@@ -55,6 +55,27 @@ def test_make_regularized_zero_parameters_need_override():
     assert cert.stationary
 
 
+def test_checks_answer_where_certification_refuses_the_parameters():
+    # c = 0, eps = 0 without override: certify_t raises, while
+    # check_feasible_r and check_mpoc_licq return the fields of the
+    # certificate that the same problem with override=True gets
+    rp = make_regularized(well_ones(), [0.0, 0.0], 0.0)
+    rp_override = make_regularized(well_ones(), [0.0, 0.0], 0.0, override=True)
+    # the last pair is infeasible by y_2 < -tol_feas, at which y_2 is still
+    # active: its rows -e_3 (Ecal), e_4 (a10) and (0, 0, 1, 1) (sum) are dependent
+    pairs = [([1.0, 0.0], [0.0, 1.0]), ([0.0, 0.0], [1.0, 1.0]), ([0.0, 0.0], [0.0, 0.0]),
+             ([0.0, 0.0], [0.6, 0.8]), ([1.0, 1.0], [0.0, 0.0]), ([0.0, 0.5], [1.0, -5e-9])]
+    seen = set()
+    for x, y in pairs:
+        with pytest.raises(AssumptionError):
+            certify_t(rp, x, y)
+        cert = certify_t(rp_override, x, y)
+        assert check_feasible_r(rp, x, y, TOL) == (cert.feasible, cert.activity)
+        assert check_mpoc_licq(rp, x, y, TOL) == cert.ndt[0]
+        seen.add((cert.feasible, cert.ndt[0]))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_make_regularized_eps_bound_scales_with_budget():
     pr = make_problem(3, 1, "x1^2 + x2^2 + x3^2")
     assert not make_regularized(pr, [0.2, 0.5, 0.8], 0.6).assumption1_ok  # 0.6 > 1/2
