@@ -20,6 +20,7 @@ import numpy as np
 
 from .ccop import MCertificate, _point, certify_m
 from .numkern import Tolerances
+from .oracle import _Points
 from .regmpoc import (
     AssumptionError,
     RegularizedProblem,
@@ -244,25 +245,24 @@ def verify_counts(rp: RegularizedProblem, census, tol: Tolerances = Tolerances()
         )
         return report
 
+    m, t = _Points.of(census.m_points), _Points.of(census.t_points)  # columns; index None unless nondegenerate
     if census.complete:
         # a T-point belongs to the M-point whose x has its bits (both come
         # from one root); one whose x matches no M-point counts for every
         # M-point within the merge radius
-        m_bits = {xm.tobytes() for xm, _ in census.m_points}
+        m_bits = {xm.tobytes() for xm in m.x}
         owned: dict[bytes, int] = {}
         strays = []
-        for xt, _, _ in census.t_points:
+        for xt in t.x:
             bits = xt.tobytes()
             if bits in m_bits:
                 owned[bits] = owned.get(bits, 0) + 1
             else:
                 strays.append(xt)
         strays = np.array(strays).reshape(len(strays), n)
-        labels = _rounded([xm for xm, _ in census.m_points], n)
-        for (xm, mcert), label in zip(census.m_points, labels):
-            if not mcert.nondegenerate:
+        for xm, index, k, label in zip(m.x, m.index, m.norm0(), _rounded(m.x, n)):
+            if index is None:  # a census point is stationary: nondegenerate is an index
                 continue
-            k = mcert.activity.x_norm0
             want = math.comb(n - k - 1, n - s - 1)
             near = np.max(np.abs(strays - xm), axis=1) <= radius
             got = owned.get(xm.tobytes(), 0) + int(np.count_nonzero(near))
@@ -279,7 +279,7 @@ def verify_counts(rp: RegularizedProblem, census, tol: Tolerances = Tolerances()
             CountCheck("companion-count", "n/a", "census incomplete; exact counts not asserted")
         )
 
-    for k in sorted({mcert.activity.x_norm0 for _, mcert in census.m_points}):
+    for k in sorted(set(m.norm0())):
         lhs = math.comb(n - k - 1, n - s - 1)
         rhs = math.comb(n - k - 1, s - k) if s - k >= 0 else None
         status = "pass" if lhs == rhs else "fail"
@@ -293,9 +293,7 @@ def verify_counts(rp: RegularizedProblem, census, tol: Tolerances = Tolerances()
         )
 
     if census.complete:
-        m0 = sum(1 for _, c in census.m_points if c.m_index == 0)
-        t0 = sum(1 for *_, c in census.t_points if c.t_index == 0)
-        t1 = sum(1 for *_, c in census.t_points if c.t_index == 1)
+        m0, t0, t1 = m.index.count(0), t.index.count(0), t.index.count(1)
         report.checks.append(
             CountCheck(
                 "minimizer-count",

@@ -8,14 +8,17 @@ NDM1..NDM4 and reports the M-index as quadratic index + sparsity index.
 Certificates are kept per point and tolerances for as long as a caller holds
 them (see _certified), so a repeated request costs no evaluation or solve.
 certify_m_many certifies many points in one call, as arrays per layout
-group (see _solve); certify_m is its one-point case.  CC-LICQ is NDM1, so
+group (see _solve) kept as the columns of a _Block, from whose rows it
+builds whole certificates; certify_m is its one-point case.  A census keeps
+the blocks and enters the rows it keeps in the memo (_entered), so that a
+certificate is built only when its point is read.  CC-LICQ is NDM1, so
 check_cc_licq and check_feasible read fields of certify_m's certificate.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -114,32 +117,20 @@ class FrozenDict(dict, metaclass=_Filled):
 
 
 def _frozen(items, _new=dict.__new__, _fill=dict.__init__) -> FrozenDict:
-    """A FrozenDict of the (key, value) items, as FrozenDict(items) makes it."""
+    """A FrozenDict of the (key, value) items, as FrozenDict(items) makes it;
+    with no items, the one empty FrozenDict, which nothing can fill."""
+    if not items:
+        return _EMPTY
     frozen = _new(FrozenDict)
     _fill(frozen, items)
     return frozen
 
 
-class _FilledOnRead:
-    """Base of MCertificate and TCertificate, whose certifiers store `_source` in
-    place of the fields in _unread, which no census reads.  The first read of
-    any puts all that _fill(*_source) builds in by one update, then drops _source."""
-
-    def __getattr__(self, name):  # names missing from the instance dict; those not in _unread raise at once
-        held = vars(self)
-        if name in self._unread and (source := held.get("_source")) is not None:
-            held.update(self._fill(*source))
-            held.pop("_source", None)
-        if name in held:  # filled just now, by this thread or by one that found _source first
-            return held[name]
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-
-    def __getstate__(self) -> dict:  # every field, filled, in declaration order: pickles tell nothing
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+_EMPTY = dict.__new__(FrozenDict)
 
 
 @dataclass(frozen=True)
-class MCertificate(_FilledOnRead):
+class MCertificate:
     """Verdict of M-stationarity certification at one point.
 
     Multiplier groups are FrozenDicts keyed by 1-based constraint/coordinate
@@ -150,8 +141,7 @@ class MCertificate(_FilledOnRead):
 
     Certificates are results and read-only: a repeated request for the same
     point and tolerances returns the held certificate itself (see _certified).
-    Certifiers fill lam, mu and gamma on first read (_FilledOnRead): ==, repr,
-    pickles, copies and dataclasses.replace cannot tell whether they were.
+    A certifier builds each one whole from its row of a _Block.
     """
 
     feasible: bool
@@ -167,13 +157,6 @@ class MCertificate(_FilledOnRead):
     m_index: int | None = None
     degenerate_reason: str | None = None
     non_unique: bool = False
-
-    _unread = frozenset(("lam", "mu", "gamma"))
-
-    @staticmethod
-    def _fill(lab: list, row: list, nh: int, e1: int) -> dict:  # labels, multipliers, slice ends
-        pairs = tuple(zip(lab, row))
-        return {"lam": _frozen(pairs[:nh]), "mu": _frozen(pairs[nh:e1]), "gamma": _frozen(pairs[e1:])}
 
     @property
     def nondegenerate(self) -> bool:
@@ -254,7 +237,7 @@ def _jets_many(pr: Problem, xs: list) -> list:
 def _carrying(pr: Problem, x: np.ndarray, jets) -> PointEval:
     """A PointEval of pr at the read-only x that carries `jets` (an item of
     _jets_many), or that evaluates on first use where jets is None."""
-    pe = _instance(PointEval, problem=pr, x=x)
+    pe = _instance(PointEval, {"problem": pr, "x": x})
     if jets is not None:
         vars(pe)["_jets"] = jets  # what its first use would have evaluated
     return pe
@@ -337,9 +320,10 @@ def _bank(pes: list, units: np.ndarray, tail, tol: Tolerances) -> _Bank:
 @lru_cache(maxsize=64)
 def _columns(*sizes: int) -> tuple[np.ndarray, np.ndarray]:
     """(kinds, label) of bank rows in consecutive blocks of the given sizes,
-    one per multiplier kind (see _layouts), each block labelled 1, 2, ..."""
+    one per multiplier kind (see _layouts), each block labelled 1, 2, ...
+    in the smallest integer type that holds them, as a _Block keeps them."""
     kinds = np.repeat(np.eye(len(sizes), dtype=int), sizes, axis=0)
-    label = np.concatenate([np.arange(1, size + 1) for size in sizes])
+    label = np.concatenate([np.arange(1, size + 1) for size in sizes]).astype(np.min_scalar_type(max(sizes)))
     kinds.flags.writeable = label.flags.writeable = False
     return kinds, label
 
@@ -354,7 +338,7 @@ def _layouts(sel: np.ndarray, kinds: np.ndarray, label: np.ndarray) -> list:
     of its rows and gives each kind one column slice, in the order of the
     kinds.  Returns one (layout, members, index, labels) per layout, in
     order of first appearance: the positions of its candidates, their bank
-    rows and their labels, one row label[index[j]] each.
+    rows and their labels (an array), one row label[index[j]] each.
     """
     col = sel.nonzero()[1]
     groups: dict[tuple, list] = {}
@@ -363,7 +347,7 @@ def _layouts(sel: np.ndarray, kinds: np.ndarray, label: np.ndarray) -> list:
     out = []
     for layout, members in groups.items():
         index = (col if len(groups) == 1 else sel[members].nonzero()[1]).reshape(len(members), sum(layout))
-        out.append((layout, np.array(members), index, label.take(index).tolist()))
+        out.append((layout, np.array(members), index, label.take(index)))
     return out
 
 
@@ -441,9 +425,10 @@ def _key(pe: PointEval, *rest) -> tuple:
 def _certified(memo: weakref.WeakValueDictionary, keys: list, certify, *args) -> list:
     """The certificates under `keys`, in order; the misses are certified by
     one call certify(misses, *args), misses listing their positions in keys,
-    which returns one certificate per miss, and stored.  A key repeated in
+    which returns _Blocks whose members are positions in misses, and each
+    miss's certificate is built from its row and stored.  A key repeated in
     `keys` is certified at its first position and served as a hit at the
-    others.
+    others; a hit on a census row (a _Row) is its certificate.
 
     Callers check their inputs before they look up, so whatever raises
     raises on every call, and a raise stores nothing.  An entry is the
@@ -452,6 +437,8 @@ def _certified(memo: weakref.WeakValueDictionary, keys: list, certify, *args) ->
     that miss on one key both certify, and either entry is correct.
     """
     certs = [memo.get(key) for key in keys]
+    if _Row in map(type, certs):
+        certs = [cert.cert() if type(cert) is _Row else cert for cert in certs]
     if all(certs):  # every key held: a certificate is never false
         return certs
     first: dict = {}  # key of a miss -> its first position
@@ -459,15 +446,103 @@ def _certified(memo: weakref.WeakValueDictionary, keys: list, certify, *args) ->
         if cert is None:
             first.setdefault(keys[k], k)
     misses = list(first.values())
-    for k, cert in zip(misses, certify(misses, *args)):
-        certs[k] = memo[keys[k]] = cert
+    for block in certify(misses, *args):
+        for row, k in enumerate(block.members.tolist()):
+            certs[misses[k]] = memo[keys[misses[k]]] = block.cert(row)
     return [certs[first[key]] if cert is None else cert for key, cert in zip(keys, certs)]
 
 
-def _instance(cls, **fields):
-    """A certificate or an activity (a frozen dataclass) from its fields in
-    declaration order (see _FilledOnRead).  A frozen dataclass's __init__ sets
-    each field by object.__setattr__, which made n=8 censuses 7% slower."""
+def _entered(memo: weakref.WeakValueDictionary, keys: list, rows: list) -> list:
+    """A _Row of each (block, row) of `rows`, entered in memo under its key
+    of `keys` (see _certified), so that a later request certifies nothing.
+    Where a key is held, the held entry stays: a held _Row (of another
+    census) stands for the row, and a held certificate is the row's."""
+    out, fresh = [], not memo  # on a fresh memo nothing is held, and nothing is looked up
+    for key, (block, row) in zip(keys, rows):
+        held = None if fresh else memo.get(key)
+        if held is None:
+            held = memo[key] = _Row(block, row, memo, key)
+        elif type(held) is not _Row:  # the row's certificate, with its bits, held by a caller
+            block.certs[row] = held
+            held = _Row(block, row, memo, key)
+        out.append(held)
+    return out
+
+
+class _Row:
+    """A certified point that a census keeps: row `row` of `block`, entered
+    in `memo` under `key` until its certificate is built, on its first read
+    (cert), which then takes its place there."""
+
+    __slots__ = ("block", "row", "memo", "key", "__weakref__")
+
+    def __init__(self, block, row: int, memo, key: tuple):
+        self.block, self.row, self.memo, self.key = block, row, memo, key
+
+    def cert(self):
+        cert = self.block.certs.get(self.row)
+        if cert is None:  # the first read
+            cert = self.memo[self.key] = self.block.cert(self.row)
+        return cert
+
+    def norm0(self) -> int:  # x_norm0, on the M side
+        return self.block.norm0
+
+    def reason(self):
+        return self.block.reason(self.row)
+
+
+class _Block:
+    """The certified candidates of one layout group, as columns, one row per
+    candidate (see _certify_m and regmpoc._certify_t_pairs): members, their
+    positions among the candidates certified together; feasible and
+    stationary; residual; flags, a tuple (NDM1..NDM4 or NDT1..NDT5) per
+    row; quadratic and total, lists of the quadratic index and of the
+    certificate's index (m_index or t_index, -1 where it has none); and coeffs and labels, the multipliers and their
+    1-based indices, in the column slices of the layout's kinds.  The
+    side's build makes a row's certificate whole; cert(row) builds it on
+    first request and keeps it, so every request returns that certificate.
+    """
+
+    def __init__(self, members, feasible, stationary, flags, residual, quadratic, total, coeffs, labels, **layout):
+        vars(self).update(members=members, feasible=feasible, stationary=stationary, flags=flags, residual=residual,
+                          quadratic=quadratic, total=total, coeffs=coeffs, labels=labels, certs={}, **layout)
+
+    def cert(self, row: int):
+        cert = self.certs.get(row)  # threads that race on a row all get the certificate stored first
+        return cert if cert is not None else self.certs.setdefault(row, self.build(row))
+
+    def scalars(self, row: int) -> tuple:
+        """feasible, stationary, residual, flags (a tuple), quadratic and
+        total of a row, as certificates hold them; the rows are listed on
+        first use, by one tolist per column, and kept (a cached_property
+        would take a lock)."""
+        rows = vars(self).get("_scalars")
+        if rows is None:
+            columns = self.feasible.tolist(), self.stationary.tolist(), self.residual.tolist()
+            rows = list(zip(*columns, self.flags, self.quadratic, self.total))
+            rows = vars(self).setdefault("_scalars", rows)
+        return rows[row]
+
+    def groups(self, row: int) -> tuple:
+        """The labels and the multipliers of a row, as lists, listed and
+        kept as scalars are."""
+        rows = vars(self).get("_groups")
+        if rows is None:
+            rows = vars(self).setdefault("_groups", list(zip(self.labels.tolist(), self.coeffs.tolist())))
+        return rows[row]
+
+    def reason(self, row: int):
+        """The degenerate_reason of a row."""
+        return _first_failed(*self.scalars(row)[:4], self.prefix)
+
+
+def _instance(cls, fields: dict):
+    """A certificate or an activity (a frozen dataclass) whose instance dict
+    is `fields`, its fields in declaration order, which its pickles keep.  A
+    frozen dataclass's __init__ sets each field by object.__setattr__, which
+    made n=8 censuses 7% slower, and a call by keywords costs about twice the
+    time of a dict."""
     cert = object.__new__(cls)
     object.__setattr__(cert, "__dict__", fields)
     return cert
@@ -537,29 +612,43 @@ def check_cc_licq(pr: Problem, x, tol: Tolerances = Tolerances()) -> bool:
     return certify_m(pr, x, tol).ndm[0]
 
 
-def _certify_m(misses, pr: Problem, xs, tol: Tolerances) -> list[MCertificate]:
-    """The certificates at the xs listed in misses (see _certified), one
-    _solve per layout (nh, |Q0|, |I0|), whose multipliers are the column
-    slices lam, mu and gamma."""
+class _MBlock(_Block):
+    """A _Block of M-certificates, whose layout is (nh, |Q0|, |I0|): lam,
+    mu and gamma end at nh, e1 and the width, and every row has x_norm0
+    norm0 and sparsity index si."""
+
+    prefix = "NDM"
+
+    def build(self, row: int) -> MCertificate:
+        (lab, values), (nh, e1) = self.groups(row), self.ends
+        feasible, stationary, residual, ndm, quadratic, total = self.scalars(row)
+        pairs = tuple(zip(lab, values))
+        activity = _instance(CcopActivity, {"Q0": tuple(lab[nh:e1]), "I0": tuple(lab[e1:]), "x_norm0": self.norm0})
+        return _instance(MCertificate, {
+            "feasible": feasible, "stationary": stationary, "activity": activity, "lam": _frozen(pairs[:nh]),
+            "mu": _frozen(pairs[nh:e1]), "gamma": _frozen(pairs[e1:]), "residual": residual, "ndm": ndm,
+            "quadratic_index": quadratic, "sparsity_index": self.si, "m_index": total if total >= 0 else None,
+            "degenerate_reason": _first_failed(feasible, stationary, residual, ndm, self.prefix),
+            "non_unique": not ndm[0],
+        })
+
+
+def _certify_m(misses, pr: Problem, xs, tol: Tolerances) -> list[_MBlock]:
+    """The xs listed in misses (see _certified) certified, one _solve and
+    one _MBlock per layout (nh, |Q0|, |I0|), whose multipliers are the
+    column slices lam, mu and gamma."""
     bank = _bank([evaluate(pr, xs[k]) for k in misses], np.eye(pr.n), (), tol)
     ok, groups = _m_select(pr, bank, tol)
-    feasible, ts = ok.tolist(), tol.tol_strict
-    certs: list = [None] * len(misses)
+    ts, blocks = tol.tol_strict, []
     for (nh, nq, ni), at, index, labels in groups:
         coeffs, residual, residual_ok, ranks, neg, zero = _solve(bank, at, index, (nh, nq, ni), (0, 0, 0), tol)
         e1, norm0 = nh + nq, pr.n - ni
         least, si = np.minimum.reduce(coeffs[:, nh:e1], axis=1, initial=np.inf), pr.s - norm0  # of mu
-        stationary = ok.take(at) & residual_ok & (least >= -ts)
+        feasible = ok.take(at)
+        stationary = feasible & residual_ok & (least >= -ts)
         gaps = np.logical_and.reduce(np.abs(coeffs[:, e1:]) > ts, axis=1) | (norm0 == pr.s)
-        ndms = zip([r == e1 + ni for r in ranks], (least > ts).tolist(), gaps.tolist(), [z == 0 for z in zero])
-        for k, lab, row, st, ndm, res, q in zip(
-            at.tolist(), labels, coeffs.tolist(), stationary.tolist(), ndms, residual.tolist(), neg
-        ):
-            activity = _instance(CcopActivity, Q0=tuple(lab[nh:e1]), I0=tuple(lab[e1:]), x_norm0=norm0)
-            certs[k] = _instance(
-                MCertificate, feasible=feasible[k], stationary=st, activity=activity,
-                _source=(lab, row, nh, e1), residual=res, ndm=ndm, quadratic_index=q, sparsity_index=si,
-                m_index=q + si if (st and all(ndm)) else None,
-                degenerate_reason=_first_failed(feasible[k], st, res, ndm, "NDM"), non_unique=not ndm[0],
-            )
-    return certs
+        flags = list(zip([r == e1 + ni for r in ranks], (least > ts).tolist(), gaps.tolist(), [z == 0 for z in zero]))
+        total = [q + si if st and all(ndm) else -1 for q, st, ndm in zip(neg, stationary.tolist(), flags)]
+        blocks.append(_MBlock(at, feasible, stationary, flags, residual, neg, total, coeffs, labels,
+                              ends=(nh, e1), norm0=norm0, si=si))
+    return blocks

@@ -512,19 +512,21 @@ def _add_census(rep: Report, census: CensusReport, sides: str):
         rep.add("m.count", len(census.m_points))
         for label, count in census.by_index_m.items():
             rep.add(f"m.by_index.{label}", count)
-        for k, (x, cert) in enumerate(census.m_points):
+        points = census.m_points  # read as columns
+        for k, (x, index, reason) in enumerate(zip(points.x, points.index, points.reasons())):
             rep.add(f"m.point.{k}.x", x)
-            rep.add(f"m.point.{k}.index", cert.m_index)
-            rep.add(f"m.point.{k}.reason", cert.degenerate_reason)
+            rep.add(f"m.point.{k}.index", index)
+            rep.add(f"m.point.{k}.reason", reason)
     if "t" in sides:
         rep.add("t.count", len(census.t_points))
         for label, count in census.by_index_t.items():
             rep.add(f"t.by_index.{label}", count)
-        for k, (x, y, cert) in enumerate(census.t_points):
+        points = census.t_points
+        for k, (x, y, index, reason) in enumerate(zip(points.x, points.y, points.index, points.reasons())):
             rep.add(f"t.point.{k}.x", x)
             rep.add(f"t.point.{k}.y", y)
-            rep.add(f"t.point.{k}.index", cert.t_index)
-            rep.add(f"t.point.{k}.reason", cert.degenerate_reason)
+            rep.add(f"t.point.{k}.index", index)
+            rep.add(f"t.point.{k}.reason", reason)
     for k, note in enumerate(census.notes):
         rep.add(f"note.{k}", note)
 
@@ -630,31 +632,27 @@ def cmd_verify(args) -> int:
 
     rows = [(c.name, c.status, c.detail) for c in verify_counts(rp, merged, tol).checks]
     if rp.assumption1_ok:
-        xs = _rounded([x for x, _ in merged.m_points], rp.n)
-        for (x, mcert), rounded in zip(merged.m_points, xs):
-            if not mcert.nondegenerate:
+        points = merged.m_points  # read as columns; a census point is stationary
+        for x, index, rounded in zip(points.x, points.index, _rounded(points.x, rp.n)):
+            if index is None:  # degenerate
                 continue
             label = f"x={rounded}"
             pe = _point(rp.base, x)  # evaluated only if a certificate is missing
             try:
                 ls = lift(rp, pe, tol)
-                ok = all(
-                    t.nondegenerate and t.ndt[4] and t.t_index == mcert.m_index
-                    for _, t in ls.companions
-                )
+                ok = all(t.nondegenerate and t.ndt[4] and t.t_index == index for _, t in ls.companions)
                 rows.append(
                     ("lift-roundtrip", "pass" if ok else "fail",
                      f"{label}: {len(ls.companions)} companions, index preserved={ok}")
                 )
                 for y, _ in ls.companions:
-                    ok = project(rp, pe, y, tol).m_index == mcert.m_index
+                    ok = project(rp, pe, y, tol).m_index == index
                     rows.append(("project-roundtrip", "pass" if ok else "fail", label))
             except (BridgeError, NotStationaryError) as exc:
                 rows.append(("lift-roundtrip", "fail", f"{label}: {exc}"))
-        ys = _rounded([y for _, y, _ in merged.t_points], rp.n)
-        points = [(y, rounded) for (_, y, tcert), rounded in zip(merged.t_points, ys) if tcert.stationary]
-        oks = check_y_structure(rp, np.reshape([y for y, _ in points], (-1, rp.n)), tol).tolist()
-        rows += [("y-structure", "pass" if ok else "fail", f"y={at}") for ok, (_, at) in zip(oks, points)]
+        ys = merged.t_points.y
+        oks = check_y_structure(rp, ys, tol).tolist()
+        rows += [("y-structure", "pass" if ok else "fail", f"y={at}") for ok, at in zip(oks, _rounded(ys, rp.n))]
 
     failures = sum(status == "fail" for _, status, _ in rows)
     _add_checks(rep, rows)

@@ -10,14 +10,18 @@ _kkt_matrix call and solve them stacked; the Newton runs of a batch advance
 in lockstep, evaluating f and h once per round (eval2_many) and each g_q
 only where q is active, and end with the bits of a run alone.
 
-Roots are certified with certify_m_many, or expanded, in root order, into
-candidate y: the y of every (n-s)-subset of the zero pattern, or seeded
-samples of the y-polytope for the unregularized reformulation, whose
-stationary points can form continua.  The (x, y) pairs are certified with
-certify_t_pairs.  Either side certifies in batches across roots, each
-closing once it holds at least _BATCH candidates, so the per-call set-up is
-shared while a batch's memory stays bounded.  Stationary points are then
-deduplicated and counted by index.
+Roots are certified as certify_m_many certifies them, or expanded, in root
+order, into candidate y, one array of rows per root: the y of every
+(n-s)-subset of the zero pattern, or seeded samples of the y-polytope for
+the unregularized reformulation, whose stationary points can form continua.
+The (x, y) pairs are certified as certify_t_pairs certifies them.  Either
+side certifies in batches across roots, each closing once it holds at least
+_BATCH candidates, so the per-call set-up is shared while a batch's memory
+stays bounded.  A census keeps what certification returns, columns per
+layout group (ccop._Block), and builds no certificate: the stationary
+points are deduplicated and counted by index off the columns, kept as
+_Points, and entered in the problem's memo, and a point's certificate is
+built when the point is first read.
 
 Every T-point lies over an M-point with the same x, so both sides use the
 same roots.  They are found once per Problem and (method, grid, tol) and kept
@@ -28,17 +32,20 @@ search and one evaluation of each root.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ccop import MCertificate, Problem, _carrying, _jets_at, _jets_many, certify_m_many
+from . import ccop, regmpoc
+from .ccop import Problem, _carrying, _entered, _jets_at, _jets_many, _key
 from .exprcore import eval2, polynomial_degree, to_source
 from .numkern import Tolerances
-from .regmpoc import AssumptionError, RegularizedProblem, TCertificate, certify_t_pairs, companion_y
+from .regmpoc import AssumptionError, RegularizedProblem, _pair_key
 
 __all__ = [
     "CensusReport",
@@ -52,18 +59,94 @@ __all__ = [
 ]
 
 
+class _Points(Sequence):
+    """The points a census keeps, in order: a read-only sequence of (x,
+    cert) on the M side and of (x, y, cert) on the T side, x the root's kept
+    read-only x.  They are kept as columns: x, y (a read-only N x n array;
+    None on the M side) and index (each m_index or t_index, None where the
+    certificate has none), and a ccop._Row each, whose certificate, built
+    whole on the first read of its point, is the one every later read and
+    memo hit returns.  norm0 and reasons read the x_norm0 and the
+    degenerate_reason of every point off its row, building no certificate.
+    A slice is a list of points."""
+
+    def __init__(self, rows: list, x: list, y, index: list):
+        self._rows, self.x, self.y, self.index = rows, x, y, index
+
+    @classmethod
+    def of(cls, points) -> _Points:
+        """points itself if it is _Points, else its (x, cert) or (x, y, cert)
+        tuples read into columns."""
+        if isinstance(points, _Points):
+            return points
+        points = list(points)
+        y = np.array([p[1] for p in points]) if points and len(points[0]) == 3 else None
+        index = [p[-1].m_index if y is None else p[-1].t_index for p in points]
+        return cls([_Given(p[-1]) for p in points], [p[0] for p in points], y, index)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[j] for j in range(len(self))[k]]
+        cert = self._rows[k].cert()
+        return (self.x[k], cert) if self.y is None else (self.x[k], self.y[k], cert)
+
+    def __iter__(self):
+        if self.y is None:
+            return ((x, row.cert()) for x, row in zip(self.x, self._rows))
+        return ((x, y, row.cert()) for x, y, row in zip(self.x, self.y, self._rows))
+
+    def __eq__(self, other):
+        return list(self) == (list(other) if isinstance(other, _Points) else other)
+
+    def __reduce__(self):  # the rows refer to the memo, which does not pickle
+        return _Points.of, (list(self),)
+
+    def norm0(self) -> list:
+        return [row.norm0() for row in self._rows]
+
+    def reasons(self) -> list:
+        return [row.reason() for row in self._rows]
+
+
+class _Given:
+    """A certificate as a row of _Points (see _Points.of and ccop._Row)."""
+
+    __slots__ = ("_cert",)
+
+    def __init__(self, cert):
+        self._cert = cert
+
+    def cert(self):
+        return self._cert
+
+    def norm0(self) -> int:
+        return self._cert.activity.x_norm0
+
+    def reason(self):
+        return self._cert.degenerate_reason
+
+
+def _no_points() -> _Points:
+    return _Points([], [], None, [])
+
+
 @dataclass
 class CensusReport:
     """Census of stationary points: the sparse side, the lifted side, or both.
 
-    by_index_* map an index value (or the string "degenerate") to a point
-    count; complete is True only for exhaustive pattern enumerations on
-    quadratic-affine instances.
+    m_points and t_points are read-only sequences of (x, cert) and (x, y,
+    cert) tuples, kept as columns (_Points): a certificate is built when its
+    point is first read.  by_index_* map an index value (or the string
+    "degenerate") to a point count; complete is True only for exhaustive
+    pattern enumerations on quadratic-affine instances.
     """
 
     instance_id: str
-    m_points: list[tuple[np.ndarray, MCertificate]] = field(default_factory=list)
-    t_points: list[tuple[np.ndarray, np.ndarray, TCertificate]] = field(default_factory=list)
+    m_points: Sequence = field(default_factory=_no_points)
+    t_points: Sequence = field(default_factory=_no_points)
     by_index_m: dict = field(default_factory=dict)
     by_index_t: dict = field(default_factory=dict)
     complete: bool = False
@@ -433,63 +516,85 @@ def _shared_roots(pr: Problem, tol: Tolerances, notes: list[str], grid: GridSpec
 _BATCH = 256
 
 
-def _batches(groups):
+def _batches(groups, size=len):
     """The items of consecutive groups, in order, joined into lists that
-    close once they hold at least _BATCH items; a group is never split."""
+    close once they hold at least _BATCH candidates, size(group) those of a
+    group; a group is never split."""
     batch: list = []
+    held = 0
     for group in groups:
         batch += group
-        if len(batch) >= _BATCH:
+        held += size(group)
+        if held >= _BATCH:
             yield batch
-            batch = []
+            batch, held = [], 0
     if batch:
         yield batch
 
 
 def _m_points(pr: Problem, roots, tol: Tolerances):
-    """The roots (of _shared_roots), certified in batches; a stationary
-    point is reported at the root's kept read-only x."""
+    """The roots (of _shared_roots), certified in batches: per batch, the
+    roots' PointEvals and memo keys, the root of each candidate (each root
+    is one), None in place of the ys, and the blocks of ccop._certify_m."""
     for pes in _batches([pe] for _, pe in roots):
-        for pe, cert in zip(pes, certify_m_many(pr, pes, tol)):
-            if cert.feasible and cert.stationary:
-                yield pe.x, (pe.x, cert)
+        misses = range(len(pes))
+        yield pes, [_key(pe) for pe in pes], np.arange(len(pes)), None, ccop._certify_m(misses, pr, pes, tol)
 
 
 def _t_points(rp: RegularizedProblem, roots, candidates, tol: Tolerances):
     """The candidates of each root (of _shared_roots), drawn in root order,
-    certified in batches; a stationary point is reported at the root's kept
-    read-only x and its own y."""
-    groups = ([(pe, y) for y in candidates(J, pe.x)] for J, pe in roots)
-    for pairs in _batches(groups):
-        for (pe, y), tcert in zip(pairs, certify_t_pairs(rp, pairs, tol)):
-            if tcert.feasible and tcert.stationary:
-                yield np.concatenate([pe.x, y]), (pe.x, y, tcert)
+    certified in batches: per batch, the roots' PointEvals and memo keys,
+    the root of each candidate, the candidates' ys (one row each) and the
+    blocks of regmpoc._certify_t_pairs."""
+    groups = ([(pe, candidates(J, pe.x))] for J, pe in roots)
+    for batch in _batches(groups, lambda group: len(group[0][1])):
+        pes, ys = [pe for pe, _ in batch], [Y for _, Y in batch]
+        root = np.repeat(np.arange(len(pes)), [len(Y) for Y in ys])
+        if len(root):
+            xkeys, points = [_key(pe) for pe in pes], {}
+            for xkey, pe in zip(xkeys, pes):
+                points.setdefault(xkey, pe)
+            owners, Y = [xkeys[r] for r in root.tolist()], np.concatenate(ys)
+            yield pes, xkeys, root, Y, regmpoc._certify_t_pairs(range(len(Y)), rp, points, owners, Y, tol)
+
+
+@functools.lru_cache(maxsize=64)
+def _subsets(m: int, k: int) -> np.ndarray:
+    """The k-subsets of range(m), one row each, in combination order."""
+    subsets = np.array(list(itertools.combinations(range(m), k)), dtype=int).reshape(-1, k)
+    subsets.flags.writeable = False
+    return subsets
 
 
 def _subset_ys(rp: RegularizedProblem):
-    """One y per (n-s)-subset of the zero pattern of support J.
+    """One y per (n-s)-subset of the zero pattern of support J, as the rows
+    of one array, each with the floats of companion_y.
 
     The mid component must carry the largest c of the subset or the sign
     conditions on the upper-bound multipliers are violated.
     """
     n, s = rp.n, rp.s
+    upper, mid = 1.0 + rp.eps, 1.0 - (n - s - 1) * rp.eps
 
     def candidates(J, x):
-        jc = [i for i in range(1, n + 1) if i not in J]
-        for a01set in itertools.combinations(jc, n - s):
-            ibar = max(a01set, key=lambda i: rp.c[i - 1])
-            yield companion_y(rp, ibar, tuple(i for i in a01set if i != ibar))
+        sub = np.array([i for i in range(n) if i + 1 not in J]).take(_subsets(n - len(J), n - s))
+        rows = np.arange(len(sub))
+        Y = np.zeros((len(sub), n))
+        Y[rows[:, None], sub] = upper
+        Y[rows, sub[rows, np.argmax(rp.c.take(sub), axis=1)]] = mid  # ibar: the first largest c
+        return Y
 
     return candidates
 
 
 def _sampled_ys(rp: RegularizedProblem, tol: Tolerances):
-    """Vertices of the y-polytope over the zeros of x, plus three seeded draws."""
+    """Vertices of the y-polytope over the zeros of x, plus three seeded
+    draws, as the rows of one array."""
     n, s = rp.n, rp.s
     rng = np.random.default_rng(int(instance_id(rp.base, rp), 16) % 2**32)
     upper = 1.0 + rp.eps
 
-    def candidates(J, x):
+    def draws(J, x):
         zeros = [i for i in range(1, n + 1) if abs(x[i - 1]) <= tol.tol_act]
         if len(zeros) > 14 or len(zeros) * upper < (n - s) - tol.tol_feas:
             return
@@ -511,16 +616,11 @@ def _sampled_ys(rp: RegularizedProblem, tol: Tolerances):
             y[[i - 1 for i in zeros]] = draw
             yield y
 
-    return candidates
+    return lambda J, x: np.array(list(draws(J, x)), dtype=float).reshape(-1, n)
 
 
 # ---------------------------------------------------------------------------
 # Report
-
-
-def _index_label(cert) -> object:
-    idx = cert.m_index if isinstance(cert, MCertificate) else cert.t_index
-    return idx if idx is not None else "degenerate"
 
 
 # Width of a _dedupe grid cell, in merge radii: a query box of half-width
@@ -529,11 +629,12 @@ def _index_label(cert) -> object:
 _CELL_RADII = 1024.0
 
 
-def _dedupe(entries, radius: float, snap: float, notes: list[str], what: str):
+def _dedupe(keys: np.ndarray, index: list, radius: float, snap: float, notes: list[str], what: str) -> list[int]:
     """Merge points closer than `radius` (inf-norm) with equal index; keep and
-    flag close points whose indices differ.
+    flag close points whose indices differ.  The points are the rows of keys,
+    with the indices in `index`; returns the positions of the points kept.
 
-    Entries are visited in lexicographic order of their coordinates, with
+    Points are visited in lexicographic order of their coordinates, with
     each coordinate within `snap` of 0 read as 0, so rounding noise in a zero
     coordinate does not decide where a point is listed.  Each point meets the
     kept points within radius of it in the order they were kept.  Those are
@@ -543,37 +644,36 @@ def _dedupe(entries, radius: float, snap: float, notes: list[str], what: str):
     2 * radius (radius doubled as a margin for rounding) meets, which is one
     cell per coordinate except where the box crosses a cell boundary.
     """
-    if not entries:
+    if not len(keys):
         return []
-    keys = np.array([key for key, _ in entries])
-    snapped = np.where(np.abs(keys) <= snap, 0.0, keys)
-    order = np.lexsort(snapped.T[::-1]).tolist()  # stable, first coordinate first
+    order = np.lexsort(np.where(np.abs(keys) <= snap, 0.0, keys).T[::-1]).tolist()  # stable, first coordinate first
     width = _CELL_RADII * radius
-    cells = np.floor(keys / width + 0.5).tolist()
+    cells = np.floor(keys / width + 0.5).astype(np.int64)  # whole numbers: a cell is the bytes of its row
     # the cells a key's box meets run from lows to highs, at most two per coordinate
     lows = np.floor((keys - 2.0 * radius) / width + 0.5)
     highs = np.floor((keys + 2.0 * radius) / width + 0.5)
     crossed = np.count_nonzero(lows != highs, axis=1).tolist()
-    grid: dict[tuple, list[int]] = {}  # cell -> positions in out
+    crossing = [i for i, c in enumerate(crossed) if c]  # only the keys whose box crosses a boundary keep theirs
+    lows, highs = dict(zip(crossing, lows[crossing].tolist())), dict(zip(crossing, highs[crossing].tolist()))
+    grid: dict[bytes, list[int]] = {}  # cell -> positions in out
     kept = np.empty_like(keys)  # keys of out, in order
     out = []
     for i in order:
-        key, payload = entries[i]
-        label = _index_label(payload[-1])
+        key, label = keys[i], index[i]
         keep = True
         if 2 ** crossed[i] > len(out):  # no fewer cells to visit than kept points
             near = list(range(len(out)))
         elif not crossed[i]:
-            near = grid.get(tuple(cells[i]), [])
+            near = grid.get(cells[i].tobytes(), [])
         else:
-            ends = zip(lows[i].tolist(), highs[i].tolist())
-            box = itertools.product(*[(lo,) if lo == hi else (lo, hi) for lo, hi in ends])
-            near = sorted(j for cell in box for j in grid.get(cell, ()))
+            ends = zip(lows[i], highs[i])
+            box = np.array(list(itertools.product(*[(lo,) if lo == hi else (lo, hi) for lo, hi in ends])))
+            near = sorted(j for cell in box.astype(np.int64) for j in grid.get(cell.tobytes(), ()))
         if near:
             near = np.array(near)
             near = near[np.max(np.abs(kept[near] - key), axis=1) <= radius].tolist()
         for j in near:
-            if _index_label(out[j][-1]) == label:
+            if index[out[j]] == label:
                 keep = False
                 break
             notes.append(
@@ -581,29 +681,61 @@ def _dedupe(entries, radius: float, snap: float, notes: list[str], what: str):
                 f"{np.round(key, 6).tolist()}"
             )
         if keep:
-            grid.setdefault(tuple(cells[i]), []).append(len(out))
+            grid.setdefault(cells[i].tobytes(), []).append(len(out))
             kept[len(out)] = key
-            out.append(payload)
+            out.append(i)
     return out
 
 
-def _count_by_index(certs) -> dict:
+def _count_by_index(index: list) -> dict:
+    """Points per index value, in increasing order, then "degenerate" for
+    the points whose index is None."""
     counts: dict = {}
-    for cert in certs:
-        counts[_index_label(cert)] = counts.get(_index_label(cert), 0) + 1
-    ints = sorted(k for k in counts if isinstance(k, int))
-    ordered = {k: counts[k] for k in ints}
-    if "degenerate" in counts:
-        ordered["degenerate"] = counts["degenerate"]
+    for label in index:
+        counts[label] = counts.get(label, 0) + 1
+    ordered = {k: counts[k] for k in sorted(k for k in counts if k is not None)}
+    if None in counts:
+        ordered["degenerate"] = counts[None]
     return ordered
 
 
-def _report(iid: str, side: str, found, complete: bool, notes: list[str], tol: Tolerances):
-    """Deduplicate the (key, point) pairs found on one side and count them."""
-    found = list(found)  # runs the root finder, which may still add notes
+def _report(iid: str, target, batches, complete: bool, notes: list[str], tol: Tolerances) -> CensusReport:
+    """Deduplicate the feasible and stationary candidates that `batches` (of
+    _m_points on a Problem, or of _t_points on a RegularizedProblem) certified,
+    count them, and enter the points kept in the target's memo (see
+    ccop._entered).
+
+    The candidates are read off the blocks' columns, in the order they were
+    drawn; a point is reported at its root's kept read-only x and, on the T
+    side, its own y."""
+    side, n = ("m" if isinstance(target, Problem) else "t"), target.n
+    pes, xkeys, rows, index, keys = [], [], [], [], [np.empty((0, n if side == "m" else 2 * n))]
+    for roots, xkey, root, Y, blocks in batches:  # runs the root finder, which may still add notes
+        found = [(block, np.flatnonzero(block.feasible & block.stationary)) for block in blocks]
+        at = np.concatenate([block.members.take(r) for block, r in found])
+        order = np.argsort(at)  # each candidate's position in the batch
+        flat = [(block, j) for block, r in found for j in r.tolist()]
+        rows += [flat[k] for k in order.tolist()]
+        index += np.concatenate([np.take(block.total, r) for block, r in found]).take(order).tolist()
+        at = at.take(order)
+        owner = root.take(at).tolist()
+        pes += [roots[r] for r in owner]
+        xkeys += [xkey[r] for r in owner]
+        X = np.array([pe.x for pe in roots]).take(owner, 0)
+        keys.append(X if Y is None else np.concatenate([X, Y.take(at, 0)], axis=1))
+    index = [None if k < 0 else k for k in index]
+    keys = np.concatenate(keys)  # x, then y on the T side
     # merge within ten activity tolerances; snap the sort key at one
-    points = _dedupe(found, 10.0 * tol.tol_act, tol.tol_act, notes, side.upper())
-    counts = _count_by_index([p[-1] for p in points])
+    kept = _dedupe(keys, index, 10.0 * tol.tol_act, tol.tol_act, notes, side.upper())
+    if side == "m":
+        Y, keys = None, [(*xkeys[k], tol._astuple) for k in kept]  # ccop._key(pe, tol._astuple)
+    else:
+        Y = keys[kept, n:]
+        Y.flags.writeable = False
+        keys = [_pair_key(xkeys[k], y, tol) for k, y in zip(kept, Y)]
+    points = _Points(_entered(target._certs, keys, [rows[k] for k in kept]), [pes[k].x for k in kept], Y,
+                     [index[k] for k in kept])
+    counts = _count_by_index(points.index)
     if side == "m":
         return CensusReport(iid, m_points=points, by_index_m=counts, complete=complete, notes=notes)
     return CensusReport(iid, t_points=points, by_index_t=counts, complete=complete, notes=notes)
@@ -618,7 +750,7 @@ def census_quadratic(pr: Problem, tol: Tolerances = Tolerances()) -> CensusRepor
     _require_quadratic(pr, "census_quadratic")
     notes: list[str] = []
     found = _m_points(pr, _shared_roots(pr, tol, notes), tol)
-    return _report(instance_id(pr), "m", found, True, notes, tol)
+    return _report(instance_id(pr), pr, found, True, notes, tol)
 
 
 def census_t_quadratic(rp: RegularizedProblem, tol: Tolerances = Tolerances()) -> CensusReport:
@@ -636,7 +768,7 @@ def census_t_quadratic(rp: RegularizedProblem, tol: Tolerances = Tolerances()) -
         notes: list[str] = []
         roots = _shared_roots(rp.base, tol, notes)
         found = _t_points(rp, roots, _subset_ys(rp), tol)
-        return _report(iid, "t", found, True, notes, tol)
+        return _report(iid, rp, found, True, notes, tol)
     if not rp.override:
         raise AssumptionError(
             "regularization parameters violate the assumption; construct with "
@@ -644,7 +776,7 @@ def census_t_quadratic(rp: RegularizedProblem, tol: Tolerances = Tolerances()) -
         )
     notes = ["override sampler: y-space sampled per support pattern, census not exhaustive"]
     found = _t_points(rp, _shared_roots(rp.base, tol, []), _sampled_ys(rp, tol), tol)
-    return _report(iid, "t", found, False, notes, tol)
+    return _report(iid, rp, found, False, notes, tol)
 
 
 def census_newton(target, grid: GridSpec, tol: Tolerances = Tolerances()) -> CensusReport:
@@ -660,24 +792,24 @@ def census_newton(target, grid: GridSpec, tol: Tolerances = Tolerances()) -> Cen
                 "the Newton census on the lifted side requires the (c, eps) assumption; "
                 "use census_t_quadratic with override for the unregularized reformulation"
             )
-        rp, pr, side = target, target.base, "t"
+        rp, pr = target, target.base
     else:
-        rp, pr, side = None, target, "m"
+        rp, pr = None, target
     iid = instance_id(pr, rp)
     if grid.points_per_axis <= 0:
-        return CensusReport(iid, notes=["empty grid"], complete=False)
+        return _report(iid, target, (), False, ["empty grid"], tol)
     notes: list[str] = []
     roots = _shared_roots(pr, tol, notes, grid)
     found = _m_points(pr, roots, tol) if rp is None else _t_points(rp, roots, _subset_ys(rp), tol)
-    return _report(iid, side, found, False, notes, tol)
+    return _report(iid, target, found, False, notes, tol)
 
 
 def merge_censuses(m_census: CensusReport, t_census: CensusReport) -> CensusReport:
     """Combine a sparse-side and a lifted-side census over the same instance."""
     return CensusReport(
         instance_id=t_census.instance_id,
-        m_points=list(m_census.m_points),
-        t_points=list(t_census.t_points),
+        m_points=m_census.m_points,
+        t_points=t_census.t_points,
         by_index_m=dict(m_census.by_index_m),
         by_index_t=dict(t_census.by_index_t),
         complete=m_census.complete and t_census.complete,

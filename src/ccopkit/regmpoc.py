@@ -18,8 +18,9 @@ index + biactive index; rank, null space and inertia come by the x- and
 y-blocks of the directions (see ccop._solve).  certify_t_pairs certifies
 many (x, y) in one call: the work that depends on x alone is done once per
 distinct x, and the pairs are certified as arrays per layout group, a layout
-being the number of multipliers of each kind (see ccop._solve).  certify_t
-is its one-pair case.  MPOC-LICQ is NDT1, so check_mpoc_licq and
+being the number of multipliers of each kind (see ccop._solve), kept as the
+columns of a _TBlock whose rows build whole certificates.  certify_t is its
+one-pair case.  MPOC-LICQ is NDT1, so check_mpoc_licq and
 check_feasible_r read fields of the certificate (_certify_pairs); unlike
 certification they answer on parameters that violate the assumption,
 override or not.
@@ -40,9 +41,9 @@ from .ccop import (
     Problem,
     _Bank,
     _bank,
+    _Block,
     _certified,
     _columns,
-    _FilledOnRead,
     _first_failed,
     _frozen,
     _instance,
@@ -149,7 +150,7 @@ class MpocActivity:
 
 
 @dataclass(frozen=True)
-class TCertificate(_FilledOnRead):
+class TCertificate:
     """Verdict of T-stationarity certification at one lifted point.
 
     Multiplier groups are FrozenDicts keyed by 1-based indices (mu1 over
@@ -161,9 +162,8 @@ class TCertificate(_FilledOnRead):
     separately.  Fields are declared in report order, as in MCertificate.
 
     Certificates are results and read-only: a repeated request for the same
-    point and tolerances returns the held certificate itself.  Certifiers fill
-    activity, the groups but mu3, and eq8_branches on first read; as in
-    MCertificate, ==, repr, pickles, copies and replace cannot tell.
+    point and tolerances returns the held certificate itself.  As in
+    MCertificate, a certifier builds each one whole from its row of a _Block.
     """
 
     feasible: bool
@@ -185,19 +185,6 @@ class TCertificate(_FilledOnRead):
     t_index: int | None = None
     degenerate_reason: str | None = None
     non_unique: bool = False
-
-    _unread = frozenset(("activity", "lam", "mu1", "mu2", "sigma1", "sigma2", "rho1", "rho2", "eq8_branches"))
-
-    @staticmethod
-    def _fill(lab: list, row: list, ends: tuple, ts: float) -> dict:  # see ccop._FilledOnRead
-        nh, e1, e2, e3, e4, e5, e6, _ = ends
-        pairs, a00 = tuple(zip(lab, row)), tuple(lab[e5:e6])
-        eq8 = _frozen(zip(a00, [(abs(r1) <= ts, r2 <= ts) for r1, r2 in zip(row[e5:e6], row[e6:])]))
-        activity = _instance(MpocActivity, a00=a00, a01=tuple(lab[e3:e4]), a10=tuple(lab[e4:e5]),
-                             Ecal=tuple(lab[e1:e2]), sum_active=e3 > e2, Q0=tuple(lab[nh:e1]))
-        return dict(activity=activity, lam=_frozen(pairs[:nh]), mu1=_frozen(pairs[nh:e1]),
-                    mu2=_frozen(pairs[e1:e2]), sigma1=_frozen(pairs[e3:e4]), sigma2=_frozen(pairs[e4:e5]),
-                    rho1=_frozen(pairs[e5:e6]), rho2=_frozen(pairs[e6:]), eq8_branches=eq8)
 
     @property
     def nondegenerate(self) -> bool:
@@ -318,6 +305,12 @@ def certify_t_pairs(
     return _certify_pairs(rp, pairs, tol)
 
 
+def _pair_key(xkey: tuple, y: np.ndarray, tol: Tolerances) -> tuple:
+    """Memo key of a pair whose x has memo key xkey (see ccop._key): that
+    of x, then the shape and bits of y and the tolerances."""
+    return (*xkey, y.shape, y.tobytes(), tol._astuple)
+
+
 def _certify_pairs(rp: RegularizedProblem, pairs, tol: Tolerances) -> list[TCertificate]:
     """certify_t_pairs without its refusal of parameters that violate the
     assumption, for the checks, which answer on any parameters."""
@@ -334,27 +327,54 @@ def _certify_pairs(rp: RegularizedProblem, pairs, tol: Tolerances) -> list[TCert
         xkey, y = seen[id(x)][1], _y(rp, y)
         owners.append(xkey)
         ys.append(y)
-        keys.append((*xkey, y.shape, y.tobytes(), tol._astuple))  # _key(x, y.shape, y.tobytes(), ...)
+        keys.append(_pair_key(xkey, y, tol))
     return _certified(rp._certs, keys, _certify_t_pairs, rp, points, owners, ys, tol)
 
 
+class _TBlock(_Block):
+    """A _Block of T-certificates, whose layout is (nh, |Q0|, |Ecal|,
+    sum_active, |a01|, |a10|, |a00|, |a00|): its kinds' column slices end at
+    ends; every row has biactive index n00; ts is tol_strict."""
+
+    prefix = "NDT"
+
+    def build(self, row: int) -> TCertificate:
+        (lab, values), ts = self.groups(row), self.ts
+        nh, e1, e2, e3, e4, e5, e6, _ = self.ends
+        feasible, stationary, residual, ndt, quadratic, total = self.scalars(row)
+        pairs, a00 = tuple(zip(lab, values)), tuple(lab[e5:e6])
+        eq8 = _frozen(tuple(zip(a00, [(abs(r1) <= ts, r2 <= ts) for r1, r2 in zip(values[e5:e6], values[e6:])])))
+        activity = _instance(MpocActivity, {"a00": a00, "a01": tuple(lab[e3:e4]), "a10": tuple(lab[e4:e5]),
+                                            "Ecal": tuple(lab[e1:e2]), "sum_active": e3 > e2, "Q0": tuple(lab[nh:e1])})
+        return _instance(TCertificate, {
+            "feasible": feasible, "stationary": stationary, "activity": activity, "lam": _frozen(pairs[:nh]),
+            "mu1": _frozen(pairs[nh:e1]), "mu2": _frozen(pairs[e1:e2]), "mu3": values[e2] if e3 > e2 else 0.0,
+            "sigma1": _frozen(pairs[e3:e4]), "sigma2": _frozen(pairs[e4:e5]), "rho1": _frozen(pairs[e5:e6]),
+            "rho2": _frozen(pairs[e6:]), "residual": residual, "ndt": ndt, "eq8_branches": eq8,
+            "quadratic_index": quadratic, "biactive_index": self.n00,
+            "t_index": total if total >= 0 else None,
+            "degenerate_reason": _first_failed(feasible, stationary, residual, ndt, self.prefix),
+            "non_unique": not ndt[0],
+        })
+
+
 def _certify_t_pairs(
-    misses, rp: RegularizedProblem, points: dict, owners: list, ys: list, tol: Tolerances
-) -> list[TCertificate]:
-    """The certificates at the pairs listed in misses (see ccop._certified):
-    the pair at position k is (points[owners[k]], ys[k]).  One _solve per
-    layout (nh, |Q0|, |Ecal|, sum_active, |a01|, |a10|, |a00|, |a00|),
+    misses, rp: RegularizedProblem, points: dict, owners: list, ys, tol: Tolerances
+) -> list[_TBlock]:
+    """The pairs listed in misses (see ccop._certified) certified: the pair
+    at position k is (points[owners[k]], ys[k]), ys a list of ys or their
+    stack.  One _solve and one _TBlock
+    per layout (nh, |Q0|, |Ecal|, sum_active, |a01|, |a10|, |a00|, |a00|),
     whose multipliers are the column slices lam, mu1, mu2, mu3, sigma1,
     sigma2, rho1 and rho2."""
     place: dict[tuple, int] = {}  # key of x -> its point in the bank, in order of first use
     at = np.array([place.setdefault(owners[k], len(place)) for k in misses])
     units, shifts = _t_units(rp.n)
     bank = _bank([evaluate(rp.base, points[xkey]) for xkey in place], units, rp.c, tol)
-    ok, groups = _feasible_r(rp, bank, at, np.array([ys[k] for k in misses]), tol)
-    feasible, ts = ok.tolist(), tol.tol_strict
-    out: list = [None] * len(misses)
+    ok, groups = _feasible_r(rp, bank, at, np.take(ys, misses, 0), tol)
+    ts, blocks = tol.tol_strict, []
     for layout, group, index, labels in groups:
-        nh, nq, _, sa, _, _, n00, _ = layout
+        nh, nq, _, _, _, _, n00, _ = layout
         coeffs, residual, residual_ok, ranks, neg, zero = _solve(bank, at.take(group), index, layout, shifts, tol)
         _, e1, e2, e3, e4, e5, e6, _ = ends = tuple(accumulate(layout))  # where each kind's slice ends
         least = np.minimum.reduce(coeffs[:, nh:e3], axis=1, initial=np.inf)  # of mu1, mu2 and an active mu3
@@ -366,18 +386,13 @@ def _certify_t_pairs(
             signs &= np.logical_and.reduce(branch1 | branch2, axis=1)  # eq7 and eq8
             biactive = np.logical_and.reduce((rho1 > ts) & (rho2 < -ts), axis=1).tolist()
             a01_ok = np.logical_and.reduce(np.abs(coeffs[:, e3:e4]) > ts, axis=1).tolist()
-        stationary = ok.take(group) & residual_ok & signs
-        ndts = zip([r == ends[-1] for r in ranks], strict.tolist(), biactive, [z == 0 for z in zero], a01_ok)
-        for k, lab, row, st, ndt, res, q in zip(
-            group.tolist(), labels, coeffs.tolist(), stationary.tolist(), ndts, residual.tolist(), neg
-        ):
-            out[k] = _instance(
-                TCertificate, feasible=feasible[k], stationary=st, _source=(lab, row, ends, ts),
-                mu3=row[e2] if sa else 0.0, residual=res, ndt=ndt, quadratic_index=q, biactive_index=n00,
-                t_index=q + n00 if (st and all(ndt[:4])) else None,
-                degenerate_reason=_first_failed(feasible[k], st, res, ndt, "NDT"), non_unique=not ndt[0],
-            )
-    return out
+        feasible = ok.take(group)
+        stationary = feasible & residual_ok & signs
+        flags = list(zip([r == ends[-1] for r in ranks], strict.tolist(), biactive, [z == 0 for z in zero], a01_ok))
+        total = [q + n00 if st and all(ndt[:4]) else -1 for q, st, ndt in zip(neg, stationary.tolist(), flags)]
+        blocks.append(_TBlock(group, feasible, stationary, flags, residual, neg, total, coeffs, labels,
+                              ends=ends, n00=n00, ts=ts))
+    return blocks
 
 
 def companion_y(rp: RegularizedProblem, ibar: int, ebar) -> np.ndarray:

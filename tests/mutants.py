@@ -52,8 +52,8 @@ MUTANTS = (
     ),
     Mutant(
         "> for >= in the M sign condition", "ccop.py",
-        "stationary = ok.take(at) & residual_ok & (least >= -ts)",
-        "stationary = ok.take(at) & residual_ok & (least > -ts)",
+        "stationary = feasible & residual_ok & (least >= -ts)",
+        "stationary = feasible & residual_ok & (least > -ts)",
         (LAYOUTS,),
     ),
     Mutant(
@@ -77,8 +77,8 @@ MUTANTS = (
     ),
     Mutant(
         "a label slice one past its kind's end", "regmpoc.py",
-        "Ecal=tuple(lab[e1:e2]),",
-        "Ecal=tuple(lab[e1:e2 + 1]),",
+        '"Ecal": tuple(lab[e1:e2]),',
+        '"Ecal": tuple(lab[e1:e2 + 1]),',
         (LAYOUTS,),
     ),
     Mutant(
@@ -236,31 +236,40 @@ MUTANTS = (
     ),
     Mutant(
         "a T-certificate that is not frozen", "regmpoc.py",
-        "@dataclass(frozen=True)\nclass TCertificate(_FilledOnRead):",
-        "@dataclass\nclass TCertificate(_FilledOnRead):",
+        "@dataclass(frozen=True)\nclass TCertificate:",
+        "@dataclass\nclass TCertificate:",
         ("tests/test_pointeval.py::test_mutating_a_certificate_changes_no_later_hit",),
     ),
-    # fields filled on first read (ccop._FilledOnRead)
+    # census points kept as columns, certificates built on first read (ccop._Block, oracle._Points)
     Mutant(
-        "sigma1 and sigma2 swapped in the fill", "regmpoc.py",
-        "sigma1=_frozen(pairs[e3:e4]), sigma2=_frozen(pairs[e4:e5])",
-        "sigma1=_frozen(pairs[e4:e5]), sigma2=_frozen(pairs[e3:e4])",
-        (f"{LAYOUTS}::test_census_certificates_fill_their_groups_on_first_read_as_the_reference_builds_them",),
+        "sigma1 and sigma2 swapped in the row builder", "regmpoc.py",
+        '"sigma1": _frozen(pairs[e3:e4]), "sigma2": _frozen(pairs[e4:e5])',
+        '"sigma1": _frozen(pairs[e4:e5]), "sigma2": _frozen(pairs[e3:e4])',
+        (f"{LAYOUTS}::test_census_points_are_built_whole_on_first_read_as_the_reference_does",),
     ),
     Mutant(
-        "a __getstate__ that returns the unread instance dict", "ccop.py",
-        "        return {f.name: getattr(self, f.name) for f in fields(self)}\n",
-        "        return vars(self)\n",
+        "a census that does not enter its rows in the memo", "ccop.py",
+        "            held = memo[key] = _Row(block, row, memo, key)\n",
+        "            held = _Row(block, row, memo, key)\n",
+        ("tests/test_pointeval.py::test_census_lift_and_project_certify_each_point_once",),
+    ),
+    Mutant(
+        "census points that build a new certificate on every read", "oracle.py",
+        "        cert = self._rows[k].cert()\n",
+        "        cert = self._rows[k].block.build(self._rows[k].row)\n",
         ("tests/test_pointeval.py::test_unread_read_and_whole_certificates_pickle_copy_and_compare_alike",),
     ),
     Mutant(
-        "the source taken before the fields are in", "ccop.py",
-        '(source := held.get("_source")) is not None:\n'
-        "            held.update(self._fill(*source))\n"
-        '            held.pop("_source", None)\n',
-        '(source := held.pop("_source", None)) is not None:\n'
-        "            held.update(self._fill(*source))\n",
+        "a row's first readers each keeping the certificate they built", "ccop.py",
+        "        return cert if cert is not None else self.certs.setdefault(row, self.build(row))\n",
+        "        if cert is None:\n            cert = self.certs[row] = self.build(row)\n        return cert\n",
         ("tests/test_pointeval.py::test_threads_reading_one_unread_certificate_get_equal_groups",),
+    ),
+    Mutant(
+        "the counts by index read off the quadratic index column", "oracle.py",
+        "        index += np.concatenate([np.take(block.total, r) for block, r in found]).take(order).tolist()\n",
+        "        index += np.concatenate([np.take(block.quadratic, r) for block, r in found]).take(order).tolist()\n",
+        (ORACLE,),
     ),
 )
 

@@ -251,24 +251,41 @@ def test_block_rank_and_inertia_equal_the_2n_reference_on_crafted_pairs(kernel_i
         _same_kernel_inputs(kernel_inputs, "t")
 
 
-def test_census_certificates_fill_their_groups_on_first_read_as_the_reference_builds_them():
-    # a census reads no multiplier group: each certificate holds _source in
-    # their place until a field is read, and then holds the reference's
+def test_census_points_are_built_whole_on_first_read_as_the_reference_does(monkeypatch):
+    # a census keeps its points as columns: no certificate exists until a
+    # point is read; the first read builds the reference's certificate whole,
+    # and a second read, or certify_m or certify_t at the point, returns that
+    # certificate and solves nothing
+    built, solved = [], []
+    for block in (ccop._MBlock, regmpoc._TBlock):
+        monkeypatch.setattr(block, "build", lambda self, row, build=block.build: built.append(row) or build(self, row))
+    solve = ccop.solve_multipliers
+    monkeypatch.setattr(ccop, "solve_multipliers", lambda *args: solved.append(1) or solve(*args))
     rng = np.random.default_rng(263)
-    filled = {"MCertificate": 0, "TCertificate": 0}
+    read = {"MCertificate": 0, "TCertificate": 0}
     for rp in (_inequalities(rng), _census_n8(rng)):
-        m_census, t_census = census_quadratic(rp.base, TOL), census_t_quadratic(rp, TOL)
-        certs = [c for _, c in m_census.m_points] + [c for _, _, c in t_census.t_points]
-        assert certs and all("_source" in vars(c) for c in certs)
-        assert not any(name in vars(c) for c in certs for name in type(c)._unread)
-        assert not any("lam" in vars(c) for c in certs)
-        want = reference.certify_m_reference(rp.base, [x for x, _ in m_census.m_points], TOL)
-        want += reference.certify_t_reference(rp, [(x, y) for x, y, _ in t_census.t_points], TOL)
+        m_points, t_points = census_quadratic(rp.base, TOL).m_points, census_t_quadratic(rp, TOL).t_points
+        assert m_points and t_points and not built  # no certificate object exists yet
+        want = reference.certify_m_reference(rp.base, m_points.x, TOL)
+        want += reference.certify_t_reference(rp, list(zip(t_points.x, t_points.y)), TOL)
+        solved.clear()
+        certs = [c for _, c in m_points] + [c for _, _, c in t_points]
+        assert len(built) == len(certs) == len(want)  # each built once, on its first read
         for cert, expected in zip(certs, want, strict=True):
-            assert _bits(cert) == _bits(expected)
-            assert "_source" not in vars(cert) and type(cert)._unread <= vars(cert).keys()
-            filled[type(cert).__name__] += 1
-    assert filled["MCertificate"] >= 20 and filled["TCertificate"] >= 100
+            assert type(cert) is type(expected) and _bits(cert) == _bits(expected)
+            assert list(vars(cert)) == [f.name for f in dataclasses.fields(cert)]  # a plain frozen dataclass
+            read[type(cert).__name__] += 1
+        ms, ts, pairs = certs[: len(m_points)], certs[len(m_points) :], list(zip(t_points.x, t_points.y))
+        for held, got in [
+            (ms, [c for _, c in m_points]), (ts, [c for _, _, c in t_points]),
+            (ms, certify_m_many(rp.base, m_points.x, TOL)), (ts, certify_t_pairs(rp, pairs, TOL)),
+            (ms[:5], [certify_m(rp.base, x, TOL) for x in m_points.x[:5]]),
+            (ts[:5], [certify_t(rp, x, y, TOL) for x, y in pairs[:5]]),
+        ]:
+            assert len(got) == len(held) and all(a is b for a, b in zip(got, held))
+        assert len(built) == len(certs) and not solved
+        built.clear()
+    assert read["MCertificate"] >= 20 and read["TCertificate"] >= 100
 
 
 def test_flags_meet_their_tolerances_as_the_reference_does():

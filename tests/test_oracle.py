@@ -718,6 +718,14 @@ def _entry(x, index):
     return x, (x, cert)
 
 
+def _dedupe_entries(entries, radius, snap, notes, what):
+    """_dedupe of the keys and indices of (key, (x, cert)) entries, as a
+    census reads them off its columns: the payloads it keeps, in its order."""
+    keys = np.array([key for key, _ in entries])
+    kept = _dedupe(keys, [payload[-1].m_index for _, payload in entries], radius, snap, notes, what)
+    return [entries[k][1] for k in kept]
+
+
 def test_dedupe_merges_equal_index_and_flags_differing_index():
     r = 0.25
     entries = [
@@ -732,7 +740,7 @@ def test_dedupe_merges_equal_index_and_flags_differing_index():
         _entry([4.0, 5.0], 2),  # far beyond
     ]
     notes = []
-    kept = _dedupe(list(reversed(entries)), r, r / 10, notes, "M")
+    kept = _dedupe_entries(list(reversed(entries)), r, r / 10, notes, "M")
     assert [x.tolist() for x, _ in kept] == [
         [0.0, 0.0], [1.0, 0.0], [1.0, 0.1], [2.0, 3.0], [3.0, 5.0], [3.3, 5.0], [4.0, 5.0]
     ]
@@ -748,7 +756,7 @@ def test_dedupe_order_ignores_the_sign_of_rounding_noise():
             _entry([-sign * 4.1e-17, 2.0], 1),
             _entry([0.5, sign * 1e-17], 0),
         ]
-        kept = _dedupe(entries[::-1] if reverse else entries, 1e-7, 1e-8, [], "M")
+        kept = _dedupe_entries(entries[::-1] if reverse else entries, 1e-7, 1e-8, [], "M")
         return [np.round(x, 12).tolist() for x, _ in kept]
 
     for sign in (1.0, -1.0):
@@ -773,7 +781,7 @@ def test_dedupe_sweep_matches_pairwise_comparison():
 
     def check(entries, radius, snap):
         notes, want_notes = [], []
-        got = _dedupe(entries, radius, snap, notes, "M")
+        got = _dedupe_entries(entries, radius, snap, notes, "M")
         want = pairwise(entries, radius, snap, want_notes)
         assert [p[0].tolist() for p in got] == [p[0].tolist() for p in want]
         assert notes == [

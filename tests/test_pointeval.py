@@ -751,82 +751,102 @@ def test_certificates_pickle_and_deepcopy_as_read_only_certificates():
 
 
 def _unread_pair():
-    """An unread M- and T-certificate at a T-point of _memo_instance with a
-    biactive index and an active inequality, each with a function that gives
-    another unread certificate equal to it: a census on a fresh problem
-    chooses the point, and one on another fresh problem certifies it."""
+    """An M- and a T-point of _memo_instance's censuses at a T-point with a
+    biactive index and an active inequality, each with a function that runs
+    that side's census on a fresh problem: it returns the census points, the
+    position of the chosen point, which nothing has read, and a function that
+    certifies at that point through certify_m or certify_t on the census's
+    problem.  A census on another fresh problem chooses the point."""
     rp = _memo_instance()
     seen = census_t_quadratic(_fresh(rp)).t_points
     k = next(k for k, (_, _, c) in enumerate(seen) if c.activity.a00 and c.mu1 and c.sigma2)
-    cold = _fresh(rp)
-    x, _, tcert = census_t_quadratic(cold).t_points[k]
-    mcert = certify_m(cold.base, x)
-    for cert in (mcert, tcert):
-        assert "_source" in vars(cert) and not type(cert)._unread & vars(cert).keys()
-    return [(cert, lambda cls=type(cert), state=dict(vars(cert)): ccop._instance(cls, **state))
-            for cert in (mcert, tcert)]
+    x, y = seen.x[k], seen.y[k]
+
+    def m_side():
+        pr = _fresh(rp).base
+        points = census_quadratic(pr).m_points
+        return points, next(j for j, xm in enumerate(points.x) if xm.tobytes() == x.tobytes()), lambda: certify_m(pr, x)
+
+    def t_side():
+        cold = _fresh(rp)
+        return census_t_quadratic(cold).t_points, k, lambda: certify_t(cold, x, y)
+
+    return [m_side, t_side]
+
+
+def _read(side):
+    """The certificate of a fresh census point of `side` (see _unread_pair), built by reading it."""
+    points, k, _ = side()
+    return points[k][-1]
 
 
 def test_unread_read_and_whole_certificates_pickle_copy_and_compare_alike():
-    # an unread certificate fills its fields on first read; no operation may
-    # tell it from a read one or from one built whole by its __init__
-    for unread, another in _unread_pair():
-        read = another()
+    # a census point's certificate is built whole on its first read; no
+    # operation may tell it from one read through the memo, from one
+    # certified at the point on a problem without a census, or from one
+    # built whole by its __init__
+    for side in _unread_pair():
+        points, k, hit = side()
+        read = _read(side)
         repr(read)
-        assert "_source" not in vars(read)
         whole = type(read)(**_fields(read))
+        cold = _fresh(_memo_instance())  # no census on it: certified at the point
+        cold = certify_m(cold.base, points.x[k]) if points.y is None else certify_t(cold, points.x[k], points.y[k])
         want = pickle.dumps(whole)
-        assert pickle.dumps(another()) == pickle.dumps(read) == want
+        assert pickle.dumps(_read(side)) == pickle.dumps(read) == pickle.dumps(cold) == want
         for op in (copy.copy, copy.deepcopy, lambda c: dataclasses.replace(c, residual=0.0)):
-            got = [op(c) for c in (another(), read, whole)]
-            assert len({pickle.dumps(c) for c in got}) == 1 and got[0] == got[1] == got[2]
-            assert all(type(c) is type(whole) and "_source" not in vars(c) for c in got)
-        assert another() == whole and whole == another() and another() == read
-        assert repr(another()) == repr(read) == repr(whole)
-        assert dataclasses.asdict(another()) == dataclasses.asdict(whole)
-        assert pickle.dumps(unread) == want and _fields(unread) == _fields(whole)
+            got = [op(c) for c in (_read(side), read, whole, cold)]
+            assert len({pickle.dumps(c) for c in got}) == 1 and got[0] == got[1] == got[2] == got[3]
+            assert all(type(c) is type(whole) and vars(c).keys() == vars(whole).keys() for c in got)
+        assert _read(side) == whole and whole == _read(side) and _read(side) == read
+        assert repr(_read(side)) == repr(read) == repr(whole)
+        assert dataclasses.asdict(_read(side)) == dataclasses.asdict(whole)
+        unread = hit()  # through the memo, before any read of the point
+        assert pickle.dumps(unread) == want and _fields(unread) == _fields(whole) and points[k][-1] is unread
 
 
 def test_unknown_names_raise_at_once_and_an_unpickled_unread_certificate_reads():
-    for _, another in _unread_pair():
-        cert = another()
+    for side in _unread_pair():
+        cert = _read(side)
         for name in ("no_such_field", "__setstate__", "__deepcopy__", "nondegenerate_"):
             assert not hasattr(cert, name)
         with pytest.raises(AttributeError, match="object has no attribute 'no_such_field'"):
             cert.no_such_field
-        assert "_source" in vars(cert)  # nothing was filled
+        assert list(vars(cert)) == [f.name for f in dataclasses.fields(cert)]  # built whole, in field order
         blank = object.__new__(type(cert))  # as an unpickler makes it, before its state
         for name in ("lam", "activity", "_source", "no_such_field", "__setstate__"):
             assert not hasattr(blank, name)
-        clone = pickle.loads(pickle.dumps(another()))
-        assert "_source" not in vars(clone) and _fields(clone) == _fields(cert)
+        clone = pickle.loads(pickle.dumps(_read(side)))
+        assert list(vars(clone)) == list(vars(cert)) and _fields(clone) == _fields(cert)
         assert pickle.dumps(clone) == pickle.dumps(cert)
 
 
 def test_threads_reading_one_unread_certificate_get_equal_groups(monkeypatch):
+    # threads that read one unread census point at once, some through the
+    # census points and some through the memo, all get one certificate
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for unread, another in _unread_pair():
-            names = sorted(type(unread)._unread)
-            want = [getattr(unread, name) for name in names]
-            fill = type(unread)._fill
-
-            def slow_fill(*source, fill=fill):  # the other threads read while one fills
-                filled = fill(*source)
+        for block in (ccop._MBlock, regmpoc._TBlock):
+            def slow_build(self, row, build=block.build):  # the other threads read while one builds
+                built = build(self, row)
                 time.sleep(0.002)
-                return filled
+                return built
 
-            monkeypatch.setattr(type(unread), "_fill", staticmethod(slow_fill))
+            monkeypatch.setattr(block, "build", slow_build)
+        for side in _unread_pair():
+            want = _read(side)
+            names = [f.name for f in dataclasses.fields(want)]
             for _ in range(5):
-                cert, start = another(), threading.Barrier(6, timeout=10)
+                points, k, hit = side()
+                start = threading.Barrier(6, timeout=10)
                 got: list = [None] * 6
 
-                def read(j, cert=cert, start=start, got=got):
+                def read(j, points=points, k=k, hit=hit, start=start, got=got):
                     start.wait()
+                    cert = points[k][-1] if j % 2 else hit()
                     order = names[j:] + names[:j]  # each thread reads first another field
-                    fields = {name: getattr(cert, name) for name in order}
-                    got[j] = [fields[name] for name in names]
+                    got[j] = cert, {name: getattr(cert, name) for name in order}
 
                 threads = [threading.Thread(target=read, args=(j,)) for j in range(6)]
                 for t in threads:
@@ -834,8 +854,8 @@ def test_threads_reading_one_unread_certificate_get_equal_groups(monkeypatch):
                 for t in threads:
                     t.join(timeout=10)
                 assert not any(t.is_alive() for t in threads)
-                assert all(g == want for g in got) and "_source" not in vars(cert)
-                assert pickle.dumps(cert) == pickle.dumps(unread)
+                assert all(cert is got[0][0] and fields == _fields(want) for cert, fields in got)
+                assert points[k][-1] is got[0][0] is hit() and pickle.dumps(got[0][0]) == pickle.dumps(want)
     finally:
         sys.setswitchinterval(switch)
 
