@@ -260,7 +260,7 @@ def verify_counts(rp: RegularizedProblem, census, tol: Tolerances = Tolerances()
             else:
                 strays.append(xt)
         strays = np.array(strays).reshape(len(strays), n)
-        for xm, index, k, label in zip(m.x, m.index, m.norm0(), _rounded(m.x, n)):
+        for xm, index, k, label in zip(m.x, m.index, m.norm0, _rounded(m.x, n)):
             if index is None:  # a census point is stationary: nondegenerate is an index
                 continue
             want = math.comb(n - k - 1, n - s - 1)
@@ -279,7 +279,7 @@ def verify_counts(rp: RegularizedProblem, census, tol: Tolerances = Tolerances()
             CountCheck("companion-count", "n/a", "census incomplete; exact counts not asserted")
         )
 
-    for k in sorted(set(m.norm0())):
+    for k in sorted(set(m.norm0)):
         lhs = math.comb(n - k - 1, n - s - 1)
         rhs = math.comb(n - k - 1, s - k) if s - k >= 0 else None
         status = "pass" if lhs == rhs else "fail"

@@ -9,10 +9,12 @@ Certificates are kept per point and tolerances for as long as a caller holds
 them (see _certified), so a repeated request costs no evaluation or solve.
 certify_m_many certifies many points in one call, as arrays per layout
 group (see _solve) kept as the columns of a _Block, from whose rows it
-builds whole certificates; certify_m is its one-point case.  A census keeps
-the blocks and enters the rows it keeps in the memo (_entered), so that a
-certificate is built only when its point is read.  CC-LICQ is NDM1, so
-check_cc_licq and check_feasible read fields of certify_m's certificate.
+builds whole certificates; certify_m is its one-point case.  The certifiers
+take PointEvals and know nothing of the memo, one key (_key) for both
+sides.  A census calls them, keeps the blocks and enters the rows it keeps
+in the memo (_entered), so that a certificate is built only when its point
+is read.  CC-LICQ is NDM1, so check_cc_licq and check_feasible read fields
+of certify_m's certificate.
 """
 
 from __future__ import annotations
@@ -293,9 +295,9 @@ class _Bank(NamedTuple):
 
 
 def _bank(pes: list, units: np.ndarray, tail, tol: Tolerances) -> _Bank:
-    """The _Bank of the points of pes (PointEvals of one problem): the rows
-    `units` (u x d, d >= n) follow the gradients, and the target is grad f
-    followed by `tail` (d - n values)."""
+    """The _Bank of pes, PointEvals of one problem evaluated here if not yet
+    (raising as `evaluate` does): the rows `units` (u x d, d >= n) follow the
+    gradients, and the target is grad f followed by `tail` (d - n values)."""
     pr = pes[0].problem
     X, n, m, d = len(pes), pr.n, len(pr.h) + len(pr.g), units.shape[1]
     jets = [j for pe in pes for j in (pe.f, *pe.h, *pe.g)]
@@ -416,19 +418,19 @@ def _solve(bank: _Bank, at: np.ndarray, index: np.ndarray, layout: tuple, shifts
     return coeffs, solved.residuals, solved.residuals <= bank.bound.take(at), list(map(sum, ranks)), neg, zero
 
 
-def _key(pe: PointEval, *rest) -> tuple:
-    """Memo key of a checked point (see _point): the shape and exact bits of
-    its x, then `rest` (the bits of y, the tolerances)."""
-    return (pe.x.shape, pe.x.tobytes(), *rest)
+def _key(xbits: bytes, y, tol: Tolerances) -> tuple:
+    """Memo key of a point: the bits of its x (xbits), of y on the T side and
+    the tolerances; _point and regmpoc._y fix both shapes before any lookup."""
+    return (xbits, tol._astuple) if y is None else (xbits, y.tobytes(), tol._astuple)
 
 
-def _certified(memo: weakref.WeakValueDictionary, keys: list, certify, *args) -> list:
+def _certified(memo: weakref.WeakValueDictionary, keys: list, certify) -> list:
     """The certificates under `keys`, in order; the misses are certified by
-    one call certify(misses, *args), misses listing their positions in keys,
-    which returns _Blocks whose members are positions in misses, and each
-    miss's certificate is built from its row and stored.  A key repeated in
-    `keys` is certified at its first position and served as a hit at the
-    others; a hit on a census row (a _Row) is its certificate.
+    one call certify(misses), misses listing their positions in keys, which
+    returns _Blocks whose members are positions in misses, and each miss's
+    certificate is built from its row and stored.  A key repeated in `keys`
+    is certified at its first position and served as a hit at the others; a
+    hit on a census row (a _Row) is its certificate.
 
     Callers check their inputs before they look up, so whatever raises
     raises on every call, and a raise stores nothing.  An entry is the
@@ -446,7 +448,7 @@ def _certified(memo: weakref.WeakValueDictionary, keys: list, certify, *args) ->
         if cert is None:
             first.setdefault(keys[k], k)
     misses = list(first.values())
-    for block in certify(misses, *args):
+    for block in certify(misses):
         for row, k in enumerate(block.members.tolist()):
             certs[misses[k]] = memo[keys[misses[k]]] = block.cert(row)
     return [certs[first[key]] if cert is None else cert for key, cert in zip(keys, certs)]
@@ -484,9 +486,6 @@ class _Row:
         if cert is None:  # the first read
             cert = self.memo[self.key] = self.block.cert(self.row)
         return cert
-
-    def norm0(self) -> int:  # x_norm0, on the M side
-        return self.block.norm0
 
     def reason(self):
         return self.block.reason(self.row)
@@ -596,7 +595,8 @@ def certify_m_many(pr: Problem, xs, tol: Tolerances = Tolerances()) -> list[MCer
     certificate is looked up or stored.
     """
     xs = [_point(pr, x) for x in xs]
-    return _certified(pr._certs, [_key(x, tol._astuple) for x in xs], _certify_m, pr, xs, tol)
+    keys = [_key(x.x.tobytes(), None, tol) for x in xs]
+    return _certified(pr._certs, keys, lambda misses: _certify_m(pr, [xs[k] for k in misses], tol))
 
 
 def check_feasible(pr: Problem, x, tol: Tolerances = Tolerances()) -> tuple[bool, CcopActivity]:
@@ -633,11 +633,11 @@ class _MBlock(_Block):
         })
 
 
-def _certify_m(misses, pr: Problem, xs, tol: Tolerances) -> list[_MBlock]:
-    """The xs listed in misses (see _certified) certified, one _solve and
-    one _MBlock per layout (nh, |Q0|, |I0|), whose multipliers are the
-    column slices lam, mu and gamma."""
-    bank = _bank([evaluate(pr, xs[k]) for k in misses], np.eye(pr.n), (), tol)
+def _certify_m(pr: Problem, pes: list, tol: Tolerances) -> list[_MBlock]:
+    """The PointEvals pes of pr certified, one _solve and one _MBlock per
+    layout (nh, |Q0|, |I0|), whose members are positions in pes and whose
+    multipliers are the column slices lam, mu and gamma."""
+    bank = _bank(pes, np.eye(pr.n), (), tol)
     ok, groups = _m_select(pr, bank, tol)
     ts, blocks = tol.tol_strict, []
     for (nh, nq, ni), at, index, labels in groups:

@@ -508,25 +508,17 @@ def cmd_project(args) -> int:
 def _add_census(rep: Report, census: CensusReport, sides: str):
     rep.add("instance", census.instance_id)
     rep.add("complete", census.complete)
-    if "m" in sides:
-        rep.add("m.count", len(census.m_points))
-        for label, count in census.by_index_m.items():
-            rep.add(f"m.by_index.{label}", count)
-        points = census.m_points  # read as columns
+    for side in sides:  # "m", then "t"
+        points = getattr(census, f"{side}_points")  # read as columns
+        rep.add(f"{side}.count", len(points))
+        for label, count in getattr(census, f"by_index_{side}").items():
+            rep.add(f"{side}.by_index.{label}", count)
         for k, (x, index, reason) in enumerate(zip(points.x, points.index, points.reasons())):
-            rep.add(f"m.point.{k}.x", x)
-            rep.add(f"m.point.{k}.index", index)
-            rep.add(f"m.point.{k}.reason", reason)
-    if "t" in sides:
-        rep.add("t.count", len(census.t_points))
-        for label, count in census.by_index_t.items():
-            rep.add(f"t.by_index.{label}", count)
-        points = census.t_points
-        for k, (x, y, index, reason) in enumerate(zip(points.x, points.y, points.index, points.reasons())):
-            rep.add(f"t.point.{k}.x", x)
-            rep.add(f"t.point.{k}.y", y)
-            rep.add(f"t.point.{k}.index", index)
-            rep.add(f"t.point.{k}.reason", reason)
+            rep.add(f"{side}.point.{k}.x", x)
+            if side == "t":
+                rep.add(f"t.point.{k}.y", points.y[k])
+            rep.add(f"{side}.point.{k}.index", index)
+            rep.add(f"{side}.point.{k}.reason", reason)
     for k, note in enumerate(census.notes):
         rep.add(f"note.{k}", note)
 

@@ -42,10 +42,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ccop, regmpoc
-from .ccop import Problem, _carrying, _entered, _jets_at, _jets_many, _key
+from .ccop import Problem, _carrying, _entered, _jets_at, _jets_many, _key, _Row
 from .exprcore import eval2, polynomial_degree, to_source
 from .numkern import Tolerances
-from .regmpoc import AssumptionError, RegularizedProblem, _pair_key
+from .regmpoc import AssumptionError, RegularizedProblem
 
 __all__ = [
     "CensusReport",
@@ -63,15 +63,15 @@ class _Points(Sequence):
     """The points a census keeps, in order: a read-only sequence of (x,
     cert) on the M side and of (x, y, cert) on the T side, x the root's kept
     read-only x.  They are kept as columns: x, y (a read-only N x n array;
-    None on the M side) and index (each m_index or t_index, None where the
-    certificate has none), and a ccop._Row each, whose certificate, built
-    whole on the first read of its point, is the one every later read and
-    memo hit returns.  norm0 and reasons read the x_norm0 and the
-    degenerate_reason of every point off its row, building no certificate.
-    A slice is a list of points."""
+    None on the M side), index (each m_index or t_index, None where the
+    certificate has none) and norm0 (each x_norm0; None on the T side).  A
+    row is a ccop._Row, whose certificate, built whole on the first read of
+    its point, is the one every later read and memo hit returns, or a
+    certificate.  reasons reads the degenerate_reason of every point off
+    its row, building no certificate.  A slice is a list of points."""
 
-    def __init__(self, rows: list, x: list, y, index: list):
-        self._rows, self.x, self.y, self.index = rows, x, y, index
+    def __init__(self, rows: list, x: list, y, index: list, norm0):
+        self._rows, self.x, self.y, self.index, self.norm0 = rows, x, y, index, norm0
 
     @classmethod
     def of(cls, points) -> _Points:
@@ -80,9 +80,10 @@ class _Points(Sequence):
         if isinstance(points, _Points):
             return points
         points = list(points)
-        y = np.array([p[1] for p in points]) if points and len(points[0]) == 3 else None
-        index = [p[-1].m_index if y is None else p[-1].t_index for p in points]
-        return cls([_Given(p[-1]) for p in points], [p[0] for p in points], y, index)
+        x, certs = [p[0] for p in points], [p[-1] for p in points]
+        if points and len(points[0]) == 3:
+            return cls(certs, x, np.array([p[1] for p in points]), [c.t_index for c in certs], None)
+        return cls(certs, x, None, [c.m_index for c in certs], [c.activity.x_norm0 for c in certs])
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -90,13 +91,13 @@ class _Points(Sequence):
     def __getitem__(self, k):
         if isinstance(k, slice):
             return [self[j] for j in range(len(self))[k]]
-        cert = self._rows[k].cert()
+        cert = _cert(self._rows[k])
         return (self.x[k], cert) if self.y is None else (self.x[k], self.y[k], cert)
 
     def __iter__(self):
         if self.y is None:
-            return ((x, row.cert()) for x, row in zip(self.x, self._rows))
-        return ((x, y, row.cert()) for x, y, row in zip(self.x, self.y, self._rows))
+            return ((x, _cert(row)) for x, row in zip(self.x, self._rows))
+        return ((x, y, _cert(row)) for x, y, row in zip(self.x, self.y, self._rows))
 
     def __eq__(self, other):
         return list(self) == (list(other) if isinstance(other, _Points) else other)
@@ -104,33 +105,17 @@ class _Points(Sequence):
     def __reduce__(self):  # the rows refer to the memo, which does not pickle
         return _Points.of, (list(self),)
 
-    def norm0(self) -> list:
-        return [row.norm0() for row in self._rows]
-
     def reasons(self) -> list:
-        return [row.reason() for row in self._rows]
+        return [row.reason() if type(row) is _Row else row.degenerate_reason for row in self._rows]
 
 
-class _Given:
-    """A certificate as a row of _Points (see _Points.of and ccop._Row)."""
-
-    __slots__ = ("_cert",)
-
-    def __init__(self, cert):
-        self._cert = cert
-
-    def cert(self):
-        return self._cert
-
-    def norm0(self) -> int:
-        return self._cert.activity.x_norm0
-
-    def reason(self):
-        return self._cert.degenerate_reason
+def _cert(row):
+    """The certificate of a row of _Points: a _Row's, or the row itself."""
+    return row.cert() if type(row) is _Row else row
 
 
 def _no_points() -> _Points:
-    return _Points([], [], None, [])
+    return _Points([], [], None, [], [])
 
 
 @dataclass
@@ -534,28 +519,22 @@ def _batches(groups, size=len):
 
 def _m_points(pr: Problem, roots, tol: Tolerances):
     """The roots (of _shared_roots), certified in batches: per batch, the
-    roots' PointEvals and memo keys, the root of each candidate (each root
-    is one), None in place of the ys, and the blocks of ccop._certify_m."""
+    roots' PointEvals, the root of each candidate (each root is one), None
+    in place of the ys, and the blocks of ccop._certify_m."""
     for pes in _batches([pe] for _, pe in roots):
-        misses = range(len(pes))
-        yield pes, [_key(pe) for pe in pes], np.arange(len(pes)), None, ccop._certify_m(misses, pr, pes, tol)
+        yield pes, np.arange(len(pes)), None, ccop._certify_m(pr, pes, tol)
 
 
 def _t_points(rp: RegularizedProblem, roots, candidates, tol: Tolerances):
     """The candidates of each root (of _shared_roots), drawn in root order,
-    certified in batches: per batch, the roots' PointEvals and memo keys,
-    the root of each candidate, the candidates' ys (one row each) and the
-    blocks of regmpoc._certify_t_pairs."""
-    groups = ([(pe, candidates(J, pe.x))] for J, pe in roots)
+    certified in batches: per batch, the PointEvals of the roots that have
+    candidates, the root of each candidate, the candidates' ys (one row
+    each) and the blocks of regmpoc._certify_t_pairs."""
+    groups = ([(pe, Y)] for J, pe in roots for Y in [candidates(J, pe.x)] if len(Y))
     for batch in _batches(groups, lambda group: len(group[0][1])):
         pes, ys = [pe for pe, _ in batch], [Y for _, Y in batch]
-        root = np.repeat(np.arange(len(pes)), [len(Y) for Y in ys])
-        if len(root):
-            xkeys, points = [_key(pe) for pe in pes], {}
-            for xkey, pe in zip(xkeys, pes):
-                points.setdefault(xkey, pe)
-            owners, Y = [xkeys[r] for r in root.tolist()], np.concatenate(ys)
-            yield pes, xkeys, root, Y, regmpoc._certify_t_pairs(range(len(Y)), rp, points, owners, Y, tol)
+        root, Y = np.repeat(np.arange(len(pes)), [len(Y) for Y in ys]), np.concatenate(ys)
+        yield pes, root, Y, regmpoc._certify_t_pairs(rp, pes, root, Y, tol)
 
 
 @functools.lru_cache(maxsize=64)
@@ -707,10 +686,11 @@ def _report(iid: str, target, batches, complete: bool, notes: list[str], tol: To
 
     The candidates are read off the blocks' columns, in the order they were
     drawn; a point is reported at its root's kept read-only x and, on the T
-    side, its own y."""
+    side, its own y.  Each root's x bits are taken once, and memo keys
+    (ccop._key) are built for the kept points alone."""
     side, n = ("m" if isinstance(target, Problem) else "t"), target.n
-    pes, xkeys, rows, index, keys = [], [], [], [], [np.empty((0, n if side == "m" else 2 * n))]
-    for roots, xkey, root, Y, blocks in batches:  # runs the root finder, which may still add notes
+    pes, bits, rows, index, keys = [], [], [], [], [np.empty((0, n if side == "m" else 2 * n))]
+    for roots, root, Y, blocks in batches:  # runs the root finder, which may still add notes
         found = [(block, np.flatnonzero(block.feasible & block.stationary)) for block in blocks]
         at = np.concatenate([block.members.take(r) for block, r in found])
         order = np.argsort(at)  # each candidate's position in the batch
@@ -720,7 +700,8 @@ def _report(iid: str, target, batches, complete: bool, notes: list[str], tol: To
         at = at.take(order)
         owner = root.take(at).tolist()
         pes += [roots[r] for r in owner]
-        xkeys += [xkey[r] for r in owner]
+        xbits = [pe.x.tobytes() for pe in roots]
+        bits += [xbits[r] for r in owner]
         X = np.array([pe.x for pe in roots]).take(owner, 0)
         keys.append(X if Y is None else np.concatenate([X, Y.take(at, 0)], axis=1))
     index = [None if k < 0 else k for k in index]
@@ -728,13 +709,13 @@ def _report(iid: str, target, batches, complete: bool, notes: list[str], tol: To
     # merge within ten activity tolerances; snap the sort key at one
     kept = _dedupe(keys, index, 10.0 * tol.tol_act, tol.tol_act, notes, side.upper())
     if side == "m":
-        Y, keys = None, [(*xkeys[k], tol._astuple) for k in kept]  # ccop._key(pe, tol._astuple)
+        Y, norm0, keys = None, [rows[k][0].norm0 for k in kept], [_key(bits[k], None, tol) for k in kept]
     else:
-        Y = keys[kept, n:]
+        Y, norm0 = keys[kept, n:], None
         Y.flags.writeable = False
-        keys = [_pair_key(xkeys[k], y, tol) for k, y in zip(kept, Y)]
+        keys = [_key(bits[k], y, tol) for k, y in zip(kept, Y)]
     points = _Points(_entered(target._certs, keys, [rows[k] for k in kept]), [pes[k].x for k in kept], Y,
-                     [index[k] for k in kept])
+                     [index[k] for k in kept], norm0)
     counts = _count_by_index(points.index)
     if side == "m":
         return CensusReport(iid, m_points=points, by_index_m=counts, complete=complete, notes=notes)

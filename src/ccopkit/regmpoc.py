@@ -37,7 +37,6 @@ import numpy as np
 
 from .ccop import (
     FrozenDict,
-    PointEval,
     Problem,
     _Bank,
     _bank,
@@ -52,7 +51,6 @@ from .ccop import (
     _point,
     _solve,
     _without_certs,
-    evaluate,
 )
 from .numkern import Tolerances
 
@@ -93,7 +91,7 @@ class RegularizedProblem:
 
     @cached_property
     def _certs(self) -> weakref.WeakValueDictionary:
-        """T-certificates per (point bits, tol), filled by ccop._certified."""
+        """T-certificates per (x bits, y bits, tol), filled by ccop._certified."""
         return weakref.WeakValueDictionary()
 
     @cached_property
@@ -286,13 +284,14 @@ def certify_t_pairs(
     [certify_t(rp, x, y, tol) for x, y in pairs].
 
     Each distinct x (by its bits) is evaluated once if a pair over it is
-    not held, and never otherwise.  The work that depends on x alone (the
-    h/g feasibility, the row bank, the Hessians and the target) is done
-    once; the y-conditions of all pairs are evaluated together.  The pairs
-    are certified per layout (nh, |Q0|, |Ecal|, sum_active, |a01|, |a10|,
-    |a00|), whatever their x: each layout group makes one stacked call of
-    each kernel and reads every flag off column slices (see ccop._solve),
-    and a pair repeated in `pairs` is certified once.  Raises
+    not held, and never otherwise: only the xs of missed pairs are banked.
+    The work that depends on x alone (the h/g feasibility, the row bank,
+    the Hessians and the target) is done once; the y-conditions of all
+    pairs are evaluated together.  The pairs are certified per layout (nh,
+    |Q0|, |Ecal|, sum_active, |a01|, |a10|, |a00|), whatever their x: each
+    layout group makes one stacked call of each kernel and reads every flag
+    off column slices (see ccop._solve), and a pair repeated in `pairs` is
+    certified once.  Raises
     AssumptionError as certify_t does, and ValueError when an x or a y has
     the wrong shape; either raise happens before any certificate is looked
     up or stored.
@@ -305,30 +304,22 @@ def certify_t_pairs(
     return _certify_pairs(rp, pairs, tol)
 
 
-def _pair_key(xkey: tuple, y: np.ndarray, tol: Tolerances) -> tuple:
-    """Memo key of a pair whose x has memo key xkey (see ccop._key): that
-    of x, then the shape and bits of y and the tolerances."""
-    return (*xkey, y.shape, y.tobytes(), tol._astuple)
-
-
 def _certify_pairs(rp: RegularizedProblem, pairs, tol: Tolerances) -> list[TCertificate]:
     """certify_t_pairs without its refusal of parameters that violate the
-    assumption, for the checks, which answer on any parameters."""
-    # an x shared by several pairs is checked, and so copied, once; a copy per
-    # pair left the n=10, s=6 T census with about 1 MB more peak RSS
-    seen: dict[int, tuple] = {}  # id(x) -> (x, key of x); x is held, so its id stays its own
-    points: dict[tuple, PointEval] = {}  # key of x -> the first checked x with it
-    owners, ys, keys = [], [], []
+    assumption, for the checks, which answer on any parameters.  The missed
+    pairs are certified over their distinct xs, in order of first use."""
+    xs, ys = [], []
     for x, y in pairs:
-        if id(x) not in seen:
-            checked = _point(rp.base, x)
-            seen[id(x)] = x, _key(checked)
-            points.setdefault(seen[id(x)][1], checked)
-        xkey, y = seen[id(x)][1], _y(rp, y)
-        owners.append(xkey)
-        ys.append(y)
-        keys.append(_pair_key(xkey, y, tol))
-    return _certified(rp._certs, keys, _certify_t_pairs, rp, points, owners, ys, tol)
+        xs.append(_point(rp.base, x))
+        ys.append(_y(rp, y))
+    keys = [_key(x.x.tobytes(), y, tol) for x, y in zip(xs, ys)]
+
+    def certify(misses: list) -> list:
+        first: dict = {}  # bits of a missed x -> (its place among them, its PointEval)
+        at = np.array([first.setdefault(keys[k][0], (len(first), xs[k]))[0] for k in misses])
+        return _certify_t_pairs(rp, [pe for _, pe in first.values()], at, np.array([ys[k] for k in misses]), tol)
+
+    return _certified(rp._certs, keys, certify)
 
 
 class _TBlock(_Block):
@@ -358,20 +349,15 @@ class _TBlock(_Block):
         })
 
 
-def _certify_t_pairs(
-    misses, rp: RegularizedProblem, points: dict, owners: list, ys, tol: Tolerances
-) -> list[_TBlock]:
-    """The pairs listed in misses (see ccop._certified) certified: the pair
-    at position k is (points[owners[k]], ys[k]), ys a list of ys or their
-    stack.  One _solve and one _TBlock
-    per layout (nh, |Q0|, |Ecal|, sum_active, |a01|, |a10|, |a00|, |a00|),
-    whose multipliers are the column slices lam, mu1, mu2, mu3, sigma1,
-    sigma2, rho1 and rho2."""
-    place: dict[tuple, int] = {}  # key of x -> its point in the bank, in order of first use
-    at = np.array([place.setdefault(owners[k], len(place)) for k in misses])
+def _certify_t_pairs(rp: RegularizedProblem, pes: list, at, Y: np.ndarray, tol: Tolerances) -> list[_TBlock]:
+    """The pairs (pes[at[k]], Y[k]) certified, pes PointEvals of the base
+    problem: one _solve and one _TBlock per layout (nh, |Q0|, |Ecal|,
+    sum_active, |a01|, |a10|, |a00|, |a00|), whose members are positions
+    among the pairs and whose multipliers are the column slices lam, mu1,
+    mu2, mu3, sigma1, sigma2, rho1 and rho2."""
     units, shifts = _t_units(rp.n)
-    bank = _bank([evaluate(rp.base, points[xkey]) for xkey in place], units, rp.c, tol)
-    ok, groups = _feasible_r(rp, bank, at, np.take(ys, misses, 0), tol)
+    bank = _bank(pes, units, rp.c, tol)
+    ok, groups = _feasible_r(rp, bank, at, Y, tol)
     ts, blocks = tol.tol_strict, []
     for layout, group, index, labels in groups:
         nh, nq, _, _, _, _, n00, _ = layout

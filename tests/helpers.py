@@ -6,6 +6,8 @@ oracle independent of the exact-derivative path they validate.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from ccopkit import Problem, eval2, make_regularized, parse
@@ -176,3 +178,9 @@ def random_quadratic_instance(rng, n_max=8):
     pr = make_problem(n, s, random_quadratic_source(rng, n), h_srcs, g_srcs)
     eps = float(rng.uniform(0.3, 1.0)) / (n - s)
     return make_regularized(pr, random_c(rng, n), eps)
+
+
+def x_and_t_index(census) -> Counter:
+    """The multiset of (x bits, T-index) of a T census's points."""
+    points = census.t_points
+    return Counter(zip((x.tobytes() for x in points.x), points.index))

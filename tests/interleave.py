@@ -2,6 +2,7 @@
 
     python tests/interleave.py OLD_SRC NEW_SRC                 # 30 rounds of roundtrip
     python tests/interleave.py OLD_SRC NEW_SRC --rounds 40 --seed 77 --workload census_n8
+    python tests/interleave.py OLD_SRC NEW_SRC --workload roundtrip census_n8 newton_smooth cli_verify
 
 OLD_SRC and NEW_SRC are `src` directories of two checkouts.  Each is
 imported as its own package (`ccopkit_old`, `ccopkit_new`), with its own
@@ -11,7 +12,8 @@ checkout) for each side from the same seed, then times each side running
 them, the two sides in alternating order.  Round r uses seed SEED + r, so
 every round sees new instances and nothing is held between rounds.  The
 two sides' summaries of each item must be equal; the script stops with
-exit code 1 at the first item where they differ.
+exit code 1 at the first item where they differ.  Several workloads run in
+turn, each with its own rounds, one printed block each.
 
 It prints each side's median and quartiles of the per-round time, the
 number of rounds each side won, the median time of cyclic garbage
@@ -108,15 +110,21 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("old", type=Path, help="src directory of the first version")
     parser.add_argument("new", type=Path, help="src directory of the second version")
-    parser.add_argument("--workload", default="roundtrip", choices=sorted(WORKLOADS))
+    parser.add_argument("--workload", nargs="+", default=["roundtrip"], choices=sorted(WORKLOADS))
     parser.add_argument("--rounds", type=int, default=30)
-    parser.add_argument("--seed", type=int, default=None, help="default: the workload's")
+    parser.add_argument("--seed", type=int, default=None, help="default: each workload's")
     args = parser.parse_args(argv)
     if args.rounds < 2:
         parser.error("--rounds must be at least 2")
-    wl = WORKLOADS[args.workload]
-    seed = wl.default_seed if args.seed is None else args.seed
     sides = {"old": load_side(args.old.resolve(), "old"), "new": load_side(args.new.resolve(), "new")}
+    return 1 if any(_compare(name, sides, args) for name in args.workload) else 0
+
+
+def _compare(name: str, sides: dict, args) -> int:
+    """Run args.rounds alternating rounds of one workload and print its
+    block; 1 if the two sides' summaries differ, else 0."""
+    wl = WORKLOADS[name]
+    seed = wl.default_seed if args.seed is None else args.seed
     times: dict[str, list[float]] = {"old": [], "new": []}
     collected: dict[str, list[float]] = {"old": [], "new": []}  # garbage-collection seconds per round
     wins = {"old": 0, "new": 0}
@@ -139,7 +147,7 @@ def main(argv=None) -> int:
             old, new = times["old"][-1], times["new"][-1]
             if old != new:
                 wins["old" if old < new else "new"] += 1
-    print(f"interleave: workload={args.workload} seed={seed} rounds={args.rounds} "
+    print(f"interleave: workload={name} seed={seed} rounds={args.rounds} "
           f"(one pass each, alternating order)")
     for tag, path in (("old", args.old), ("new", args.new)):
         q1, q2, q3 = _quartiles(times[tag])

@@ -255,7 +255,7 @@ MUTANTS = (
     ),
     Mutant(
         "census points that build a new certificate on every read", "oracle.py",
-        "        cert = self._rows[k].cert()\n",
+        "        cert = _cert(self._rows[k])\n",
         "        cert = self._rows[k].block.build(self._rows[k].row)\n",
         ("tests/test_pointeval.py::test_unread_read_and_whole_certificates_pickle_copy_and_compare_alike",),
     ),
@@ -270,6 +270,39 @@ MUTANTS = (
         "        index += np.concatenate([np.take(block.total, r) for block, r in found]).take(order).tolist()\n",
         "        index += np.concatenate([np.take(block.quadratic, r) for block, r in found]).take(order).tolist()\n",
         (ORACLE,),
+    ),
+    Mutant(
+        "the census norm0 column read off the sparsity index", "oracle.py",
+        "Y, norm0, keys = None, [rows[k][0].norm0 for k in kept],",
+        "Y, norm0, keys = None, [rows[k][0].si for k in kept],",
+        (f"{BRIDGE}::test_companions_are_counted_by_their_root_not_by_distance",),
+    ),
+    Mutant(
+        "_Points.of taking norm0 from the wrong field", "oracle.py",
+        "[c.activity.x_norm0 for c in certs])",
+        "[c.sparsity_index for c in certs])",
+        (f"{BRIDGE}::test_companions_are_counted_by_their_root_not_by_distance",),
+    ),
+    # one call shape between the certifiers and the memo (ccop._key, _certified, regmpoc._certify_pairs)
+    Mutant(
+        "a T key that ignores the bits of y", "ccop.py",
+        "return (xbits, tol._astuple) if y is None else (xbits, y.tobytes(), tol._astuple)",
+        "return (xbits, tol._astuple)",
+        ("tests/test_pointeval.py::test_memo_key_is_the_point_bits_the_tolerances_and_the_problem",),
+    ),
+    Mutant(
+        "keys without the tolerances", "ccop.py",
+        "return (xbits, tol._astuple) if y is None else (xbits, y.tobytes(), tol._astuple)",
+        "return (xbits,) if y is None else (xbits, y.tobytes())",
+        ("tests/test_pointeval.py::test_memo_key_is_the_point_bits_the_tolerances_and_the_problem",),
+    ),
+    Mutant(
+        "a T call that banks the xs of its held pairs too", "regmpoc.py",
+        "        first: dict = {}  # bits of a missed x -> (its place among them, its PointEval)\n",
+        "        first: dict = {}\n"
+        "        for k, key in enumerate(keys):  # every x of the call\n"
+        "            first.setdefault(key[0], (len(first), xs[k]))\n",
+        ("tests/test_pointeval.py::test_a_call_evaluates_the_xs_of_its_missed_points_alone",),
     ),
 )
 

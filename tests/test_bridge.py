@@ -219,6 +219,9 @@ def test_companions_are_counted_by_their_root_not_by_distance():
     counts = [c for c in report.checks if c.name == "companion-count"]
     assert len(counts) == sum(c.nondegenerate for _, c in points) >= 90
     assert report.ok
+    # the same checks, status and detail, on both sides' points as plain lists
+    merged.m_points, merged.t_points = list(merged.m_points), list(merged.t_points)
+    assert verify_counts(rp, merged).checks == report.checks
 
 
 def test_companions_off_every_root_are_counted_within_the_radius():

@@ -344,15 +344,13 @@ def solves(monkeypatch):
     def bits(x):
         return np.asarray(x.x if isinstance(x, PointEval) else x).tobytes()
 
-    def m(misses, pr, xs, tol):
-        calls["keys"].extend(("m", id(pr), bits(xs[k]), tol) for k in misses)
-        return certify_m_(misses, pr, xs, tol)
+    def m(pr, pes, tol):
+        calls["keys"].extend(("m", id(pr), bits(pe), tol) for pe in pes)
+        return certify_m_(pr, pes, tol)
 
-    def t(misses, rp, points, owners, ys, tol):
-        calls["keys"].extend(
-            ("t", id(rp), bits(points[owners[k]]), ys[k].tobytes(), tol) for k in misses
-        )
-        return certify_t_(misses, rp, points, owners, ys, tol)
+    def t(rp, pes, at, Y, tol):
+        calls["keys"].extend(("t", id(rp), bits(pes[a]), y.tobytes(), tol) for a, y in zip(at.tolist(), Y))
+        return certify_t_(rp, pes, at, Y, tol)
 
     monkeypatch.setattr(ccop, "_certify_m", m)
     monkeypatch.setattr(regmpoc, "_certify_t_pairs", t)
@@ -567,6 +565,22 @@ def test_a_key_repeated_in_one_batch_is_certified_once(solves, eval2_calls):
     assert len(solves["keys"]) == len(set(solves["keys"])) == 2
     assert _pickles(ms) == want and ms[2] is ms[0] and ms[3] is ms[0] and ms[1] is not ms[0]
     assert certify_t_pairs(rp, []) == [] and certify_m_many(rp.base, []) == []
+
+
+def test_a_call_evaluates_the_xs_of_its_missed_points_alone(eval2_calls):
+    # each distinct x is evaluated once if a pair (or point) over it is not
+    # held, and never otherwise
+    rp = _memo_instance()
+    x1, x2 = np.zeros(rp.n), np.array([0.0, 0.5, 0.0, 0.0, 0.0])
+    y = np.array([0.0, 0.0, rp.eps + 1.0, rp.eps + 1.0, 1.0 - 2.0 * rp.eps])
+    held = certify_t(rp, x1, y), certify_m(rp.base, x1)
+    at_x2 = {(id(e), x2.tobytes()): 1 for e in (rp.base.f, *rp.base.h, *rp.base.g)}
+    eval2_calls.clear()
+    got = certify_t_pairs(rp, [(x1.copy(), y), (x2, y)])
+    assert eval2_calls == at_x2 and got[0] is held[0]
+    eval2_calls.clear()
+    got = certify_m_many(rp.base, [x1.copy(), x2])
+    assert eval2_calls == at_x2 and got[0] is held[1]
 
 
 def test_a_batch_with_a_wrong_y_raises_and_stores_nothing():

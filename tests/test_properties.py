@@ -1,13 +1,18 @@
 """Seeded properties the paper implies, over random quadratic instances:
-redundant constraints change nothing, and project(lift(x)) keeps the index
-at any admissible regularization."""
+redundant constraints change nothing, project(lift(x)) keeps the index at
+any admissible regularization, the T census's indices do not depend on the
+admissible (c, eps), and a small random linear term makes every census
+point nondegenerate."""
 
 import dataclasses
 
 import numpy as np
+import pytest
 
 from ccopkit import (
+    AssumptionError,
     Problem,
+    Tolerances,
     census_quadratic,
     census_t_quadratic,
     certify_m,
@@ -20,7 +25,7 @@ from ccopkit import (
     verify_counts,
 )
 
-from helpers import random_quadratic_instance, random_sparse_point
+from helpers import make_problem, random_c, random_quadratic_instance, random_sparse_point, well_ones, x_and_t_index
 
 
 def _fields(cert):
@@ -94,3 +99,71 @@ def test_project_of_lift_keeps_the_index_at_any_admissible_eps():
                 assert _fields(back) == _fields(mcert)
                 trips += 1
     assert trips >= 200
+
+
+def _admissible(rp) -> list:
+    """rp's base problem regularized three more ways that meet the
+    assumption: tiny c with tiny eps, large decreasing c with eps on its
+    bound 1/(n-s), and c whose gaps are twice tol_strict."""
+    n, s = rp.n, rp.s
+    return [
+        make_regularized(rp.base, 1e-3 * np.arange(1, n + 1), 1e-6),
+        make_regularized(rp.base, 10.0 * np.arange(n, 0, -1), 1.0 / (n - s)),
+        make_regularized(rp.base, 1.0 + 2e-8 * np.arange(n), 0.5 / (n - s)),
+    ]
+
+
+def test_t_census_indices_do_not_depend_on_the_admissible_c_and_eps():
+    # only the ys and ibar may move with (c, eps); the counts by index and
+    # the index over each root's x may not
+    compared = 0
+    for seed in range(60):
+        rp = random_quadratic_instance(np.random.default_rng(seed), n_max=6)
+        own = census_t_quadratic(rp)
+        for other in _admissible(rp):
+            assert other.assumption1_ok
+            census = census_t_quadratic(other)
+            assert census.by_index_t == own.by_index_t, seed
+            assert x_and_t_index(census) == x_and_t_index(own), seed
+            compared += 1
+    assert compared == 180
+
+
+def test_c_gaps_under_tol_strict_break_the_assumption():
+    pr, ts = well_ones(), Tolerances().tol_strict
+    assert make_regularized(pr, [1.0, 1.0 + 2.0 * ts], 0.5).assumption1_ok
+    tied = make_regularized(pr, [1.0, 1.0 + 0.5 * ts], 0.5)
+    assert not tied.assumption1_ok
+    with pytest.raises(AssumptionError):
+        census_t_quadratic(tied)
+    sampled = census_t_quadratic(make_regularized(pr, [1.0, 1.0 + 0.5 * ts], 0.5, override=True))
+    assert not sampled.complete and sampled.notes[0].startswith("override sampler")
+
+
+def _wells(seed: int, linear: bool):
+    """f = sum (x_i - a_i)^2 with about half the a_i set to 0, whose zero
+    multipliers make points degenerate, plus r.x with r ~ U(-1e-3, 1e-3)^n
+    if linear, regularized with random_c and eps = 0.5/(n-s)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    s = int(rng.integers(0, n))
+    a = np.where(rng.uniform(size=n) < 0.5, 0.0, rng.uniform(-1.0, 1.0, size=n))
+    r = rng.uniform(-1e-3, 1e-3, size=n)
+    f = " + ".join(f"(x{i} - ({v!r}))^2" for i, v in enumerate(a.tolist(), start=1))
+    if linear:
+        f += "".join(f" + ({v!r})*x{i}" for i, v in enumerate(r.tolist(), start=1))
+    pr = make_problem(n, s, f)
+    return make_regularized(pr, random_c(rng, n), 0.5 / (n - s))
+
+
+def test_a_small_linear_term_makes_every_census_point_nondegenerate():
+    degenerate = {False: [0, 0], True: [0, 0]}  # linear term -> degenerate M- and T-points
+    for seed in range(80):
+        for linear in (False, True):
+            rp = _wells(seed, linear)
+            m, t = census_quadratic(rp.base), census_t_quadratic(rp)
+            degenerate[linear][0] += m.m_points.index.count(None)
+            degenerate[linear][1] += t.t_points.index.count(None)
+            if linear:
+                assert verify_counts(rp, merge_censuses(m, t)).ok, seed
+    assert min(degenerate[False]) >= 100 and degenerate[True] == [0, 0]
