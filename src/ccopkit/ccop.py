@@ -355,15 +355,15 @@ def _layouts(sel: np.ndarray, kinds: np.ndarray, label: np.ndarray) -> list:
 
 @lru_cache(maxsize=64)
 def _split(layout: tuple, shifts: tuple) -> tuple:
-    """(x, y, shift) of a layout: its columns in the x-block and in the
-    y-block, and each x column's shift, None if all are 0 (see _solve)."""
+    """(x, shift) of a layout: its columns in the x-block, and each one's
+    shift, None if all are 0 (see _solve)."""
     col = np.repeat(np.array(shifts, dtype=float), layout)  # each column's shift, nan in the y-block
-    x, y, shift = np.flatnonzero(col == col), np.flatnonzero(col != col), col[col == col].astype(int)
-    x.flags.writeable = y.flags.writeable = shift.flags.writeable = False
-    return x, y, shift if shift.any() else None
+    x, shift = np.flatnonzero(col == col), col[col == col].astype(int)
+    x.flags.writeable = shift.flags.writeable = False
+    return x, shift if shift.any() else None
 
 
-def _solve(bank: _Bank, at: np.ndarray, index: np.ndarray, layout: tuple, shifts: tuple, tol: Tolerances):
+def _solve(bank: _Bank, at: np.ndarray, index: np.ndarray, layout: tuple, shifts: tuple, tol: Tolerances, ys=None):
     """Solve the multiplier systems of one layout group and read off their rank and inertia.
 
     Candidate k lies at the point at[k] of bank, and its k x d directions
@@ -373,9 +373,10 @@ def _solve(bank: _Bank, at: np.ndarray, index: np.ndarray, layout: tuple, shifts
     shifted by shifts[c] hold the same x-block vectors (rho1's e_i are
     sigma1's), so in their order (h, Q0, I0 ascending) a point's x-block is
     that of every candidate over it.  One call each: rank_and_nullbasis on
-    one x-block per point and one y-block per candidate, zero-padded to one
-    row count, whose singular values above tol_rank times the larger
-    sigma_max of the two count; solve_multipliers on the rows; and
+    one x-block per point, zero-padded to max(kx, k - kx) rows, whose
+    singular values and those of the y-block, ys (the caller's, padded
+    alike: one row for all candidates or one each), above tol_rank times the
+    larger sigma_max of the two count; solve_multipliers on the rows; and
     restricted_inertia per x-block null-space size on the rows rank.. of
     V^T, with the Lagrangian Hessians (f, minus lam_p * h_p for each p, then
     minus mu_q * g_q in Q0 order: one K x n x n array), the zero count
@@ -383,22 +384,20 @@ def _solve(bank: _Bank, at: np.ndarray, index: np.ndarray, layout: tuple, shifts
     rows alone.  Returns (coeffs, residual, residual_ok, rank, neg, zero):
     the K x k multipliers, then one entry per candidate.
     """
-    x, y, shift = _split(layout, shifts)
+    x, shift = _split(layout, shifts)
     (nh, nq), n, kx = layout[:2], bank.x.shape[1], len(x)
     rows = bank.rows[at[:, None], index]
     K, k, d = rows.shape
     places: dict = {}  # point -> (place of its x-block, its first candidate)
     owner = [places.setdefault(a, (len(places), j))[0] for j, a in enumerate(at.tolist())]
     first = [j for _, j in places.values()]
-    S, ny = len(first), K if kx < k else 0  # a block without rows has rank 0 and needs no SVD
     if shift is not None:  # kinds whose rows interleave: the order of their shifted bank rows
         x = x.take(np.argsort(index.take(first, 0).take(x, 1) + shift, axis=1))
-    blocks = np.zeros((S + ny, max(kx, k - kx), n))
-    blocks[:S, :kx] = rows[np.array(first)[:, None], x, :n]
-    blocks[S:, : k - kx, : d - n] = rows[:ny].take(y, 1)[:, :, n:]
+    blocks = np.zeros((len(first), max(kx, k - kx), n))
+    blocks[:, :kx] = rows[np.array(first)[:, None], x, :n]
     ranked = rank_and_nullbasis(blocks, tol)
-    sing = ranked.sing if S == K else np.concatenate((ranked.sing.take(owner, 0), ranked.sing[S:]))
-    sing = sing.reshape(2 if ny else 1, K, -1).swapaxes(0, 1)  # each candidate's x-block and y-block (if any)
+    sing = ranked.sing if len(first) == K else ranked.sing.take(owner, 0)
+    sing = np.concatenate((sing, ys.repeat(K // len(ys), 0)), axis=1).reshape(K, 2, -1) if kx < k else sing[:, None]
     top = np.maximum.reduce(sing, axis=(1, 2), initial=0.0, keepdims=True)
     ranks = np.add.reduce(sing > tol.tol_rank * top, axis=2).tolist()  # [x-block, y-block (if any)]
     # the transpose of each row block is a view with the layout of rows.T, so

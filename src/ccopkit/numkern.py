@@ -9,9 +9,9 @@ projected eigensolve wins over anything cleverer.  Each kernel also takes a
 stack of same-shape matrices and runs it through one call of the gufunc
 that numpy.linalg runs on one matrix, which gives every matrix the result
 of its own call, bit for bit; certification makes these calls once per
-layout group of its candidates (ccop._solve, which ranks by blocks) and
-reads their Stacks whole.  Calling them so needs numpy 2.0 or later:
-numpy 1.x split the lstsq and SVD gufuncs in two.
+layout group of its candidates (ccop._solve: an SVD per point's x-block,
+one per layout's y-block) and reads their Stacks whole.  Calling them so
+needs numpy 2.0 or later: numpy 1.x split the lstsq and SVD gufuncs in two.
 """
 
 from __future__ import annotations

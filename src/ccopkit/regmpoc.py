@@ -14,16 +14,16 @@ and is reachable only through an explicit override.
 Certification solves the T-stationarity multiplier system over the 2n-dim
 constraint directions, checks the sign and disjunction conditions, the five
 nondegeneracy conditions NDT1..NDT5, and reports the T-index as quadratic
-index + biactive index; rank, null space and inertia come by the x- and
-y-blocks of the directions (see ccop._solve).  certify_t_pairs certifies
-many (x, y) in one call: the work that depends on x alone is done once per
-distinct x, and the pairs are certified as arrays per layout group, a layout
-being the number of multipliers of each kind (see ccop._solve), kept as the
-columns of a _TBlock whose rows build whole certificates.  certify_t is its
-one-pair case.  MPOC-LICQ is NDT1, so check_mpoc_licq and
-check_feasible_r read fields of the certificate (_certify_pairs); unlike
-certification they answer on parameters that violate the assumption,
-override or not.
+index + biactive index; rank, null space and inertia come by the x-block of
+the directions per distinct x and the y-block per layout (_y_sing; see
+ccop._solve).  certify_t_pairs certifies many (x, y) in one call: the work
+that depends on x alone is done once per distinct x, and the pairs are
+certified as arrays per layout group, a layout being the number of
+multipliers of each kind (see ccop._solve), kept as the columns of a _TBlock
+whose rows build whole certificates.  certify_t is its one-pair case.
+MPOC-LICQ is NDT1, so check_mpoc_licq and check_feasible_r read fields of
+the certificate (_certify_pairs); unlike certification they answer on
+parameters that violate the assumption, override or not.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .ccop import (
     _solve,
     _without_certs,
 )
-from .numkern import Tolerances
+from .numkern import Tolerances, rank_and_nullbasis
 
 __all__ = [
     "RegularizedProblem",
@@ -209,14 +209,28 @@ def _t_units(n: int) -> tuple[np.ndarray, tuple]:
     return units, (0, 0, None, None, 0, None, -2 * n, None)
 
 
+@lru_cache(maxsize=64)
+def _y_sing(n: int, layout: tuple, overlap: int) -> tuple:
+    """The singular values of the y-block, padded as ccop._solve pads it, of
+    each pair of a layout whose Ecal and a00 share `overlap` indices; as no
+    row permutation or sign flip changes them, these rows of _t_units stand
+    for all: -e_(n+i) over Ecal, (0, 1) if the sum is active, e_(n+i) over
+    a00 (from Ecal's last `overlap` on) and a10, and e_1 (0 in y) to pad."""
+    nh, nq, ne, sa, n01, n10, n00, _ = layout
+    start = 2 * n + 1 + ne - overlap  # the bank row of e_(n+i) for the first index of a00
+    picked = [*range(ne), *[n] * sa, *range(start, start + n00 + n10)]
+    picked += [n + 1] * (nh + nq + n01 + n00 - len(picked))
+    return tuple(rank_and_nullbasis(_t_units(n)[0][None, picked, n:], Tolerances()).sing[0].tolist())
+
+
 def _feasible_r(rp: RegularizedProblem, bank: _Bank, at: np.ndarray, Y: np.ndarray, tol: Tolerances):
-    """The feasibility of the pairs (point at[k] of bank, Y[k]), evaluated
-    for all pairs together: whether each is feasible, and its
-    T-stationarity directions grouped by layout (see ccop._layouts), as the
-    bank rows grad h_p (lam), grad g_q for q in Q0 (mu1), -e_(n+i) for i in
-    Ecal (mu2), (0, 1) if the sum is active (mu3), e_i for i in a01
-    (sigma1), e_(n+i) for i in a10 (sigma2), and e_i (rho1) and e_(n+i)
-    (rho2) for i in a00.
+    """The feasibility of the pairs (point at[k] of bank, Y[k]), evaluated for
+    all pairs together: whether each is feasible, |Ecal & a00| (0 unless
+    |1 + eps| <= 2 tol_act), and its T-stationarity directions grouped by
+    layout (see ccop._layouts), as the bank rows grad h_p (lam), grad g_q
+    for q in Q0 (mu1), -e_(n+i) for i in Ecal (mu2), (0, 1) if the sum is
+    active (mu3), e_i for i in a01 (sigma1), e_(n+i) for i in a10 (sigma2),
+    and e_i (rho1) and e_(n+i) (rho2) for i in a00.
 
     The same vectors (up to the sign of the mu2 block, which is irrelevant
     for rank and null space) constitute the MPOC-LICQ family and cut out the
@@ -234,18 +248,18 @@ def _feasible_r(rp: RegularizedProblem, bank: _Bank, at: np.ndarray, Y: np.ndarr
     # |x|, |y|, |y - (1 + eps)|, |sum(y) - (n - s)| and |g| against tol_act, in one comparison
     near = np.abs(np.concatenate([x, Y, Y - (1.0 + eps), sums - (n - s), g], axis=1)) <= act
     x0, y0 = near[:, :n], near[:, n : 2 * n]
-    a00 = x0 & y0
+    a00, ecal = x0 & y0, x0 & near[:, 2 * n : 3 * n]
     sel = np.concatenate([
         ~np.zeros(h.shape, dtype=bool),
         near[:, 3 * n + 1 :],  # Q0
-        x0 & near[:, 2 * n : 3 * n],  # Ecal
+        ecal,
         near[:, 3 * n : 3 * n + 1],  # the sum is active
         x0 ^ a00,  # a01: x_i = 0 and y_i != 0
         y0 ^ a00,  # a10: x_i != 0 and y_i = 0
         a00,
         a00,
     ], axis=1)
-    return ok, _layouts(sel, *_columns(nh, g.shape[1], n, 1, n, n, n, n))
+    return ok, np.add.reduce(ecal & a00, axis=1), _layouts(sel, *_columns(nh, g.shape[1], n, 1, n, n, n, n))
 
 
 def check_feasible_r(
@@ -357,11 +371,13 @@ def _certify_t_pairs(rp: RegularizedProblem, pes: list, at, Y: np.ndarray, tol: 
     mu2, mu3, sigma1, sigma2, rho1 and rho2."""
     units, shifts = _t_units(rp.n)
     bank = _bank(pes, units, rp.c, tol)
-    ok, groups = _feasible_r(rp, bank, at, Y, tol)
+    ok, overlap, groups = _feasible_r(rp, bank, at, Y, tol)
     ts, blocks = tol.tol_strict, []
     for layout, group, index, labels in groups:
         nh, nq, _, _, _, _, n00, _ = layout
-        coeffs, residual, residual_ok, ranks, neg, zero = _solve(bank, at.take(group), index, layout, shifts, tol)
+        shared = overlap.take(group)  # |Ecal & a00|, 0 for every pair under the assumption: then one row for all
+        ys = np.array([_y_sing(rp.n, layout, o) for o in (shared.tolist() if np.count_nonzero(shared) else [0])])
+        coeffs, residual, residual_ok, ranks, neg, zero = _solve(bank, at.take(group), index, layout, shifts, tol, ys)
         _, e1, e2, e3, e4, e5, e6, _ = ends = tuple(accumulate(layout))  # where each kind's slice ends
         least = np.minimum.reduce(coeffs[:, nh:e3], axis=1, initial=np.inf)  # of mu1, mu2 and an active mu3
         signs, strict = least >= -ts, least > ts

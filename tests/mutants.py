@@ -112,6 +112,25 @@ MUTANTS = (
         "(0, 0, None, None, 0, None, None, None)",
         (LAYOUTS,),
     ),
+    # y-blocks ranked by layout (regmpoc._y_sing)
+    Mutant(
+        "the overlap of Ecal and a00 ignored", "regmpoc.py",
+        "return ok, np.add.reduce(ecal & a00, axis=1), _layouts(",
+        "return ok, np.zeros(len(ok), dtype=int), _layouts(",
+        (LAYOUTS,),
+    ),
+    Mutant(
+        "the canonical y-block without its all-ones row", "regmpoc.py",
+        "picked = [*range(ne), *[n] * sa, *range(start, start + n00 + n10)]",
+        "picked = [*range(ne), *range(start, start + n00 + n10)]",
+        (LAYOUTS,),
+    ),
+    Mutant(
+        "the y singular values read from the x-block", "ccop.py",
+        "np.concatenate((sing, ys.repeat(K // len(ys), 0)), axis=1)",
+        "np.concatenate((sing, sing), axis=1)",
+        (LAYOUTS,),
+    ),
     # the cross-checks of bridge.lift and bridge.project
     Mutant(
         "lam and mu1 swapped in lift", "bridge.py",

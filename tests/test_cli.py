@@ -407,6 +407,10 @@ def test_verify_at_the_papers_scale(capsys, tmp_path):
     rows = dict(line.split(" = ", 1) for line in out.splitlines())
     assert code == 0
     assert (rows["m.count"], rows["t.count"], rows["checks"], rows["failures"]) == ("848", "7937", "17579", "0")
+    # the counts by index, so that a moved index fails and not only a moved total
+    for side, counts in (("m", [7, 84, 245, 280, 168, 56, 8]), ("t", [7, 147, 875, 2205, 2709, 1617, 377])):
+        got = {key: int(v) for key, v in rows.items() if key.startswith(f"{side}.by_index.")}
+        assert got == {f"{side}.by_index.{k}": v for k, v in enumerate(counts)}
 
 
 def test_reports_are_byte_identical_across_runs(capsys):

@@ -122,8 +122,8 @@ def kernel_inputs(monkeypatch):
             candidates[r.shape, r.tobytes(), t.tobytes()] = int(rank), neg, zero
 
     def library(solve):
-        def call(bank, at, index, layout, shifts, tol):
-            out = solve(bank, at, index, layout, shifts, tol)
+        def call(bank, at, index, layout, shifts, tol, ys=None):
+            out = solve(bank, at, index, layout, shifts, tol, ys)
             record("ccop", bank.rows[at[:, None], index], bank.target[at], *out[-3:])
             return out
         return call
@@ -249,6 +249,44 @@ def test_block_rank_and_inertia_equal_the_2n_reference_on_crafted_pairs(kernel_i
         assert [c.non_unique for c in got] == dependent
         assert [check_mpoc_licq(rp, x, y, TOL) for x, y in pairs] == [c.ndt[0] for c in got]
         _same_kernel_inputs(kernel_inputs, "t")
+
+
+def test_y_blocks_are_ranked_by_their_layouts_canonical_block(monkeypatch):
+    # certify_t_pairs ranks each pair's y-block by the singular values of
+    # its layout's canonical block (regmpoc._y_sing): they must be those of
+    # the pair's own y-block to 1e-15 of its sigma_max and give its y-rank,
+    # and have the same bits whether the pair is certified alone or in a
+    # census batch
+    solve, held = regmpoc._solve, {}
+    seen = {"layouts": set(), "overlapping": 0, "compared": 0}
+
+    def spy(bank, at, index, layout, shifts, tol, ys):
+        n, y = bank.x.shape[1], np.repeat([shift is None for shift in shifts], layout)
+        own = np.zeros((len(at), max(len(y) - y.sum(), y.sum()), n))
+        own[:, : y.sum()] = bank.rows[at[:, None], index][:, y, n:]  # each pair's y-block, padded as _solve pads
+        want, got = np.linalg.svd(own)[1], np.broadcast_to(ys, (len(at), ys.shape[1]))
+        assert np.all(np.abs(got - want) <= 1e-15 * want[:, :1])
+        rank = lambda sing: np.add.reduce(sing > TOL.tol_rank * sing[:, :1], axis=1).tolist()  # noqa: E731
+        assert rank(got) == rank(want)
+        for x, rows, values in zip(bank.x[at], index, got):  # a pair's y-block is fixed by x and its bank rows
+            seen["compared"] += (key := (x.tobytes(), rows.tobytes())) in held
+            assert held.setdefault(key, values.tobytes()) == values.tobytes()
+        seen["layouts"].add(layout)
+        seen["overlapping"] += int((got != regmpoc._y_sing(n, layout, 0)).any(axis=1).sum())
+        return solve(bank, at, index, layout, shifts, tol, ys)
+
+    monkeypatch.setattr(regmpoc, "_solve", spy)
+    cases = [(rp, [(x, y) for J, pe in oracle._shared_roots(rp.base, TOL, [], grid) for x in [pe.x]
+                   for y in sampler(rp)(J, x)] + _corners(rp)[1], grid is None) for rp, sampler, grid in _cases()]
+    cases += [(rp, pairs, False) for rp, pairs, _ in _crafted(np.random.default_rng(269))]
+    for rp, pairs, quadratic in cases:
+        held.clear()
+        if quadratic:
+            census_t_quadratic(rp, TOL)
+        certify_t_pairs(make_regularized(rp.base, rp.c, rp.eps, override=True), pairs, TOL)  # one batch
+        for pair in pairs:  # each on a problem of its own, whose memo holds no certificate
+            certify_t_pairs(make_regularized(rp.base, rp.c, rp.eps, override=True), [pair], TOL)
+    assert len(seen["layouts"]) >= 30 and seen["overlapping"] >= 2 and seen["compared"] >= 2000
 
 
 def test_census_points_are_built_whole_on_first_read_as_the_reference_does(monkeypatch):

@@ -25,7 +25,9 @@ from ccopkit import (
     verify_counts,
 )
 
-from helpers import make_problem, random_c, random_quadratic_instance, random_sparse_point, well_ones, x_and_t_index
+from helpers import (
+    make_problem, random_c, random_quadratic_instance, random_sparse_point, well_e1, well_ones, x_and_t_index,
+)
 
 
 def _fields(cert):
@@ -167,3 +169,18 @@ def test_a_small_linear_term_makes_every_census_point_nondegenerate():
             if linear:
                 assert verify_counts(rp, merge_censuses(m, t)).ok, seed
     assert min(degenerate[False]) >= 100 and degenerate[True] == [0, 0]
+
+
+def test_a_small_linear_term_makes_well_e1_nondegenerate():
+    # well_e1's origin is degenerate on both sides (a zero multiplier);
+    # r.x with r ~ U(-1e-3, 1e-3)^2 splits it into nondegenerate points
+    rp = make_regularized(well_e1(), [0.3, 0.7], 0.5)
+    assert census_quadratic(rp.base).by_index_m == {0: 1, "degenerate": 1}
+    assert census_t_quadratic(rp).by_index_t == {0: 1, 1: 1, "degenerate": 1}
+    for seed in range(20):
+        r = np.random.default_rng(seed).uniform(-1e-3, 1e-3, size=2)
+        f = "(x1-1)^2 + x2^2" + "".join(f" + ({v!r})*x{i}" for i, v in enumerate(r.tolist(), start=1))
+        rp = make_regularized(make_problem(2, 1, f), [0.3, 0.7], 0.5)
+        m, t = census_quadratic(rp.base), census_t_quadratic(rp)
+        assert m.by_index_m == t.by_index_t == {0: 2, 1: 1}, seed
+        assert verify_counts(rp, merge_censuses(m, t)).ok, seed
