@@ -66,33 +66,6 @@ class LiftSet:
     count_applicable: bool  # exact count asserted only for nondegenerate bases
 
 
-def _closed_forms(c: list, mcert: MCertificate, ibar: int):
-    """The closed-form multipliers of the companions of an M-stationary
-    point whose maximizing index is ibar (c the regularization vector), as
-    a check of one companion's solved certificate against them: it raises
-    BridgeError at the first entry that _mismatch finds, by label (lam,
-    mu1, mu2, mu3, sigma1, sigma2, rho1, rho2) and then by index.  The
-    (index, value) pairs are built once; a call builds no dict."""
-    gamma, i0 = mcert.gamma, set(mcert.activity.I0)
-    up = {i: (i, c[ibar - 1] - c[i - 1]) for i in i0}
-    down = {i: (i, c[i - 1] - c[ibar - 1]) for i in range(1, len(c) + 1)}
-    gam = {i: (i, gamma[i]) for i in i0}
-    lam, mu1, mu3 = mcert.lam.items(), mcert.mu.items(), c[ibar - 1]
-    sigma2 = [pair for i, pair in down.items() if i not in i0]
-
-    def check(ebar: tuple[int, ...], t: TCertificate) -> None:
-        a01 = sorted((*ebar, ibar))
-        a00 = sorted(i0.difference(a01))
-        bad = _mismatch(("lam", lam, t.lam), ("mu1", mu1, t.mu1), ("mu2", map(up.__getitem__, ebar), t.mu2),
-                        ("mu3", mu3, t.mu3), ("sigma1", map(gam.__getitem__, a01), t.sigma1),
-                        ("sigma2", sigma2, t.sigma2), ("rho1", map(gam.__getitem__, a00), t.rho1),
-                        ("rho2", map(down.__getitem__, a00), t.rho2))
-        if bad:
-            raise BridgeError(f"lift Ebar={ebar}: {bad}")
-
-    return check
-
-
 def _mismatch(*checks) -> str | None:
     """The text naming the first entry, in the order of `checks`, that the
     solved values lack or that differs from the closed form by more than
@@ -145,7 +118,9 @@ def lift(rp: RegularizedProblem, x, tol: Tolerances = Tolerances()) -> LiftSet:
     rest = sorted(set(i0) - {ibar})
     subsets = tuple(itertools.combinations(rest, n - s - 1))
     ys = [companion_y(rp, ibar, ebar) for ebar in subsets]
-    check = _closed_forms(c, mcert, ibar) if mcert.ndm[0] else None
+    # the closed forms (see _mismatch): lam, mu1, mu3, sigma2 each companion's; mu2 over Ebar, sigma1 a01, rho a00
+    lam, mu1, gamma, cbar, vanish = mcert.lam.items(), mcert.mu.items(), mcert.gamma, c[ibar - 1], set(i0)
+    sigma2 = [(i, c[i - 1] - cbar) for i in range(1, n + 1) if i not in vanish]
     companions: list[tuple[np.ndarray, TCertificate]] = []
     for ebar, y, tcert in zip(subsets, ys, certify_t_pairs(rp, [(pe, y) for y in ys], tol)):
         if not tcert.stationary or tcert.residual > _CROSS_TOL:
@@ -153,8 +128,16 @@ def lift(rp: RegularizedProblem, x, tol: Tolerances = Tolerances()) -> LiftSet:
                 f"constructed companion failed to certify (Ebar={ebar}, "
                 f"reason={tcert.degenerate_reason}, residual={tcert.residual:.3e})"
             )
-        if check is not None and tcert.ndt[0]:
-            check(ebar, tcert)
+        if mcert.ndm[0] and tcert.ndt[0]:
+            a01 = sorted((*ebar, ibar))
+            a00 = sorted(vanish.difference(a01))
+            bad = _mismatch(("lam", lam, tcert.lam), ("mu1", mu1, tcert.mu1),
+                            ("mu2", [(i, cbar - c[i - 1]) for i in ebar], tcert.mu2), ("mu3", cbar, tcert.mu3),
+                            ("sigma1", [(i, gamma[i]) for i in a01], tcert.sigma1), ("sigma2", sigma2, tcert.sigma2),
+                            ("rho1", [(i, gamma[i]) for i in a00], tcert.rho1),
+                            ("rho2", [(i, c[i - 1] - cbar) for i in a00], tcert.rho2))
+            if bad:
+                raise BridgeError(f"lift Ebar={ebar}: {bad}")
         companions.append((y, tcert))
 
     return LiftSet(base_point=pe.x, base_certificate=mcert, ibar=ibar, subsets=subsets, companions=companions,

@@ -300,7 +300,7 @@ def _bank(pes: list, units: np.ndarray, tail, tol: Tolerances) -> _Bank:
     gradients, and the target is grad f followed by `tail` (d - n values)."""
     pr = pes[0].problem
     X, n, m, d = len(pes), pr.n, len(pr.h) + len(pr.g), units.shape[1]
-    jets = [j for pe in pes for j in (pe.f, *pe.h, *pe.g)]
+    jets = [j for pe in pes for f, h, g in [pe._jets] for j in (f, *h, *g)]
     gradients = np.array([j.gradient for j in jets]).reshape(X, 1 + m, n)  # f, h, then g
     rows = np.zeros((X, m + len(units), d))
     rows[:, :m, :n] = gradients[:, 1:]
@@ -371,18 +371,18 @@ def _solve(bank: _Bank, at: np.ndarray, index: np.ndarray, layout: tuple, shifts
     active g, then the other kinds, each in the x-block (the first n
     coordinates) if shifts[c] is an int, else in the y-block.  Bank rows
     shifted by shifts[c] hold the same x-block vectors (rho1's e_i are
-    sigma1's), so in their order (h, Q0, I0 ascending) a point's x-block is
-    that of every candidate over it.  One call each: rank_and_nullbasis on
-    one x-block per point, zero-padded to max(kx, k - kx) rows, whose
-    singular values and those of the y-block, ys (the caller's, padded
-    alike: one row for all candidates or one each), above tol_rank times the
-    larger sigma_max of the two count; solve_multipliers on the rows; and
-    restricted_inertia per x-block null-space size on the rows rank.. of
-    V^T, with the Lagrangian Hessians (f, minus lam_p * h_p for each p, then
-    minus mu_q * g_q in Q0 order: one K x n x n array), the zero count
-    adding the y-block's null space.  Each candidate gets the bits of its
-    rows alone.  Returns (coeffs, residual, residual_ok, rank, neg, zero):
-    the K x k multipliers, then one entry per candidate.
+    sigma1's), so a point's x-block is the sorted shifted bank rows (h, Q0,
+    I0 ascending) of any candidate over it.  One call each:
+    rank_and_nullbasis on one x-block per point, zero-padded to max(kx, k -
+    kx) rows; solve_multipliers on the rows; and restricted_inertia per
+    x-block null-space size on the rows rank.. of V^T, with the Lagrangian
+    Hessians (f, minus lam_p * h_p for each p, then minus mu_q * g_q in Q0
+    order).  Singular values above tol_rank times the larger sigma_max (each
+    block's first) count, the y-block's being ys, the caller's, padded alike
+    (one row for all candidates or one each); its null space adds to the
+    zero count.  Each candidate gets the bits of its rows alone.  Returns
+    (coeffs, residual, residual_ok, rank, neg, zero): the K x k multipliers,
+    then one entry per candidate.
     """
     x, shift = _split(layout, shifts)
     (nh, nq), n, kx = layout[:2], bank.x.shape[1], len(x)
@@ -391,15 +391,16 @@ def _solve(bank: _Bank, at: np.ndarray, index: np.ndarray, layout: tuple, shifts
     places: dict = {}  # point -> (place of its x-block, its first candidate)
     owner = [places.setdefault(a, (len(places), j))[0] for j, a in enumerate(at.tolist())]
     first = [j for _, j in places.values()]
-    if shift is not None:  # kinds whose rows interleave: the order of their shifted bank rows
-        x = x.take(np.argsort(index.take(first, 0).take(x, 1) + shift, axis=1))
+    xrows = index.take(first, 0).take(x, 1)  # the bank rows of each point's x-block
+    if shift is not None:  # kinds whose rows interleave: their shifted bank rows, in order
+        xrows = np.sort(xrows + shift, axis=1)
     blocks = np.zeros((len(first), max(kx, k - kx), n))
-    blocks[:, :kx] = rows[np.array(first)[:, None], x, :n]
+    blocks[:, :kx] = bank.rows[at.take(first)[:, None], xrows, :n]
     ranked = rank_and_nullbasis(blocks, tol)
     sing = ranked.sing if len(first) == K else ranked.sing.take(owner, 0)
-    sing = np.concatenate((sing, ys.repeat(K // len(ys), 0)), axis=1).reshape(K, 2, -1) if kx < k else sing[:, None]
-    top = np.maximum.reduce(sing, axis=(1, 2), initial=0.0, keepdims=True)
-    ranks = np.add.reduce(sing > tol.tol_rank * top, axis=2).tolist()  # [x-block, y-block (if any)]
+    cut = tol.tol_rank * (sing[:, :1] if ys is None else np.maximum(sing[:, :1], ys[:, :1]))  # K x 1, or K x 0
+    rx = np.add.reduce(sing > cut, axis=1).tolist()
+    ry = [0] * K if ys is None else np.add.reduce(ys > cut, axis=1).tolist()
     # the transpose of each row block is a view with the layout of rows.T, so
     # every residual has the bits of rows.T @ coeffs - target
     solved = solve_multipliers(rows.swapaxes(-1, -2), bank.target.take(at, 0), tol)
@@ -407,14 +408,14 @@ def _solve(bank: _Bank, at: np.ndarray, index: np.ndarray, layout: tuple, shifts
     hess = bank.hessians[:, 0].take(at, 0)
     for c in range(nh + nq):  # grad h_p, then grad g_q: bank row index[:, c]
         hess -= coeffs[:, c, None, None] * bank.hessians[at, 1 + index[:, c]]
-    neg, zero, rx = [0] * K, [d - n - sum(r[1:]) for r in ranks], [r[0] for r in ranks]  # zero: the y null space
+    neg, zero = [0] * K, [d - n - r for r in ry]  # zero: the y null space, then the restricted one
     for rank in dict.fromkeys(rx):
         members = [j for j, r in enumerate(rx) if r == rank]
         some = slice(None) if len(members) == K else members
         bases = np.ascontiguousarray(ranked.vt.take([owner[j] for j in members], 0)[:, rank:].swapaxes(1, 2))
         for j, (a, b, _) in zip(members, restricted_inertia(hess[some], bases, tol)):
             neg[j], zero[j] = a, zero[j] + b
-    return coeffs, solved.residuals, solved.residuals <= bank.bound.take(at), list(map(sum, ranks)), neg, zero
+    return coeffs, solved.residuals, solved.residuals <= bank.bound.take(at), [a + b for a, b in zip(rx, ry)], neg, zero
 
 
 def _key(xbits: bytes, y, tol: Tolerances) -> tuple:
@@ -437,7 +438,7 @@ def _certified(memo: weakref.WeakValueDictionary, keys: list, certify) -> list:
     is read-only, and it lives as long as some caller holds it.  Two threads
     that miss on one key both certify, and either entry is correct.
     """
-    certs = [memo.get(key) for key in keys]
+    certs = [ref and ref() for ref in map(memo.data.get, keys)]  # the weak references themselves, read in C
     if _Row in map(type, certs):
         certs = [cert.cert() if type(cert) is _Row else cert for cert in certs]
     if all(certs):  # every key held: a certificate is never false
@@ -447,9 +448,9 @@ def _certified(memo: weakref.WeakValueDictionary, keys: list, certify) -> list:
         if cert is None:
             first.setdefault(keys[k], k)
     misses = list(first.values())
-    for block in certify(misses):
+    for block in certify(misses):  # a fresh block, which no one else reads: each row is built once
         for row, k in enumerate(block.members.tolist()):
-            certs[misses[k]] = memo[keys[misses[k]]] = block.cert(row)
+            certs[misses[k]] = memo[keys[misses[k]]] = block.build(row)
     return [certs[first[key]] if cert is None else cert for key, cert in zip(keys, certs)]
 
 
@@ -523,11 +524,11 @@ class _Block:
         return rows[row]
 
     def groups(self, row: int) -> tuple:
-        """The labels and the multipliers of a row, as lists, listed and
-        kept as scalars are."""
+        """The labels and the multipliers of a row, a tuple and a list,
+        listed and kept as scalars are."""
         rows = vars(self).get("_groups")
         if rows is None:
-            rows = vars(self).setdefault("_groups", list(zip(self.labels.tolist(), self.coeffs.tolist())))
+            rows = vars(self).setdefault("_groups", list(zip(map(tuple, self.labels.tolist()), self.coeffs.tolist())))
         return rows[row]
 
     def reason(self, row: int):
@@ -622,7 +623,7 @@ class _MBlock(_Block):
         (lab, values), (nh, e1) = self.groups(row), self.ends
         feasible, stationary, residual, ndm, quadratic, total = self.scalars(row)
         pairs = tuple(zip(lab, values))
-        activity = _instance(CcopActivity, {"Q0": tuple(lab[nh:e1]), "I0": tuple(lab[e1:]), "x_norm0": self.norm0})
+        activity = _instance(CcopActivity, {"Q0": lab[nh:e1], "I0": lab[e1:], "x_norm0": self.norm0})
         return _instance(MCertificate, {
             "feasible": feasible, "stationary": stationary, "activity": activity, "lam": _frozen(pairs[:nh]),
             "mu": _frozen(pairs[nh:e1]), "gamma": _frozen(pairs[e1:]), "residual": residual, "ndm": ndm,

@@ -210,56 +210,73 @@ def _t_units(n: int) -> tuple[np.ndarray, tuple]:
 
 
 @lru_cache(maxsize=64)
-def _y_sing(n: int, layout: tuple, overlap: int) -> tuple:
-    """The singular values of the y-block, padded as ccop._solve pads it, of
-    each pair of a layout whose Ecal and a00 share `overlap` indices; as no
-    row permutation or sign flip changes them, these rows of _t_units stand
-    for all: -e_(n+i) over Ecal, (0, 1) if the sum is active, e_(n+i) over
-    a00 (from Ecal's last `overlap` on) and a10, and e_1 (0 in y) to pad."""
+def _y_sing(n: int, layout: tuple, overlap: int) -> np.ndarray:
+    """The singular values (a read-only row) of the y-block, padded as _solve
+    pads it, of each pair of a layout whose Ecal and a00 share `overlap`
+    indices; as no row permutation or sign flip changes them, these rows of
+    _t_units stand for all: -e_(n+i) over Ecal, (0, 1) if the sum is active,
+    e_(n+i) over a00 (from Ecal's last `overlap` on) and a10, e_1 to pad."""
     nh, nq, ne, sa, n01, n10, n00, _ = layout
     start = 2 * n + 1 + ne - overlap  # the bank row of e_(n+i) for the first index of a00
     picked = [*range(ne), *[n] * sa, *range(start, start + n00 + n10)]
     picked += [n + 1] * (nh + nq + n01 + n00 - len(picked))
-    return tuple(rank_and_nullbasis(_t_units(n)[0][None, picked, n:], Tolerances()).sing[0].tolist())
+    sing = rank_and_nullbasis(_t_units(n)[0][None, picked, n:], Tolerances()).sing
+    sing.flags.writeable = False
+    return sing
+
+
+@lru_cache(maxsize=64)
+def _plan(n: int, s: int, nh: int, ng: int, eps: float, feas: float, act: float) -> tuple:
+    """_feasible_r's fixed arrays: a pair's v = w[:, take] - shift (w is [h,
+    g, sum(y), x*y, x, y]) is feasible where lo <= v <= hi on [h, g, sum(y),
+    x*y, y] and active there on [x, y, y - (1 + eps), sum(y) - (n - s), g]
+    (-t <= v <= t is |v| <= t); of the active columns near, near[:, left] &
+    (near[:, right] ^ flip) selects the bank rows but h's: Q0, Ecal (x_i =
+    0 and y_i = 1 + eps), the sum, a01 (x_i = 0, y_i != 0), a10 and a00."""
+    m, i, a = nh + ng, np.arange(n), 3 * n + 1 + ng  # a: the number of active columns
+    xy, x, y = m + 1 + i, m + 1 + n + i, m + 1 + 2 * n + i  # columns of w
+    take = np.concatenate([np.arange(m + 1), xy, y, x, y, y, [m], np.arange(nh, m)])  # v's, from w's
+    shift = np.concatenate([np.zeros(m + 1 + 4 * n), np.full(n, 1.0 + eps), [n - s], np.zeros(ng)])
+    lo = np.array([-feas] * m + [(n - s) - feas] + [-feas] * (2 * n) + [-act] * a)
+    hi = np.array([feas] * nh + [np.inf] * (ng + 1) + [feas] * n + [1.0 + eps + feas] * n + [act] * a)
+    q0, x0, y0, h = 3 * n + 1 + np.arange(ng), i, n + i, np.zeros(nh, dtype=int)  # columns of near
+    left = np.concatenate([h, q0, x0, [3 * n], x0, y0, x0, x0])
+    right = np.concatenate([h, q0, 2 * n + i, [3 * n], y0, x0, y0, y0])
+    flip = np.concatenate([np.zeros(m + n + 1, dtype=bool), np.ones(2 * n, dtype=bool), np.zeros(2 * n, dtype=bool)])
+    for array in (take, shift, lo, hi, left, right, flip):
+        array.flags.writeable = False
+    return take, shift, lo, hi, left, right, flip
 
 
 def _feasible_r(rp: RegularizedProblem, bank: _Bank, at: np.ndarray, Y: np.ndarray, tol: Tolerances):
-    """The feasibility of the pairs (point at[k] of bank, Y[k]), evaluated for
-    all pairs together: whether each is feasible, |Ecal & a00| (0 unless
-    |1 + eps| <= 2 tol_act), and its T-stationarity directions grouped by
-    layout (see ccop._layouts), as the bank rows grad h_p (lam), grad g_q
-    for q in Q0 (mu1), -e_(n+i) for i in Ecal (mu2), (0, 1) if the sum is
-    active (mu3), e_i for i in a01 (sigma1), e_(n+i) for i in a10 (sigma2),
-    and e_i (rho1) and e_(n+i) (rho2) for i in a00.
+    """The feasibility of the pairs (point at[k] of bank, Y[k]), decided by
+    one pair of comparisons (see _plan): whether each is feasible, |Ecal &
+    a00| per pair (a list; None if no pair shares an index, as under the
+    assumption), and its T-stationarity directions by layout (see
+    ccop._layouts): the bank rows grad h_p (lam), grad g_q for q in Q0
+    (mu1), -e_(n+i) for i in Ecal (mu2), (0, 1) if the sum is active (mu3),
+    e_i for i in a01 (sigma1), e_(n+i) for i in a10 (sigma2), and e_i
+    (rho1) and e_(n+i) (rho2) for i in a00.
 
     The same vectors (up to the sign of the mu2 block, which is irrelevant
     for rank and null space) constitute the MPOC-LICQ family and cut out the
     tangent space, so one assembly serves the solve, the rank (NDT1, which
     check_mpoc_licq reads) and the restricted Hessian.
     """
-    n, s, eps, act, feas = rp.n, rp.s, rp.eps, tol.tol_act, tol.tol_feas
-    nh = len(rp.base.h)
-    x, values, sums = bank.x.take(at, 0), bank.values.take(at, 0), np.add.reduce(Y, axis=1, keepdims=True)
-    h, g = values[:, :nh], values[:, nh:]
-    ok = np.logical_and.reduce(np.concatenate([
-        np.abs(h) <= feas, g >= -feas, sums >= (n - s) - feas,
-        np.abs(x * Y) <= feas, Y >= -feas, Y <= 1.0 + eps + feas,
-    ], axis=1), axis=1)
-    # |x|, |y|, |y - (1 + eps)|, |sum(y) - (n - s)| and |g| against tol_act, in one comparison
-    near = np.abs(np.concatenate([x, Y, Y - (1.0 + eps), sums - (n - s), g], axis=1)) <= act
-    x0, y0 = near[:, :n], near[:, n : 2 * n]
-    a00, ecal = x0 & y0, x0 & near[:, 2 * n : 3 * n]
-    sel = np.concatenate([
-        ~np.zeros(h.shape, dtype=bool),
-        near[:, 3 * n + 1 :],  # Q0
-        ecal,
-        near[:, 3 * n : 3 * n + 1],  # the sum is active
-        x0 ^ a00,  # a01: x_i = 0 and y_i != 0
-        y0 ^ a00,  # a10: x_i != 0 and y_i = 0
-        a00,
-        a00,
-    ], axis=1)
-    return ok, np.add.reduce(ecal & a00, axis=1), _layouts(sel, *_columns(nh, g.shape[1], n, 1, n, n, n, n))
+    n, nh, ng = rp.n, len(rp.base.h), len(rp.base.g)
+    take, shift, lo, hi, left, right, flip = _plan(n, rp.s, nh, ng, rp.eps, tol.tol_feas, tol.tol_act)
+    x = bank.x.take(at, 0)
+    w = np.concatenate([bank.values.take(at, 0), np.add.reduce(Y, axis=1, keepdims=True), x * Y, x, Y], axis=1)
+    v = w.take(take, 1) - shift
+    held = (v >= lo) & (v <= hi)
+    f = nh + ng + 1 + 2 * n  # the feasibility columns, then the active ones
+    near = held[:, f:]
+    sel = near.take(left, 1) & (near.take(right, 1) ^ flip)
+    sel[:, :nh] = True
+    both = sel[:, nh + ng : nh + ng + n] & sel[:, nh + ng + 1 + 3 * n : nh + ng + 1 + 4 * n]  # Ecal & a00
+    overlap = np.add.reduce(both, axis=1).tolist() if np.count_nonzero(both) else None
+    ok = np.logical_and.reduce(held[:, :f], axis=1)
+    return ok, overlap, _layouts(sel, *_columns(nh, ng, n, 1, n, n, n, n))
 
 
 def check_feasible_r(
@@ -347,15 +364,15 @@ class _TBlock(_Block):
         (lab, values), ts = self.groups(row), self.ts
         nh, e1, e2, e3, e4, e5, e6, _ = self.ends
         feasible, stationary, residual, ndt, quadratic, total = self.scalars(row)
-        pairs, a00 = tuple(zip(lab, values)), tuple(lab[e5:e6])
-        eq8 = _frozen(tuple(zip(a00, [(abs(r1) <= ts, r2 <= ts) for r1, r2 in zip(values[e5:e6], values[e6:])])))
-        activity = _instance(MpocActivity, {"a00": a00, "a01": tuple(lab[e3:e4]), "a10": tuple(lab[e4:e5]),
-                                            "Ecal": tuple(lab[e1:e2]), "sum_active": e3 > e2, "Q0": tuple(lab[nh:e1])})
+        pairs, a00 = tuple(zip(lab, values)), lab[e5:e6]  # eq8 per index of a00: ts >= abs(rho1), ts >= rho2
+        eq8 = a00 and tuple(zip(a00, zip(map(ts.__ge__, map(abs, values[e5:e6])), map(ts.__ge__, values[e6:]))))
+        activity = _instance(MpocActivity, {"a00": a00, "a01": lab[e3:e4], "a10": lab[e4:e5], "Ecal": lab[e1:e2],
+                                            "sum_active": e3 > e2, "Q0": lab[nh:e1]})
         return _instance(TCertificate, {
             "feasible": feasible, "stationary": stationary, "activity": activity, "lam": _frozen(pairs[:nh]),
             "mu1": _frozen(pairs[nh:e1]), "mu2": _frozen(pairs[e1:e2]), "mu3": values[e2] if e3 > e2 else 0.0,
             "sigma1": _frozen(pairs[e3:e4]), "sigma2": _frozen(pairs[e4:e5]), "rho1": _frozen(pairs[e5:e6]),
-            "rho2": _frozen(pairs[e6:]), "residual": residual, "ndt": ndt, "eq8_branches": eq8,
+            "rho2": _frozen(pairs[e6:]), "residual": residual, "ndt": ndt, "eq8_branches": _frozen(eq8),
             "quadratic_index": quadratic, "biactive_index": self.n00,
             "t_index": total if total >= 0 else None,
             "degenerate_reason": _first_failed(feasible, stationary, residual, ndt, self.prefix),
@@ -375,19 +392,18 @@ def _certify_t_pairs(rp: RegularizedProblem, pes: list, at, Y: np.ndarray, tol: 
     ts, blocks = tol.tol_strict, []
     for layout, group, index, labels in groups:
         nh, nq, _, _, _, _, n00, _ = layout
-        shared = overlap.take(group)  # |Ecal & a00|, 0 for every pair under the assumption: then one row for all
-        ys = np.array([_y_sing(rp.n, layout, o) for o in (shared.tolist() if np.count_nonzero(shared) else [0])])
+        ys = _y_sing(rp.n, layout, 0) if overlap is None else \
+            np.concatenate([_y_sing(rp.n, layout, overlap[k]) for k in group.tolist()])  # one row for all, or one each
         coeffs, residual, residual_ok, ranks, neg, zero = _solve(bank, at.take(group), index, layout, shifts, tol, ys)
         _, e1, e2, e3, e4, e5, e6, _ = ends = tuple(accumulate(layout))  # where each kind's slice ends
         least = np.minimum.reduce(coeffs[:, nh:e3], axis=1, initial=np.inf)  # of mu1, mu2 and an active mu3
         signs, strict = least >= -ts, least > ts
         biactive = a01_ok = [True] * len(group)  # with no biactive index, eq8, NDT3 and NDT5 hold
         if n00:
-            rho1, rho2 = np.abs(coeffs[:, e5:e6]), coeffs[:, e6:]  # |rho1|, rho2
-            branch1, branch2 = rho1 <= ts, rho2 <= ts
-            signs &= np.logical_and.reduce(branch1 | branch2, axis=1)  # eq7 and eq8
-            biactive = np.logical_and.reduce((rho1 > ts) & (rho2 < -ts), axis=1).tolist()
-            a01_ok = np.logical_and.reduce(np.abs(coeffs[:, e3:e4]) > ts, axis=1).tolist()
+            big, rho1, rho2 = (size := np.abs(coeffs)) > ts, size[:, e5:e6], coeffs[:, e6:]  # big: |.| > ts
+            signs &= np.logical_and.reduce((rho1 <= ts) | (rho2 <= ts), axis=1)  # eq7 and eq8
+            biactive = np.logical_and.reduce(big[:, e5:e6] & (rho2 < -ts), axis=1).tolist()
+            a01_ok = np.logical_and.reduce(big[:, e3:e4], axis=1).tolist()
         feasible = ok.take(group)
         stationary = feasible & residual_ok & signs
         flags = list(zip([r == ends[-1] for r in ranks], strict.tolist(), biactive, [z == 0 for z in zero], a01_ok))

@@ -64,7 +64,7 @@ MUTANTS = (
     ),
     Mutant(
         ">= for > in NDT3", "regmpoc.py",
-        "biactive = np.logical_and.reduce((rho1 > ts) & (rho2 < -ts), axis=1)",
+        "biactive = np.logical_and.reduce(big[:, e5:e6] & (rho2 < -ts), axis=1)",
         "biactive = np.logical_and.reduce((rho1 >= ts) & (rho2 < -ts), axis=1)",
         (LAYOUTS,),
     ),
@@ -77,33 +77,33 @@ MUTANTS = (
     ),
     Mutant(
         "a label slice one past its kind's end", "regmpoc.py",
-        '"Ecal": tuple(lab[e1:e2]),',
-        '"Ecal": tuple(lab[e1:e2 + 1]),',
+        '"Ecal": lab[e1:e2],',
+        '"Ecal": lab[e1:e2 + 1],',
         (LAYOUTS,),
     ),
     Mutant(
         "< for <= in the upper bound of y", "regmpoc.py",
-        "Y >= -feas, Y <= 1.0 + eps + feas,",
-        "Y >= -feas, Y < 1.0 + eps + feas,",
+        "[feas] * n + [1.0 + eps + feas] * n + [act] * a)",
+        "[feas] * n + [np.nextafter(1.0 + eps + feas, 0.0)] * n + [act] * a)",
         (LAYOUTS,),
     ),
     Mutant(
         "a01 and a10 swapped", "regmpoc.py",
-        "        x0 ^ a00,  # a01: x_i = 0 and y_i != 0\n        y0 ^ a00,  # a10: x_i != 0 and y_i = 0",
-        "        y0 ^ a00,  # a01: x_i = 0 and y_i != 0\n        x0 ^ a00,  # a10: x_i != 0 and y_i = 0",
+        "[3 * n], x0, y0, x0, x0])\n    right = np.concatenate([h, q0, 2 * n + i, [3 * n], y0, x0, y0, y0])",
+        "[3 * n], y0, x0, x0, x0])\n    right = np.concatenate([h, q0, 2 * n + i, [3 * n], x0, y0, y0, y0])",
         (LAYOUTS,),
     ),
     # rank and inertia by blocks (ccop._solve)
     Mutant(
-        "the rank cutoff taken from the x-block's own sigma_max", "ccop.py",
-        "top = np.maximum.reduce(sing, axis=(1, 2), initial=0.0, keepdims=True)",
-        "top = np.maximum.reduce(sing[:, :1], axis=(1, 2), initial=0.0, keepdims=True)",
+        "the rank cutoff read from the x-block only", "ccop.py",
+        "(sing[:, :1] if ys is None else np.maximum(sing[:, :1], ys[:, :1]))",
+        "sing[:, :1]",
         (LAYOUTS,),
     ),
     Mutant(
         "the zero count without the y-block's null space", "ccop.py",
-        "[d - n - sum(r[1:]) for r in ranks]",
-        "[0 for r in ranks]",
+        "[d - n - r for r in ry]",
+        "[0 for r in ry]",
         (LAYOUTS,),
     ),
     Mutant(
@@ -115,8 +115,8 @@ MUTANTS = (
     # y-blocks ranked by layout (regmpoc._y_sing)
     Mutant(
         "the overlap of Ecal and a00 ignored", "regmpoc.py",
-        "return ok, np.add.reduce(ecal & a00, axis=1), _layouts(",
-        "return ok, np.zeros(len(ok), dtype=int), _layouts(",
+        "overlap = np.add.reduce(both, axis=1).tolist() if np.count_nonzero(both) else None",
+        "overlap = None",
         (LAYOUTS,),
     ),
     Mutant(
@@ -127,20 +127,87 @@ MUTANTS = (
     ),
     Mutant(
         "the y singular values read from the x-block", "ccop.py",
-        "np.concatenate((sing, ys.repeat(K // len(ys), 0)), axis=1)",
-        "np.concatenate((sing, sing), axis=1)",
+        "np.add.reduce(ys > cut, axis=1).tolist()",
+        "np.add.reduce(sing > cut, axis=1).tolist()",
         (LAYOUTS,),
+    ),
+    # the cheaper layout-group pass of a cold lift (regmpoc._plan, ccop._solve, _certified)
+    Mutant(
+        "a dropped point dedupe: an x-block per candidate", "ccop.py",
+        "owner = [places.setdefault(a, (len(places), j))[0] for j, a in enumerate(at.tolist())]",
+        "owner = [places.setdefault((a, j), (len(places), j))[0] for j, a in enumerate(at.tolist())]",
+        ("tests/test_pointeval.py::test_a_cold_lift_does_each_piece_of_work_once_and_a_later_project_none",),
+    ),
+    Mutant(
+        "the h rows left to the activity test", "regmpoc.py",
+        "    sel[:, :nh] = True\n",
+        "",
+        (LAYOUTS,),
+    ),
+    Mutant(
+        "the sum's activity without its shift", "regmpoc.py",
+        "np.full(n, 1.0 + eps), [n - s], np.zeros(ng)])",
+        "np.full(n, 1.0 + eps), [0.0], np.zeros(ng)])",
+        (LAYOUTS,),
+    ),
+    Mutant(
+        "Ecal read off y_i = 0", "regmpoc.py",
+        "q0, 2 * n + i, [3 * n]",
+        "q0, n + i, [3 * n]",
+        (LAYOUTS,),
+    ),
+    Mutant(
+        "eq8's first branch without the absolute value", "regmpoc.py",
+        "zip(map(ts.__ge__, map(abs, values[e5:e6])), map(ts.__ge__, values[e6:]))",
+        "zip(map(ts.__ge__, values[e5:e6]), map(ts.__ge__, values[e6:]))",
+        (f"{LAYOUTS}::test_census_points_are_built_whole_on_first_read_as_the_reference_does",),
+    ),
+    Mutant(
+        "a memo lookup that misses every held certificate", "ccop.py",
+        "certs = [ref and ref() for ref in map(memo.data.get, keys)]",
+        "certs = [None for ref in map(memo.data.get, keys)]",
+        ("tests/test_pointeval.py::test_census_lift_and_project_certify_each_point_once",),
+    ),
+    Mutant(
+        "mu3 skipped by lift's check", "bridge.py",
+        ' ("mu3", cbar, tcert.mu3),',
+        '',
+        (f"{BRIDGE}::test_lift_names_the_first_closed_form_that_disagrees",),
+    ),
+    Mutant(
+        "a01 and a10 without the negation of their right column", "regmpoc.py",
+        "np.ones(2 * n, dtype=bool), np.zeros(2 * n, dtype=bool)])",
+        "np.zeros(2 * n, dtype=bool), np.zeros(2 * n, dtype=bool)])",
+        (LAYOUTS,),
+    ),
+    Mutant(
+        "eq7 and eq8 on the signed rho1", "regmpoc.py",
+        "(size := np.abs(coeffs)) > ts, size[:, e5:e6], coeffs[:, e6:]",
+        "(size := np.abs(coeffs)) > ts, coeffs[:, e5:e6], coeffs[:, e6:]",
+        (LAYOUTS,),
+    ),
+    Mutant(
+        "NDT5 read off the rho1 columns", "regmpoc.py",
+        "a01_ok = np.logical_and.reduce(big[:, e3:e4], axis=1).tolist()",
+        "a01_ok = np.logical_and.reduce(big[:, e5:e6], axis=1).tolist()",
+        (LAYOUTS,),
+    ),
+    Mutant(
+        "a certified miss left out of the memo", "ccop.py",
+        "certs[misses[k]] = memo[keys[misses[k]]] = block.build(row)",
+        "certs[misses[k]] = block.build(row)",
+        ("tests/test_pointeval.py::test_a_cold_lift_does_each_piece_of_work_once_and_a_later_project_none",),
     ),
     # the cross-checks of bridge.lift and bridge.project
     Mutant(
         "lam and mu1 swapped in lift", "bridge.py",
-        "lam, mu1, mu3 = mcert.lam.items(), mcert.mu.items(), c[ibar - 1]",
-        "mu1, lam, mu3 = mcert.lam.items(), mcert.mu.items(), c[ibar - 1]",
+        "lam, mu1, gamma, cbar, vanish = mcert.lam.items(), mcert.mu.items(),",
+        "mu1, lam, gamma, cbar, vanish = mcert.lam.items(), mcert.mu.items(),",
         (BRIDGE,),
     ),
     Mutant(
         "the rho2 pairs dropped from lift's check", "bridge.py",
-        ',\n                        ("rho2", map(down.__getitem__, a00), t.rho2))',
+        ',\n                            ("rho2", [(i, c[i - 1] - cbar) for i in a00], tcert.rho2))',
         ")",
         (BRIDGE,),
     ),

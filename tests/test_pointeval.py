@@ -373,6 +373,53 @@ def test_census_lift_and_project_certify_each_point_once(solves):
     assert len(set(solves["keys"])) == len(solves["keys"])
 
 
+def test_a_cold_lift_does_each_piece_of_work_once_and_a_later_project_none(monkeypatch):
+    # with the M census held, a lift certifies its companions in one call:
+    # one _solve per layout group, each kernel once per group (one x-block,
+    # one system per companion) and one build per companion; projecting a
+    # companion afterwards certifies, solves and builds nothing
+    rp = _memo_instance()
+    m_census = census_quadratic(rp.base)
+    seen: dict = {}
+
+    def counted(owner, name, systems=False):
+        call = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            seen[name] = seen.get(name, 0) + 1
+            if systems:  # a stacked kernel call solves one system per matrix
+                key = name + " systems"
+                seen[key] = seen.get(key, 0) + (1 if np.ndim(args[0]) == 2 else len(args[0]))
+            return call(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+
+    for owner, name in ((ccop, "_certify_m"), (regmpoc, "_certify_t_pairs"), (regmpoc, "_solve"),
+                        (regmpoc._TBlock, "build")):
+        counted(owner, name)
+    for name in ("rank_and_nullbasis", "solve_multipliers", "restricted_inertia"):
+        counted(ccop, name, systems=True)
+    lifts = companions = 0
+    for x, mcert in m_census.m_points:
+        if not mcert.nondegenerate:
+            continue
+        seen.clear()
+        ls = lift(rp, x)
+        k = len(ls.companions)
+        groups = len({(len(t.lam), len(t.activity.Q0), len(t.activity.Ecal), t.activity.sum_active,
+                       len(t.activity.a01), len(t.activity.a10), len(t.activity.a00)) for _, t in ls.companions})
+        assert seen == {"_certify_t_pairs": 1, "_solve": groups, "build": k,
+                        "rank_and_nullbasis": groups, "rank_and_nullbasis systems": groups,
+                        "solve_multipliers": groups, "solve_multipliers systems": k,
+                        "restricted_inertia": groups, "restricted_inertia systems": k}
+        seen.clear()
+        for y, tcert in ls.companions:
+            assert project(rp, x, y) is ls.base_certificate and certify_t(rp, x, y) is tcert
+        assert seen == {}
+        lifts, companions = lifts + 1, companions + k
+    assert lifts >= 3 and companions > lifts
+
+
 def _fields(cert):
     return {f.name: getattr(cert, f.name) for f in dataclasses.fields(cert)}
 
