@@ -20,14 +20,14 @@ import numpy as np
 
 from .ccop import MCertificate, _point, certify_m
 from .numkern import Tolerances
-from .oracle import _Points
+from .oracle import _MERGE_TOLS, _Points
 from .regmpoc import (
     AssumptionError,
     RegularizedProblem,
     TCertificate,
+    _companion_ys,
     certify_t,
     certify_t_pairs,
-    companion_y,
 )
 
 __all__ = [
@@ -117,7 +117,7 @@ def lift(rp: RegularizedProblem, x, tol: Tolerances = Tolerances()) -> LiftSet:
     ibar = max(i0, key=lambda i: c[i - 1])
     rest = sorted(set(i0) - {ibar})
     subsets = tuple(itertools.combinations(rest, n - s - 1))
-    ys = [companion_y(rp, ibar, ebar) for ebar in subsets]
+    ys = _companion_ys(rp, ibar - 1, np.array(subsets, dtype=int) - 1)  # one row per Ebar, of n - s - 1 indices
     # the closed forms (see _mismatch): lam, mu1, mu3, sigma2 each companion's; mu2 over Ebar, sigma1 a01, rho a00
     lam, mu1, gamma, cbar, vanish = mcert.lam.items(), mcert.mu.items(), mcert.gamma, c[ibar - 1], set(i0)
     sigma2 = [(i, c[i - 1] - cbar) for i in range(1, n + 1) if i not in vanish]
@@ -220,7 +220,6 @@ def verify_counts(rp: RegularizedProblem, census, tol: Tolerances = Tolerances()
     """
     n, s = rp.n, rp.s
     report = CountReport()
-    radius = 10.0 * tol.tol_act
 
     if not census.m_points or not census.t_points:
         report.checks.append(
@@ -247,7 +246,7 @@ def verify_counts(rp: RegularizedProblem, census, tol: Tolerances = Tolerances()
             if index is None:  # a census point is stationary: nondegenerate is an index
                 continue
             want = math.comb(n - k - 1, n - s - 1)
-            near = np.max(np.abs(strays - xm), axis=1) <= radius
+            near = np.max(np.abs(strays - xm), axis=1) <= _MERGE_TOLS * tol.tol_act
             got = owned.get(xm.tobytes(), 0) + int(np.count_nonzero(near))
             status = "pass" if got == want else "fail"
             report.checks.append(
@@ -264,7 +263,7 @@ def verify_counts(rp: RegularizedProblem, census, tol: Tolerances = Tolerances()
 
     for k in sorted(set(m.norm0)):
         lhs = math.comb(n - k - 1, n - s - 1)
-        rhs = math.comb(n - k - 1, s - k) if s - k >= 0 else None
+        rhs = math.comb(n - k - 1, s - k) if s >= k else None
         status = "pass" if lhs == rhs else "fail"
         report.checks.append(
             CountCheck(

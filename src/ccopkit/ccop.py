@@ -483,12 +483,13 @@ class _Row:
 
     def cert(self):
         cert = self.block.certs.get(self.row)
-        if cert is None:  # the first read
-            cert = self.memo[self.key] = self.block.cert(self.row)
+        if cert is None:  # the first read; threads that race on it all get the certificate stored first
+            cert = self.memo[self.key] = self.block.certs.setdefault(self.row, self.block.build(self.row))
         return cert
 
     def reason(self):
-        return self.block.reason(self.row)
+        """The certificate's degenerate_reason, read off the row."""
+        return _first_failed(*self.block.listed(self.row)[:4], self.block.prefix)
 
 
 class _Block:
@@ -497,43 +498,30 @@ class _Block:
     positions among the candidates certified together; feasible and
     stationary; residual; flags, a tuple (NDM1..NDM4 or NDT1..NDT5) per
     row; quadratic and total, lists of the quadratic index and of the
-    certificate's index (m_index or t_index, -1 where it has none); and coeffs and labels, the multipliers and their
-    1-based indices, in the column slices of the layout's kinds.  The
-    side's build makes a row's certificate whole; cert(row) builds it on
-    first request and keeps it, so every request returns that certificate.
+    certificate's index (m_index or t_index, None where it has none); coeffs
+    and labels, the multipliers and their 1-based indices, in the column
+    slices of the layout's kinds; and a T block's eq8 (see _TBlock).  The
+    side's build makes a row's certificate whole from the row as listed.
     """
+
+    eq8: tuple = ()
 
     def __init__(self, members, feasible, stationary, flags, residual, quadratic, total, coeffs, labels, **layout):
         vars(self).update(members=members, feasible=feasible, stationary=stationary, flags=flags, residual=residual,
                           quadratic=quadratic, total=total, coeffs=coeffs, labels=labels, certs={}, **layout)
 
-    def cert(self, row: int):
-        cert = self.certs.get(row)  # threads that race on a row all get the certificate stored first
-        return cert if cert is not None else self.certs.setdefault(row, self.build(row))
-
-    def scalars(self, row: int) -> tuple:
-        """feasible, stationary, residual, flags (a tuple), quadratic and
-        total of a row, as certificates hold them; the rows are listed on
-        first use, by one tolist per column, and kept (a cached_property
-        would take a lock)."""
-        rows = vars(self).get("_scalars")
+    def listed(self, row: int) -> tuple:
+        """feasible, stationary, residual, flags (a tuple), quadratic, total,
+        labels (a tuple), multipliers (a list) and eq8 entries of a row, as
+        certificates hold them; the rows are listed on first use, by one
+        tolist per column, and kept (a cached_property would take a lock)."""
+        rows = vars(self).get("_rows")
         if rows is None:
-            columns = self.feasible.tolist(), self.stationary.tolist(), self.residual.tolist()
-            rows = list(zip(*columns, self.flags, self.quadratic, self.total))
-            rows = vars(self).setdefault("_scalars", rows)
+            columns = (self.feasible.tolist(), self.stationary.tolist(), self.residual.tolist(), self.flags,
+                       self.quadratic, self.total, map(tuple, self.labels.tolist()), self.coeffs.tolist(),
+                       *(column.tolist() for column in self.eq8))
+            rows = vars(self).setdefault("_rows", list(zip(*columns)))
         return rows[row]
-
-    def groups(self, row: int) -> tuple:
-        """The labels and the multipliers of a row, a tuple and a list,
-        listed and kept as scalars are."""
-        rows = vars(self).get("_groups")
-        if rows is None:
-            rows = vars(self).setdefault("_groups", list(zip(map(tuple, self.labels.tolist()), self.coeffs.tolist())))
-        return rows[row]
-
-    def reason(self, row: int):
-        """The degenerate_reason of a row."""
-        return _first_failed(*self.scalars(row)[:4], self.prefix)
 
 
 def _instance(cls, fields: dict):
@@ -620,14 +608,14 @@ class _MBlock(_Block):
     prefix = "NDM"
 
     def build(self, row: int) -> MCertificate:
-        (lab, values), (nh, e1) = self.groups(row), self.ends
-        feasible, stationary, residual, ndm, quadratic, total = self.scalars(row)
+        feasible, stationary, residual, ndm, quadratic, total, lab, values = self.listed(row)
+        nh, e1 = self.ends
         pairs = tuple(zip(lab, values))
         activity = _instance(CcopActivity, {"Q0": lab[nh:e1], "I0": lab[e1:], "x_norm0": self.norm0})
         return _instance(MCertificate, {
             "feasible": feasible, "stationary": stationary, "activity": activity, "lam": _frozen(pairs[:nh]),
             "mu": _frozen(pairs[nh:e1]), "gamma": _frozen(pairs[e1:]), "residual": residual, "ndm": ndm,
-            "quadratic_index": quadratic, "sparsity_index": self.si, "m_index": total if total >= 0 else None,
+            "quadratic_index": quadratic, "sparsity_index": self.si, "m_index": total,
             "degenerate_reason": _first_failed(feasible, stationary, residual, ndm, self.prefix),
             "non_unique": not ndm[0],
         })
@@ -648,7 +636,7 @@ def _certify_m(pr: Problem, pes: list, tol: Tolerances) -> list[_MBlock]:
         stationary = feasible & residual_ok & (least >= -ts)
         gaps = np.logical_and.reduce(np.abs(coeffs[:, e1:]) > ts, axis=1) | (norm0 == pr.s)
         flags = list(zip([r == e1 + ni for r in ranks], (least > ts).tolist(), gaps.tolist(), [z == 0 for z in zero]))
-        total = [q + si if st and all(ndm) else -1 for q, st, ndm in zip(neg, stationary.tolist(), flags)]
+        total = [q + si if st and all(ndm) else None for q, st, ndm in zip(neg, stationary.tolist(), flags)]
         blocks.append(_MBlock(at, feasible, stationary, flags, residual, neg, total, coeffs, labels,
                               ends=(nh, e1), norm0=norm0, si=si))
     return blocks

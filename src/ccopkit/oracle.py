@@ -12,15 +12,16 @@ only where q is active, and end with the bits of a run alone.
 
 Roots are certified as certify_m_many certifies them, or expanded, in root
 order, into candidate y, one array of rows per root: the y of every
-(n-s)-subset of the zero pattern, or seeded samples of the y-polytope for
-the unregularized reformulation, whose stationary points can form continua.
-The (x, y) pairs are certified as certify_t_pairs certifies them.  Either
-side certifies in batches across roots, each closing once it holds at least
-_BATCH candidates, so the per-call set-up is shared while a batch's memory
-stays bounded.  A census keeps what certification returns, columns per
-layout group (ccop._Block), and builds no certificate: the stationary
-points are deduplicated and counted by index off the columns, kept as
-_Points, and entered in the problem's memo, and a point's certificate is
+(n-s)-subset of the zero pattern, assembled as lift's (_companion_ys), or
+seeded samples of the y-polytope for the unregularized reformulation, whose
+stationary points can form continua.  The (x, y) pairs are certified as
+certify_t_pairs certifies them.  Either side certifies in batches across
+roots, each closing once it holds at least _BATCH candidates, so the
+per-call set-up is shared while a batch's memory stays bounded.  A census
+keeps what certification returns, columns per layout group (ccop._Block),
+and builds no certificate: the stationary points are merged within
+_MERGE_TOLS activity tolerances and counted by index off the columns, kept
+as _Points, and entered in the problem's memo, and a point's certificate is
 built when the point is first read.
 
 Every T-point lies over an M-point with the same x, so both sides use the
@@ -91,16 +92,17 @@ class _Points(Sequence):
     def __getitem__(self, k):
         if isinstance(k, slice):
             return [self[j] for j in range(len(self))[k]]
-        cert = _cert(self._rows[k])
+        cert = row.cert() if type(row := self._rows[k]) is _Row else row
         return (self.x[k], cert) if self.y is None else (self.x[k], self.y[k], cert)
 
-    def __iter__(self):
-        if self.y is None:
-            return ((x, _cert(row)) for x, row in zip(self.x, self._rows))
-        return ((x, y, _cert(row)) for x, y, row in zip(self.x, self.y, self._rows))
+    def __iter__(self):  # __getitem__'s points, without a call per point
+        certs = (row.cert() if type(row) is _Row else row for row in self._rows)
+        return zip(self.x, certs) if self.y is None else zip(self.x, self.y, certs)
 
-    def __eq__(self, other):
-        return list(self) == (list(other) if isinstance(other, _Points) else other)
+    def __eq__(self, other):  # arrays by their bits: == on two equal arrays has no truth value
+        if not isinstance(other, (_Points, list)):
+            return NotImplemented
+        return _bits(self) == _bits(other)
 
     def __reduce__(self):  # the rows refer to the memo, which does not pickle
         return _Points.of, (list(self),)
@@ -109,9 +111,9 @@ class _Points(Sequence):
         return [row.reason() if type(row) is _Row else row.degenerate_reason for row in self._rows]
 
 
-def _cert(row):
-    """The certificate of a row of _Points: a _Row's, or the row itself."""
-    return row.cert() if type(row) is _Row else row
+def _bits(points) -> list:
+    """Each point of points as a tuple, its arrays replaced by their bytes."""
+    return [tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in point) for point in points]
 
 
 def _no_points() -> _Points:
@@ -267,9 +269,14 @@ def _linear_roots(pr: Problem, tol: Tolerances, notes: list[str]):
             yield J, x
 
 
+# The merge radius, in activity tolerances: Newton roots of a pattern, census
+# points and (bridge.verify_counts) companions this close (inf-norm) are one.
+_MERGE_TOLS = 10.0
+
+
 def _newton_roots(pr: Problem, grid: GridSpec, tol: Tolerances, notes: list[str]):
     """One damped-Newton run per pattern and grid start over its free axes;
-    roots of one pattern closer than 10*tol_act are yielded once.
+    roots of one pattern within the merge radius are yielded once.
 
     The starts run in lockstep (_lockstep_newton), in batches that close at
     _BATCH starts; a pattern's starts never straddle two batches.  Roots come
@@ -287,7 +294,7 @@ def _newton_roots(pr: Problem, grid: GridSpec, tol: Tolerances, notes: list[str]
                 roots, pattern = [], (J, act)
             if x is None:
                 failures += 1
-            elif not any(np.max(np.abs(x - r)) <= 10.0 * tol.tol_act for r in roots):
+            elif not any(np.max(np.abs(x - r)) <= _MERGE_TOLS * tol.tol_act for r in roots):
                 roots.append(x)
                 yield J, x
     if failures:
@@ -547,21 +554,17 @@ def _subsets(m: int, k: int) -> np.ndarray:
 
 def _subset_ys(rp: RegularizedProblem):
     """One y per (n-s)-subset of the zero pattern of support J, as the rows
-    of one array, each with the floats of companion_y.
+    of one array, with the floats of companion_y (regmpoc._companion_ys).
 
     The mid component must carry the largest c of the subset or the sign
     conditions on the upper-bound multipliers are violated.
     """
     n, s = rp.n, rp.s
-    upper, mid = 1.0 + rp.eps, 1.0 - (n - s - 1) * rp.eps
 
     def candidates(J, x):
         sub = np.array([i for i in range(n) if i + 1 not in J]).take(_subsets(n - len(J), n - s))
-        rows = np.arange(len(sub))
-        Y = np.zeros((len(sub), n))
-        Y[rows[:, None], sub] = upper
-        Y[rows, sub[rows, np.argmax(rp.c.take(sub), axis=1)]] = mid  # ibar: the first largest c
-        return Y
+        ibar = sub[np.arange(len(sub)), np.argmax(rp.c.take(sub), axis=1)]  # the first largest c
+        return regmpoc._companion_ys(rp, ibar, sub)
 
     return candidates
 
@@ -695,8 +698,9 @@ def _report(iid: str, target, batches, complete: bool, notes: list[str], tol: To
         at = np.concatenate([block.members.take(r) for block, r in found])
         order = np.argsort(at)  # each candidate's position in the batch
         flat = [(block, j) for block, r in found for j in r.tolist()]
-        rows += [flat[k] for k in order.tolist()]
-        index += np.concatenate([np.take(block.total, r) for block, r in found]).take(order).tolist()
+        flat = [flat[k] for k in order.tolist()]
+        rows += flat
+        index += [block.total[j] for block, j in flat]
         at = at.take(order)
         owner = root.take(at).tolist()
         pes += [roots[r] for r in owner]
@@ -704,10 +708,8 @@ def _report(iid: str, target, batches, complete: bool, notes: list[str], tol: To
         bits += [xbits[r] for r in owner]
         X = np.array([pe.x for pe in roots]).take(owner, 0)
         keys.append(X if Y is None else np.concatenate([X, Y.take(at, 0)], axis=1))
-    index = [None if k < 0 else k for k in index]
     keys = np.concatenate(keys)  # x, then y on the T side
-    # merge within ten activity tolerances; snap the sort key at one
-    kept = _dedupe(keys, index, 10.0 * tol.tol_act, tol.tol_act, notes, side.upper())
+    kept = _dedupe(keys, index, _MERGE_TOLS * tol.tol_act, tol.tol_act, notes, side.upper())
     if side == "m":
         Y, norm0, keys = None, [rows[k][0].norm0 for k in kept], [_key(bits[k], None, tol) for k in kept]
     else:

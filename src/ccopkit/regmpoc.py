@@ -99,7 +99,7 @@ class RegularizedProblem:
         """The sorted components of a companion_y, which check_y_structure
         compares every y with; they depend on n, s and eps alone, so they are
         built on first use and kept in the instance, like _certs."""
-        profile = np.sort(companion_y(self, self.n - self.s, range(1, self.n - self.s)))
+        profile = np.sort(_companion_ys(self, self.n - self.s - 1, np.arange(self.n - self.s - 1)[None])[0])
         profile.flags.writeable = False
         return profile
 
@@ -356,25 +356,24 @@ def _certify_pairs(rp: RegularizedProblem, pairs, tol: Tolerances) -> list[TCert
 class _TBlock(_Block):
     """A _Block of T-certificates, whose layout is (nh, |Q0|, |Ecal|,
     sum_active, |a01|, |a10|, |a00|, |a00|): its kinds' column slices end at
-    ends; every row has biactive index n00; ts is tol_strict."""
+    ends; every row has biactive index n00; eq8 holds the columns |rho1| <=
+    tol_strict and rho2 <= tol_strict (K x n00) that decided stationarity."""
 
     prefix = "NDT"
 
     def build(self, row: int) -> TCertificate:
-        (lab, values), ts = self.groups(row), self.ts
+        feasible, stationary, residual, ndt, quadratic, total, lab, values, *eq8 = self.listed(row)
         nh, e1, e2, e3, e4, e5, e6, _ = self.ends
-        feasible, stationary, residual, ndt, quadratic, total = self.scalars(row)
-        pairs, a00 = tuple(zip(lab, values)), lab[e5:e6]  # eq8 per index of a00: ts >= abs(rho1), ts >= rho2
-        eq8 = a00 and tuple(zip(a00, zip(map(ts.__ge__, map(abs, values[e5:e6])), map(ts.__ge__, values[e6:]))))
+        pairs, a00 = tuple(zip(lab, values)), lab[e5:e6]
         activity = _instance(MpocActivity, {"a00": a00, "a01": lab[e3:e4], "a10": lab[e4:e5], "Ecal": lab[e1:e2],
                                             "sum_active": e3 > e2, "Q0": lab[nh:e1]})
         return _instance(TCertificate, {
             "feasible": feasible, "stationary": stationary, "activity": activity, "lam": _frozen(pairs[:nh]),
             "mu1": _frozen(pairs[nh:e1]), "mu2": _frozen(pairs[e1:e2]), "mu3": values[e2] if e3 > e2 else 0.0,
             "sigma1": _frozen(pairs[e3:e4]), "sigma2": _frozen(pairs[e4:e5]), "rho1": _frozen(pairs[e5:e6]),
-            "rho2": _frozen(pairs[e6:]), "residual": residual, "ndt": ndt, "eq8_branches": _frozen(eq8),
-            "quadratic_index": quadratic, "biactive_index": self.n00,
-            "t_index": total if total >= 0 else None,
+            "rho2": _frozen(pairs[e6:]), "residual": residual, "ndt": ndt,
+            "eq8_branches": _frozen(a00 and tuple(zip(a00, zip(*eq8)))), "quadratic_index": quadratic,
+            "biactive_index": self.n00, "t_index": total,
             "degenerate_reason": _first_failed(feasible, stationary, residual, ndt, self.prefix),
             "non_unique": not ndt[0],
         })
@@ -399,27 +398,36 @@ def _certify_t_pairs(rp: RegularizedProblem, pes: list, at, Y: np.ndarray, tol: 
         least = np.minimum.reduce(coeffs[:, nh:e3], axis=1, initial=np.inf)  # of mu1, mu2 and an active mu3
         signs, strict = least >= -ts, least > ts
         biactive = a01_ok = [True] * len(group)  # with no biactive index, eq8, NDT3 and NDT5 hold
+        eq8 = ()
         if n00:
             big, rho1, rho2 = (size := np.abs(coeffs)) > ts, size[:, e5:e6], coeffs[:, e6:]  # big: |.| > ts
-            signs &= np.logical_and.reduce((rho1 <= ts) | (rho2 <= ts), axis=1)  # eq7 and eq8
+            eq8 = rho1 <= ts, rho2 <= ts  # its two branches per index of a00
+            signs &= np.logical_and.reduce(eq8[0] | eq8[1], axis=1)  # eq7 and eq8
             biactive = np.logical_and.reduce(big[:, e5:e6] & (rho2 < -ts), axis=1).tolist()
             a01_ok = np.logical_and.reduce(big[:, e3:e4], axis=1).tolist()
         feasible = ok.take(group)
         stationary = feasible & residual_ok & signs
         flags = list(zip([r == ends[-1] for r in ranks], strict.tolist(), biactive, [z == 0 for z in zero], a01_ok))
-        total = [q + n00 if st and all(ndt[:4]) else -1 for q, st, ndt in zip(neg, stationary.tolist(), flags)]
+        total = [q + n00 if st and all(ndt[:4]) else None for q, st, ndt in zip(neg, stationary.tolist(), flags)]
         blocks.append(_TBlock(group, feasible, stationary, flags, residual, neg, total, coeffs, labels,
-                              ends=ends, n00=n00, ts=ts))
+                              ends=ends, n00=n00, eq8=eq8))
     return blocks
 
 
+def _companion_ys(rp: RegularizedProblem, ibar, subsets: np.ndarray) -> np.ndarray:
+    """The ys of T-companions, one row per row of subsets (K x k, 0-based):
+    1+eps at the row's indices, then 1-(n-s-1)*eps at ibar (0-based, one for
+    all rows or one each), zeros elsewhere."""
+    rows, Y = np.arange(len(subsets)), np.zeros((len(subsets), rp.n))
+    Y[rows[:, None], subsets] = 1.0 + rp.eps
+    Y[rows, ibar] = 1.0 - (rp.n - rp.s - 1) * rp.eps
+    return Y
+
+
 def companion_y(rp: RegularizedProblem, ibar: int, ebar) -> np.ndarray:
-    """y of a T-companion: 1+eps on Ebar, 1-(n-s-1)*eps at ibar, zeros elsewhere."""
-    y = np.zeros(rp.n)
-    for i in ebar:
-        y[i - 1] = 1.0 + rp.eps
-    y[ibar - 1] = 1.0 - (rp.n - rp.s - 1) * rp.eps
-    return y
+    """y of a T-companion: 1+eps on Ebar, 1-(n-s-1)*eps at ibar (1-based),
+    zeros elsewhere; the one-row case of _companion_ys."""
+    return _companion_ys(rp, ibar - 1, np.array([list(ebar)], dtype=int) - 1)[0]
 
 
 def check_y_structure(rp: RegularizedProblem, y, tol: Tolerances = Tolerances()):

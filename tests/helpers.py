@@ -6,6 +6,7 @@ oracle independent of the exact-derivative path they validate.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -178,6 +179,35 @@ def random_quadratic_instance(rng, n_max=8):
     pr = make_problem(n, s, random_quadratic_source(rng, n), h_srcs, g_srcs)
     eps = float(rng.uniform(0.3, 1.0)) / (n - s)
     return make_regularized(pr, random_c(rng, n), eps)
+
+
+def coercive_instance(n, seed=7):
+    """The coercive headline family: f = x'Hx/2 + b'x, H = A'A/n + I/2,
+    unconstrained, s = n//2 + 1, eps = 0.5/(n - s); A ~ N(0, 1) (n x n),
+    then b ~ U(-2, 2), then c = random_c(rng, n), all from default_rng(seed).
+
+    H is positive definite, so every support J of at most s coordinates
+    carries one M-point, of M-index s - |J|, and the censuses follow the
+    closed forms of coercive_counts."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    b = rng.uniform(-2.0, 2.0, size=n)
+    c = random_c(rng, n)
+    H = A.T @ A / n + 0.5 * np.eye(n)
+    terms = [f"({float(0.5 * H[i, i] if i == j else H[i, j])!r})*x{i + 1}*x{j + 1}"
+             for i in range(n) for j in range(i, n)]
+    terms += [f"({float(b[i])!r})*x{i + 1}" for i in range(n)]
+    s = n // 2 + 1
+    return make_regularized(make_problem(n, s, " + ".join(terms)), c, 0.5 / (n - s))
+
+
+def coercive_counts(n, s):
+    """The closed-form counts by index of coercive_instance's censuses: M
+    points {k: C(n, s - k)} and T points {k: C(n, s - k) * C(n - s + k - 1,
+    n - s - 1)}, k = 0..s (each M-point of index k, whose x has s - k
+    nonzeros, has C(n - s + k - 1, n - s - 1) companions of its index)."""
+    m = {k: math.comb(n, s - k) for k in range(s + 1)}
+    return m, {k: m[k] * math.comb(n - s + k - 1, n - s - 1) for k in range(s + 1)}
 
 
 def x_and_t_index(census) -> Counter:

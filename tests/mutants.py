@@ -158,8 +158,8 @@ MUTANTS = (
     ),
     Mutant(
         "eq8's first branch without the absolute value", "regmpoc.py",
-        "zip(map(ts.__ge__, map(abs, values[e5:e6])), map(ts.__ge__, values[e6:]))",
-        "zip(map(ts.__ge__, values[e5:e6]), map(ts.__ge__, values[e6:]))",
+        "eq8 = rho1 <= ts, rho2 <= ts",
+        "eq8 = coeffs[:, e5:e6] <= ts, rho2 <= ts",
         (f"{LAYOUTS}::test_census_points_are_built_whole_on_first_read_as_the_reference_does",),
     ),
     Mutant(
@@ -232,8 +232,8 @@ MUTANTS = (
     # what verify and the reports keep per problem and per type
     Mutant(
         "an unsorted y profile", "regmpoc.py",
-        "profile = np.sort(companion_y(self, self.n - self.s, range(1, self.n - self.s)))",
-        "profile = companion_y(self, self.n - self.s, range(1, self.n - self.s))",
+        "profile = np.sort(_companion_ys(self, self.n - self.s - 1, np.arange(self.n - self.s - 1)[None])[0])",
+        "profile = _companion_ys(self, self.n - self.s - 1, np.arange(self.n - self.s - 1)[None])[0]",
         ("tests/test_regmpoc.py",),
     ),
     Mutant(
@@ -341,20 +341,20 @@ MUTANTS = (
     ),
     Mutant(
         "census points that build a new certificate on every read", "oracle.py",
-        "        cert = _cert(self._rows[k])\n",
-        "        cert = self._rows[k].block.build(self._rows[k].row)\n",
+        "cert = row.cert() if type(row := self._rows[k]) is _Row else row",
+        "cert = row.block.build(row.row) if type(row := self._rows[k]) is _Row else row",
         ("tests/test_pointeval.py::test_unread_read_and_whole_certificates_pickle_copy_and_compare_alike",),
     ),
     Mutant(
         "a row's first readers each keeping the certificate they built", "ccop.py",
-        "        return cert if cert is not None else self.certs.setdefault(row, self.build(row))\n",
-        "        if cert is None:\n            cert = self.certs[row] = self.build(row)\n        return cert\n",
+        "self.block.certs.setdefault(self.row, self.block.build(self.row))",
+        "self.block.certs[self.row] = self.block.build(self.row)",
         ("tests/test_pointeval.py::test_threads_reading_one_unread_certificate_get_equal_groups",),
     ),
     Mutant(
         "the counts by index read off the quadratic index column", "oracle.py",
-        "        index += np.concatenate([np.take(block.total, r) for block, r in found]).take(order).tolist()\n",
-        "        index += np.concatenate([np.take(block.quadratic, r) for block, r in found]).take(order).tolist()\n",
+        "        index += [block.total[j] for block, j in flat]\n",
+        "        index += [block.quadratic[j] for block, j in flat]\n",
         (ORACLE,),
     ),
     Mutant(
@@ -389,6 +389,49 @@ MUTANTS = (
         "        for k, key in enumerate(keys):  # every x of the call\n"
         "            first.setdefault(key[0], (len(first), xs[k]))\n",
         ("tests/test_pointeval.py::test_a_call_evaluates_the_xs_of_its_missed_points_alone",),
+    ),
+    # one owner for each decision that the census and the certifiers share
+    Mutant(
+        "the M certifier writing 0 for no index", "ccop.py",
+        "total = [q + si if st and all(ndm) else None for",
+        "total = [q + si if st and all(ndm) else 0 for",
+        (f"{ORACLE}::test_census_flags_degenerate_origin",),
+    ),
+    Mutant(
+        "the T certifier writing 0 for no index", "regmpoc.py",
+        "total = [q + n00 if st and all(ndt[:4]) else None for",
+        "total = [q + n00 if st and all(ndt[:4]) else 0 for",
+        (f"{ORACLE}::test_t_census_includes_degenerate_companions",),
+    ),
+    Mutant(
+        "eq8's two branch columns swapped", "regmpoc.py",
+        "eq8 = rho1 <= ts, rho2 <= ts",
+        "eq8 = rho2 <= ts, rho1 <= ts",
+        (f"{LAYOUTS}::test_census_points_are_built_whole_on_first_read_as_the_reference_does",),
+    ),
+    Mutant(
+        "the mid and upper values of a companion y swapped", "regmpoc.py",
+        "    Y[rows[:, None], subsets] = 1.0 + rp.eps\n    Y[rows, ibar] = 1.0 - (rp.n - rp.s - 1) * rp.eps\n",
+        "    Y[rows[:, None], subsets] = 1.0 - (rp.n - rp.s - 1) * rp.eps\n    Y[rows, ibar] = 1.0 + rp.eps\n",
+        ("tests/test_regmpoc.py",),
+    ),
+    Mutant(
+        "the merge radius read as one activity tolerance", "oracle.py",
+        "_MERGE_TOLS = 10.0",
+        "_MERGE_TOLS = 1.0",
+        (f"{BRIDGE}::test_companions_off_every_root_are_counted_within_the_radius",),
+    ),
+    Mutant(
+        "a block's labels listed out of step with its multipliers", "ccop.py",
+        "map(tuple, self.labels.tolist()), self.coeffs.tolist(),",
+        "map(tuple, self.labels[::-1].tolist()), self.coeffs.tolist(),",
+        (f"{LAYOUTS}::test_census_points_are_built_whole_on_first_read_as_the_reference_does",),
+    ),
+    Mutant(
+        "census points compared by ==, which two equal arrays fail", "oracle.py",
+        "        return _bits(self) == _bits(other)\n",
+        "        return list(self) == list(other)\n",
+        (f"{ORACLE}::test_a_census_pickles_and_deep_copies_to_equal_points",),
     ),
 )
 

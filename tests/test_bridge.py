@@ -232,9 +232,11 @@ def test_companions_off_every_root_are_counted_within_the_radius():
     report = verify_counts(rp, merged)
     counts = [c for c in report.checks if c.name == "companion-count"]
     assert counts and all(c.status == "pass" for c in counts)
-    merged.t_points = [(x + 1e-6, y, c) for x, y, c in merged.t_points]  # beyond the radius
-    counts = [c for c in verify_counts(rp, merged).checks if c.name == "companion-count"]
-    assert counts and all(c.status == "fail" for c in counts)
+    shifted = merged.t_points
+    for shift, status in ((5e-8, "pass"), (1e-6, "fail")):  # within the radius of ten tol_act, and beyond it
+        merged.t_points = [(x + shift, y, c) for x, y, c in shifted]
+        counts = [c for c in verify_counts(rp, merged).checks if c.name == "companion-count"]
+        assert counts and all(c.status == status for c in counts), shift
 
 
 def _closed_form(rp, mcert, ibar, ebar):

@@ -56,7 +56,7 @@ def test_the_documented_problem_files_load(tmp_path, capsys):
             assert code != 3, (name, argv, capsys.readouterr().err)
 
 
-def test_load_rejects_malformed_input(tmp_path):
+def test_load_rejects_malformed_input(tmp_path, capsys):
     bad = tmp_path / "bad.prob"
     bad.write_text("[problem]\nn = 2\n")  # missing s and f
     with pytest.raises(LoadError):
@@ -91,10 +91,56 @@ def test_load_rejects_malformed_input(tmp_path):
         (head + reg.replace("eps = 0.5", "eps = 0.5\novveride = true"), 8,
          "unknown key 'ovveride' in \\[regularization\\]"),
         (head + "hh = []\n", 5, "unknown key 'hh' in \\[problem\\]"),
+        (head.replace('"x1^2 + x2^2"', '"x1^2 + x2^2'), 4, "unterminated string"),
+        (head.replace("n = 2", "n = two"), 2, "cannot parse value 'two'"),
+        (head + 'h = ["x1"\n', 5, "unterminated list"),
+        (head + "[points\n", 5, "malformed section header '\\[points'"),
+        (head + "[solver]\n", 5, "unknown section \\[solver\\]"),
+        (head + "g\n", 5, "expected 'key = value'"),
     ]:
         bad.write_text(text)
         with pytest.raises(LoadError, match=f"bad.prob:{line}: {what}"):
             load_problem_file(str(bad))
+        # the command line names the same error, with exit 3 and no traceback
+        assert main(["certify", str(bad), "o", "--side", "m"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and re.fullmatch(f"ccopkit: .*bad.prob:{line}: {what}.*\n", err), err
+
+
+def test_every_input_error_exits_3_naming_it_without_a_traceback(tmp_path, capsys):
+    head = '[problem]\nn = 2\ns = 1\nf = "x1^2 + x2^2"\n'
+    reg = "[regularization]\nc = [0.3, 0.7]\neps = 0.5\n"
+    points = "[points]\nx = [1, 0]\nxy = [1, 0, 0, 1]\n"
+    m = ["certify", "{file}", "x", "--side", "m"]
+    # the errors of the loader at a line of the file are in test_load_rejects_malformed_input
+    for text, argv, message in [
+        # the loader, on the whole file
+        (None, m, "cannot read .*missing.prob: "),
+        (points, m, "bad.prob: missing \\[problem\\] section"),
+        (head + reg.replace("0.3, 0.7", "0.3"), m, "bad.prob: c has length 1, expected 2"),
+        (head.replace("x1^2 + x2^2", "x1 + $"), m, "bad.prob: unexpected character '\\$' \\(at position 5\\)"),
+        # a command on a point or parameters it cannot take
+        (head + reg + points, ["certify", "{file}", "x", "--side", "t"], "point 'x' has length 2; a lifted point needs 4"),
+        (head + reg + points, ["project", "{file}", "x"], "point 'x' has length 2; a lifted point needs 4"),
+        (head + reg + points, ["lift", "{file}", "xy"], "point 'xy' has length 4; lift needs an x of length 2"),
+        (head + reg.replace("0.3, 0.7", "0.3, 0.3") + points, ["verify", "{file}"],
+         "verify needs certifiable regularization parameters"),
+    ]:
+        file = tmp_path / ("missing.prob" if text is None else "bad.prob")
+        if text is not None:
+            file.write_text(text)
+        code = main([str(file) if arg == "{file}" else arg for arg in argv])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == "", (argv, text)
+        assert re.fullmatch(f"ccopkit: (.*/)?{message}.*\n", err) and "Traceback" not in err, err
+
+
+def test_a_quadratic_census_of_a_nonlinear_constraint_exits_4(tmp_path, capsys):
+    file = tmp_path / "curved.prob"
+    for constraint in ('h = ["x1^2 - 1"]', 'g = ["x1*x2 - 1"]'):
+        file.write_text(f'[problem]\nn = 2\ns = 1\nf = "x1^2 + x2^2"\n{constraint}\n')
+        code, out = run(capsys, "census", str(file), "--side", "m", "--format", "machine")
+        assert code == 4 and out.endswith('side = "m"\n')
 
 
 def test_certify_exit_codes(capsys):

@@ -599,3 +599,23 @@ def test_eval2_many_refuses_a_point_of_the_wrong_shape():
     for X in (np.zeros(2), np.zeros((3, 3)), np.zeros((1, 2, 2))):
         with pytest.raises(ValueError, match="expected"):
             eval2_many(e, X)
+    for x in ([1.0, 2.0, 3.0], np.zeros((1, 2)), 1.0):  # and eval2 one of the wrong shape
+        with pytest.raises(ValueError, match=r"point has shape \(.*\), expected \(2,\)"):
+            eval2(e, x)
+
+
+def test_a_zeroth_power_is_one_after_its_base_is_evaluated():
+    # x1^0 folds into a constant; a zeroth power of a non-polynomial base is
+    # the constant slot of the tape, taken after the base, which may raise
+    for source in ("x1^0 + x2", "log(x1)^0 + x2", "exp(x1*x2)^0 + x2"):
+        jet = eval2(parse(source, 2), [2.0, 3.0])
+        assert (jet.value, jet.gradient.tolist(), jet.hessian.tolist()) == (4.0, [0.0, 1.0], [[0.0, 0.0], [0.0, 0.0]])
+    assert eval2(parse("x1^0 + x2", 2), [-1.0, 3.0]).value == 4.0
+    with pytest.raises(ExprDomainError, match="log of a nonpositive value in subterm 'log\\(x1\\)'"):
+        eval2(parse("log(x1)^0 + x2", 2), [-1.0, 3.0])
+
+
+def test_printing_or_grading_what_is_not_a_node_raises_type_error():
+    for walk in (to_source, polynomial_degree):
+        with pytest.raises(TypeError, match="not an AST node: 'x1'"):
+            walk("x1")

@@ -1,10 +1,13 @@
+import copy
 import itertools
+import pickle
 import weakref
 
 import numpy as np
 import pytest
 
 from ccopkit import (
+    AssumptionError,
     CcopActivity,
     GridSpec,
     MCertificate,
@@ -69,6 +72,27 @@ def test_census_pure_sphere_has_single_degenerate_point():
 def test_census_rejects_non_quadratic():
     with pytest.raises(ValueError):
         census_quadratic(make_problem(2, 1, "(x1-1)^2 + cos(x2)"))
+    # nor a constraint that is not affine
+    assert oracle.is_quadratic_affine(make_problem(2, 1, "x1^2 + x2^2", h=["x1 + x2 - 1"], g=["x1"]))
+    for h, g in ((["x1^2 - 1"], []), ([], ["x1*x2 - 1"]), ([], ["x1", "cos(x2)"])):
+        pr = make_problem(2, 1, "x1^2 + x2^2", h=h, g=g)
+        assert not oracle.is_quadratic_affine(pr)
+        with pytest.raises(ValueError, match="requires a quadratic objective and affine constraints"):
+            census_quadratic(pr)
+
+
+def test_a_census_pickles_and_deep_copies_to_equal_points():
+    rp = well_ones_reg()
+    census = merge_censuses(census_quadratic(rp.base), census_t_quadratic(rp))
+    for clone in (pickle.loads(pickle.dumps(census)), copy.deepcopy(census)):
+        assert clone == census
+        for got, want in ((clone.m_points, census.m_points), (clone.t_points, census.t_points)):
+            assert got == want and got == list(want) and got != [] and got != None  # noqa: E711
+            assert [x.tobytes() for x in got.x] == [x.tobytes() for x in want.x] and got.index == want.index
+            assert [point[-1] for point in got] == [point[-1] for point in want]  # certificates, field by field
+        assert clone.m_points.norm0 == census.m_points.norm0
+        assert clone.t_points.y.tobytes() == census.t_points.y.tobytes()
+    assert census.m_points != census.t_points
 
 
 def test_t_census_matches_lifted_points():
@@ -96,6 +120,9 @@ def test_t_census_includes_degenerate_companions():
     assert reasons[((0.0, 0.0), (1.0, 0.0))] == "NDT3"
     assert reasons[((0.0, 0.0), (0.0, 1.0))] == "NDT5"
     assert reasons[((1.0, 0.0), (0.0, 1.0))] is None
+    # the NDT3 point has no index, in the column and in its certificate
+    assert census.t_points.index == [cert.t_index for _, _, cert in census.t_points] == [1, None, 0]
+    assert census.by_index_t == {0: 1, 1: 1, "degenerate": 1}
 
 
 def test_t_census_override_samples_only_degenerate_points():
@@ -106,6 +133,18 @@ def test_t_census_override_samples_only_degenerate_points():
     for _, _, cert in census.t_points:
         assert cert.stationary
         assert not (cert.nondegenerate and cert.ndt[4])
+
+
+def test_override_sampler_draws_nothing_over_a_root_with_too_few_zeros():
+    # with eps < 0 the upper bound 1 + eps is below 1, so the n - s = 1 zero
+    # of (0, 1) or (1, 0) cannot carry a y whose sum is n - s
+    rp = well_ones_reg(eps=-0.5, override=True)
+    draws = oracle._sampled_ys(rp, Tolerances())
+    assert len(draws((), np.zeros(2))) > 0
+    for x in ([0.0, 1.0], [1.0, 0.0]):
+        assert draws((), np.array(x)).shape == (0, 2)
+    census = census_t_quadratic(rp)
+    assert not census.complete and census.t_points == [] and census.by_index_t == {}
 
 
 def test_cross_oracle_census_against_lifts_with_inequality():
@@ -163,6 +202,12 @@ def test_grid_spec_refuses_what_spans_no_finite_box():
             GridSpec(*args)
         assert str(exc.value) == message
     assert GridSpec(0).points_per_axis == 0 and GridSpec(2, 1e308, 1e308).hi == 1e308
+
+
+def test_newton_census_refuses_a_lifted_side_without_the_assumption():
+    for rp in (well_ones_reg(c=(0.5, 0.5)), well_ones_reg(c=(0.5, 0.5), override=True), well_ones_reg(eps=0.0)):
+        with pytest.raises(AssumptionError, match=r"requires the \(c, eps\) assumption"):
+            census_newton(rp, GridSpec(2))
 
 
 def test_newton_census_lifted_side():

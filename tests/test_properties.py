@@ -1,8 +1,9 @@
 """Seeded properties the paper implies, over random quadratic instances:
 redundant constraints change nothing, project(lift(x)) keeps the index at
 any admissible regularization, the T census's indices do not depend on the
-admissible (c, eps), and a small random linear term makes every census
-point nondegenerate."""
+admissible (c, eps), a small random linear term makes every census
+point nondegenerate, and the coercive family's censuses follow their
+closed forms and the Morse relations."""
 
 import dataclasses
 
@@ -26,7 +27,7 @@ from ccopkit import (
 )
 
 from helpers import (
-    make_problem, random_c, random_quadratic_instance, random_sparse_point, well_e1, well_ones, x_and_t_index,
+    coercive_counts, coercive_instance, make_problem, random_c, random_quadratic_instance, random_sparse_point, well_e1, well_ones, x_and_t_index,
 )
 
 
@@ -197,3 +198,19 @@ def test_a_small_linear_term_makes_well_e1_nondegenerate():
         m, t = census_quadratic(rp.base), census_t_quadratic(rp)
         assert m.by_index_m == t.by_index_t == {0: 2, 1: 1}, seed
         assert verify_counts(rp, merge_censuses(m, t)).ok, seed
+
+
+def test_the_coercive_family_follows_its_closed_form_and_the_morse_relations():
+    # positive definite H, no constraints: every support of at most s
+    # coordinates gives one nondegenerate M-point, each with its binomial
+    # number of companions of its index; the T counts t_k then satisfy the
+    # Morse relation sum (-1)^k t_k = 1 and the Morse inequalities
+    for n in range(4, 9):
+        rp = coercive_instance(n)
+        m, t = census_quadratic(rp.base), census_t_quadratic(rp)
+        assert m.complete and t.complete and rp.s == n // 2 + 1
+        assert (m.by_index_m, t.by_index_t) == coercive_counts(n, rp.s), n
+        counts = [t.by_index_t[k] for k in range(rp.s + 1)]
+        assert sum((-1) ** k * tk for k, tk in enumerate(counts)) == 1
+        for k in range(len(counts)):
+            assert sum((-1) ** (k - j) * counts[j] for j in range(k + 1)) >= (-1) ** k, (n, k)

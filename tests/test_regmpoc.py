@@ -311,3 +311,9 @@ def test_scaling_objective_scales_t_multipliers_and_keeps_indices():
                             assert getattr(got, name)[i] == pytest.approx(factor * v, rel=1e-9, abs=1e-12)
                 checked += 1
     assert checked >= 600
+
+
+def test_make_regularized_refuses_c_of_the_wrong_shape():
+    for c in ([0.3], [0.3, 0.7, 0.9], [[0.3, 0.7]]):
+        with pytest.raises(ValueError, match=r"c has shape \(.*\), expected \(2,\)"):
+            make_regularized(well_ones(), c, 0.5)
