@@ -104,11 +104,7 @@ def lift(rp: RegularizedProblem, x, tol: Tolerances = Tolerances()) -> LiftSet:
     mcert = certify_m(rp.base, pe, tol)
     if not mcert.stationary:
         raise NotStationaryError(f"point is not M-stationary ({mcert.degenerate_reason})")
-    i0 = mcert.activity.I0
-    if len(i0) < n - s:
-        raise BridgeError("fewer vanishing coordinates than n - s at a feasible point")
-
-    norm0 = mcert.activity.x_norm0
+    i0, norm0 = mcert.activity.I0, mcert.activity.x_norm0  # norm0 <= s: a stationary point is feasible
     expected = math.comb(n - norm0 - 1, n - s - 1)
     if expected > 2**63 - 1:
         raise OverflowError(f"companion count binom({n - norm0 - 1}, {n - s - 1}) exceeds 64-bit range")

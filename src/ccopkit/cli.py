@@ -51,7 +51,7 @@ import sys
 
 import numpy as np
 
-from .bridge import BridgeError, NotStationaryError, _rounded, lift, project, verify_counts
+from .bridge import BridgeError, CountCheck, NotStationaryError, _rounded, lift, project, verify_counts
 from .ccop import MCertificate, Problem, _point, certify_m, check_cc_licq, evaluate
 from .exprcore import ExprDomainError, ExprSyntaxError, parse
 from .numkern import Tolerances
@@ -94,7 +94,7 @@ class ProblemFile:
 # ---------------------------------------------------------------------------
 # Problem file parsing
 
-_TOL_KEYS = ("tol_feas", "tol_act", "tol_rank", "tol_strict")
+_TOL_KEYS = tuple(f.name for f in dataclasses.fields(Tolerances))
 # section -> the keys it may hold; any name is a key in [points]
 _SECTIONS = {
     "problem": ("n", "s", "f", "h", "g"),
@@ -557,11 +557,11 @@ def _census(pr: Problem, rp, method: str, sides: str, args, tol: Tolerances) -> 
     return merge_censuses(*found) if len(found) == 2 else found[0]
 
 
-def _add_checks(rep: Report, rows) -> None:
-    for k, (name, status, detail) in enumerate(rows):
-        rep.add(f"check.{k}.name", name)
-        rep.add(f"check.{k}.status", status)
-        rep.add(f"check.{k}.detail", detail)
+def _add_checks(rep: Report, checks: list[CountCheck]) -> None:
+    names = [f.name for f in dataclasses.fields(CountCheck)]  # name, status, detail
+    for k, check in enumerate(checks):
+        for name in names:
+            rep.add(f"check.{k}.{name}", getattr(check, name))
 
 
 def cmd_census(args) -> int:
@@ -581,7 +581,7 @@ def cmd_census(args) -> int:
     ok = True
     if sides == "mt":
         counts = verify_counts(rp, census, tol)
-        _add_checks(rep, [(c.name, c.status, c.detail) for c in counts.checks])
+        _add_checks(rep, counts.checks)
         ok = counts.ok
     rep.add("verdict", "ok" if ok else "failed")
     _emit(rep, args)
@@ -622,7 +622,7 @@ def cmd_verify(args) -> int:
     merged = _census(pf.problem, rp, method, "mt", args, tol)
     _add_census(rep, merged, "mt")
 
-    rows = [(c.name, c.status, c.detail) for c in verify_counts(rp, merged, tol).checks]
+    checks = verify_counts(rp, merged, tol).checks
     if rp.assumption1_ok:
         points = merged.m_points  # read as columns; a census point is stationary
         for x, index, rounded in zip(points.x, points.index, _rounded(points.x, rp.n)):
@@ -633,22 +633,21 @@ def cmd_verify(args) -> int:
             try:
                 ls = lift(rp, pe, tol)
                 ok = all(t.nondegenerate and t.ndt[4] and t.t_index == index for _, t in ls.companions)
-                rows.append(
-                    ("lift-roundtrip", "pass" if ok else "fail",
-                     f"{label}: {len(ls.companions)} companions, index preserved={ok}")
-                )
+                checks.append(CountCheck("lift-roundtrip", "pass" if ok else "fail",
+                                         f"{label}: {len(ls.companions)} companions, index preserved={ok}"))
                 for y, _ in ls.companions:
                     ok = project(rp, pe, y, tol).m_index == index
-                    rows.append(("project-roundtrip", "pass" if ok else "fail", label))
+                    checks.append(CountCheck("project-roundtrip", "pass" if ok else "fail", label))
             except (BridgeError, NotStationaryError) as exc:
-                rows.append(("lift-roundtrip", "fail", f"{label}: {exc}"))
+                checks.append(CountCheck("lift-roundtrip", "fail", f"{label}: {exc}"))
         ys = merged.t_points.y
         oks = check_y_structure(rp, ys, tol).tolist()
-        rows += [("y-structure", "pass" if ok else "fail", f"y={at}") for ok, at in zip(oks, _rounded(ys, rp.n))]
+        checks += [CountCheck("y-structure", "pass" if ok else "fail", f"y={at}")
+                   for ok, at in zip(oks, _rounded(ys, rp.n))]
 
-    failures = sum(status == "fail" for _, status, _ in rows)
-    _add_checks(rep, rows)
-    rep.add("checks", len(rows))
+    failures = sum(c.status == "fail" for c in checks)
+    _add_checks(rep, checks)
+    rep.add("checks", len(checks))
     rep.add("failures", failures)
     rep.add("verdict", "ok" if failures == 0 else "failed")
     _emit(rep, args)
@@ -662,10 +661,8 @@ def cmd_verify(args) -> int:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol-feas", dest="tol_feas", type=float, default=None)
-    common.add_argument("--tol-act", dest="tol_act", type=float, default=None)
-    common.add_argument("--tol-rank", dest="tol_rank", type=float, default=None)
-    common.add_argument("--tol-strict", dest="tol_strict", type=float, default=None)
+    for name in _TOL_KEYS:
+        common.add_argument("--" + name.replace("_", "-"), dest=name, type=float, default=None)
     common.add_argument("--override-assumption1", action="store_true")
     common.add_argument("--format", choices=("human", "machine"), default="human")
 

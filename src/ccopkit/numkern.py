@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -48,19 +48,18 @@ class Tolerances:
     tol_strict: float = 1e-8
 
     def __post_init__(self):
-        for name in ("tol_feas", "tol_act", "tol_rank", "tol_strict"):
-            value = getattr(self, name)
+        for f, value in zip(fields(self), self._astuple):
             if not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
             if value <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+                raise ValueError(f"{f.name} must be strictly positive")
         if self.tol_rank >= self.tol_strict:
             raise ValueError("tol_rank must be smaller than tol_strict")
 
     @cached_property
     def _astuple(self) -> tuple:
         """The tolerances as memo keys hold them, hashed and compared in C."""
-        return self.tol_feas, self.tol_act, self.tol_rank, self.tol_strict
+        return astuple(self)
 
 
 def _lapack(gufunc, failure: str):

@@ -466,15 +466,15 @@ def _kkt_systems(pr: Problem, parts):
     return out
 
 
-def _shared_roots(pr: Problem, tol: Tolerances, notes: list[str], grid: GridSpec | None = None):
+def _shared_roots(pr: Problem, tol: Tolerances, grid: GridSpec | None = None) -> tuple[list, list[str]]:
     """The roots of _linear_roots, or of _newton_roots when a grid is given,
     found once per Problem and (method, grid, tol) and kept on the Problem,
     with their jets (see ccop._jets_many); ccop._point serves those jets to
     any later array with the bits of a root's x.
 
-    Both sides of a census share them.  Each call yields (support, pe) per
-    root, pe a fresh PointEval of pr at the kept read-only x that carries
-    the kept jets, then appends the kept notes, as the finder did.  The
+    Both sides of a census share them.  Each call returns the roots, a list
+    of (support, pe), pe a fresh PointEval of pr at the kept read-only x
+    that carries the kept jets, and a new list of the finder's notes.  The
     Problem keeps arrays and Jet2s only, never a PointEval, which would
     refer back to it.  A census reports its points at the kept read-only
     xs themselves.
@@ -491,9 +491,7 @@ def _shared_roots(pr: Problem, tol: Tolerances, notes: list[str], grid: GridSpec
         pr._roots[key] = roots, jets, tuple(found)
         pr._root_jets.update((x.tobytes(), jet) for (_, x), jet in zip(roots, jets) if jet is not None)
     roots, jets, kept = pr._roots[key]
-    for (J, x), jet in zip(roots, jets):
-        yield J, _carrying(pr, x, jet)
-    notes.extend(kept)
+    return [(J, _carrying(pr, x, jet)) for (J, x), jet in zip(roots, jets)], list(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +691,7 @@ def _report(iid: str, target, batches, complete: bool, notes: list[str], tol: To
     (ccop._key) are built for the kept points alone."""
     side, n = ("m" if isinstance(target, Problem) else "t"), target.n
     pes, bits, rows, index, keys = [], [], [], [], [np.empty((0, n if side == "m" else 2 * n))]
-    for roots, root, Y, blocks in batches:  # runs the root finder, which may still add notes
+    for roots, root, Y, blocks in batches:
         found = [(block, np.flatnonzero(block.feasible & block.stationary)) for block in blocks]
         at = np.concatenate([block.members.take(r) for block, r in found])
         order = np.argsort(at)  # each candidate's position in the batch
@@ -731,9 +729,8 @@ def _report(iid: str, target, batches, complete: bool, notes: list[str], tol: To
 def census_quadratic(pr: Problem, tol: Tolerances = Tolerances()) -> CensusReport:
     """Exhaustive census of M-stationary points of a quadratic-affine instance."""
     _require_quadratic(pr, "census_quadratic")
-    notes: list[str] = []
-    found = _m_points(pr, _shared_roots(pr, tol, notes), tol)
-    return _report(instance_id(pr), pr, found, True, notes, tol)
+    roots, notes = _shared_roots(pr, tol)
+    return _report(instance_id(pr), pr, _m_points(pr, roots, tol), True, notes, tol)
 
 
 def census_t_quadratic(rp: RegularizedProblem, tol: Tolerances = Tolerances()) -> CensusReport:
@@ -748,18 +745,16 @@ def census_t_quadratic(rp: RegularizedProblem, tol: Tolerances = Tolerances()) -
     _require_quadratic(rp.base, "census_t_quadratic")
     iid = instance_id(rp.base, rp)
     if rp.assumption1_ok:
-        notes: list[str] = []
-        roots = _shared_roots(rp.base, tol, notes)
-        found = _t_points(rp, roots, _subset_ys(rp), tol)
-        return _report(iid, rp, found, True, notes, tol)
+        roots, notes = _shared_roots(rp.base, tol)
+        return _report(iid, rp, _t_points(rp, roots, _subset_ys(rp), tol), True, notes, tol)
     if not rp.override:
         raise AssumptionError(
             "regularization parameters violate the assumption; construct with "
             "override=True for the sampling census"
         )
+    roots, _ = _shared_roots(rp.base, tol)  # the sampled census reports the sampler's note alone
     notes = ["override sampler: y-space sampled per support pattern, census not exhaustive"]
-    found = _t_points(rp, _shared_roots(rp.base, tol, []), _sampled_ys(rp, tol), tol)
-    return _report(iid, rp, found, False, notes, tol)
+    return _report(iid, rp, _t_points(rp, roots, _sampled_ys(rp, tol), tol), False, notes, tol)
 
 
 def census_newton(target, grid: GridSpec, tol: Tolerances = Tolerances()) -> CensusReport:
@@ -781,8 +776,7 @@ def census_newton(target, grid: GridSpec, tol: Tolerances = Tolerances()) -> Cen
     iid = instance_id(pr, rp)
     if grid.points_per_axis <= 0:
         return _report(iid, target, (), False, ["empty grid"], tol)
-    notes: list[str] = []
-    roots = _shared_roots(pr, tol, notes, grid)
+    roots, notes = _shared_roots(pr, tol, grid)
     found = _m_points(pr, roots, tol) if rp is None else _t_points(rp, roots, _subset_ys(rp), tol)
     return _report(iid, target, found, False, notes, tol)
 

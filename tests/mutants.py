@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 LAYOUTS = "tests/test_layout_groups.py"
 BRIDGE = "tests/test_bridge.py"
 ORACLE = "tests/test_oracle.py"
+CLI = "tests/test_cli.py"
 
 MUTANTS = (
     # the layout-group certification (ccop._solve, _layouts, the sign conditions)
@@ -432,6 +433,86 @@ MUTANTS = (
         "        return _bits(self) == _bits(other)\n",
         "        return list(self) == list(other)\n",
         (f"{ORACLE}::test_a_census_pickles_and_deep_copies_to_equal_points",),
+    ),
+    # one copy of the tolerance names, the check row and the root-search notes
+    Mutant(
+        "the --tol-* flags built in reverse order", "cli.py",
+        "    for name in _TOL_KEYS:\n        common.add_argument(",
+        "    for name in reversed(_TOL_KEYS):\n        common.add_argument(",
+        (f"{CLI}::test_certify_help_lists_the_tolerance_flags_in_field_order",),
+    ),
+    Mutant(
+        "a refused tolerance named after another field", "numkern.py",
+        "for f, value in zip(fields(self), self._astuple):",
+        "for f, value in zip(fields(self)[::-1], self._astuple):",
+        (f"{CLI}::test_non_finite_tolerance_flags_exit_3",),
+    ),
+    Mutant(
+        "a check row's status written as its detail", "cli.py",
+        'checks.append(CountCheck("project-roundtrip", "pass" if ok else "fail", label))',
+        'checks.append(CountCheck("project-roundtrip", label, "pass" if ok else "fail"))',
+        ("tests/test_golden.py",),
+    ),
+    Mutant(
+        "verify's failures counted off the check details", "cli.py",
+        'failures = sum(c.status == "fail" for c in checks)',
+        'failures = sum(c.detail == "fail" for c in checks)',
+        (f"{CLI}::test_verify_reports_a_lift_that_raises_as_a_failed_row",),
+    ),
+    Mutant(
+        "the root search dropping its notes", "oracle.py",
+        "for (J, x), jet in zip(roots, jets)], list(kept)",
+        "for (J, x), jet in zip(roots, jets)], []",
+        ("tests/test_exact_census.py",),
+    ),
+    # the guards of lift, project and the CLI that a test reaches by an injected certificate or error
+    Mutant(
+        "lift's companion check without its residual bound", "bridge.py",
+        "if not tcert.stationary or tcert.residual > _CROSS_TOL:",
+        "if not tcert.stationary:",
+        (f"{BRIDGE}::test_lift_raises_when_a_constructed_companion_fails_to_certify",),
+    ),
+    Mutant(
+        "project without its M-stationarity check", "bridge.py",
+        "    if not mcert.stationary:\n        raise BridgeError(",
+        "    if mcert.stationary is None:\n        raise BridgeError(",
+        (f"{BRIDGE}::test_project_raises_when_the_m_side_breaks_the_correspondence",),
+    ),
+    Mutant(
+        "project's nondegeneracy check read as stationarity", "bridge.py",
+        "        if not mcert.nondegenerate:",
+        "        if not mcert.stationary:",
+        (f"{BRIDGE}::test_project_raises_when_the_m_side_breaks_the_correspondence",),
+    ),
+    Mutant(
+        "project's index check with ==", "bridge.py",
+        "if mcert.m_index != tcert.t_index:",
+        "if mcert.m_index == tcert.t_index:",
+        (f"{BRIDGE}::test_project_raises_when_the_m_side_breaks_the_correspondence",),
+    ),
+    Mutant(
+        "project's handler without NotStationaryError", "cli.py",
+        "        mcert = project(rp, pe, y, tol)\n    except (NotStationaryError, BridgeError) as exc:",
+        "        mcert = project(rp, pe, y, tol)\n    except BridgeError as exc:",
+        (f"{CLI}::test_project_of_a_point_that_is_not_t_stationary_exits_2",),
+    ),
+    Mutant(
+        "verify's lift failure row passing", "cli.py",
+        'checks.append(CountCheck("lift-roundtrip", "fail", f"{label}: {exc}"))',
+        'checks.append(CountCheck("lift-roundtrip", "pass", f"{label}: {exc}"))',
+        (f"{CLI}::test_verify_reports_a_lift_that_raises_as_a_failed_row",),
+    ),
+    Mutant(
+        "python -m ccopkit not calling main", "__main__.py",
+        'if __name__ == "__main__":',
+        'if __name__ == "__main_":',
+        (f"{CLI}::test_the_entry_points_run_main",),
+    ),
+    Mutant(
+        "python -m ccopkit.cli not calling main", "cli.py",
+        'if __name__ == "__main__":',
+        'if __name__ == "__main_":',
+        (f"{CLI}::test_the_entry_points_run_main",),
     ),
 )
 

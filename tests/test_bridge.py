@@ -364,3 +364,37 @@ def test_project_names_the_first_mapped_multiplier_that_disagrees(monkeypatch):
                 assert str(raised.value) == f"project: closed-form gamma[{i}]={v!r} vs solved None"
                 monkeypatch.undo()
     assert labels == set(("lam", "mu1", "sigma1", "rho1"))
+
+
+def test_lift_raises_when_a_constructed_companion_fails_to_certify(monkeypatch):
+    rp, certify = well_ones_reg(), bridge.certify_t_pairs
+    cases = [({"stationary": False, "degenerate_reason": "NDT1"}, "reason=NDT1, residual="),
+             ({"residual": 2e-8}, "reason=None, residual=2.000e-08)")]  # stationary, above _CROSS_TOL
+    for change, message in cases:
+        monkeypatch.setattr(bridge, "certify_t_pairs",
+                            lambda *args, change=change: [dataclasses.replace(t, **change) for t in certify(*args)])
+        with pytest.raises(BridgeError) as raised:
+            lift(rp, [0.0, 0.0])
+        assert str(raised.value).startswith("constructed companion failed to certify (Ebar=(), ")
+        assert message in str(raised.value)
+
+
+def test_project_raises_when_the_m_side_breaks_the_correspondence(monkeypatch):
+    # (0, 0) lifts to one nondegenerate companion of T-index 1 with NDT5
+    rp, x, y = well_ones_reg(), [0.0, 0.0], [0.0, 1.0]
+    mcert = certify_m(rp.base, x)
+    assert mcert.nondegenerate and mcert.m_index == 1
+    cases = [
+        (dataclasses.replace(mcert, stationary=False),
+         "projection of a T-stationary point failed to be M-stationary"),
+        (dataclasses.replace(mcert, ndm=(True, True, True, False), m_index=None, degenerate_reason="NDM4"),
+         "nondegenerate input with nonvanishing a01 multipliers projected to a degenerate point (NDM4)"),
+        (dataclasses.replace(mcert, m_index=2), "index not preserved under projection: 2 != 1"),
+    ]
+    for cert, message in cases:
+        monkeypatch.setattr(bridge, "certify_m", lambda *args, cert=cert: cert)
+        with pytest.raises(BridgeError) as raised:
+            project(rp, x, y)
+        assert str(raised.value) == message
+    monkeypatch.undo()
+    assert project(rp, x, y) is mcert

@@ -1,6 +1,9 @@
 import os
 import re
+import runpy
+import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -119,7 +122,10 @@ def test_every_input_error_exits_3_naming_it_without_a_traceback(tmp_path, capsy
         (points, m, "bad.prob: missing \\[problem\\] section"),
         (head + reg.replace("0.3, 0.7", "0.3"), m, "bad.prob: c has length 1, expected 2"),
         (head.replace("x1^2 + x2^2", "x1 + $"), m, "bad.prob: unexpected character '\\$' \\(at position 5\\)"),
+        (head.replace("s = 1", "s = 2"), m, "bad.prob: sparsity budget s=2 outside 0..1"),
+        (head + reg.replace("eps = 0.5\n", ""), m, "bad.prob: \\[regularization\\] requires c and eps"),
         # a command on a point or parameters it cannot take
+        (head + reg + points, ["certify", "{file}", "xy", "--side", "m"], "point 'xy' has length 4; side m needs 2"),
         (head + reg + points, ["certify", "{file}", "x", "--side", "t"], "point 'x' has length 2; a lifted point needs 4"),
         (head + reg + points, ["project", "{file}", "x"], "point 'x' has length 2; a lifted point needs 4"),
         (head + reg + points, ["lift", "{file}", "xy"], "point 'xy' has length 4; lift needs an x of length 2"),
@@ -418,6 +424,50 @@ def test_check_licq_answers_without_override_on_parameters_that_violate_the_assu
         assert code in (0, 1)
         answers.append((code, [line for line in out.splitlines() if line.startswith("holds")]))
     assert answers[0] == answers[1]
+
+
+def test_project_of_a_point_that_is_not_t_stationary_exits_2(tmp_path, capsys):
+    prob = tmp_path / "off.prob"
+    with open(path("well_ones.prob")) as fixture:
+        prob.write_text(fixture.read() + "off = [0.5, 0, 0, 1]\n")
+    code, out = run(capsys, "project", str(prob), "off", "--format", "machine")
+    assert code == 2
+    assert "lifted.stationary = false" in out and 'verdict = "not-stationary"' in out
+    assert 'reason = "point is not T-stationary (not stationary (residual=' in out
+
+
+def test_verify_reports_a_lift_that_raises_as_a_failed_row(capsys, monkeypatch):
+    def broken(*args):
+        raise ccopkit.cli.BridgeError("injected")
+
+    monkeypatch.setattr(ccopkit.cli, "lift", broken)
+    code, out = run(capsys, "verify", path("well_ones.prob"), "--format", "machine")
+    rows = dict(line.split(" = ", 1) for line in out.splitlines())
+    lifts = [k.rsplit(".", 1)[0] for k, v in rows.items() if v == '"lift-roundtrip"']
+    assert code == 1 and len(lifts) == 3 and rows["failures"] == "3"
+    assert {rows[f"{k}.status"] for k in lifts} == {'"fail"'}
+    assert rows[f"{lifts[0]}.detail"].endswith(': injected"')
+    assert 'name = "project-roundtrip"' not in out
+
+
+def test_certify_help_lists_the_tolerance_flags_in_field_order(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["certify", "--help"])
+    options = capsys.readouterr().out.split("options:\n", 1)[1]
+    flags = [line.split()[0].rstrip(",") for line in options.splitlines()]
+    assert done.value.code == 0
+    assert flags == ["-h", "--tol-feas", "--tol-act", "--tol-rank", "--tol-strict", "--override-assumption1",
+                     "--format", "--side"]
+
+
+@pytest.mark.parametrize("module", ["ccopkit", "ccopkit.cli"])
+def test_the_entry_points_run_main(module, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["ccopkit", "--help"])
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as done:
+        warnings.simplefilter("ignore", RuntimeWarning)  # ccopkit.cli is imported already
+        runpy.run_module(module, run_name="__main__")
+    assert done.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ccopkit ")
 
 
 def test_verify_command_green(capsys):

@@ -167,7 +167,7 @@ def _same_kernel_inputs(seen, side="m"):
 def test_layout_groups_equal_the_per_candidate_reference(kernel_inputs):
     batches = shared_shape = mixed_q0 = curved = corners = 0
     for rp, sampler, grid in _cases():
-        roots = [(J, pe.x) for J, pe in oracle._shared_roots(rp.base, TOL, [], grid)]
+        roots = [(J, pe.x) for J, pe in oracle._shared_roots(rp.base, TOL, grid)[0]]
         m_points, t_pairs = _corners(rp)
         for batch in [*oracle._batches([x] for _, x in roots), m_points]:
             got, want = certify_m_many(rp.base, batch, TOL), reference.certify_m_reference(rp.base, batch, TOL)
@@ -202,7 +202,7 @@ def test_licq_checks_decide_as_the_certificates_do():
     # at a margin
     checked = 0
     for rp, sampler, grid in _cases():
-        roots = [(J, pe.x) for J, pe in oracle._shared_roots(rp.base, TOL, [], grid)]
+        roots = [(J, pe.x) for J, pe in oracle._shared_roots(rp.base, TOL, grid)[0]]
         m_points, t_pairs = _corners(rp)
         for x in [x for _, x in roots] + m_points:
             assert check_cc_licq(rp.base, x, TOL) == certify_m(rp.base, x, TOL).ndm[0]
@@ -276,7 +276,7 @@ def test_y_blocks_are_ranked_by_their_layouts_canonical_block(monkeypatch):
         return solve(bank, at, index, layout, shifts, tol, ys)
 
     monkeypatch.setattr(regmpoc, "_solve", spy)
-    cases = [(rp, [(x, y) for J, pe in oracle._shared_roots(rp.base, TOL, [], grid) for x in [pe.x]
+    cases = [(rp, [(x, y) for J, pe in oracle._shared_roots(rp.base, TOL, grid)[0] for x in [pe.x]
                    for y in sampler(rp)(J, x)] + _corners(rp)[1], grid is None) for rp, sampler, grid in _cases()]
     cases += [(rp, pairs, False) for rp, pairs, _ in _crafted(np.random.default_rng(269))]
     for rp, pairs, quadratic in cases:
@@ -333,7 +333,7 @@ def test_flags_meet_their_tolerances_as_the_reference_does():
     rng = np.random.default_rng(223)
     compared = 0
     for rp, sampler, grid in _cases()[:3]:
-        pairs = [(x, y) for J, pe in oracle._shared_roots(rp.base, TOL, [], grid)
+        pairs = [(x, y) for J, pe in oracle._shared_roots(rp.base, TOL, grid)[0]
                  for x in [pe.x] for y in sampler(rp)(J, x)]
         for k in rng.choice(len(pairs), size=12, replace=False):
             x, y = pairs[k]

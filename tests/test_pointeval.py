@@ -163,7 +163,7 @@ def test_lifts_after_an_m_census_evaluate_nothing(eval2_calls):
 
 def test_an_array_at_a_kept_root_carries_its_jets():
     pr = make_problem(2, 1, "(x1 - 1)^2 + (x2 - 1)^2", g=["x1 + 1"])
-    roots = {pe.x.tobytes(): pe for _, pe in oracle._shared_roots(pr, Tolerances(), [])}
+    roots = {pe.x.tobytes(): pe for _, pe in oracle._shared_roots(pr, Tolerances())[0]}
     assert len(roots) >= 3 and all("_jets" in vars(pe) for pe in roots.values())
     for bits, kept in roots.items():
         x = np.frombuffer(bits).copy()
@@ -176,7 +176,7 @@ def test_an_array_at_a_kept_root_carries_its_jets():
     # array at it evaluates, and raises, on first use; the other roots keep
     # theirs
     pr = make_problem(2, 1, "(x1 - 1)^2 + (x2 - 1)^2", g=["log(x1)"])
-    roots = [pe for _, pe in oracle._shared_roots(pr, Tolerances(), [], GridSpec(3))]
+    roots = [pe for _, pe in oracle._shared_roots(pr, Tolerances(), GridSpec(3))[0]]
     undefined = 0
     for pe in roots:
         defined = bool(pe.x[0] > 0.0)
@@ -212,7 +212,7 @@ def test_t_census_evaluates_each_expression_once_per_root(eval2_calls):
     )
     census = census_t_quadratic(rp)
     assert len(census.t_points) > 10
-    roots = len(list(oracle._shared_roots(rp.base, Tolerances(), [])))
+    roots = len(oracle._shared_roots(rp.base, Tolerances())[0])
     assert set(eval2_calls.values()) == {1} and len(eval2_calls) == 2 * roots  # f and g
     held = census_quadratic(rp.base)  # the M side gets the same evaluated roots
     assert held.m_points and set(eval2_calls.values()) == {1} and len(eval2_calls) == 2 * roots
@@ -475,7 +475,7 @@ def test_memo_key_is_the_point_bits_the_tolerances_and_the_problem(solves):
 def _batches(rp, candidates, grid=None):
     """(x, ys) per pattern root of rp's base problem, as the T census forms
     them, x an array."""
-    for J, pe in oracle._shared_roots(rp.base, Tolerances(), [], grid):
+    for J, pe in oracle._shared_roots(rp.base, Tolerances(), grid)[0]:
         yield pe.x, list(candidates(J, pe.x))
 
 
@@ -550,7 +550,7 @@ def test_census_batches_equal_cold_per_point_certificates():
         cold = _fresh(rp)
         want_m, want_t = {}, {}  # point bits -> pickled cold certificate
         # arrays, not the roots' PointEvals of rp.base, which cold refuses
-        roots = [(J, pe.x) for J, pe in oracle._shared_roots(rp.base, tol, [], grid)]
+        roots = [(J, pe.x) for J, pe in oracle._shared_roots(rp.base, tol, grid)[0]]
         for xs in oracle._batches([x] for _, x in roots):
             want = _pickles([certify_m(cold.base, x) for x in xs])
             assert _pickles(certify_m_many(rp.base, xs)) == want
