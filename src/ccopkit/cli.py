@@ -558,10 +558,10 @@ def _census(pr: Problem, rp, method: str, sides: str, args, tol: Tolerances) -> 
 
 
 def _add_checks(rep: Report, checks: list[CountCheck]) -> None:
-    names = [f.name for f in dataclasses.fields(CountCheck)]  # name, status, detail
-    for k, check in enumerate(checks):
-        for name in names:
-            rep.add(f"check.{k}.{name}", getattr(check, name))
+    for k, c in enumerate(checks):
+        rep.add(f"check.{k}.name", c.name)
+        rep.add(f"check.{k}.status", c.status)
+        rep.add(f"check.{k}.detail", c.detail)
 
 
 def cmd_census(args) -> int:

@@ -48,7 +48,8 @@ class Tolerances:
     tol_strict: float = 1e-8
 
     def __post_init__(self):
-        for f, value in zip(fields(self), self._astuple):
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be a finite number, got {value!r}")
             if value <= 0.0:

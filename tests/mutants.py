@@ -442,15 +442,21 @@ MUTANTS = (
         (f"{CLI}::test_certify_help_lists_the_tolerance_flags_in_field_order",),
     ),
     Mutant(
-        "a refused tolerance named after another field", "numkern.py",
-        "for f, value in zip(fields(self), self._astuple):",
-        "for f, value in zip(fields(self)[::-1], self._astuple):",
+        "every tolerance validated by the first one's value", "numkern.py",
+        "            value = getattr(self, f.name)\n",
+        "            value = getattr(self, fields(self)[0].name)\n",
         (f"{CLI}::test_non_finite_tolerance_flags_exit_3",),
     ),
     Mutant(
         "a check row's status written as its detail", "cli.py",
         'checks.append(CountCheck("project-roundtrip", "pass" if ok else "fail", label))',
         'checks.append(CountCheck("project-roundtrip", label, "pass" if ok else "fail"))',
+        ("tests/test_golden.py",),
+    ),
+    Mutant(
+        "a check row's status key given its detail", "cli.py",
+        'rep.add(f"check.{k}.status", c.status)',
+        'rep.add(f"check.{k}.status", c.detail)',
         ("tests/test_golden.py",),
     ),
     Mutant(

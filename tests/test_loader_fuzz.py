@@ -1,5 +1,6 @@
-"""Property test: no problem file makes the CLI fail with a traceback, in
-any of its six subcommands."""
+"""Property tests: no problem file makes the CLI fail with a traceback,
+neither in `certify --side m` on arbitrary points nor in any of its six
+subcommands on points named from the file's census."""
 
 import contextlib
 import io
@@ -14,9 +15,12 @@ from hypothesis import strategies as st  # noqa: E402
 from ccopkit.cli import load_problem_file, main  # noqa: E402
 
 _NUMBERS = ("0", "1", "2", "-1", "2.7", "0.5", "1e-8", "1e200", "-0.0")
-_SMOOTH = ("x1^2 + x2^2", "(x1-1)^2 + (x2-1)^2", "exp(x1)*x2", "sin(x1) + cos(x2)", "x1 - 1", "x2")
+_EXPRESSIONS = (
+    "x1^2 + x2^2", "(x1-1)^2 + (x2-1)^2", "log(x1)", "x1/x2", "x1^-1", "exp(x1)*x2",
+    "sin(x1) + cos(x2)", "x1 - 1", "x2",
+)
 _UNDEFINED_AT_0 = ("log(x1)", "x1/x2", "x1^-1")  # where x1 or x2 is 0
-_EXPRESSIONS = _SMOOTH + _UNDEFINED_AT_0
+_SMOOTH = tuple(e for e in _EXPRESSIONS if e not in _UNDEFINED_AT_0)
 _number = st.sampled_from(_NUMBERS)
 _quoted = st.sampled_from(_EXPRESSIONS).map(lambda e: f'"{e}"')
 _mostly_smooth = st.sampled_from(_SMOOTH * 3 + _UNDEFINED_AT_0).map(lambda e: f'"{e}"')
@@ -28,12 +32,62 @@ def _list(items, min_size, max_size):
     return st.lists(items, min_size=min_size, max_size=max_size).map(lambda v: f"[{', '.join(v)}]")
 
 
+def _text(draw, entries, faults):
+    """The file of entries, after one fault drawn from faults: a value of
+    any type, a repeated key or header, or a missing key (None for none)."""
+    k = draw(st.integers(0, len(entries) - 1))
+    fault = draw(st.sampled_from(faults))
+    if fault == "value":
+        entries[k] = entries[k][:2] + (draw(_any | _list(_any, 0, 3)),)
+    elif fault == "repeat":
+        entries.append(entries[k])
+    elif fault == "drop":
+        del entries[k]
+    lines, current = [], None
+    for section, key, value in entries:
+        if section != current or fault == "header":
+            lines.append(f"[{section}]")
+            current = section
+        lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
 @st.composite
 def _files(draw):
     """A mostly well-formed file with at most one fault: a value of any
-    type, a repeated key or header, or a missing key.  Its (c, eps) are
-    admissible nine times in ten, and its points p (an x) and q (an (x, y))
-    are the placeholders @x and @xy, unless the fault hits them."""
+    type, a repeated key or header, or a missing key."""
+    n = draw(st.sampled_from((2, 3, 1)))
+    entries = [
+        ("problem", "n", str(n)),
+        ("problem", "s", draw(st.sampled_from("01"))),
+        ("problem", "f", draw(_quoted)),
+        ("problem", "h", draw(_list(_quoted, 0, 1))),
+        ("problem", "g", draw(_list(_quoted, 0, 1))),
+        ("regularization", "c", draw(_list(_number, n, n))),
+        ("regularization", "eps", draw(_number)),
+        ("regularization", "override", draw(st.sampled_from(("false", "true")))),
+        ("points", "p", draw(_list(_number, n, n) | _list(_number, 2 * n, 2 * n))),
+        ("tolerances", "tol_act", draw(st.sampled_from(("1e-8", "1e-6", "0.5")))),
+    ]
+    return _text(draw, entries, (None, "value", "repeat", "drop", "header"))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=_files())
+def test_any_problem_file_gives_an_exit_code(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.prob"
+    path.write_text(text, encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["certify", str(path), "p", "--side", "m"])
+    assert code in (0, 1, 2, 3, 4)
+
+
+@st.composite
+def _admissible_files(draw):
+    """A file as _files draws it, but with a fault in four files of seven,
+    f, h and g mostly smooth, and (c, eps) admissible nine times in ten; its
+    points p (an x) and q (an (x, y)) are the placeholders @x and @xy,
+    unless the fault hits them."""
     n = draw(st.sampled_from((2, 3)))
     if draw(st.sampled_from((True,) * 9 + (False,))):
         c = f"[{', '.join(draw(st.permutations(('0.2', '0.5', '0.8')))[:n])}]"  # positive, distinct
@@ -53,21 +107,7 @@ def _files(draw):
         ("points", "q", "@xy"),
         ("tolerances", "tol_act", draw(st.sampled_from(("1e-8", "1e-6", "0.5")))),
     ]
-    k = draw(st.integers(0, len(entries) - 1))
-    fault = draw(st.sampled_from((None, None, None, "value", "repeat", "drop", "header")))
-    if fault == "value":
-        entries[k] = entries[k][:2] + (draw(_any | _list(_any, 0, 3)),)
-    elif fault == "repeat":
-        entries.append(entries[k])
-    elif fault == "drop":
-        del entries[k]
-    lines, current = [], None
-    for section, key, value in entries:
-        if section != current or fault == "header":
-            lines.append(f"[{section}]")
-            current = section
-        lines.append(f"{key} = {value}")
-    return n, "\n".join(lines) + "\n"
+    return n, _text(draw, entries, (None, None, None, "value", "repeat", "drop", "header"))
 
 
 def _run(argv, codes):
@@ -125,12 +165,13 @@ def _every_subcommand(path, n, text, pick, codes):
         _run(argv, codes)
 
 
-def test_any_problem_file_gives_an_exit_code(tmp_path_factory):
-    path = str(tmp_path_factory.getbasetemp() / "fuzz.prob")
+@pytest.mark.hypothesis  # as @given marks a test: its draws are Hypothesis's
+def test_every_subcommand_gives_an_exit_code_on_any_problem_file(tmp_path_factory):
+    path = str(tmp_path_factory.getbasetemp() / "fuzz-all.prob")
     codes = []
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(drawn=_files(), pick=st.integers(0, 20))
+    @given(drawn=_admissible_files(), pick=st.integers(0, 20))
     def every_subcommand(drawn, pick):
         _every_subcommand(path, *drawn, pick, codes)
 

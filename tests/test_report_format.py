@@ -71,4 +71,7 @@ def test_fmt_edge_values_by_hand():
     assert _fmt(np.array([-0.0, np.inf, 5e-324])) == "[-0.0, inf, 5e-324]"
     assert _fmt(np.zeros(0)) == "[]" and _fmt(np.zeros((2, 0))) == "[[], []]"
     assert _fmt(np.bool_(True)) == '"True"'  # not a bool: quoted, as always
+    # numpy scalars, and the items of an array that is not 1-D float64, as the int or float they hold
+    assert _fmt(np.int64(-3)) == "-3" and _fmt(np.float32(0.5)) == "0.5" and _fmt(np.float64(0.1)) == "0.1"
+    assert _fmt(np.array([1, -2])) == "[1, -2]" and _fmt(np.array([0.5], dtype=np.float32)) == "[0.5]"
     assert _fmt(True) == "true" and _fmt(None) == "none" and _fmt(7) == "7" and _fmt("a") == '"a"'
